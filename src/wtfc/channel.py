@@ -31,6 +31,9 @@ __all__ = [
 
 ReferenceLoss = Union[float, Callable[[float], float], None]
 
+# Natural-log amplitude change per dB of loss: 10^(-L/20) = exp(-L ln10/20).
+_NEPERS_PER_DB = math.log(10.0) / 20.0
+
 
 @dataclass(frozen=True)
 class LargeScaleModel:
@@ -151,7 +154,7 @@ def draw_m_batch(
         return np.full(n, large_scale_m(det_loss))
     n_blocks = -(-n // model.block_len)
     x_sigma = rng.normal(0.0, model.shadowing_std_db, n_blocks)
-    m_blocks = np.sqrt(10.0 ** (-(det_loss + x_sigma) / 10.0))
+    m_blocks = np.exp(-_NEPERS_PER_DB * (det_loss + x_sigma))
     if model.block_len == 1:
         return m_blocks
     return np.repeat(m_blocks, model.block_len)[:n]

@@ -276,19 +276,22 @@ def build_run_config(values: dict) -> RunConfig:
 
 
 def _field_from_message(exc: ValueError, fallback: str) -> str:
+    """Config key named earliest in a validation message.
+
+    Messages name the offending field first ("delay_spread_s must be
+    smaller than symbol_time_s"), so the earliest mention wins; at equal
+    positions the longer name wins, since it contains the shorter one.
+    """
     message = str(exc)
-    for key in KEY_TYPES:
-        if key in message:
-            return key
+    names = [(key, key) for key in KEY_TYPES]
     # dataclass field names that differ from config keys
-    for field, key in (
-        ("duty_cycle", "duty_cycle"),
-        ("block_len", "shadow_block_len"),
-        ("enabled", "shadowing_enabled"),
-    ):
-        if field in message:
-            return key
-    return fallback
+    names += [("block_len", "shadow_block_len"), ("enabled", "shadowing_enabled")]
+    found = [
+        (message.find(name), -len(name), key)
+        for name, key in names
+        if name in message
+    ]
+    return min(found)[2] if found else fallback
 
 
 def format_value(value) -> str:

@@ -7,6 +7,7 @@ the fast path.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -49,6 +50,21 @@ def naive_pe(alphabet_size: int, mu: float, iterations: int, seed: int):
     p = errors / iterations
     half_width = 1.96 * math.sqrt(p * (1.0 - p) / iterations)
     return p, half_width
+
+
+def exact_pe_alternating_sum(mu: float, n_noise: int) -> float:
+    """Closed-form error probability by the alternating binomial sum.
+
+    1 - sum_k C(N,k) (-1)^k / (1 + k mu), evaluated in exact rational
+    arithmetic so the heavy cancellation between terms costs no precision.
+    Cost grows as N^2, so keep N in the tens.
+    """
+    mu_exact = Fraction(mu)
+    total = Fraction(0)
+    for k in range(n_noise + 1):
+        term = Fraction(math.comb(n_noise, k), 1) / (1 + k * mu_exact)
+        total += -term if k % 2 else term
+    return float(1 - total)
 
 
 def naive_max_noise(n_noise: int, draws: int, seed: int) -> np.ndarray:

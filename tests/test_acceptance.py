@@ -27,7 +27,6 @@ from wtfc import (
     run_sweep,
 )
 from wtfc.cli import main
-from wtfc.detector import _pe_alternating_sum, _pe_by_quadrature
 
 NO_FADING = LargeScaleModel()
 
@@ -203,12 +202,13 @@ def test_criterion_2_fast_path_equivalence():
 
 
 def test_criterion_3_closed_form_spot_values():
-    with criterion(3, "closed-form spot values and sum/quadrature agreement"):
+    with criterion(3, "closed-form spot values and exact-sum agreement"):
         assert analytic_pe_no_shadowing(1.0, 1) == 0.5
         assert abs(analytic_pe_no_shadowing(10.0, 1) - 1.0 / 11.0) < 1e-12
         for n in (1, 2, 3, 5, 8, 13, 21, 34, 50):
             for mu in (1.0, 1.5, 2.0, 10.0, 100.0, 1000.0):
-                delta = abs(_pe_alternating_sum(mu, n) - _pe_by_quadrature(mu, n))
+                exact = helpers.exact_pe_alternating_sum(mu, n)
+                delta = abs(analytic_pe_no_shadowing(mu, n) - exact)
                 assert delta <= 1e-10, f"mu={mu} N={n}: {delta:.2e}"
 
 

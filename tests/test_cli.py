@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,15 @@ def test_malformed_duty_cycle_exits_2_naming_field(capsys):
     )
     assert code == 2
     assert "duty_cycle" in err
+
+
+def test_error_names_the_field_the_message_starts_with(capsys):
+    # The message also mentions symbol_time_s, which precedes
+    # delay_spread_s in the key table; the field named first must win.
+    sets = [item.replace("20e-6", "200e-6") for item in BASE_SETS]
+    code, _, err = run_cli(["derive", *sets], capsys)
+    assert code == 2
+    assert err.startswith("error: delay_spread_s: delay_spread_s must be")
 
 
 def test_unknown_key_exits_2(capsys):
@@ -309,3 +322,24 @@ def test_snr_columns_flag(capsys, tmp_path):
     first = lines[2].split(",")
     assert float(first[-2]) == pytest.approx(-60.0)
     assert float(first[-1]) == pytest.approx(-60.0 + 10 * 8.602059991327963, abs=1e-6)
+
+
+def test_cli_runs_without_scipy():
+    # scipy is a test-only dependency: neither the package import nor a CLI
+    # call may load it.
+    script = (
+        "import sys, wtfc, wtfc.cli\n"
+        "try:\n"
+        "    wtfc.cli.main(['--version'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0.1.0"

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import helpers
@@ -18,7 +21,6 @@ from wtfc import (
     signal_power_from_uniform,
     signal_slot_mean,
 )
-from wtfc.detector import _pe_alternating_sum, _pe_by_quadrature
 
 NO_FADING = LargeScaleModel()
 
@@ -113,11 +115,54 @@ class TestAnalyticOracle:
         assert analytic_pe_no_shadowing(1.0, 1) == 0.5
         assert analytic_pe_no_shadowing(10.0, 1) == pytest.approx(1 / 11, abs=1e-12)
 
-    def test_sum_equals_quadrature(self):
+    def test_matches_exact_alternating_sum(self):
         for mu in (1.0, 2.0, 10.0, 1000.0):
             for n in (1, 7, 23, 50):
-                delta = abs(_pe_alternating_sum(mu, n) - _pe_by_quadrature(mu, n))
-                assert delta < 1e-10
+                exact = helpers.exact_pe_alternating_sum(mu, n)
+                assert abs(analytic_pe_no_shadowing(mu, n) - exact) < 1e-10
+
+    @pytest.mark.parametrize("mu", [1.0, 1.5, 10.0, 1e4, 1e7, 1e12])
+    def test_matches_mpmath_gamma_ratio(self, mu):
+        a = 1 / mpmath.mpf(mu)
+        for n in (1, 15, 16, 17, 50, 51, 269_999, 10**6, 270_000_000, 10**9):
+            with mpmath.workdps(50):
+                log_correct = (
+                    mpmath.loggamma(n + 1) + mpmath.loggamma(1 + a)
+                    - mpmath.loggamma(n + 1 + a)
+                )
+                exact = float(-mpmath.expm1(log_correct))
+            assert analytic_pe_no_shadowing(mu, n) == pytest.approx(
+                exact, rel=1e-12
+            ), f"mu={mu} N={n}"
+
+    def test_large_mu_past_the_small_n_branch(self):
+        # mu = 1e5, N = 51 once read 3.73e-5 (18 % low) from quadrature.
+        assert analytic_pe_no_shadowing(1e5, 51) == pytest.approx(
+            4.5187029574630120e-5, rel=1e-12
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mu=st.floats(1.0, 1e12),
+        ratio=st.floats(1.001, 1e3),
+        n=st.integers(1, 10**9),
+    )
+    def test_decreases_in_mu(self, mu, ratio, n):
+        assert analytic_pe_no_shadowing(mu * ratio, n) <= analytic_pe_no_shadowing(mu, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mu=st.floats(1.0, 1e12),
+        n=st.integers(1, 10**7),
+        factor=st.integers(2, 100),
+    )
+    def test_increases_in_n(self, mu, n, factor):
+        assert analytic_pe_no_shadowing(mu, n * factor) >= analytic_pe_no_shadowing(mu, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mu=st.floats(1.0, 1e15), n=st.integers(1, 10**9))
+    def test_between_zero_and_uniform_guessing(self, mu, n):
+        assert 0.0 <= analytic_pe_no_shadowing(mu, n) <= 1.0 - 1.0 / (n + 1)
 
     def test_zero_energy_limit(self):
         for n in (1, 3, 255):
