@@ -9,11 +9,8 @@ case and the Shannon AWGN baseline.
 
 from .capacity import CapacityResult, awgn_capacity, dmc_capacity, ifsk_variant
 from .channel import (
-    FadingDraw,
     LargeScaleModel,
     deterministic_power_gain,
-    draw_fading,
-    draw_fading_batch,
     large_scale_m,
     path_loss_db,
     shadowing_mean_power_gain,
@@ -22,14 +19,11 @@ from .channel import (
 from .config import ConfigError, RunConfig
 from .detector import (
     PeEstimate,
-    SignalSlotStat,
     analytic_pe_no_shadowing,
     estimate_pe,
     max_noise_from_uniform,
-    sample_max_noise,
-    sample_signal_power,
+    signal_energy,
     signal_power_from_uniform,
-    signal_slot_mean,
 )
 from .scheme import PhysicalInputs, SchemeParams, amplitude, derive_scheme
 from .sweep import SweepResult, SweepRow, SweepSpec, compare_shadowing, run_sweep
@@ -42,21 +36,15 @@ __all__ = [
     "derive_scheme",
     "amplitude",
     "LargeScaleModel",
-    "FadingDraw",
     "path_loss_db",
     "large_scale_m",
     "deterministic_power_gain",
     "transmit_power",
     "shadowing_mean_power_gain",
-    "draw_fading",
-    "draw_fading_batch",
-    "SignalSlotStat",
     "PeEstimate",
-    "signal_slot_mean",
+    "signal_energy",
     "signal_power_from_uniform",
     "max_noise_from_uniform",
-    "sample_signal_power",
-    "sample_max_noise",
     "estimate_pe",
     "analytic_pe_no_shadowing",
     "CapacityResult",

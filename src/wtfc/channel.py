@@ -1,11 +1,13 @@
-"""Large-scale fading model and per-symbol channel draws.
+"""Large-scale fading model and per-symbol shadowing draws.
 
 Large-scale fading combines a deterministic path loss (free space by
 default, or a user-supplied reference-loss relationship) with log-normal
 shadowing. Small-scale fading is the squared magnitude of a unit-variance
-circularly symmetric complex Gaussian, i.e. a unit-mean exponential.
-Multipath never appears tap by tap: its aggregate effect is exactly this
-small-scale gain, so no waveform is synthesized anywhere.
+circularly symmetric complex Gaussian, i.e. a unit-mean exponential, which
+the detector folds into the exponential law of the signal slot; only the
+large-scale amplitude is drawn here. Multipath never appears tap by tap:
+its aggregate effect is exactly this small-scale gain, so no waveform is
+synthesized anywhere.
 """
 
 from __future__ import annotations
@@ -18,13 +20,10 @@ import numpy as np
 
 __all__ = [
     "LargeScaleModel",
-    "FadingDraw",
     "path_loss_db",
     "large_scale_m",
     "deterministic_power_gain",
     "transmit_power",
-    "draw_fading",
-    "draw_fading_batch",
     "draw_m_batch",
     "shadowing_mean_power_gain",
 ]
@@ -81,14 +80,6 @@ class LargeScaleModel:
     def deterministic_loss_db(self) -> float:
         """Path loss at the model geometry with the shadowing term zeroed."""
         return path_loss_db(self, 0.0)
-
-
-@dataclass(frozen=True)
-class FadingDraw:
-    """One per-symbol channel realization."""
-
-    large_scale_amplitude: float
-    small_scale_power: float
 
 
 def path_loss_db(model: LargeScaleModel, x_sigma_db: float) -> float:
@@ -158,18 +149,3 @@ def draw_m_batch(
     if model.block_len == 1:
         return m_blocks
     return np.repeat(m_blocks, model.block_len)[:n]
-
-
-def draw_fading_batch(
-    model: LargeScaleModel, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vector of ``n`` fading draws: (large-scale amplitudes, |gain|^2)."""
-    m = draw_m_batch(model, rng, n)
-    alpha_sq = rng.exponential(1.0, n)
-    return m, alpha_sq
-
-
-def draw_fading(model: LargeScaleModel, rng: np.random.Generator) -> FadingDraw:
-    """One fading draw: shadowed large-scale amplitude and small-scale power."""
-    m, alpha_sq = draw_fading_batch(model, rng, 1)
-    return FadingDraw(float(m[0]), float(alpha_sq[0]))

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 I/O or internal failure, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -20,11 +21,9 @@ from . import __version__
 from .capacity import awgn_capacity, dmc_capacity, ifsk_variant
 from .config import (
     ConfigError,
-    RunConfig,
     build_run_config,
     config_items,
     env_overrides,
-    format_value,
     merge_sources,
     parse_value,
     read_config_file,
@@ -48,6 +47,26 @@ CSV_COLUMNS = [
     "skipped_reason",
 ]
 
+# Config keys a sweep writes to its header besides the RunConfig keys.
+_SWEEP_KEYS = ("axis", "grid", "variants", "include_awgn", "awgn_power", "snr_columns")
+
+# Dedicated flags (argparse dest) and the config keys they set.
+_FLAG_KEYS = {
+    "seed": "seed",
+    "iters": "iterations",
+    "variant": "variant",
+    "axis": "axis",
+    "grid": "grid",
+    "variants": "variants",
+    "allow_skips": "allow_skips",
+    "sigma_db": "sigma_db",
+}
+
+_PE_REPORT = ("variant", "p_e", "ci_half_width_95", "iterations", "seed", "alphabet_size")
+_CAPACITY_REPORT = ("variant", "capacity_bps", "ceiling_bps", "alphabet_size",
+                    "awgn_bps", "p_e", "iterations", "seed")
+_PE_FILE_COLUMNS = ("variant", "p_e", "ci_half_width_95", "iterations", "seed")
+
 
 def _format_cell(value) -> str:
     if value is None:
@@ -59,9 +78,9 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def header_line(config: RunConfig, extra: list[tuple[str, str]]) -> str:
+def header_line(values: dict, extra: tuple[str, ...] = ()) -> str:
     """Single ``# config:`` line with every result-determining setting."""
-    items = config_items(config) + extra
+    items = config_items(values, extra)
     return "# config: " + " ".join(f"{key}={value}" for key, value in items)
 
 
@@ -73,18 +92,14 @@ def header_to_config_text(line: str) -> str:
     return "\n".join(line[len(prefix):].split(" ")) + "\n"
 
 
-def _sweep_extra_items(values: dict, sigma_db: float | None) -> list[tuple[str, str]]:
-    items = [
-        ("axis", values["axis"]),
-        ("grid", format_value(tuple(values["grid"]))),
-        ("variants", format_value(tuple(values["variants"]))),
-        ("include_awgn", format_value(values["include_awgn"])),
-        ("awgn_power", values["awgn_power"]),
-        ("snr_columns", format_value(values["snr_columns"])),
-    ]
-    if sigma_db is not None:
-        items.append(("sigma_db", format_value(sigma_db)))
-    return items
+def _sweep_table(result: SweepResult, snr_columns: bool, loss_column: bool):
+    """Column names and one {column: value} dict per row, CSV and JSON alike."""
+    columns = list(CSV_COLUMNS)
+    if loss_column:
+        columns.append("capacity_loss_pct")
+    if snr_columns:
+        columns += ["snr_db_bw", "snr_db_n0"]
+    return columns, [{name: getattr(row, name) for name in columns} for row in result.rows]
 
 
 def write_sweep_csv(
@@ -94,26 +109,11 @@ def write_sweep_csv(
     snr_columns: bool = False,
     loss_column: bool = False,
 ) -> None:
-    columns = list(CSV_COLUMNS)
-    if loss_column:
-        columns.append("capacity_loss_pct")
-    if snr_columns:
-        columns += ["snr_db_bw", "snr_db_n0"]
+    columns, rows = _sweep_table(result, snr_columns, loss_column)
     lines = [header, ",".join(columns)]
-    for row in result.rows:
-        cells = [_format_cell(getattr(row, name)) for name in columns]
-        lines.append(",".join(cells))
+    lines += [",".join(_format_cell(value) for value in row.values()) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
-
-
-def _sweep_rows_json(result: SweepResult, snr_columns: bool, loss_column: bool):
-    columns = list(CSV_COLUMNS)
-    if loss_column:
-        columns.append("capacity_loss_pct")
-    if snr_columns:
-        columns += ["snr_db_bw", "snr_db_n0"]
-    return [{name: getattr(row, name) for name in columns} for row in result.rows]
 
 
 def _collect_values(args) -> dict:
@@ -130,20 +130,33 @@ def _collect_values(args) -> dict:
         overrides[key] = parse_value(key, text, "--set")
     sources.append(overrides)
     flags: dict = {}
-    if args.seed is not None:
-        flags["seed"] = args.seed
-    if args.iters is not None:
-        flags["iterations"] = args.iters
+    for dest, key in _FLAG_KEYS.items():
+        text = getattr(args, dest, None)
+        if text is not None:
+            flags[key] = parse_value(key, text, "--" + dest.replace("_", "-"))
     sources.append(flags)
     return merge_sources(*sources)
 
 
-def _derive_report(config: RunConfig) -> dict:
+def _emit_report(args, report: dict, header: str | None) -> None:
+    """Print the report; with --out and a header, also write it to the file."""
+    if args.format == "json":
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "".join(f"{key} = {_format_cell(value)}\n" for key, value in report.items())
+    sys.stdout.write(text)
+    if args.out and header is not None:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text if args.format == "json" else header + "\n" + text)
+
+
+def cmd_derive(args) -> int:
+    values = _collect_values(args)
+    config = build_run_config(values)
     params = derive_scheme(config.inputs)
     config.require_power()
     p_t = config.resolved_p_t()
-    p_r = config.resolved_p_r()
-    return {
+    report = {
         "q": params.q,
         "delta_f_hz": params.delta_f_hz,
         "tone_count": params.tone_count,
@@ -153,85 +166,24 @@ def _derive_report(config: RunConfig) -> dict:
         "amplitude": amplitude(p_t, params),
         "ceiling_bps": params.ceiling_bps(),
         "p_t": p_t,
-        "p_r": p_r,
+        "p_r": config.resolved_p_r(),
     }
-
-
-def _print_report(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for key, value in report.items():
-            print(f"{key} = {_format_cell(value)}")
-
-
-def cmd_derive(args) -> int:
-    values = _collect_values(args)
-    config = build_run_config(values)
-    report = _derive_report(config)
-    _print_report(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            if args.format == "json":
-                json.dump(report, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            else:
-                handle.write(header_line(config, []) + "\n")
-                for key, value in report.items():
-                    handle.write(f"{key} = {_format_cell(value)}\n")
+    _emit_report(args, report, header_line(values))
     return 0
 
 
-def cmd_pe(args) -> int:
+def cmd_estimate(args) -> int:
+    """pe and capacity: derive, pick the variant, estimate p_e (unless --pe)."""
     values = _collect_values(args)
     config = build_run_config(values)
     config.require_power()
     params = derive_scheme(config.inputs)
-    if args.variant == "ifsk":
+    if values["variant"] == "IFSK":
         params = ifsk_variant(params)
-    estimate = estimate_pe(
-        params,
-        config.model,
-        config.resolved_p_t(),
-        config.n_0,
-        config.iterations,
-        config.seed,
-        threads=args.threads,
-        hold_mean_rx_power=config.hold_mean_rx_power,
-    )
-    report = {
-        "variant": params.variant,
-        "p_e": estimate.p_e,
-        "ci_half_width_95": estimate.half_width_95,
-        "iterations": estimate.iterations,
-        "seed": estimate.seed,
-        "alphabet_size": params.alphabet_size,
-    }
-    _print_report(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(header_line(config, [("variant", params.variant)]) + "\n")
-            handle.write("variant,p_e,ci_half_width_95,iterations,seed\n")
-            handle.write(
-                ",".join(
-                    _format_cell(report[key])
-                    for key in ("variant", "p_e", "ci_half_width_95", "iterations", "seed")
-                )
-                + "\n"
-            )
-    return 0
-
-
-def cmd_capacity(args) -> int:
-    values = _collect_values(args)
-    config = build_run_config(values)
-    config.require_power()
-    params = derive_scheme(config.inputs)
-    if args.variant == "ifsk":
-        params = ifsk_variant(params)
-    if args.pe is not None:
-        p_e = args.pe
-        report_pe = {"p_e": p_e, "iterations": None, "seed": None}
+    fields = {"variant": params.variant, "alphabet_size": params.alphabet_size,
+              "ci_half_width_95": None, "iterations": None, "seed": None}
+    if getattr(args, "pe", None) is not None:
+        fields["p_e"] = args.pe
     else:
         estimate = estimate_pe(
             params,
@@ -243,86 +195,67 @@ def cmd_capacity(args) -> int:
             threads=args.threads,
             hold_mean_rx_power=config.hold_mean_rx_power,
         )
-        p_e = estimate.p_e
-        report_pe = {
-            "p_e": estimate.p_e,
-            "iterations": estimate.iterations,
-            "seed": estimate.seed,
-        }
+        fields.update(p_e=estimate.p_e, ci_half_width_95=estimate.half_width_95,
+                      iterations=estimate.iterations, seed=estimate.seed)
+    header = header_line(values, ("variant",))
+    if args.command == "pe":
+        _emit_report(args, {key: fields[key] for key in _PE_REPORT}, None)
+        if args.out:
+            row = ",".join(_format_cell(fields[key]) for key in _PE_FILE_COLUMNS)
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(f"{header}\n{','.join(_PE_FILE_COLUMNS)}\n{row}\n")
+        return 0
     result = dmc_capacity(
-        p_e,
+        fields["p_e"],
         params.alphabet_size,
         config.inputs.duty_cycle,
         config.inputs.symbol_time_s,
         scheme_tag=params.variant,
     )
-    report = {
-        "variant": params.variant,
-        "capacity_bps": result.capacity_bps,
-        "ceiling_bps": result.ceiling_bps,
-        "alphabet_size": params.alphabet_size,
-        "awgn_bps": awgn_capacity(
-            config.resolved_p_r(), config.n_0, config.inputs.bandwidth_hz
-        ),
-        **report_pe,
-    }
-    _print_report(report, args.format)
+    fields.update(
+        capacity_bps=result.capacity_bps,
+        ceiling_bps=result.ceiling_bps,
+        awgn_bps=awgn_capacity(config.resolved_p_r(), config.n_0, config.inputs.bandwidth_hz),
+    )
+    _emit_report(args, {key: fields[key] for key in _CAPACITY_REPORT}, header)
     return 0
 
 
 def _run_sweep_command(args, paired: bool) -> int:
     values = _collect_values(args)
-    if args.axis:
-        values["axis"] = args.axis
-    if args.grid:
-        values["grid"] = parse_value("grid", args.grid, "--grid")
-    if args.variants:
-        values["variants"] = parse_value("variants", args.variants, "--variants")
-    if args.allow_skips:
-        values["allow_skips"] = True
     for key in ("axis", "grid"):
         if key not in values:
             raise ConfigError(key, "required for sweeps")
     if not args.out:
         raise ConfigError("out", "sweeps write a results file; pass --out PATH")
-    sigma_db = None
-    if paired:
-        if args.sigma_db is not None:
-            values["sigma_db"] = args.sigma_db
-        if "sigma_db" not in values:
-            raise ConfigError("sigma_db", "required for compare-shadowing")
-        sigma_db = values["sigma_db"]
+    if paired and "sigma_db" not in values:
+        raise ConfigError("sigma_db", "required for compare-shadowing")
 
     config = build_run_config(values)
     spec = SweepSpec(
         base=config,
         axis=values["axis"],
-        grid=tuple(values["grid"]),
-        variants=tuple(values["variants"]),
+        grid=values["grid"],
+        variants=values["variants"],
         include_awgn=values["include_awgn"],
         awgn_power=values["awgn_power"],
     )
     if paired:
-        result = compare_shadowing(spec, sigma_db, threads=args.threads)
+        result = compare_shadowing(spec, values["sigma_db"], threads=args.threads)
     else:
         result = run_sweep(spec, threads=args.threads)
 
-    header = header_line(config, _sweep_extra_items(values, sigma_db))
-    snr_columns = values["snr_columns"]
+    extra = _SWEEP_KEYS + (("sigma_db",) if paired else ())
     if args.format == "json":
-        payload = {
-            "config": dict(
-                config_items(config) + _sweep_extra_items(values, sigma_db)
-            ),
-            "rows": _sweep_rows_json(result, snr_columns, paired),
-        }
+        _, rows = _sweep_table(result, values["snr_columns"], paired)
+        payload = {"config": dict(config_items(values, extra)), "rows": rows}
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
     else:
         write_sweep_csv(
-            args.out, result, header,
-            snr_columns=snr_columns, loss_column=paired,
+            args.out, result, header_line(values, extra),
+            snr_columns=values["snr_columns"], loss_column=paired,
         )
 
     for variant in spec.variants:
@@ -350,7 +283,8 @@ def _run_sweep_command(args, paired: bool) -> int:
     return 0
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_command(commands, name: str, help_text: str, handler):
+    parser = commands.add_parser(name, help=help_text)
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument(
         "--set",
@@ -358,8 +292,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override any config key (repeatable)",
     )
-    parser.add_argument("--seed", type=int, help="rng seed")
-    parser.add_argument("--iters", type=int, help="Monte Carlo iterations")
+    parser.add_argument("--seed", help="rng seed")
+    parser.add_argument("--iters", help="Monte Carlo iterations")
     parser.add_argument("--out", help="output file path")
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
@@ -370,6 +304,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="worker threads; changes speed, never results",
     )
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,46 +315,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
+    _add_command(commands, "derive", "derive and print scheme parameters", cmd_derive)
 
-    derive = commands.add_parser("derive", help="derive and print scheme parameters")
-    _add_common_arguments(derive)
-    derive.set_defaults(handler=cmd_derive)
+    for name, help_text in (
+        ("pe", "estimate the symbol error probability"),
+        ("capacity", "estimate capacity in bits/s"),
+    ):
+        sub = _add_command(commands, name, help_text, cmd_estimate)
+        sub.add_argument("--variant", choices=("wtfc", "ifsk"))
+        if name == "capacity":
+            sub.add_argument(
+                "--pe",
+                type=float,
+                help="skip simulation and convert this error probability directly",
+            )
 
-    pe = commands.add_parser("pe", help="estimate the symbol error probability")
-    _add_common_arguments(pe)
-    pe.add_argument("--variant", choices=("wtfc", "ifsk"), default="wtfc")
-    pe.set_defaults(handler=cmd_pe)
-
-    cap = commands.add_parser("capacity", help="estimate capacity in bits/s")
-    _add_common_arguments(cap)
-    cap.add_argument("--variant", choices=("wtfc", "ifsk"), default="wtfc")
-    cap.add_argument(
-        "--pe",
-        type=float,
-        help="skip simulation and convert this error probability directly",
-    )
-    cap.set_defaults(handler=cmd_capacity)
-
-    sweep = commands.add_parser("sweep", help="run a parameter sweep to CSV/JSON")
-    _add_common_arguments(sweep)
-    sweep.add_argument("--axis", help="swept variable")
-    sweep.add_argument("--grid", help="comma-separated axis values")
-    sweep.add_argument("--variants", help="comma-separated: wtfc,ifsk")
-    sweep.add_argument("--allow-skips", action="store_true")
-    sweep.set_defaults(handler=lambda args: _run_sweep_command(args, paired=False))
-
-    compare = commands.add_parser(
-        "compare-shadowing",
-        help="run a sweep with shadowing off and on, same seeds",
-    )
-    _add_common_arguments(compare)
-    compare.add_argument("--axis", help="swept variable")
-    compare.add_argument("--grid", help="comma-separated axis values")
-    compare.add_argument("--variants", help="comma-separated: wtfc,ifsk")
-    compare.add_argument("--allow-skips", action="store_true")
-    compare.add_argument("--sigma-db", type=float, help="shadowing std dev in dB")
-    compare.set_defaults(handler=lambda args: _run_sweep_command(args, paired=True))
-
+    for name, help_text, paired in (
+        ("sweep", "run a parameter sweep to CSV/JSON", False),
+        ("compare-shadowing", "run a sweep with shadowing off and on, same seeds", True),
+    ):
+        handler = functools.partial(_run_sweep_command, paired=paired)
+        sub = _add_command(commands, name, help_text, handler)
+        sub.add_argument("--axis", help="swept variable")
+        sub.add_argument("--grid", help="comma-separated axis values")
+        sub.add_argument("--variants", help="comma-separated: wtfc,ifsk")
+        sub.add_argument("--allow-skips", action="store_const", const="true")
+        if paired:
+            sub.add_argument("--sigma-db", help="shadowing std dev in dB")
     return parser
 
 
@@ -427,10 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

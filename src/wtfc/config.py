@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .channel import LargeScaleModel, deterministic_power_gain, transmit_power
 from .scheme import PhysicalInputs
 
-__all__ = ["ConfigError", "RunConfig", "KEY_TYPES", "ENV_PREFIX",
+__all__ = ["ConfigError", "RunConfig", "KEYS", "ENV_PREFIX",
            "read_config_file", "merge_sources", "build_run_config",
-           "parse_value", "format_value"]
+           "parse_value", "format_value", "config_items"]
 
 ENV_PREFIX = "WTFC_"
 
@@ -70,70 +70,69 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(items)
 
 
-# Every key the config file, WTFC_* env vars and the CLI understand.
-KEY_TYPES = {
+def _parse_variant(text: str) -> str:
+    variant = text.strip().upper()
+    if variant not in ("WTFC", "IFSK"):
+        raise ValueError("expected wtfc or ifsk")
+    return variant
+
+
+REQUIRED = object()
+
+# Every key the config file, WTFC_* env vars and the CLI understand, in the
+# order the ``# config:`` header lists them: key -> (parser, default, the
+# RunConfig attribute it sets). A None default leaves the key unset;
+# REQUIRED keys must be given. Keys without an attribute are read by the
+# commands themselves.
+KEYS = {
     # scheme
-    "bandwidth_hz": _parse_float,
-    "symbol_time_s": _parse_float,
-    "delay_spread_s": _parse_float,
-    "doppler_spread_hz": _parse_float,
-    "duty_cycle": _parse_float,
-    "q_override": _parse_int,
-    "guard_time_s": _parse_float,
+    "bandwidth_hz": (_parse_float, REQUIRED, "inputs.bandwidth_hz"),
+    "symbol_time_s": (_parse_float, REQUIRED, "inputs.symbol_time_s"),
+    "delay_spread_s": (_parse_float, 0.0, "inputs.delay_spread_s"),
+    "doppler_spread_hz": (_parse_float, 0.0, "inputs.doppler_spread_hz"),
+    "duty_cycle": (_parse_float, REQUIRED, "inputs.duty_cycle"),
+    "q_override": (_parse_int, None, "inputs.q_override"),
+    "guard_time_s": (_parse_float, None, "inputs.guard_time_s"),
     # channel
-    "distance_m": _parse_float,
-    "reference_distance_m": _parse_float,
-    "wavelength_m": _parse_float,
-    "path_loss_exponent": _parse_float,
-    "shadowing_std_db": _parse_float,
-    "shadowing_enabled": _parse_bool,
-    "shadow_block_len": _parse_int,
+    "distance_m": (_parse_float, 1.0, "model.distance_m"),
+    "reference_distance_m": (_parse_float, 1.0, "model.reference_distance_m"),
+    "wavelength_m": (_parse_float, 4.0 * math.pi, "model.wavelength_m"),
+    "path_loss_exponent": (_parse_float, 2.0, "model.path_loss_exponent"),
+    "shadowing_std_db": (_parse_float, 0.0, "model.shadowing_std_db"),
+    "shadowing_enabled": (_parse_bool, False, "model.enabled"),
+    "shadow_block_len": (_parse_int, 1, "model.block_len"),
     # power and simulation
-    "p_r": _parse_float,
-    "p_t": _parse_float,
-    "n_0": _parse_float,
-    "iterations": _parse_int,
-    "seed": _parse_int,
-    "hold_mean_rx_power": _parse_bool,
+    "p_r": (_parse_float, None, "p_r"),
+    "p_t": (_parse_float, None, "p_t"),
+    "n_0": (_parse_float, 1.0, "n_0"),
+    "iterations": (_parse_int, 1_000_000, "iterations"),
+    "seed": (_parse_int, 0, "seed"),
+    "hold_mean_rx_power": (_parse_bool, False, "hold_mean_rx_power"),
+    # pe and capacity
+    "variant": (_parse_variant, "WTFC", None),
     # sweep
-    "axis": _parse_str,
-    "grid": _parse_float_list,
-    "variants": _parse_str_list,
-    "include_awgn": _parse_bool,
-    "awgn_power": _parse_str,
-    "snr_columns": _parse_bool,
-    "sigma_db": _parse_float,
-    "allow_skips": _parse_bool,
+    "axis": (_parse_str, None, None),
+    "grid": (_parse_float_list, None, None),
+    "variants": (_parse_str_list, ("WTFC",), None),
+    "include_awgn": (_parse_bool, True, None),
+    "awgn_power": (_parse_str, "pr", None),
+    "snr_columns": (_parse_bool, False, None),
+    "sigma_db": (_parse_float, None, None),
+    "allow_skips": (_parse_bool, False, None),
 }
 
-_DEFAULTS = {
-    "delay_spread_s": 0.0,
-    "doppler_spread_hz": 0.0,
-    "distance_m": 1.0,
-    "reference_distance_m": 1.0,
-    "wavelength_m": 4.0 * math.pi,
-    "path_loss_exponent": 2.0,
-    "shadowing_std_db": 0.0,
-    "shadowing_enabled": False,
-    "shadow_block_len": 1,
-    "n_0": 1.0,
-    "iterations": 1_000_000,
-    "seed": 0,
-    "hold_mean_rx_power": False,
-    "variants": ("WTFC",),
-    "include_awgn": True,
-    "awgn_power": "pr",
-    "snr_columns": False,
-    "allow_skips": False,
+# Dataclass field -> config key, for naming the key a validator rejected.
+_KEY_OF_FIELD = {
+    target.rpartition(".")[2]: key for key, (_, _, target) in KEYS.items() if target
 }
 
 
 def parse_value(key: str, text: str, source: str | None = None):
     """Coerce one raw string to the key's type, or raise ConfigError."""
-    if key not in KEY_TYPES:
+    if key not in KEYS:
         raise ConfigError(key, "unknown configuration key", source)
     try:
-        return KEY_TYPES[key](text)
+        return KEYS[key][0](text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(key, f"invalid value {text!r} ({exc})", source) from exc
 
@@ -164,14 +163,18 @@ def env_overrides(environ: dict | None = None) -> dict:
         if not name.startswith(ENV_PREFIX):
             continue
         key = name[len(ENV_PREFIX):].lower()
-        if key in KEY_TYPES:
+        if key in KEYS:
             values[key] = parse_value(key, text, f"env {name}")
     return values
 
 
 def merge_sources(*sources: dict) -> dict:
     """Overlay typed value dicts; later sources win."""
-    merged = dict(_DEFAULTS)
+    merged = {
+        key: default
+        for key, (_, default, _) in KEYS.items()
+        if default is not None and default is not REQUIRED
+    }
     for source in sources:
         for key, value in source.items():
             if value is not None:
@@ -234,64 +237,24 @@ def build_run_config(values: dict) -> RunConfig:
     """Build a validated RunConfig from merged typed values.
 
     All module-level invariants are revalidated here so a bad field fails
-    with its name before any simulation starts.
+    with its name before any simulation starts. Every validator message
+    starts with the field it rejects, which names the key.
     """
-    for required in ("bandwidth_hz", "symbol_time_s", "duty_cycle"):
-        if required not in values:
-            raise ConfigError(required, "required key is missing")
+    kwargs: dict = {"inputs": {}, "model": {}, "": {}}
+    for key, (_, default, target) in KEYS.items():
+        if not target:
+            continue
+        if default is REQUIRED and key not in values:
+            raise ConfigError(key, "required key is missing")
+        group, _, field = target.rpartition(".")
+        kwargs[group][field] = values.get(key, default)
     try:
-        inputs = PhysicalInputs(
-            bandwidth_hz=values["bandwidth_hz"],
-            symbol_time_s=values["symbol_time_s"],
-            delay_spread_s=values["delay_spread_s"],
-            doppler_spread_hz=values["doppler_spread_hz"],
-            duty_cycle=values["duty_cycle"],
-            q_override=values.get("q_override"),
-            guard_time_s=values.get("guard_time_s"),
-        )
+        inputs = PhysicalInputs(**kwargs["inputs"])
+        model = LargeScaleModel(**kwargs["model"])
     except ValueError as exc:
-        raise ConfigError(_field_from_message(exc, "inputs"), str(exc)) from exc
-    try:
-        model = LargeScaleModel(
-            distance_m=values["distance_m"],
-            reference_distance_m=values["reference_distance_m"],
-            wavelength_m=values["wavelength_m"],
-            path_loss_exponent=values["path_loss_exponent"],
-            shadowing_std_db=values["shadowing_std_db"],
-            enabled=values["shadowing_enabled"],
-            block_len=values["shadow_block_len"],
-        )
-    except ValueError as exc:
-        raise ConfigError(_field_from_message(exc, "model"), str(exc)) from exc
-    return RunConfig(
-        inputs=inputs,
-        model=model,
-        p_r=values.get("p_r"),
-        p_t=values.get("p_t"),
-        n_0=values["n_0"],
-        iterations=values["iterations"],
-        seed=values["seed"],
-        hold_mean_rx_power=values["hold_mean_rx_power"],
-    )
-
-
-def _field_from_message(exc: ValueError, fallback: str) -> str:
-    """Config key named earliest in a validation message.
-
-    Messages name the offending field first ("delay_spread_s must be
-    smaller than symbol_time_s"), so the earliest mention wins; at equal
-    positions the longer name wins, since it contains the shorter one.
-    """
-    message = str(exc)
-    names = [(key, key) for key in KEY_TYPES]
-    # dataclass field names that differ from config keys
-    names += [("block_len", "shadow_block_len"), ("enabled", "shadowing_enabled")]
-    found = [
-        (message.find(name), -len(name), key)
-        for name, key in names
-        if name in message
-    ]
-    return min(found)[2] if found else fallback
+        field = str(exc).split()[0]
+        raise ConfigError(_KEY_OF_FIELD.get(field, field), str(exc)) from exc
+    return RunConfig(inputs=inputs, model=model, **kwargs[""])
 
 
 def format_value(value) -> str:
@@ -305,37 +268,13 @@ def format_value(value) -> str:
     return str(value)
 
 
-def config_items(config: RunConfig) -> list[tuple[str, str]]:
-    """Resolved (key, value) pairs that reproduce this configuration."""
-    inputs, model = config.inputs, config.model
-    items: list[tuple[str, str]] = [
-        ("bandwidth_hz", format_value(inputs.bandwidth_hz)),
-        ("symbol_time_s", format_value(inputs.symbol_time_s)),
-        ("delay_spread_s", format_value(inputs.delay_spread_s)),
-        ("doppler_spread_hz", format_value(inputs.doppler_spread_hz)),
-        ("duty_cycle", format_value(inputs.duty_cycle)),
+def config_items(values: dict, extra: tuple[str, ...] = ()) -> list[tuple[str, str]]:
+    """Resolved (key, value) pairs that reproduce a run, in table order.
+
+    Every set RunConfig key, plus the command keys named in ``extra``.
+    """
+    return [
+        (key, format_value(values[key]))
+        for key, (_, _, target) in KEYS.items()
+        if (target or key in extra) and values.get(key) is not None
     ]
-    if inputs.q_override is not None:
-        items.append(("q_override", format_value(inputs.q_override)))
-    if inputs.guard_time_s is not None:
-        items.append(("guard_time_s", format_value(inputs.guard_time_s)))
-    items += [
-        ("distance_m", format_value(model.distance_m)),
-        ("reference_distance_m", format_value(model.reference_distance_m)),
-        ("wavelength_m", format_value(model.wavelength_m)),
-        ("path_loss_exponent", format_value(model.path_loss_exponent)),
-        ("shadowing_std_db", format_value(model.shadowing_std_db)),
-        ("shadowing_enabled", format_value(model.enabled)),
-        ("shadow_block_len", format_value(model.block_len)),
-    ]
-    if config.p_r is not None:
-        items.append(("p_r", format_value(config.p_r)))
-    if config.p_t is not None:
-        items.append(("p_t", format_value(config.p_t)))
-    items += [
-        ("n_0", format_value(config.n_0)),
-        ("iterations", format_value(config.iterations)),
-        ("seed", format_value(config.seed)),
-        ("hold_mean_rx_power", format_value(config.hold_mean_rx_power)),
-    ]
-    return items

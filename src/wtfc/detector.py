@@ -32,13 +32,10 @@ from .channel import LargeScaleModel, draw_m_batch, shadowing_mean_power_gain
 from .scheme import SchemeParams
 
 __all__ = [
-    "SignalSlotStat",
     "PeEstimate",
-    "signal_slot_mean",
+    "signal_energy",
     "signal_power_from_uniform",
     "max_noise_from_uniform",
-    "sample_signal_power",
-    "sample_max_noise",
     "estimate_pe",
     "analytic_pe_no_shadowing",
     "CHUNK_SIZE",
@@ -47,17 +44,6 @@ __all__ = [
 # Iterations per chunk. Part of the determinism contract: changing it
 # changes which uniforms map to which iteration.
 CHUNK_SIZE = 100_000
-
-
-@dataclass(frozen=True)
-class SignalSlotStat:
-    """Mean of the exponential law of the transmitted slot's squared output."""
-
-    mu: float
-
-    def __post_init__(self) -> None:
-        if self.mu < 1.0:
-            raise ValueError("mu must be at least 1 (1 means zero signal energy)")
 
 
 @dataclass(frozen=True)
@@ -70,28 +56,20 @@ class PeEstimate:
     seed: int
 
 
-def signal_slot_mean(
-    transmit_power: float,
-    params: SchemeParams,
-    noise_density: float,
-    m: float = 1.0,
-) -> SignalSlotStat:
-    """Exponential mean of the transmitted slot: m^2 P_t T_s/(theta N_0) + 1.
+def signal_energy(
+    transmit_power: float, params: SchemeParams, noise_density: float
+) -> float:
+    """Signal energy per slot over N_0 at unit amplitude: P_t T_s/(theta N_0).
 
-    ``transmit_power`` may be zero (pure-noise limit, mu = 1).
+    The transmitted slot's squared output is exponential with mean
+    ``mu = m^2 * signal_energy + 1``; zero power is the pure-noise limit.
     """
     if transmit_power < 0:
         raise ValueError("transmit_power must be nonnegative")
     if noise_density <= 0:
         raise ValueError("noise_density must be positive")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     inputs = params.inputs
-    energy = (
-        m * m * transmit_power * inputs.symbol_time_s
-        / (inputs.duty_cycle * noise_density)
-    )
-    return SignalSlotStat(mu=energy + 1.0)
+    return transmit_power * inputs.symbol_time_s / (inputs.duty_cycle * noise_density)
 
 
 def signal_power_from_uniform(mu, u):
@@ -115,16 +93,6 @@ def max_noise_from_uniform(n_noise: int, u):
     with np.errstate(divide="ignore"):
         out = -np.log(-np.expm1(np.log(u) / n_noise))
     return out
-
-
-def sample_signal_power(stat: SignalSlotStat, rng: np.random.Generator) -> float:
-    """One draw of the transmitted slot's squared output, Exp(mean mu)."""
-    return float(signal_power_from_uniform(stat.mu, rng.random()))
-
-
-def sample_max_noise(n_noise: int, rng: np.random.Generator) -> float:
-    """One draw of the maximum over ``n_noise`` noise-slot squared outputs."""
-    return float(max_noise_from_uniform(n_noise, rng.random()))
 
 
 def _chunk_error_count(
@@ -168,32 +136,31 @@ def estimate_pe(
 
     ``hold_mean_rx_power`` rescales transmit power so the mean received
     power under shadowing matches the shadowing-free value; the default
-    keeps transmit power fixed and lets shadowing move the mean.
+    keeps transmit power fixed and lets shadowing move the mean. Shadowing
+    blocks restart in every chunk, so ``model.block_len`` must divide
+    CHUNK_SIZE.
     """
     if params.alphabet_size < 2:
         raise ValueError("alphabet_size must be at least 2")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    if transmit_power < 0:
-        raise ValueError("transmit_power must be nonnegative")
-    if noise_density <= 0:
-        raise ValueError("noise_density must be positive")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    if CHUNK_SIZE % model.block_len:
+        raise ValueError(
+            f"shadow_block_len {model.block_len} does not divide the "
+            f"{CHUNK_SIZE}-iteration chunk, so shadowing blocks would be cut "
+            "at chunk boundaries"
+        )
 
     p_t = transmit_power
     if hold_mean_rx_power:
         p_t /= shadowing_mean_power_gain(model)
-    inputs = params.inputs
-    energy_factor = p_t * inputs.symbol_time_s / (inputs.duty_cycle * noise_density)
+    energy_factor = signal_energy(p_t, params, noise_density)
     n_noise = params.noise_slot_count
 
     n_chunks = -(-iterations // CHUNK_SIZE)
-    sizes = [
-        CHUNK_SIZE if (i + 1) * CHUNK_SIZE <= iterations
-        else iterations - i * CHUNK_SIZE
-        for i in range(n_chunks)
-    ]
+    sizes = [min(CHUNK_SIZE, iterations - i * CHUNK_SIZE) for i in range(n_chunks)]
 
     def run(i: int) -> int:
         return _chunk_error_count(i, sizes[i], seed, model, energy_factor, n_noise)

@@ -7,8 +7,6 @@ import pytest
 from wtfc import (
     LargeScaleModel,
     deterministic_power_gain,
-    draw_fading,
-    draw_fading_batch,
     large_scale_m,
     path_loss_db,
     shadowing_mean_power_gain,
@@ -86,13 +84,13 @@ def test_disabled_model_is_transparent():
     model = LargeScaleModel(distance_m=1e4, wavelength_m=0.01, enabled=False)
     assert transmit_power(3.0, model) == 3.0
     rng = np.random.default_rng(0)
-    m, _ = draw_fading_batch(model, rng, 1000)
+    m = draw_m_batch(model, rng, 1000)
     assert np.all(m == 1.0)
 
 
 def test_zero_sigma_trivial_geometry_gives_unit_m():
     rng = np.random.default_rng(1)
-    m, _ = draw_fading_batch(TRIVIAL, rng, 1000)
+    m = draw_m_batch(TRIVIAL, rng, 1000)
     assert np.all(m == 1.0)
 
 
@@ -110,18 +108,12 @@ def test_shadowing_moment_matches_lognormal():
     sigma = 8.0
     model = dataclasses.replace(TRIVIAL, distance_m=10.0, shadowing_std_db=sigma)
     rng = np.random.default_rng(1234)
-    m, _ = draw_fading_batch(model, rng, 1_000_000)
+    m = draw_m_batch(model, rng, 1_000_000)
     det_power = deterministic_power_gain(model)
     ratio = float(np.mean(m**2)) / det_power
     expected = shadowing_mean_power_gain(model)
     assert expected == pytest.approx(math.exp((sigma * math.log(10) / 10) ** 2 / 2))
     assert ratio == pytest.approx(expected, rel=0.03)
-
-
-def test_small_scale_power_is_unit_mean():
-    rng = np.random.default_rng(99)
-    _, alpha_sq = draw_fading_batch(LargeScaleModel(), rng, 1_000_000)
-    assert 0.99 <= float(np.mean(alpha_sq)) <= 1.01
 
 
 def test_block_length_holds_m_constant():
@@ -142,16 +134,6 @@ def test_reference_loss_override():
     )
     # 12 dB reference term plus the distance power law.
     assert path_loss_db(table, 0.0) == pytest.approx(12.0 + 20.0 * math.log10(4.0))
-
-
-def test_scalar_draw_matches_batch():
-    model = dataclasses.replace(TRIVIAL, shadowing_std_db=4.0)
-    draw = draw_fading(model, np.random.default_rng(11))
-    m, alpha_sq = draw_fading_batch(model, np.random.default_rng(11), 1)
-    assert draw.large_scale_amplitude == m[0]
-    assert draw.small_scale_power == alpha_sq[0]
-    assert draw.large_scale_amplitude > 0
-    assert draw.small_scale_power >= 0
 
 
 def test_model_validation():

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from wtfc.cli import CSV_COLUMNS, header_to_config_text, main
+from wtfc.cli import CSV_COLUMNS, build_parser, header_to_config_text, main
+from wtfc.config import ConfigError
 
 BASE_SETS = [
     "--set", "bandwidth_hz=100e6",
@@ -79,6 +80,40 @@ def test_error_names_the_field_the_message_starts_with(capsys):
     code, _, err = run_cli(["derive", *sets], capsys)
     assert code == 2
     assert err.startswith("error: delay_spread_s: delay_spread_s must be")
+
+
+INVALID_FIELDS = [
+    ("bandwidth_hz", "0"),
+    ("symbol_time_s", "0"),
+    ("delay_spread_s", "200e-6"),
+    ("doppler_spread_hz", "-1"),
+    ("duty_cycle", "0.4"),
+    ("q_override", "0"),
+    ("guard_time_s", "1e-6"),
+    ("distance_m", "0.5"),
+    ("reference_distance_m", "0"),
+    ("wavelength_m", "0"),
+    ("path_loss_exponent", "0"),
+    ("shadowing_std_db", "-1"),
+    ("shadow_block_len", "0"),
+    ("p_r", "-1"),
+    ("p_t", "-1"),
+    ("n_0", "0"),
+    ("iterations", "0"),
+    ("seed", "-1"),
+]
+
+
+@pytest.mark.parametrize("key, text", INVALID_FIELDS)
+def test_invalid_field_is_reported_under_its_key(key, text, capsys):
+    argv = ["derive", *BASE_SETS, "--set", f"{key}={text}"]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ConfigError) as info:
+        args.handler(args)
+    assert info.value.field == key
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: {key}: ")
 
 
 def test_unknown_key_exits_2(capsys):
@@ -216,6 +251,76 @@ def test_sweep_skips_require_flag(capsys, tmp_path):
     assert "bandwidth" in skipped_row[-1]
 
 
+COMPARE_ARGS = [
+    "compare-shadowing",
+    "--set", "bandwidth_hz=100e6",
+    "--set", "symbol_time_s=100e-6",
+    "--set", "delay_spread_s=0.3e-6",
+    "--set", "doppler_spread_hz=360",
+    "--set", "duty_cycle=1/1000",
+    "--set", "p_r=1e5",
+    "--axis", "duty_cycle",
+    "--grid", "1e-3,1e-4",
+    "--sigma-db", "8",
+    "--iters", "20000",
+]
+
+REPLAY_COMMANDS = {
+    "derive": ["derive", *BASE_SETS],
+    "pe": ["pe", *BASE_SETS, "--variant", "ifsk", "--iters", "20000", "--seed", "3"],
+    "capacity": ["capacity", *BASE_SETS, "--variant", "ifsk", "--iters", "20000"],
+    "sweep": SWEEP_ARGS,
+    "compare-shadowing": COMPARE_ARGS,
+}
+
+
+@pytest.mark.parametrize("command", list(REPLAY_COMMANDS))
+def test_result_file_replays_from_its_header(command, capsys, tmp_path):
+    first, second = tmp_path / "a.out", tmp_path / "b.out"
+    code, _, _ = run_cli([*REPLAY_COMMANDS[command], "--out", str(first)], capsys)
+    assert code == 0
+    config_file = tmp_path / "replay.cfg"
+    config_file.write_text(header_to_config_text(first.read_text().splitlines()[0]))
+    code, _, err = run_cli(
+        [command, "--config", str(config_file), "--out", str(second)], capsys
+    )
+    assert code == 0, err
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_capacity_out_writes_the_printed_report(fmt, capsys, tmp_path):
+    out_file = tmp_path / "cap.out"
+    code, out, _ = run_cli(
+        ["capacity", *BASE_SETS, "--pe", "0.1", "--format", fmt, "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 0
+    text = out_file.read_text()
+    if fmt == "json":
+        assert text == out
+    else:
+        header, _, body = text.partition("\n")
+        assert header.startswith("# config: bandwidth_hz=")
+        assert header.endswith(" variant=WTFC")
+        assert body == out
+
+
+def test_block_cut_by_chunks_exits_2_naming_the_key(capsys):
+    code, _, err = run_cli(
+        [
+            "pe", *BASE_SETS,
+            "--set", "shadowing_enabled=true",
+            "--set", "shadowing_std_db=8",
+            "--set", "shadow_block_len=30000",
+            "--iters", "1000",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: shadow_block_len 30000 does not divide")
+
+
 def test_env_override_changes_seed(capsys, tmp_path, monkeypatch):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -272,23 +377,7 @@ def test_config_file_parse_error_names_line(capsys, tmp_path):
 
 def test_compare_shadowing_csv(capsys, tmp_path):
     out_file = tmp_path / "cmp.csv"
-    code, _, _ = run_cli(
-        [
-            "compare-shadowing",
-            "--set", "bandwidth_hz=100e6",
-            "--set", "symbol_time_s=100e-6",
-            "--set", "delay_spread_s=0.3e-6",
-            "--set", "doppler_spread_hz=360",
-            "--set", "duty_cycle=1/1000",
-            "--set", "p_r=1e5",
-            "--axis", "duty_cycle",
-            "--grid", "1e-3,1e-4",
-            "--sigma-db", "8",
-            "--iters", "20000",
-            "--out", str(out_file),
-        ],
-        capsys,
-    )
+    code, _, _ = run_cli([*COMPARE_ARGS, "--out", str(out_file)], capsys)
     assert code == 0
     lines = out_file.read_text().splitlines()
     assert lines[1] == ",".join(CSV_COLUMNS) + ",capacity_loss_pct"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -11,47 +12,45 @@ import helpers
 from wtfc import (
     LargeScaleModel,
     PhysicalInputs,
-    SignalSlotStat,
     analytic_pe_no_shadowing,
     derive_scheme,
     estimate_pe,
     max_noise_from_uniform,
-    sample_max_noise,
-    sample_signal_power,
+    signal_energy,
     signal_power_from_uniform,
-    signal_slot_mean,
 )
 
 NO_FADING = LargeScaleModel()
 
 
+def signal_slot_mean(transmit_power, params, noise_density, m=1.0):
+    """mu = m^2 E + 1, associated as the estimator's chunk computes it."""
+    return m * m * signal_energy(transmit_power, params, noise_density) + 1.0
+
+
 class TestSignalSlotMean:
     def test_zero_power_is_pure_noise(self):
         params = helpers.scheme_with_alphabet(4)
-        assert signal_slot_mean(0.0, params, 1.0).mu == 1.0
+        assert signal_slot_mean(0.0, params, 1.0) == 1.0
 
     def test_direct_substitution(self):
         params = helpers.scheme_with_alphabet(4)
-        assert signal_slot_mean(9.0, params, 1.0).mu == pytest.approx(10.0)
+        assert signal_slot_mean(9.0, params, 1.0) == pytest.approx(10.0)
 
     def test_large_scale_squares_into_energy(self):
         params = helpers.scheme_with_alphabet(4)
-        assert signal_slot_mean(100.0, params, 1.0, m=0.1).mu == pytest.approx(2.0)
+        assert signal_slot_mean(100.0, params, 1.0, m=0.1) == pytest.approx(2.0)
 
     def test_duty_cycle_boost(self):
         params = derive_scheme(PhysicalInputs(100.0, 1.0, 0.0, 0.0, 1 / 10))
-        assert signal_slot_mean(1.0, params, 1.0).mu == pytest.approx(11.0)
+        assert signal_slot_mean(1.0, params, 1.0) == pytest.approx(11.0)
 
     def test_rejects_bad_arguments(self):
         params = helpers.scheme_with_alphabet(4)
-        with pytest.raises(ValueError):
-            signal_slot_mean(-1.0, params, 1.0)
-        with pytest.raises(ValueError):
-            signal_slot_mean(1.0, params, 0.0)
-        with pytest.raises(ValueError):
-            signal_slot_mean(1.0, params, 1.0, m=-0.5)
-        with pytest.raises(ValueError):
-            SignalSlotStat(0.99)
+        with pytest.raises(ValueError, match="transmit_power"):
+            signal_energy(-1.0, params, 1.0)
+        with pytest.raises(ValueError, match="noise_density"):
+            signal_energy(1.0, params, 0.0)
 
 
 class TestInverseTransforms:
@@ -72,19 +71,12 @@ class TestInverseTransforms:
         with pytest.raises(ValueError, match="n_noise"):
             max_noise_from_uniform(0, 0.5)
         with pytest.raises(ValueError, match="n_noise"):
-            sample_max_noise(0, np.random.default_rng(0))
+            max_noise_from_uniform(0, np.random.default_rng(0).random(3))
 
     def test_signal_sampler_mean(self):
         rng = np.random.default_rng(42)
         draws = signal_power_from_uniform(10.0, rng.random(1_000_000))
         assert float(np.mean(draws)) == pytest.approx(10.0, abs=0.05)
-
-    def test_sampler_wrappers_return_scalars(self):
-        stat = SignalSlotStat(5.0)
-        x = sample_signal_power(stat, np.random.default_rng(0))
-        y = sample_max_noise(7, np.random.default_rng(0))
-        assert isinstance(x, float) and x >= 0.0
-        assert isinstance(y, float) and y >= 0.0
 
     def test_max_noise_matches_naive_sampling(self):
         # Inverse-transform max of 3 versus drawing all 3 exponentials.
@@ -265,6 +257,18 @@ class TestEstimatePe:
             estimate_pe(params, NO_FADING, -1.0, 1.0, 10, seed=0)
         with pytest.raises(ValueError):
             estimate_pe(params, NO_FADING, 1.0, 1.0, 10, seed=-1)
+
+    def test_rejects_blocks_cut_at_chunk_boundaries(self):
+        params = helpers.scheme_with_alphabet(4)
+        shadowed = LargeScaleModel(enabled=True, shadowing_std_db=6.0)
+        for block_len in (3, 30_000, 200_000):
+            model = dataclasses.replace(shadowed, block_len=block_len)
+            with pytest.raises(ValueError, match=r"^shadow_block_len"):
+                estimate_pe(params, model, 1.0, 1.0, 250_000, seed=0)
+        for block_len in (1, 4, 25_000, 100_000):
+            model = dataclasses.replace(shadowed, block_len=block_len)
+            est = estimate_pe(params, model, 1.0, 1.0, 250_000, seed=0)
+            assert est.iterations == 250_000
 
 
 def test_oracle_agreement_smoke():
