@@ -12,7 +12,7 @@ import dataclasses
 import logging
 import math
 
-from .scheme import SchemeParams
+from .scheme import SchemeParams, error_free_bps
 
 __all__ = ["CapacityResult", "dmc_capacity", "awgn_capacity", "ifsk_variant"]
 
@@ -67,14 +67,12 @@ def dmc_capacity(
         bits += (1.0 - p_e) * math.log2(1.0 - p_e)
         bits += p_e * math.log2(p_e / (s - 1))
 
-    per_second = duty_cycle / symbol_time_s
-    ceiling = per_second * math.log2(s)
-    capacity = max(bits * per_second, 0.0)
+    capacity = max(bits * (duty_cycle / symbol_time_s), 0.0)
     return CapacityResult(
         capacity_bps=capacity,
         p_e=p_e,
         alphabet_size=s,
-        ceiling_bps=ceiling,
+        ceiling_bps=error_free_bps(s, duty_cycle, symbol_time_s),
         scheme_tag=scheme_tag,
     )
 

@@ -129,23 +129,36 @@ def shadowing_mean_power_gain(model: LargeScaleModel) -> float:
 
 
 def draw_m_batch(
-    model: LargeScaleModel, rng: np.random.Generator, n: int
+    model: LargeScaleModel,
+    rng: np.random.Generator,
+    n: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Large-scale amplitudes for ``n`` consecutive symbols.
 
     One fresh shadowing realization per symbol by default; ``model.block_len``
-    symbols share a realization when it is larger. Returns a constant array
-    (no rng consumption) when the model is disabled or sigma is zero, which
-    keeps paired enabled/disabled runs on identical rng streams.
+    symbols share a realization when it is larger. Fills a constant (no rng
+    consumption) when the model is disabled or sigma is zero, which keeps
+    paired enabled/disabled runs on identical rng streams. The amplitudes
+    go into ``out`` (``n`` floats) when given, else into a new array.
     """
+    if out is None:
+        out = np.empty(n)
     if not model.enabled:
-        return np.ones(n)
+        out.fill(1.0)
+        return out
     det_loss = model.deterministic_loss_db()
     if model.shadowing_std_db == 0:
-        return np.full(n, large_scale_m(det_loss))
+        out.fill(large_scale_m(det_loss))
+        return out
+    # m = exp(-(ln10/20)(L + sigma z)), one pass at a time over the draws.
     n_blocks = -(-n // model.block_len)
-    x_sigma = rng.normal(0.0, model.shadowing_std_db, n_blocks)
-    m_blocks = np.exp(-_NEPERS_PER_DB * (det_loss + x_sigma))
-    if model.block_len == 1:
-        return m_blocks
-    return np.repeat(m_blocks, model.block_len)[:n]
+    m = out if model.block_len == 1 else np.empty(n_blocks)
+    rng.standard_normal(n_blocks, out=m)
+    m *= model.shadowing_std_db
+    m += det_loss
+    m *= -_NEPERS_PER_DB
+    np.exp(m, out=m)
+    if model.block_len > 1:
+        out[:] = np.repeat(m, model.block_len)[:n]
+    return out

@@ -48,7 +48,8 @@ CSV_COLUMNS = [
 ]
 
 # Config keys a sweep writes to its header besides the RunConfig keys.
-_SWEEP_KEYS = ("axis", "grid", "variants", "include_awgn", "awgn_power", "snr_columns")
+_SWEEP_KEYS = ("axis", "grid", "variants", "include_awgn", "awgn_power", "snr_columns",
+               "allow_skips")
 
 # Dedicated flags (argparse dest) and the config keys they set.
 _FLAG_KEYS = {
@@ -199,8 +200,10 @@ def cmd_estimate(args) -> int:
                       iterations=estimate.iterations, seed=estimate.seed)
     header = header_line(values, ("variant",))
     if args.command == "pe":
-        _emit_report(args, {key: fields[key] for key in _PE_REPORT}, None)
-        if args.out:
+        # A CSV --out file is a one-row table; a JSON one holds what is printed.
+        csv_file = args.out and args.format == "csv"
+        _emit_report(args, {key: fields[key] for key in _PE_REPORT}, None if csv_file else header)
+        if csv_file:
             row = ",".join(_format_cell(fields[key]) for key in _PE_FILE_COLUMNS)
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(f"{header}\n{','.join(_PE_FILE_COLUMNS)}\n{row}\n")

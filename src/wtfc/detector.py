@@ -14,6 +14,12 @@ chunk seeded by (seed, chunk index) with separate substreams for shadowing,
 signal and noise, so estimates are bit-identical for any worker count and
 unchanged when shadowing is toggled on a zero-sigma model.
 
+The chunk kernel is allocation-free: each worker allocates three
+``CHUNK_SIZE`` float arrays (mu, x, y) once per ``estimate_pe`` call, and
+every chunk draws and transforms in place there. Per chunk only the 1-byte
+comparison mask, and for block shadowing the repeated block amplitudes,
+are new memory.
+
 Without shadowing the error law is exact: with ``N = S - 1`` noise slots the
 probability of a correct decision is the Gamma ratio
 Gamma(N+1) Gamma(1+1/mu) / Gamma(N+1+1/mu), the noncoherent orthogonal
@@ -72,27 +78,42 @@ def signal_energy(
     return transmit_power * inputs.symbol_time_s / (inputs.duty_cycle * noise_density)
 
 
-def signal_power_from_uniform(mu, u):
-    """Invert the signal-slot CDF: -mu * ln(1 - u). Accepts arrays."""
-    return mu * -np.log1p(-np.asarray(u, dtype=float))
+def signal_power_from_uniform(mu, u, out=None):
+    """Invert the signal-slot CDF: -mu * ln(1 - u). Accepts arrays.
+
+    With ``out`` (a float array shaped like ``u``, which may be ``u``
+    itself) the same ufuncs run in place and the result is written there.
+    """
+    if out is None:
+        return mu * -np.log1p(-np.asarray(u, dtype=float))
+    np.negative(u, out=out)
+    np.log1p(out, out=out)
+    np.negative(out, out=out)
+    return np.multiply(mu, out, out=out)
 
 
-def max_noise_from_uniform(n_noise: int, u):
+def max_noise_from_uniform(n_noise: int, u, out=None):
     """Invert the CDF of the max of ``n_noise`` unit-mean exponentials.
 
     Computes -ln(1 - u^(1/N)) as -ln(-expm1(ln(u)/N)); the expm1 keeps the
     inner difference from collapsing to a constant even at N ~ 1e9, and
-    u = 0 maps to exactly 0. Accepts arrays.
+    u = 0 maps to exactly 0. Accepts arrays; ``out`` works as in
+    ``signal_power_from_uniform``.
     """
     if n_noise < 1:
         raise ValueError(
             "n_noise must be at least 1: with no competing slots there is "
             "no maximum to sample"
         )
-    u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore"):
-        out = -np.log(-np.expm1(np.log(u) / n_noise))
-    return out
+        if out is None:
+            return -np.log(-np.expm1(np.log(np.asarray(u, dtype=float)) / n_noise))
+        np.log(u, out=out)
+        out /= n_noise
+        np.expm1(out, out=out)
+        np.negative(out, out=out)
+        np.log(out, out=out)
+        return np.negative(out, out=out)
 
 
 def _chunk_error_count(
@@ -102,17 +123,26 @@ def _chunk_error_count(
     model: LargeScaleModel,
     energy_factor: float,
     n_noise: int,
+    scratch: np.ndarray,
 ) -> int:
-    """Errors in one chunk of ``n`` iterations, seeded by (seed, chunk)."""
+    """Errors in one chunk of ``n`` iterations, seeded by (seed, chunk).
+
+    ``scratch`` holds three rows (mu, x, y) of at least ``n`` floats; the
+    chunk overwrites their first ``n`` entries.
+    """
     streams = np.random.SeedSequence([seed, chunk_index]).spawn(3)
     shadow_rng = np.random.default_rng(streams[0])
     signal_rng = np.random.default_rng(streams[1])
     noise_rng = np.random.default_rng(streams[2])
 
-    m = draw_m_batch(model, shadow_rng, n)
-    mu = m * m * energy_factor + 1.0
-    x = signal_power_from_uniform(mu, signal_rng.random(n))
-    y = max_noise_from_uniform(n_noise, noise_rng.random(n))
+    mu, x, y = scratch[0, :n], scratch[1, :n], scratch[2, :n]
+    draw_m_batch(model, shadow_rng, n, out=mu)
+    # mu = (m * m) * energy_factor + 1, evaluated in that order.
+    mu *= mu
+    mu *= energy_factor
+    mu += 1.0
+    signal_power_from_uniform(mu, signal_rng.random(n, out=x), out=x)
+    max_noise_from_uniform(n_noise, noise_rng.random(n, out=y), out=y)
     # Ties count as errors (measure zero, pinned for reproducibility).
     return int(np.count_nonzero(x <= y))
 
@@ -160,16 +190,25 @@ def estimate_pe(
     n_noise = params.noise_slot_count
 
     n_chunks = -(-iterations // CHUNK_SIZE)
-    sizes = [min(CHUNK_SIZE, iterations - i * CHUNK_SIZE) for i in range(n_chunks)]
+    workers = max(1, min(threads, n_chunks))
 
-    def run(i: int) -> int:
-        return _chunk_error_count(i, sizes[i], seed, model, energy_factor, n_noise)
+    def work(first: int) -> int:
+        # Worker ``first`` runs chunks first, first + workers, ... in its
+        # own scratch; a chunk's draws depend on its index alone.
+        scratch = np.empty((3, min(CHUNK_SIZE, iterations)))
+        errors = 0
+        for i in range(first, n_chunks, workers):
+            n = min(CHUNK_SIZE, iterations - i * CHUNK_SIZE)
+            errors += _chunk_error_count(
+                i, n, seed, model, energy_factor, n_noise, scratch
+            )
+        return errors
 
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errors = sum(pool.map(run, range(n_chunks)))
+    if workers == 1:
+        errors = work(0)
     else:
-        errors = sum(run(i) for i in range(n_chunks))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            errors = sum(pool.map(work, range(workers)))
 
     p_e = errors / iterations
     half_width = 1.96 * math.sqrt(p_e * (1.0 - p_e) / iterations)

@@ -126,6 +126,38 @@ def test_block_length_holds_m_constant():
     assert np.all(m[8:10] == m[8])
 
 
+def _reference_m(model, rng, n):
+    """Amplitudes by the out-of-place formula the in-place draw replaced."""
+    n_blocks = -(-n // model.block_len)
+    x_sigma = rng.normal(0.0, model.shadowing_std_db, n_blocks)
+    m_blocks = np.exp(-(math.log(10.0) / 20.0) * (model.deterministic_loss_db() + x_sigma))
+    return np.repeat(m_blocks, model.block_len)[:n]
+
+
+@pytest.mark.parametrize("block_len", [1, 4, 1000])
+@pytest.mark.parametrize("distance_m", [1.0, 3.0, 350.0])
+def test_in_place_draw_equals_normal_formula_bit_for_bit(block_len, distance_m):
+    model = dataclasses.replace(
+        TRIVIAL, distance_m=distance_m, shadowing_std_db=8.0, block_len=block_len
+    )
+    n = 100_003
+    want = _reference_m(model, np.random.default_rng(11), n)
+    out = np.full(n, np.nan)
+    got = draw_m_batch(model, np.random.default_rng(11), n, out=out)
+    assert got is out
+    assert np.array_equal(got, want)
+    assert np.array_equal(draw_m_batch(model, np.random.default_rng(11), n), want)
+
+
+def test_constant_draws_fill_out():
+    out = np.full(5, np.nan)
+    draw_m_batch(LargeScaleModel(), np.random.default_rng(0), 5, out=out)
+    assert np.all(out == 1.0)
+    model = dataclasses.replace(TRIVIAL, distance_m=10.0)
+    draw_m_batch(model, np.random.default_rng(0), 5, out=out)
+    assert np.all(out == large_scale_m(model.deterministic_loss_db()))
+
+
 def test_reference_loss_override():
     flat = dataclasses.replace(TRIVIAL, reference_loss_db=10.0)
     assert path_loss_db(flat, 0.0) == pytest.approx(10.0)

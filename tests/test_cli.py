@@ -145,10 +145,7 @@ def test_pe_reports_seed_and_iterations(capsys, tmp_path):
     assert report["iterations"] == 20000
     assert report["seed"] == 7
     assert 0.0 <= report["p_e"] <= 1.0
-    text = out_file.read_text().splitlines()
-    assert text[0].startswith("# config: ")
-    assert text[1] == "variant,p_e,ci_half_width_95,iterations,seed"
-    assert text[2].split(",")[3:] == ["20000", "7"]
+    assert out_file.read_text() == out
 
 
 def test_capacity_direct_pe_conversion(capsys):
@@ -271,18 +268,24 @@ REPLAY_COMMANDS = {
     "capacity": ["capacity", *BASE_SETS, "--variant", "ifsk", "--iters", "20000"],
     "sweep": SWEEP_ARGS,
     "compare-shadowing": COMPARE_ARGS,
+    # 1e4 Hz fits fewer than two tones: the header must carry allow_skips.
+    "sweep-skips": [
+        "sweep", *BASE_SETS, "--axis", "bandwidth", "--grid", "1e4,1e5",
+        "--iters", "5000", "--allow-skips",
+    ],
 }
 
 
-@pytest.mark.parametrize("command", list(REPLAY_COMMANDS))
-def test_result_file_replays_from_its_header(command, capsys, tmp_path):
+@pytest.mark.parametrize("case", list(REPLAY_COMMANDS))
+def test_result_file_replays_from_its_header(case, capsys, tmp_path):
     first, second = tmp_path / "a.out", tmp_path / "b.out"
-    code, _, _ = run_cli([*REPLAY_COMMANDS[command], "--out", str(first)], capsys)
+    command = REPLAY_COMMANDS[case]
+    code, _, _ = run_cli([*command, "--out", str(first)], capsys)
     assert code == 0
     config_file = tmp_path / "replay.cfg"
     config_file.write_text(header_to_config_text(first.read_text().splitlines()[0]))
     code, _, err = run_cli(
-        [command, "--config", str(config_file), "--out", str(second)], capsys
+        [command[0], "--config", str(config_file), "--out", str(second)], capsys
     )
     assert code == 0, err
     assert first.read_bytes() == second.read_bytes()
@@ -304,6 +307,23 @@ def test_capacity_out_writes_the_printed_report(fmt, capsys, tmp_path):
         assert header.startswith("# config: bandwidth_hz=")
         assert header.endswith(" variant=WTFC")
         assert body == out
+
+
+def test_pe_csv_out_writes_a_one_row_table(capsys, tmp_path):
+    # With --format json the file holds the printed report instead; see
+    # test_pe_reports_seed_and_iterations.
+    out_file = tmp_path / "pe.csv"
+    code, out, _ = run_cli(
+        ["pe", *BASE_SETS, "--iters", "20000", "--seed", "7", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 0
+    lines = out_file.read_text().splitlines()
+    assert lines[0].startswith("# config: bandwidth_hz=")
+    assert lines[0].endswith(" variant=WTFC")
+    assert lines[1] == "variant,p_e,ci_half_width_95,iterations,seed"
+    assert lines[2].split(",")[3:] == ["20000", "7"]
+    assert f"p_e = {lines[2].split(',')[1]}\n" in out
 
 
 def test_block_cut_by_chunks_exits_2_naming_the_key(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from wtfc import (
     signal_energy,
     signal_power_from_uniform,
 )
+from wtfc.detector import CHUNK_SIZE, _chunk_error_count
 
 NO_FADING = LargeScaleModel()
 
@@ -100,6 +102,45 @@ class TestInverseTransforms:
         # Mean of the max of N exponentials is the N-th harmonic number.
         expected = math.log(1e9) + 0.5772156649
         assert float(np.mean(draws)) == pytest.approx(expected, abs=0.01)
+
+
+def _uniforms():
+    u = np.random.default_rng(19).random(10_001)
+    u[0] = 0.0
+    u[-1] = np.nextafter(1.0, 0.0)
+    return u
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+class TestInPlaceTransforms:
+    @pytest.mark.parametrize("mu", ["scalar", "array"])
+    def test_signal_same_bits_with_out(self, mu):
+        u = _uniforms()
+        mu = 26.4 if mu == "scalar" else 1.0 + 1e6 * np.random.default_rng(4).random(u.size)
+        want = signal_power_from_uniform(mu, u)
+        out = np.full_like(u, np.nan)
+        assert signal_power_from_uniform(mu, u, out=out) is out
+        assert _same_bits(out, want)
+        assert signal_power_from_uniform(mu, u, out=u) is u
+        assert _same_bits(u, want)
+
+    @pytest.mark.parametrize("n_noise", [1, 15, 269_999, 10**9])
+    def test_max_noise_same_bits_with_out(self, n_noise):
+        u = _uniforms()
+        want = max_noise_from_uniform(n_noise, u)
+        out = np.full_like(u, np.nan)
+        assert max_noise_from_uniform(n_noise, u, out=out) is out
+        assert _same_bits(out, want)
+        assert max_noise_from_uniform(n_noise, u, out=u) is u
+        assert _same_bits(u, want)
+        assert u[0] == 0.0
+
+    def test_scalars_stay_scalars_without_out(self):
+        assert np.ndim(signal_power_from_uniform(3.0, 0.5)) == 0
+        assert np.ndim(max_noise_from_uniform(10**9, 0.5)) == 0
 
 
 class TestAnalyticOracle:
@@ -269,6 +310,52 @@ class TestEstimatePe:
             model = dataclasses.replace(shadowed, block_len=block_len)
             est = estimate_pe(params, model, 1.0, 1.0, 250_000, seed=0)
             assert est.iterations == 250_000
+
+
+_PIN_GEOMETRY = LargeScaleModel(enabled=True, distance_m=3.0)
+_PIN_SHADOWED = dataclasses.replace(_PIN_GEOMETRY, shadowing_std_db=8.0)
+
+# Errors of estimate_pe(alphabet 16, P_t = 100, N_0 = 1, seed 2024) as the
+# out-of-place chunk kernel counted them, at 250 000 iterations (two full
+# chunks and a half one) and at 37: (model, hold_mean_rx_power, errors).
+PINNED_ERRORS = {
+    "disabled": (NO_FADING, False, {250_000: 8096, 37: 3}),
+    "zero_sigma": (_PIN_GEOMETRY, False, {250_000: 59142, 37: 11}),
+    "sigma_8db": (_PIN_SHADOWED, False, {250_000: 79938, 37: 14}),
+    "sigma_8db_blocks": (
+        dataclasses.replace(_PIN_SHADOWED, block_len=1000), False, {250_000: 68496, 37: 10}
+    ),
+    "hold_mean_rx_power": (_PIN_SHADOWED, True, {250_000: 144054, 37: 23}),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_ERRORS))
+def test_error_counts_are_pinned_for_any_thread_count(case):
+    model, hold, pinned = PINNED_ERRORS[case]
+    params = helpers.scheme_with_alphabet(16)
+    for iterations, errors in pinned.items():
+        for threads in (1, 2, 3):
+            est = estimate_pe(
+                params, model, 100.0, 1.0, iterations, seed=2024,
+                threads=threads, hold_mean_rx_power=hold,
+            )
+            assert est.p_e == errors / iterations, (iterations, threads)
+
+
+@pytest.mark.parametrize("model", [NO_FADING, _PIN_SHADOWED], ids=["off", "shadowed"])
+def test_warm_chunk_allocates_less_than_one_chunk_array(model):
+    # Per-op temporaries would each cost a CHUNK_SIZE float array; the
+    # kernel writes into the scratch rows instead.
+    scratch = np.empty((3, CHUNK_SIZE))
+    args = (0, CHUNK_SIZE, 1, model, 100.0, 15, scratch)
+    _chunk_error_count(*args)
+    tracemalloc.start()
+    try:
+        _chunk_error_count(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < CHUNK_SIZE * 8
 
 
 def test_oracle_agreement_smoke():
