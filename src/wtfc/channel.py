@@ -24,6 +24,7 @@ __all__ = [
     "large_scale_m",
     "deterministic_power_gain",
     "transmit_power",
+    "constant_amplitude",
     "draw_m_batch",
     "shadowing_mean_power_gain",
 ]
@@ -128,6 +129,19 @@ def shadowing_mean_power_gain(model: LargeScaleModel) -> float:
     return math.exp(a * a / 2.0)
 
 
+def constant_amplitude(model: LargeScaleModel) -> float | None:
+    """The amplitude every symbol gets when it does not vary, else None.
+
+    1 when the model is disabled, the deterministic amplitude when sigma is
+    zero; None when shadowing draws a fresh amplitude per block.
+    """
+    if not model.enabled:
+        return 1.0
+    if model.shadowing_std_db == 0:
+        return large_scale_m(model.deterministic_loss_db())
+    return None
+
+
 def draw_m_batch(
     model: LargeScaleModel,
     rng: np.random.Generator,
@@ -137,28 +151,31 @@ def draw_m_batch(
     """Large-scale amplitudes for ``n`` consecutive symbols.
 
     One fresh shadowing realization per symbol by default; ``model.block_len``
-    symbols share a realization when it is larger. Fills a constant (no rng
-    consumption) when the model is disabled or sigma is zero, which keeps
-    paired enabled/disabled runs on identical rng streams. The amplitudes
-    go into ``out`` (``n`` floats) when given, else into a new array.
+    symbols share a realization when it is larger, and a short ``n`` keeps
+    its partial last block. Fills a constant (no rng consumption) when the
+    model is disabled or sigma is zero, which keeps paired enabled/disabled
+    runs on identical rng streams. The amplitudes go into ``out`` (``n``
+    floats) when given, else into a new array.
     """
     if out is None:
         out = np.empty(n)
-    if not model.enabled:
-        out.fill(1.0)
-        return out
-    det_loss = model.deterministic_loss_db()
-    if model.shadowing_std_db == 0:
-        out.fill(large_scale_m(det_loss))
+    constant = constant_amplitude(model)
+    if constant is not None:
+        out.fill(constant)
         return out
     # m = exp(-(ln10/20)(L + sigma z)), one pass at a time over the draws.
-    n_blocks = -(-n // model.block_len)
-    m = out if model.block_len == 1 else np.empty(n_blocks)
+    block_len = model.block_len
+    n_blocks = -(-n // block_len)
+    m = out if block_len == 1 else np.empty(n_blocks)
     rng.standard_normal(n_blocks, out=m)
     m *= model.shadowing_std_db
-    m += det_loss
+    m += model.deterministic_loss_db()
     m *= -_NEPERS_PER_DB
     np.exp(m, out=m)
-    if model.block_len > 1:
-        out[:] = np.repeat(m, model.block_len)[:n]
+    if block_len > 1:
+        # Each block's amplitude broadcast over its row of a (blocks,
+        # block_len) view of ``out``; no n-element temporary.
+        full = n // block_len
+        out[: full * block_len].reshape(full, block_len)[:] = m[:full, None]
+        out[full * block_len :] = m[full:]
     return out

@@ -352,6 +352,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError("threads", "must be at least 1")
         return args.handler(args)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)

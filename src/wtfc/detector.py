@@ -14,11 +14,19 @@ chunk seeded by (seed, chunk index) with separate substreams for shadowing,
 signal and noise, so estimates are bit-identical for any worker count and
 unchanged when shadowing is toggled on a zero-sigma model.
 
-The chunk kernel is allocation-free: each worker allocates three
-``CHUNK_SIZE`` float arrays (mu, x, y) once per ``estimate_pe`` call, and
-every chunk draws and transforms in place there. Per chunk only the 1-byte
-comparison mask, and for block shadowing the repeated block amplitudes,
-are new memory.
+The unit of work is a grid point: one ``estimate_pe`` call may carry every
+(model, variant) cell of a point, such as WTFC and I-FSK, or shadowing off
+and on. Each chunk then draws its uniforms once and computes
+E = -ln(1 - u) and ln(v) once; every model turns E into its signal
+statistic (a constant-mean model with one scalar mu, a shadowed one with
+one amplitude draw) and every variant finishes its noise maximum from
+ln(v). Each cell's count equals what a call for that cell alone gives.
+
+The chunk kernel is allocation-free: each worker allocates its scratch rows
+(three, or four when a point has several models and several variants) of
+``CHUNK_SIZE`` floats once per ``estimate_pe`` call, and every chunk draws
+and transforms in place there. Per chunk only the 1-byte comparison masks
+and, for block shadowing, one amplitude per block are new memory.
 
 Without shadowing the error law is exact: with ``N = S - 1`` noise slots the
 probability of a correct decision is the Gamma ratio
@@ -29,12 +37,19 @@ signalling result, evaluated with the ``math`` module alone.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .channel import LargeScaleModel, draw_m_batch, shadowing_mean_power_gain
+from .channel import (
+    LargeScaleModel,
+    constant_amplitude,
+    draw_m_batch,
+    shadowing_mean_power_gain,
+)
 from .scheme import SchemeParams
 
 __all__ = [
@@ -78,18 +93,36 @@ def signal_energy(
     return transmit_power * inputs.symbol_time_s / (inputs.duty_cycle * noise_density)
 
 
+def _unit_exponential(u, out=None):
+    """-ln(1 - u): a unit-mean exponential by inversion, ``out`` as below."""
+    if out is None:
+        return -np.log1p(-np.asarray(u, dtype=float))
+    np.negative(u, out=out)
+    np.log1p(out, out=out)
+    return np.negative(out, out=out)
+
+
 def signal_power_from_uniform(mu, u, out=None):
     """Invert the signal-slot CDF: -mu * ln(1 - u). Accepts arrays.
 
     With ``out`` (a float array shaped like ``u``, which may be ``u``
     itself) the same ufuncs run in place and the result is written there.
     """
+    exponential = _unit_exponential(u, out)
     if out is None:
-        return mu * -np.log1p(-np.asarray(u, dtype=float))
-    np.negative(u, out=out)
-    np.log1p(out, out=out)
+        return mu * exponential
+    return np.multiply(mu, exponential, out=out)
+
+
+def _max_noise_from_log(n_noise: int, log_u, out=None):
+    """-ln(-expm1(ln(u)/N)) from ln(u): the rest of the max-of-noise inversion."""
+    if out is None:
+        return -np.log(-np.expm1(log_u / n_noise))
+    np.divide(log_u, n_noise, out=out)
+    np.expm1(out, out=out)
     np.negative(out, out=out)
-    return np.multiply(mu, out, out=out)
+    np.log(out, out=out)
+    return np.negative(out, out=out)
 
 
 def max_noise_from_uniform(n_noise: int, u, out=None):
@@ -107,56 +140,93 @@ def max_noise_from_uniform(n_noise: int, u, out=None):
         )
     with np.errstate(divide="ignore"):
         if out is None:
-            return -np.log(-np.expm1(np.log(np.asarray(u, dtype=float)) / n_noise))
-        np.log(u, out=out)
-        out /= n_noise
-        np.expm1(out, out=out)
-        np.negative(out, out=out)
-        np.log(out, out=out)
-        return np.negative(out, out=out)
+            return _max_noise_from_log(n_noise, np.log(np.asarray(u, dtype=float)))
+        return _max_noise_from_log(n_noise, np.log(u, out=out), out=out)
+
+
+def _scratch_rows(n_signals: int, n_noises: int) -> int:
+    """Scratch rows ``_chunk_error_count`` needs for a point's cells.
+
+    Three with one signal or one noise count; every further noise count
+    held beside several signals takes one more.
+    """
+    return 3 if n_signals == 1 else n_noises + 2
 
 
 def _chunk_error_count(
     chunk_index: int,
     n: int,
     seed: int,
-    model: LargeScaleModel,
-    energy_factor: float,
-    n_noise: int,
+    signals: Sequence[float | tuple[LargeScaleModel, float]],
+    noise_counts: Sequence[int],
     scratch: np.ndarray,
-) -> int:
-    """Errors in one chunk of ``n`` iterations, seeded by (seed, chunk).
+) -> np.ndarray:
+    """Errors of every (signal, noise count) pair in one chunk of ``n`` iterations.
 
-    ``scratch`` holds three rows (mu, x, y) of at least ``n`` floats; the
-    chunk overwrites their first ``n`` entries.
+    A signal is its signal-slot mean: a float when it is the same for every
+    iteration, else the (model, signal energy) whose amplitudes the
+    shadowing stream draws. The chunk is seeded by (seed, chunk). Its signal
+    and noise uniforms are drawn once and turned once into E = -ln(1 - u)
+    and ln(v); each signal statistic is then mu * E and each noise maximum
+    is finished from ln(v), the same ufuncs in the same order as a one-cell
+    chunk, so each count equals that chunk's bit for bit. ``scratch`` holds
+    at least ``_scratch_rows`` rows of at least ``n`` floats; the chunk
+    overwrites their first ``n`` entries. Returns counts shaped (signals,
+    noise counts).
     """
-    streams = np.random.SeedSequence([seed, chunk_index]).spawn(3)
-    shadow_rng = np.random.default_rng(streams[0])
-    signal_rng = np.random.default_rng(streams[1])
-    noise_rng = np.random.default_rng(streams[2])
+    shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
+        [seed, chunk_index]
+    ).spawn(3)
+    e, log_v, *spare = (row[:n] for row in scratch)
+    _unit_exponential(np.random.default_rng(signal_seed).random(n, out=e), out=e)
+    with np.errstate(divide="ignore"):
+        np.log(np.random.default_rng(noise_seed).random(n, out=log_v), out=log_v)
 
-    mu, x, y = scratch[0, :n], scratch[1, :n], scratch[2, :n]
-    draw_m_batch(model, shadow_rng, n, out=mu)
-    # mu = (m * m) * energy_factor + 1, evaluated in that order.
-    mu *= mu
-    mu *= energy_factor
-    mu += 1.0
-    signal_power_from_uniform(mu, signal_rng.random(n, out=x), out=x)
-    max_noise_from_uniform(n_noise, noise_rng.random(n, out=y), out=y)
+    def signal_statistic(signal, work: np.ndarray, out: np.ndarray):
+        mu = signal
+        if not isinstance(signal, float):
+            model, energy_factor = signal
+            mu = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=work)
+            # mu = (m * m) * energy_factor + 1, evaluated in that order.
+            mu *= mu
+            mu *= energy_factor
+            mu += 1.0
+        return np.multiply(mu, e, out=out)
+
     # Ties count as errors (measure zero, pinned for reproducibility).
-    return int(np.count_nonzero(x <= y))
+    counts = np.empty((len(signals), len(noise_counts)), dtype=np.int64)
+    last = len(noise_counts) - 1
+    if len(signals) == 1:
+        # Hold the one signal statistic in E's row; the noise maxima pass
+        # through a spare row, the last one through ln(v)'s.
+        x = signal_statistic(signals[0], spare[0], out=e)
+        for k, n_noise in enumerate(noise_counts):
+            y = _max_noise_from_log(n_noise, log_v, out=log_v if k == last else spare[0])
+            counts[0, k] = np.count_nonzero(x <= y)
+    else:
+        # Hold every noise maximum; the signal statistics pass through one
+        # spare row, the last one through E's.
+        ys = [
+            _max_noise_from_log(n_noise, log_v, out=log_v if k == last else spare[k])
+            for k, n_noise in enumerate(noise_counts)
+        ]
+        work = spare[last]
+        for j, signal in enumerate(signals):
+            x = signal_statistic(signal, work, out=e if j == len(signals) - 1 else work)
+            counts[j] = [np.count_nonzero(x <= y) for y in ys]
+    return counts
 
 
 def estimate_pe(
-    params: SchemeParams,
-    model: LargeScaleModel,
-    transmit_power: float,
+    params: SchemeParams | Sequence[SchemeParams],
+    model: LargeScaleModel | Sequence[LargeScaleModel],
+    transmit_power: float | Sequence[float],
     noise_density: float,
     iterations: int,
     seed: int,
     threads: int = 1,
     hold_mean_rx_power: bool = False,
-) -> PeEstimate:
+) -> PeEstimate | tuple[PeEstimate, ...]:
     """Monte Carlo symbol error probability of the square-law receiver.
 
     Per iteration: draw the large-scale amplitude, compute the signal-slot
@@ -164,44 +234,78 @@ def estimate_pe(
     statistics, count an error when the signal does not win. Deterministic
     for fixed (seed, iterations); ``threads`` only changes wall time.
 
+    ``params`` and ``model`` may each be a sequence, with ``transmit_power``
+    then a number or one per model: the call estimates every (model,
+    params) cell of one grid point from one pass over the draws and returns
+    their estimates in model-major order, each equal to the one-cell call.
+
     ``hold_mean_rx_power`` rescales transmit power so the mean received
     power under shadowing matches the shadowing-free value; the default
     keeps transmit power fixed and lets shadowing move the mean. Shadowing
     blocks restart in every chunk, so ``model.block_len`` must divide
     CHUNK_SIZE.
     """
-    if params.alphabet_size < 2:
+    one_cell = isinstance(params, SchemeParams) and isinstance(model, LargeScaleModel)
+    variants = (params,) if isinstance(params, SchemeParams) else tuple(params)
+    models = (model,) if isinstance(model, LargeScaleModel) else tuple(model)
+    if isinstance(transmit_power, numbers.Real):
+        powers = (transmit_power,) * len(models)
+    else:
+        powers = tuple(transmit_power)
+    if not variants or not models:
+        raise ValueError("params and model must each name at least one cell")
+    if len(powers) != len(models):
+        raise ValueError("transmit_power must be one number or one per model")
+    if any(p.alphabet_size < 2 for p in variants):
         raise ValueError("alphabet_size must be at least 2")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    if CHUNK_SIZE % model.block_len:
-        raise ValueError(
-            f"shadow_block_len {model.block_len} does not divide the "
-            f"{CHUNK_SIZE}-iteration chunk, so shadowing blocks would be cut "
-            "at chunk boundaries"
-        )
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    for m in models:
+        if CHUNK_SIZE % m.block_len:
+            raise ValueError(
+                f"shadow_block_len {m.block_len} does not divide the "
+                f"{CHUNK_SIZE}-iteration chunk, so shadowing blocks would be cut "
+                "at chunk boundaries"
+            )
 
-    p_t = transmit_power
-    if hold_mean_rx_power:
-        p_t /= shadowing_mean_power_gain(model)
-    energy_factor = signal_energy(p_t, params, noise_density)
-    n_noise = params.noise_slot_count
+    # Cells map to distinct signal means and noise-slot counts; equal ones
+    # share their arrays.
+    signals: dict = {}
+    noise_counts: dict = {}
+    cells = []
+    for m, p_t in zip(models, powers):
+        if hold_mean_rx_power:
+            p_t /= shadowing_mean_power_gain(m)
+        amplitude = constant_amplitude(m)
+        for p in variants:
+            energy_factor = signal_energy(p_t, p, noise_density)
+            if amplitude is None:
+                signal = (m, energy_factor)
+            else:
+                # (m * m) * energy_factor + 1, as a drawn mu array is formed.
+                signal = amplitude * amplitude * energy_factor + 1.0
+            cells.append((
+                signals.setdefault(signal, len(signals)),
+                noise_counts.setdefault(p.noise_slot_count, len(noise_counts)),
+            ))
+    signal_list, noise_list = list(signals), list(noise_counts)
+    rows = _scratch_rows(len(signal_list), len(noise_list))
 
     n_chunks = -(-iterations // CHUNK_SIZE)
-    workers = max(1, min(threads, n_chunks))
+    workers = min(threads, n_chunks)
 
-    def work(first: int) -> int:
+    def work(first: int) -> np.ndarray:
         # Worker ``first`` runs chunks first, first + workers, ... in its
         # own scratch; a chunk's draws depend on its index alone.
-        scratch = np.empty((3, min(CHUNK_SIZE, iterations)))
-        errors = 0
+        scratch = np.empty((rows, min(CHUNK_SIZE, iterations)))
+        errors = np.zeros((len(signal_list), len(noise_list)), dtype=np.int64)
         for i in range(first, n_chunks, workers):
             n = min(CHUNK_SIZE, iterations - i * CHUNK_SIZE)
-            errors += _chunk_error_count(
-                i, n, seed, model, energy_factor, n_noise, scratch
-            )
+            errors += _chunk_error_count(i, n, seed, signal_list, noise_list, scratch)
         return errors
 
     if workers == 1:
@@ -210,6 +314,12 @@ def estimate_pe(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             errors = sum(pool.map(work, range(workers)))
 
+    estimates = tuple(_binomial_estimate(int(errors[j, k]), iterations, seed)
+                      for j, k in cells)
+    return estimates[0] if one_cell else estimates
+
+
+def _binomial_estimate(errors: int, iterations: int, seed: int) -> PeEstimate:
     p_e = errors / iterations
     half_width = 1.96 * math.sqrt(p_e * (1.0 - p_e) / iterations)
     return PeEstimate(p_e=p_e, iterations=iterations, half_width_95=half_width, seed=seed)

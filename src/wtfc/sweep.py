@@ -5,6 +5,12 @@ probability and converts it into capacity, optionally alongside the Shannon
 baseline. Grid points are seeded from (base seed, axis index), so a sweep is
 a pure function of its spec: re-running reproduces every row exactly,
 regardless of thread count or execution order.
+
+``run_sweep`` and ``compare_shadowing`` share one per-point loop. It makes
+one ``estimate_pe`` call per grid point for all of the point's cells (every
+variant, and for a comparison the shadowing-off and -on models), so they
+share one pass over the point's draws; each row still equals the estimate
+of its cell alone.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import awgn_capacity, dmc_capacity, ifsk_variant
+from .channel import LargeScaleModel
 from .config import ConfigError, RunConfig
 from .detector import estimate_pe
 from .scheme import derive_scheme
@@ -60,11 +67,13 @@ class SweepSpec:
         object.__setattr__(self, "variants", variants)
         if not variants:
             raise ConfigError("variants", "must not be empty")
-        for variant in variants:
+        for index, variant in enumerate(variants):
             if variant not in _VARIANTS:
                 raise ConfigError(
                     "variants", f"unknown variant {variant!r}; use WTFC or IFSK"
                 )
+            if variant in variants[:index]:
+                raise ConfigError("variants", f"duplicate variant {variant!r}")
         if self.awgn_power not in ("pr", "pt"):
             raise ConfigError("awgn_power", "must be 'pr' or 'pt'")
         if self.axis == "snr_db":
@@ -123,84 +132,98 @@ def _point_config(base: RunConfig, axis: str, value: float) -> RunConfig:
     return dataclasses.replace(base, inputs=inputs)
 
 
-def _skipped_rows(spec: SweepSpec, value: float, seed: int, reason: str):
-    for variant in spec.variants:
-        yield SweepRow(
-            axis_name=spec.axis,
-            axis_value=value,
-            variant=variant,
-            p_e=None,
-            ci_half_width_95=None,
-            capacity_bps=None,
-            ceiling_bps=None,
-            awgn_bps=None,
-            shadowing_enabled=spec.base.model.enabled,
-            seed=seed,
-            iterations=spec.base.iterations,
-            skipped_reason=reason,
-        )
+def _skipped_row(spec: SweepSpec, value: float, variant: str,
+                 model: LargeScaleModel, seed: int, reason: str) -> SweepRow:
+    return SweepRow(
+        axis_name=spec.axis,
+        axis_value=value,
+        variant=variant,
+        p_e=None,
+        ci_half_width_95=None,
+        capacity_bps=None,
+        ceiling_bps=None,
+        awgn_bps=None,
+        shadowing_enabled=model.enabled,
+        seed=seed,
+        iterations=spec.base.iterations,
+        skipped_reason=reason,
+    )
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
-    """Run every (grid point, variant) cell and return rows in grid order.
+def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: int):
+    """Per grid point, each variant's rows, one per model, in grid order.
 
-    Grid points that fail scheme validation become explicit skipped rows
-    rather than silently vanishing from the output.
+    All (model, variant) cells of a point come from one ``estimate_pe``
+    call on the point's seed, so they share one pass over the draws. Grid
+    points that fail scheme validation become explicit skipped rows rather
+    than silently vanishing from the output.
     """
-    rows: list[SweepRow] = []
     for index, value in enumerate(spec.grid):
         seed = _point_seed(spec.base.seed, index)
         try:
             point = _point_config(spec.base, spec.axis, value)
             params = derive_scheme(point.inputs)
         except (ValueError, ZeroDivisionError) as exc:
-            rows.extend(_skipped_rows(spec, value, seed, str(exc)))
+            yield [[_skipped_row(spec, value, variant, model, seed, str(exc))
+                    for model in models] for variant in spec.variants]
             continue
-        p_t = point.resolved_p_t()
-        p_r = point.resolved_p_r()
-        bandwidth = point.inputs.bandwidth_hz
-        awgn_bps = None
-        if spec.include_awgn:
-            baseline_power = p_r if spec.awgn_power == "pr" else p_t
-            awgn_bps = awgn_capacity(baseline_power, point.n_0, bandwidth)
-        snr_bw = 10.0 * math.log10(p_r / (point.n_0 * bandwidth))
-        snr_n0 = 10.0 * math.log10(p_r / point.n_0)
-        for variant in spec.variants:
-            variant_params = params if variant == "WTFC" else ifsk_variant(params)
-            estimate = estimate_pe(
-                variant_params,
-                point.model,
-                p_t,
-                point.n_0,
-                point.iterations,
-                seed,
-                threads=threads,
-                hold_mean_rx_power=point.hold_mean_rx_power,
-            )
-            result = dmc_capacity(
-                estimate.p_e,
-                variant_params.alphabet_size,
-                point.inputs.duty_cycle,
-                point.inputs.symbol_time_s,
-                scheme_tag=variant,
-            )
-            rows.append(
-                SweepRow(
-                    axis_name=spec.axis,
-                    axis_value=value,
-                    variant=variant,
-                    p_e=estimate.p_e,
-                    ci_half_width_95=estimate.half_width_95,
-                    capacity_bps=result.capacity_bps,
-                    ceiling_bps=result.ceiling_bps,
-                    awgn_bps=awgn_bps,
-                    shadowing_enabled=point.model.enabled,
-                    seed=seed,
-                    iterations=estimate.iterations,
-                    snr_db_bw=snr_bw,
-                    snr_db_n0=snr_n0,
+        variants = tuple(params if v == "WTFC" else ifsk_variant(params)
+                         for v in spec.variants)
+        configs = [dataclasses.replace(point, model=model) for model in models]
+        powers = tuple(config.resolved_p_t() for config in configs)
+        estimates = estimate_pe(
+            variants,
+            models,
+            powers,
+            point.n_0,
+            point.iterations,
+            seed,
+            threads=threads,
+            hold_mean_rx_power=point.hold_mean_rx_power,
+        )
+        rows = [[] for _ in variants]
+        for m, (config, p_t) in enumerate(zip(configs, powers)):
+            p_r = config.resolved_p_r()
+            bandwidth = config.inputs.bandwidth_hz
+            awgn_bps = None
+            if spec.include_awgn:
+                baseline_power = p_r if spec.awgn_power == "pr" else p_t
+                awgn_bps = awgn_capacity(baseline_power, config.n_0, bandwidth)
+            snr_bw = 10.0 * math.log10(p_r / (config.n_0 * bandwidth))
+            snr_n0 = 10.0 * math.log10(p_r / config.n_0)
+            for v, (variant, variant_params) in enumerate(zip(spec.variants, variants)):
+                estimate = estimates[m * len(variants) + v]
+                result = dmc_capacity(
+                    estimate.p_e,
+                    variant_params.alphabet_size,
+                    config.inputs.duty_cycle,
+                    config.inputs.symbol_time_s,
+                    scheme_tag=variant,
                 )
-            )
+                rows[v].append(
+                    SweepRow(
+                        axis_name=spec.axis,
+                        axis_value=value,
+                        variant=variant,
+                        p_e=estimate.p_e,
+                        ci_half_width_95=estimate.half_width_95,
+                        capacity_bps=result.capacity_bps,
+                        ceiling_bps=result.ceiling_bps,
+                        awgn_bps=awgn_bps,
+                        shadowing_enabled=config.model.enabled,
+                        seed=seed,
+                        iterations=estimate.iterations,
+                        snr_db_bw=snr_bw,
+                        snr_db_n0=snr_n0,
+                    )
+                )
+        yield rows
+
+
+def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
+    """Run every (grid point, variant) cell and return rows in grid order."""
+    rows = [row for point in _point_rows(spec, (spec.base.model,), threads)
+            for (row,) in point]
     return SweepResult(spec=spec, rows=tuple(rows))
 
 
@@ -210,8 +233,10 @@ def compare_shadowing(
     """Run the sweep shadowing-off and shadowing-on with identical seeds.
 
     Rows come in (off, on) pairs per cell; the on-row carries the capacity
-    loss percentage relative to its unshadowed partner. With sigma_db = 0
-    the paired simulated values are identical draw for draw.
+    loss percentage relative to its unshadowed partner. Both rows of a pair
+    come from one pass over the point's draws, so they differ only through
+    the shadowing stream: with sigma_db = 0 the paired simulated values are
+    identical draw for draw.
     """
     if sigma_db < 0:
         raise ConfigError("sigma_db", "must be nonnegative")
@@ -219,20 +244,16 @@ def compare_shadowing(
     model_on = dataclasses.replace(
         spec.base.model, enabled=True, shadowing_std_db=sigma_db
     )
-    spec_off = dataclasses.replace(
-        spec, base=dataclasses.replace(spec.base, model=model_off)
-    )
     spec_on = dataclasses.replace(
         spec, base=dataclasses.replace(spec.base, model=model_on)
     )
-    result_off = run_sweep(spec_off, threads=threads)
-    result_on = run_sweep(spec_on, threads=threads)
     rows: list[SweepRow] = []
-    for off, on in zip(result_off.rows, result_on.rows):
-        loss = None
-        if off.capacity_bps is not None and on.capacity_bps is not None:
-            if off.capacity_bps > 0:
-                loss = 100.0 * (off.capacity_bps - on.capacity_bps) / off.capacity_bps
-        rows.append(off)
-        rows.append(dataclasses.replace(on, capacity_loss_pct=loss))
+    for point in _point_rows(spec, (model_off, model_on), threads):
+        for off, on in point:
+            loss = None
+            if off.capacity_bps is not None and on.capacity_bps is not None:
+                if off.capacity_bps > 0:
+                    loss = 100.0 * (off.capacity_bps - on.capacity_bps) / off.capacity_bps
+            rows.append(off)
+            rows.append(dataclasses.replace(on, capacity_loss_pct=loss))
     return SweepResult(spec=spec_on, rows=tuple(rows))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -405,6 +406,47 @@ def test_compare_shadowing_csv(capsys, tmp_path):
     data = [line.split(",") for line in lines[2:]]
     assert data[0][8] == "false" and data[1][8] == "true"
     assert data[0][-1] == "" and data[1][-1] != ""
+
+
+# sha256 of the result files at 250 000 iterations, captured when every
+# cell of a point still ran its own pass over the draws.
+PINNED_CSV_SHA256 = {
+    "sweep": "31cb56fa916116fce0f5db6620f430a3f161c241d90e4ef3ca89c2744b8fd1e8",
+    "compare-shadowing": "6d9c511dff50d1b7befd0fde1d06582826c884d9490c6c2fe3cf3aa00c281ae8",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", list(PINNED_CSV_SHA256))
+def test_shared_pass_keeps_the_result_bytes(command, threads, capsys, tmp_path):
+    out_file = tmp_path / "result.csv"
+    args = {"sweep": SWEEP_ARGS, "compare-shadowing": COMPARE_ARGS}[command]
+    code, _, _ = run_cli(
+        [*args, "--iters", "250000", "--threads", threads, "--out", str(out_file)], capsys
+    )
+    assert code == 0
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == PINNED_CSV_SHA256[command]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["pe", "sweep"])
+def test_threads_below_one_exit_2_naming_threads(command, threads, capsys, tmp_path):
+    args = {"pe": ["pe", *BASE_SETS, "--iters", "1000"], "sweep": SWEEP_ARGS}[command]
+    code, out, err = run_cli(
+        [*args, "--threads", threads, "--out", str(tmp_path / "out.csv")], capsys
+    )
+    assert code == 2
+    assert err == "error: threads: must be at least 1\n"
+    assert out == "" and not (tmp_path / "out.csv").exists()
+
+
+def test_duplicate_variants_exit_2(capsys, tmp_path):
+    args = [*SWEEP_ARGS, "--variants", "wtfc,wtfc", "--out", str(tmp_path / "dup.csv")]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert err == "error: variants: duplicate variant 'WTFC'\n"
+    assert out == "" and not (tmp_path / "dup.csv").exists()
 
 
 def test_snr_columns_flag(capsys, tmp_path):

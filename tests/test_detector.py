@@ -20,7 +20,7 @@ from wtfc import (
     signal_energy,
     signal_power_from_uniform,
 )
-from wtfc.detector import CHUNK_SIZE, _chunk_error_count
+from wtfc.detector import CHUNK_SIZE, _chunk_error_count, _scratch_rows
 
 NO_FADING = LargeScaleModel()
 
@@ -342,12 +342,23 @@ def test_error_counts_are_pinned_for_any_thread_count(case):
             assert est.p_e == errors / iterations, (iterations, threads)
 
 
-@pytest.mark.parametrize("model", [NO_FADING, _PIN_SHADOWED], ids=["off", "shadowed"])
-def test_warm_chunk_allocates_less_than_one_chunk_array(model):
+# Chunk arguments: the signal-slot means and noise-slot counts of a point.
+# A constant mean is one float; a shadowed one is (model, signal energy).
+_CHUNK_CELLS = {
+    "off": ([101.0], [15]),
+    "shadowed": ([(_PIN_SHADOWED, 100.0)], [15]),
+    "blocks": ([(dataclasses.replace(_PIN_SHADOWED, block_len=1000), 100.0)], [15]),
+    "shared_pass": ([101.0, (_PIN_SHADOWED, 100.0)], [15, 3]),
+}
+
+
+@pytest.mark.parametrize("case", list(_CHUNK_CELLS))
+def test_warm_chunk_allocates_less_than_one_chunk_array(case):
     # Per-op temporaries would each cost a CHUNK_SIZE float array; the
     # kernel writes into the scratch rows instead.
-    scratch = np.empty((3, CHUNK_SIZE))
-    args = (0, CHUNK_SIZE, 1, model, 100.0, 15, scratch)
+    signals, noise_counts = _CHUNK_CELLS[case]
+    scratch = np.empty((_scratch_rows(len(signals), len(noise_counts)), CHUNK_SIZE))
+    args = (0, CHUNK_SIZE, 1, signals, noise_counts, scratch)
     _chunk_error_count(*args)
     tracemalloc.start()
     try:
@@ -356,6 +367,57 @@ def test_warm_chunk_allocates_less_than_one_chunk_array(model):
     finally:
         tracemalloc.stop()
     assert peak < CHUNK_SIZE * 8
+
+
+def test_scratch_rows_stay_three_with_one_model_or_one_variant():
+    assert _scratch_rows(1, 1) == _scratch_rows(1, 2) == _scratch_rows(2, 1) == 3
+    assert _scratch_rows(2, 2) == 4
+
+
+@pytest.mark.parametrize("iterations", [250_000, 37])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_every_cell_of_a_shared_pass_equals_its_one_cell_call(iterations, threads):
+    # All PINNED_ERRORS models, both hold_mean_rx_power settings and three
+    # alphabets: each cell of one multi-cell call is the one-cell estimate.
+    variants = tuple(helpers.scheme_with_alphabet(s) for s in (16, 4, 2))
+    models = tuple(model for model, _, _ in PINNED_ERRORS.values())
+    for hold in (False, True):
+        shared = estimate_pe(
+            variants, models, 100.0, 1.0, iterations, seed=2024,
+            threads=threads, hold_mean_rx_power=hold,
+        )
+        single = [
+            estimate_pe(params, model, 100.0, 1.0, iterations, seed=2024,
+                        threads=threads, hold_mean_rx_power=hold)
+            for model in models
+            for params in variants
+        ]
+        assert shared == tuple(single), (hold, iterations, threads)
+    for model, hold, pinned in PINNED_ERRORS.values():
+        (est,) = estimate_pe(
+            variants[:1], (model,), 100.0, 1.0, iterations, seed=2024,
+            threads=threads, hold_mean_rx_power=hold,
+        )
+        assert est.p_e == pinned[iterations] / iterations
+
+
+def test_per_model_transmit_power_matches_one_cell_calls():
+    params = helpers.scheme_with_alphabet(16)
+    models = (NO_FADING, _PIN_SHADOWED)
+    shared = estimate_pe(params, models, (100.0, 40.0), 1.0, 150_000, seed=8)
+    assert shared == (
+        estimate_pe(params, NO_FADING, 100.0, 1.0, 150_000, seed=8),
+        estimate_pe(params, _PIN_SHADOWED, 40.0, 1.0, 150_000, seed=8),
+    )
+    with pytest.raises(ValueError, match="transmit_power"):
+        estimate_pe(params, models, (100.0,), 1.0, 10, seed=0)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_rejects_threads_below_one(threads):
+    params = helpers.scheme_with_alphabet(4)
+    with pytest.raises(ValueError, match="^threads must be at least 1$"):
+        estimate_pe(params, NO_FADING, 1.0, 1.0, 10, seed=0, threads=threads)
 
 
 def test_oracle_agreement_smoke():

@@ -118,6 +118,12 @@ def test_grid_validation():
         SweepSpec(base=base, axis="bandwidth", grid=(1e6,), variants=("QAM",))
 
 
+def test_duplicate_variants_are_rejected():
+    with pytest.raises(ConfigError, match="^variants: duplicate variant 'WTFC'$"):
+        SweepSpec(base=make_base(), axis="bandwidth", grid=(1e6,),
+                  variants=("wtfc", "WTFC"))
+
+
 def test_snr_axis_requires_unset_power():
     with pytest.raises(ConfigError, match="snr_db sweeps"):
         SweepSpec(base=make_base(), axis="snr_db", grid=(-40.0, -30.0))

@@ -1,0 +1,62 @@
+"""The benchmark's layer wrappers still find every name they hook.
+
+``bench/run.py --trace 1`` replaces functions in ``wtfc.cli``,
+``wtfc.sweep`` and ``wtfc.detector`` by name; renaming or dropping one
+would only show up as a crash of the traced benchmark. This runs a small
+``sweep`` and ``compare-shadowing`` through those wrappers.
+"""
+
+import os
+from pathlib import Path
+
+import pytest
+
+from wtfc.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+POINT_SETS = [
+    "--set", "bandwidth_hz=100e6",
+    "--set", "symbol_time_s=101e-6",
+    "--set", "delay_spread_s=20e-6",
+    "--set", "doppler_spread_hz=25e3",
+    "--set", "duty_cycle=1/100",
+    "--set", "p_r=10e3",
+    "--axis", "duty_cycle",
+    "--grid", "1e-2,1e-3",
+    "--iters", "150000",
+]
+
+
+@pytest.fixture
+def bench_modules(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    for key in [key for key in os.environ if key.startswith("WTFC_")]:
+        monkeypatch.delenv(key)
+    import run
+    import spans
+
+    return run, spans
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("sweep", ["--variants", "wtfc,ifsk"]),
+    ("compare-shadowing", ["--sigma-db", "8", "--threads", "2"]),
+])
+def test_layer_wrappers_record_estimates_and_chunks(bench_modules, command, extra,
+                                                    tmp_path, capsys):
+    run, spans = bench_modules
+    tracer = spans.Tracer()
+    run.install_layer_wrappers(tracer)
+    try:
+        code = main([command, *POINT_SETS, *extra, "--out", str(tmp_path / "out.csv")])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    estimates = [span for span in tracer.spans if span.name == "detector.estimate"]
+    chunks = [span for span in tracer.spans if span.name == "detector.chunk"]
+    # One estimate per grid point, each over two 100 000-iteration chunks.
+    assert len(estimates) == 2
+    assert all(span.attrs["iterations"] > 0 for span in estimates)
+    assert len(chunks) == 4
