@@ -35,8 +35,12 @@ def _parse_float(text: str) -> float:
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
-        return float(num) / float(den)
-    return float(text)
+        value = float(num) / float(den)
+    else:
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -201,14 +205,13 @@ class RunConfig:
     hold_mean_rx_power: bool = False
 
     def __post_init__(self) -> None:
-        if self.p_r is not None and self.p_r <= 0:
-            raise ConfigError("p_r", "must be positive")
-        if self.p_t is not None and self.p_t <= 0:
-            raise ConfigError("p_t", "must be positive")
+        for key in ("p_r", "p_t", "n_0"):
+            value = getattr(self, key)
+            if value is not None and not 0 < value < math.inf:
+                reason = "must be positive" if value <= 0 else "must be finite"
+                raise ConfigError(key, reason)
         if self.p_r is not None and self.p_t is not None:
             raise ConfigError("p_r", "give exactly one of p_r and p_t, not both")
-        if self.n_0 <= 0:
-            raise ConfigError("n_0", "must be positive")
         if self.iterations < 1:
             raise ConfigError("iterations", "must be a positive integer")
         if self.seed < 0:

@@ -23,7 +23,7 @@ one amplitude draw) and every variant finishes its noise maximum from
 ln(v). Each cell's count equals what a call for that cell alone gives.
 
 The chunk kernel is allocation-free: each worker allocates its scratch rows
-(three, or four when a point has several models and several variants) of
+(one per distinct noise-slot count of the point, plus two) of
 ``CHUNK_SIZE`` floats once per ``estimate_pe`` call, and every chunk draws
 and transforms in place there. Per chunk only the 1-byte comparison masks
 and, for block shadowing, one amplitude per block are new memory.
@@ -93,31 +93,21 @@ def signal_energy(
     return transmit_power * inputs.symbol_time_s / (inputs.duty_cycle * noise_density)
 
 
-def _unit_exponential(u, out=None):
-    """-ln(1 - u): a unit-mean exponential by inversion, ``out`` as below."""
-    if out is None:
-        return -np.log1p(-np.asarray(u, dtype=float))
+def _unit_exponential(u, out):
+    """-ln(1 - u) into ``out``: a unit-mean exponential by inversion."""
     np.negative(u, out=out)
     np.log1p(out, out=out)
     return np.negative(out, out=out)
 
 
-def signal_power_from_uniform(mu, u, out=None):
-    """Invert the signal-slot CDF: -mu * ln(1 - u). Accepts arrays.
-
-    With ``out`` (a float array shaped like ``u``, which may be ``u``
-    itself) the same ufuncs run in place and the result is written there.
-    """
-    exponential = _unit_exponential(u, out)
-    if out is None:
-        return mu * exponential
-    return np.multiply(mu, exponential, out=out)
+def signal_power_from_uniform(mu, u):
+    """Invert the signal-slot CDF: -mu * ln(1 - u). Accepts arrays."""
+    out = np.array(u, dtype=float)
+    return np.multiply(mu, _unit_exponential(out, out), out=out)
 
 
-def _max_noise_from_log(n_noise: int, log_u, out=None):
-    """-ln(-expm1(ln(u)/N)) from ln(u): the rest of the max-of-noise inversion."""
-    if out is None:
-        return -np.log(-np.expm1(log_u / n_noise))
+def _max_noise_from_log(n_noise: int, log_u, out):
+    """-ln(-expm1(ln(u)/N)) from ln(u) into ``out``: the max-of-noise inversion."""
     np.divide(log_u, n_noise, out=out)
     np.expm1(out, out=out)
     np.negative(out, out=out)
@@ -125,32 +115,21 @@ def _max_noise_from_log(n_noise: int, log_u, out=None):
     return np.negative(out, out=out)
 
 
-def max_noise_from_uniform(n_noise: int, u, out=None):
+def max_noise_from_uniform(n_noise: int, u):
     """Invert the CDF of the max of ``n_noise`` unit-mean exponentials.
 
     Computes -ln(1 - u^(1/N)) as -ln(-expm1(ln(u)/N)); the expm1 keeps the
     inner difference from collapsing to a constant even at N ~ 1e9, and
-    u = 0 maps to exactly 0. Accepts arrays; ``out`` works as in
-    ``signal_power_from_uniform``.
+    u = 0 maps to exactly 0. Accepts arrays.
     """
     if n_noise < 1:
         raise ValueError(
             "n_noise must be at least 1: with no competing slots there is "
             "no maximum to sample"
         )
+    out = np.array(u, dtype=float)
     with np.errstate(divide="ignore"):
-        if out is None:
-            return _max_noise_from_log(n_noise, np.log(np.asarray(u, dtype=float)))
-        return _max_noise_from_log(n_noise, np.log(u, out=out), out=out)
-
-
-def _scratch_rows(n_signals: int, n_noises: int) -> int:
-    """Scratch rows ``_chunk_error_count`` needs for a point's cells.
-
-    Three with one signal or one noise count; every further noise count
-    held beside several signals takes one more.
-    """
-    return 3 if n_signals == 1 else n_noises + 2
+        return _max_noise_from_log(n_noise, np.log(out, out=out), out)
 
 
 def _chunk_error_count(
@@ -170,9 +149,9 @@ def _chunk_error_count(
     and ln(v); each signal statistic is then mu * E and each noise maximum
     is finished from ln(v), the same ufuncs in the same order as a one-cell
     chunk, so each count equals that chunk's bit for bit. ``scratch`` holds
-    at least ``_scratch_rows`` rows of at least ``n`` floats; the chunk
-    overwrites their first ``n`` entries. Returns counts shaped (signals,
-    noise counts).
+    at least ``len(noise_counts) + 2`` rows of at least ``n`` floats; the
+    chunk overwrites the first ``n`` entries of those it uses. Returns counts
+    shaped (signals, noise counts).
     """
     shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
         [seed, chunk_index]
@@ -182,7 +161,18 @@ def _chunk_error_count(
     with np.errstate(divide="ignore"):
         np.log(np.random.default_rng(noise_seed).random(n, out=log_v), out=log_v)
 
-    def signal_statistic(signal, work: np.ndarray, out: np.ndarray):
+    # Hold every noise maximum, the last in ln(v)'s row; the signal
+    # statistics pass through one work row, the last one through E's.
+    last = len(noise_counts) - 1
+    ys = [
+        _max_noise_from_log(n_noise, log_v, out=log_v if k == last else spare[k])
+        for k, n_noise in enumerate(noise_counts)
+    ]
+    work = spare[last]
+    # Ties count as errors (measure zero, pinned for reproducibility).
+    counts = np.empty((len(signals), len(noise_counts)), dtype=np.int64)
+    for j, signal in enumerate(signals):
+        x = e if j == len(signals) - 1 else work
         mu = signal
         if not isinstance(signal, float):
             model, energy_factor = signal
@@ -191,29 +181,8 @@ def _chunk_error_count(
             mu *= mu
             mu *= energy_factor
             mu += 1.0
-        return np.multiply(mu, e, out=out)
-
-    # Ties count as errors (measure zero, pinned for reproducibility).
-    counts = np.empty((len(signals), len(noise_counts)), dtype=np.int64)
-    last = len(noise_counts) - 1
-    if len(signals) == 1:
-        # Hold the one signal statistic in E's row; the noise maxima pass
-        # through a spare row, the last one through ln(v)'s.
-        x = signal_statistic(signals[0], spare[0], out=e)
-        for k, n_noise in enumerate(noise_counts):
-            y = _max_noise_from_log(n_noise, log_v, out=log_v if k == last else spare[0])
-            counts[0, k] = np.count_nonzero(x <= y)
-    else:
-        # Hold every noise maximum; the signal statistics pass through one
-        # spare row, the last one through E's.
-        ys = [
-            _max_noise_from_log(n_noise, log_v, out=log_v if k == last else spare[k])
-            for k, n_noise in enumerate(noise_counts)
-        ]
-        work = spare[last]
-        for j, signal in enumerate(signals):
-            x = signal_statistic(signal, work, out=e if j == len(signals) - 1 else work)
-            counts[j] = [np.count_nonzero(x <= y) for y in ys]
+        np.multiply(mu, e, out=x)
+        counts[j] = [np.count_nonzero(x <= y) for y in ys]
     return counts
 
 
@@ -293,7 +262,6 @@ def estimate_pe(
                 noise_counts.setdefault(p.noise_slot_count, len(noise_counts)),
             ))
     signal_list, noise_list = list(signals), list(noise_counts)
-    rows = _scratch_rows(len(signal_list), len(noise_list))
 
     n_chunks = -(-iterations // CHUNK_SIZE)
     workers = min(threads, n_chunks)
@@ -301,7 +269,7 @@ def estimate_pe(
     def work(first: int) -> np.ndarray:
         # Worker ``first`` runs chunks first, first + workers, ... in its
         # own scratch; a chunk's draws depend on its index alone.
-        scratch = np.empty((rows, min(CHUNK_SIZE, iterations)))
+        scratch = np.empty((len(noise_list) + 2, min(CHUNK_SIZE, iterations)))
         errors = np.zeros((len(signal_list), len(noise_list)), dtype=np.int64)
         for i in range(first, n_chunks, workers):
             n = min(CHUNK_SIZE, iterations - i * CHUNK_SIZE)

@@ -119,8 +119,12 @@ def _point_seed(seed: int, axis_index: int) -> int:
 def _point_config(base: RunConfig, axis: str, value: float) -> RunConfig:
     """Base configuration with one axis value applied."""
     if axis == "snr_db":
-        # Grid value is 10 log10(P_r / (N_0 B)); N_0 stays fixed.
-        p_r = base.n_0 * base.inputs.bandwidth_hz * 10.0 ** (value / 10.0)
+        # Grid value is 10 log10(P_r / (N_0 B)); N_0 stays fixed. A power
+        # past the float range is an infinite p_r, which RunConfig rejects.
+        try:
+            p_r = base.n_0 * base.inputs.bandwidth_hz * 10.0 ** (value / 10.0)
+        except OverflowError:
+            p_r = math.inf
         return dataclasses.replace(base, p_r=p_r, p_t=None)
     field = {
         "duty_cycle": "duty_cycle",
@@ -151,7 +155,7 @@ def _skipped_row(spec: SweepSpec, value: float, variant: str,
 
 
 def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: int):
-    """Per grid point, each variant's rows, one per model, in grid order.
+    """Every cell's row, in grid, variant, then model order.
 
     All (model, variant) cells of a point come from one ``estimate_pe``
     call on the point's seed, so they share one pass over the draws. Grid
@@ -164,8 +168,9 @@ def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: i
             point = _point_config(spec.base, spec.axis, value)
             params = derive_scheme(point.inputs)
         except (ValueError, ZeroDivisionError) as exc:
-            yield [[_skipped_row(spec, value, variant, model, seed, str(exc))
-                    for model in models] for variant in spec.variants]
+            for variant in spec.variants:
+                for model in models:
+                    yield _skipped_row(spec, value, variant, model, seed, str(exc))
             continue
         variants = tuple(params if v == "WTFC" else ifsk_variant(params)
                          for v in spec.variants)
@@ -181,18 +186,15 @@ def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: i
             threads=threads,
             hold_mean_rx_power=point.hold_mean_rx_power,
         )
-        rows = [[] for _ in variants]
-        for m, (config, p_t) in enumerate(zip(configs, powers)):
-            p_r = config.resolved_p_r()
-            bandwidth = config.inputs.bandwidth_hz
-            awgn_bps = None
-            if spec.include_awgn:
-                baseline_power = p_r if spec.awgn_power == "pr" else p_t
-                awgn_bps = awgn_capacity(baseline_power, config.n_0, bandwidth)
-            snr_bw = 10.0 * math.log10(p_r / (config.n_0 * bandwidth))
-            snr_n0 = 10.0 * math.log10(p_r / config.n_0)
-            for v, (variant, variant_params) in enumerate(zip(spec.variants, variants)):
+        for v, (variant, variant_params) in enumerate(zip(spec.variants, variants)):
+            for m, (config, p_t) in enumerate(zip(configs, powers)):
                 estimate = estimates[m * len(variants) + v]
+                p_r = config.resolved_p_r()
+                bandwidth = config.inputs.bandwidth_hz
+                awgn_bps = None
+                if spec.include_awgn:
+                    baseline_power = p_r if spec.awgn_power == "pr" else p_t
+                    awgn_bps = awgn_capacity(baseline_power, config.n_0, bandwidth)
                 result = dmc_capacity(
                     estimate.p_e,
                     variant_params.alphabet_size,
@@ -200,31 +202,27 @@ def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: i
                     config.inputs.symbol_time_s,
                     scheme_tag=variant,
                 )
-                rows[v].append(
-                    SweepRow(
-                        axis_name=spec.axis,
-                        axis_value=value,
-                        variant=variant,
-                        p_e=estimate.p_e,
-                        ci_half_width_95=estimate.half_width_95,
-                        capacity_bps=result.capacity_bps,
-                        ceiling_bps=result.ceiling_bps,
-                        awgn_bps=awgn_bps,
-                        shadowing_enabled=config.model.enabled,
-                        seed=seed,
-                        iterations=estimate.iterations,
-                        snr_db_bw=snr_bw,
-                        snr_db_n0=snr_n0,
-                    )
+                yield SweepRow(
+                    axis_name=spec.axis,
+                    axis_value=value,
+                    variant=variant,
+                    p_e=estimate.p_e,
+                    ci_half_width_95=estimate.half_width_95,
+                    capacity_bps=result.capacity_bps,
+                    ceiling_bps=result.ceiling_bps,
+                    awgn_bps=awgn_bps,
+                    shadowing_enabled=config.model.enabled,
+                    seed=seed,
+                    iterations=estimate.iterations,
+                    snr_db_bw=10.0 * math.log10(p_r / (config.n_0 * bandwidth)),
+                    snr_db_n0=10.0 * math.log10(p_r / config.n_0),
                 )
-        yield rows
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Run every (grid point, variant) cell and return rows in grid order."""
-    rows = [row for point in _point_rows(spec, (spec.base.model,), threads)
-            for (row,) in point]
-    return SweepResult(spec=spec, rows=tuple(rows))
+    rows = tuple(_point_rows(spec, (spec.base.model,), threads))
+    return SweepResult(spec=spec, rows=rows)
 
 
 def compare_shadowing(
@@ -248,12 +246,11 @@ def compare_shadowing(
         spec, base=dataclasses.replace(spec.base, model=model_on)
     )
     rows: list[SweepRow] = []
-    for point in _point_rows(spec, (model_off, model_on), threads):
-        for off, on in point:
-            loss = None
-            if off.capacity_bps is not None and on.capacity_bps is not None:
-                if off.capacity_bps > 0:
-                    loss = 100.0 * (off.capacity_bps - on.capacity_bps) / off.capacity_bps
-            rows.append(off)
-            rows.append(dataclasses.replace(on, capacity_loss_pct=loss))
+    cells = _point_rows(spec, (model_off, model_on), threads)
+    for off, on in zip(cells, cells):
+        loss = None
+        if off.capacity_bps is not None and on.capacity_bps is not None:
+            if off.capacity_bps > 0:
+                loss = 100.0 * (off.capacity_bps - on.capacity_bps) / off.capacity_bps
+        rows += (off, dataclasses.replace(on, capacity_loss_pct=loss))
     return SweepResult(spec=spec_on, rows=tuple(rows))

@@ -117,6 +117,74 @@ def test_invalid_field_is_reported_under_its_key(key, text, capsys):
     assert err.startswith(f"error: {key}: ")
 
 
+NON_FINITE = [
+    ("pe", "p_r", "nan"),
+    ("capacity", "p_r", "inf"),
+    ("derive", "n_0", "nan"),
+    ("derive", "bandwidth_hz", "nan"),
+    ("derive", "p_t", "1e308/1e-10"),
+]
+
+
+@pytest.mark.parametrize("source", ["set", "env", "config"])
+@pytest.mark.parametrize("command, key, text", NON_FINITE)
+def test_non_finite_value_exits_2_naming_its_key(
+    command, key, text, source, capsys, tmp_path, monkeypatch
+):
+    # Every source is parsed before the sources are merged, so the bad value
+    # fails even where a later source sets the key again.
+    argv = [command, *BASE_SETS]
+    if source == "set":
+        argv += ["--set", f"{key}={text}"]
+    elif source == "env":
+        monkeypatch.setenv(f"WTFC_{key.upper()}", text)
+    else:
+        (tmp_path / "bad.cfg").write_text(f"{key}={text}\n")
+        argv += ["--config", str(tmp_path / "bad.cfg")]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ConfigError) as info:
+        args.handler(args)
+    assert info.value.field == key
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"{key}: invalid value {text!r} (must be finite)" in err
+
+
+@pytest.mark.parametrize("flag, key, value", [
+    ("--sigma-db", "sigma_db", "nan"),
+    ("--grid", "grid", "1e-3,nan"),
+    ("--grid", "grid", "1e-3,-inf"),
+])
+def test_non_finite_sweep_flag_exits_2_naming_its_key(flag, key, value, capsys, tmp_path):
+    argv = list(COMPARE_ARGS)
+    argv[argv.index(flag) + 1] = value
+    argv += ["--out", str(tmp_path / "cmp.csv")]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ConfigError) as info:
+        args.handler(args)
+    assert info.value.field == key
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: {flag}: {key}: invalid value")
+    assert not (tmp_path / "cmp.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["10,4000", "10,3050"])
+def test_snr_db_past_the_float_range_is_a_p_r_skip(grid, capsys, tmp_path):
+    # 10^(4000/10) overflows a float; 10^305 N_0 B is an infinite p_r.
+    assert BASE_SETS[-1] == "p_r=10e3"
+    argv = ["sweep", *BASE_SETS[:-2], "--axis", "snr_db", "--grid", grid,
+            "--iters", "1000", "--out", str(tmp_path / "snr.csv")]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 3
+    assert "1 grid point row(s) skipped" in err
+    code, _, _ = run_cli([*argv, "--allow-skips"], capsys)
+    assert code == 0
+    rows = (tmp_path / "snr.csv").read_text().splitlines()[2:]
+    assert rows[0].endswith(",")
+    assert rows[1].split(",")[-1] == "p_r: must be finite"
+
+
 def test_unknown_key_exits_2(capsys):
     code, _, err = run_cli(["derive", "--set", "bandwdith=1"], capsys)
     assert code == 2

@@ -20,7 +20,12 @@ from wtfc import (
     signal_energy,
     signal_power_from_uniform,
 )
-from wtfc.detector import CHUNK_SIZE, _chunk_error_count, _scratch_rows
+from wtfc.detector import (
+    CHUNK_SIZE,
+    _chunk_error_count,
+    _max_noise_from_log,
+    _unit_exponential,
+)
 
 NO_FADING = LargeScaleModel()
 
@@ -116,27 +121,34 @@ def _same_bits(a, b):
 
 
 class TestInPlaceTransforms:
+    # The kernel's in-place stages against the wrappers, on the same
+    # inputs; the wrappers against the plain out-of-place formulas.
     @pytest.mark.parametrize("mu", ["scalar", "array"])
     def test_signal_same_bits_with_out(self, mu):
         u = _uniforms()
         mu = 26.4 if mu == "scalar" else 1.0 + 1e6 * np.random.default_rng(4).random(u.size)
         want = signal_power_from_uniform(mu, u)
+        assert _same_bits(want, mu * -np.log1p(-u))
         out = np.full_like(u, np.nan)
-        assert signal_power_from_uniform(mu, u, out=out) is out
+        assert _unit_exponential(u, out) is out
+        assert np.multiply(mu, out, out=out) is out
         assert _same_bits(out, want)
-        assert signal_power_from_uniform(mu, u, out=u) is u
-        assert _same_bits(u, want)
+        assert _unit_exponential(u, u) is u
+        assert _same_bits(np.multiply(mu, u, out=u), want)
 
     @pytest.mark.parametrize("n_noise", [1, 15, 269_999, 10**9])
     def test_max_noise_same_bits_with_out(self, n_noise):
         u = _uniforms()
         want = max_noise_from_uniform(n_noise, u)
+        with np.errstate(divide="ignore"):
+            log_u = np.log(u)
+        assert _same_bits(want, -np.log(-np.expm1(log_u / n_noise)))
         out = np.full_like(u, np.nan)
-        assert max_noise_from_uniform(n_noise, u, out=out) is out
+        assert _max_noise_from_log(n_noise, log_u, out) is out
         assert _same_bits(out, want)
-        assert max_noise_from_uniform(n_noise, u, out=u) is u
-        assert _same_bits(u, want)
-        assert u[0] == 0.0
+        assert _max_noise_from_log(n_noise, log_u, log_u) is log_u
+        assert _same_bits(log_u, want)
+        assert log_u[0] == 0.0
 
     def test_scalars_stay_scalars_without_out(self):
         assert np.ndim(signal_power_from_uniform(3.0, 0.5)) == 0
@@ -357,7 +369,7 @@ def test_warm_chunk_allocates_less_than_one_chunk_array(case):
     # Per-op temporaries would each cost a CHUNK_SIZE float array; the
     # kernel writes into the scratch rows instead.
     signals, noise_counts = _CHUNK_CELLS[case]
-    scratch = np.empty((_scratch_rows(len(signals), len(noise_counts)), CHUNK_SIZE))
+    scratch = np.empty((len(noise_counts) + 2, CHUNK_SIZE))
     args = (0, CHUNK_SIZE, 1, signals, noise_counts, scratch)
     _chunk_error_count(*args)
     tracemalloc.start()
@@ -367,11 +379,6 @@ def test_warm_chunk_allocates_less_than_one_chunk_array(case):
     finally:
         tracemalloc.stop()
     assert peak < CHUNK_SIZE * 8
-
-
-def test_scratch_rows_stay_three_with_one_model_or_one_variant():
-    assert _scratch_rows(1, 1) == _scratch_rows(1, 2) == _scratch_rows(2, 1) == 3
-    assert _scratch_rows(2, 2) == 4
 
 
 @pytest.mark.parametrize("iterations", [250_000, 37])
@@ -399,6 +406,16 @@ def test_every_cell_of_a_shared_pass_equals_its_one_cell_call(iterations, thread
             threads=threads, hold_mean_rx_power=hold,
         )
         assert est.p_e == pinned[iterations] / iterations
+        # One signal beside several noise counts.
+        one_model = estimate_pe(
+            variants, (model,), 100.0, 1.0, iterations, seed=2024,
+            threads=threads, hold_mean_rx_power=hold,
+        )
+        assert one_model == tuple(
+            estimate_pe(params, model, 100.0, 1.0, iterations, seed=2024,
+                        threads=threads, hold_mean_rx_power=hold)
+            for params in variants
+        ), (hold, iterations, threads)
 
 
 def test_per_model_transmit_power_matches_one_cell_calls():

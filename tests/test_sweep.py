@@ -97,6 +97,26 @@ def test_too_small_bandwidth_becomes_skipped_row():
     assert rows[1].skipped_reason is None
 
 
+@pytest.mark.parametrize("key", ["p_r", "p_t", "n_0"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_run_config_rejects_non_finite_power(key, value):
+    overrides = {"p_r": None, key: value} if key == "p_t" else {key: value}
+    with pytest.raises(ConfigError, match=f"^{key}: must be finite$") as info:
+        make_base(**overrides)
+    assert info.value.field == key
+
+
+def test_snr_db_past_the_float_range_becomes_skipped_row():
+    # 10^(4000/10) overflows; 10^305 N_0 B is an infinite p_r; 10^-400 is 0.
+    base = make_base(p_r=None, iterations=1000)
+    spec = SweepSpec(base=base, axis="snr_db", grid=(10.0, 3050.0, 4000.0))
+    rows = run_sweep(spec).rows
+    assert rows[0].skipped_reason is None
+    assert [row.skipped_reason for row in rows[1:]] == ["p_r: must be finite"] * 2
+    low = run_sweep(SweepSpec(base=base, axis="snr_db", grid=(-4000.0,))).rows
+    assert low[0].skipped_reason == "p_r: must be positive"
+
+
 def test_invalid_duty_cycle_point_is_skipped_with_reason():
     base = make_base()
     spec = SweepSpec(base=base, axis="duty_cycle", grid=(0.4, 0.1, 0.01))
