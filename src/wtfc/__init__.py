@@ -5,6 +5,10 @@ symbol error probability of the non-coherent square-law receiver by
 inverse-transform Monte Carlo, and converts error probability into
 capacity through the symmetric DMC model, with the impulsive-FSK special
 case and the Shannon AWGN baseline.
+
+Importing the package loads the standard library alone. The Monte Carlo
+sampler names (``estimate_pe`` and the two inverse-CDF helpers) come from
+``wtfc.detector``, which imports numpy, on first access.
 """
 
 from .capacity import CapacityResult, awgn_capacity, dmc_capacity, ifsk_variant
@@ -17,14 +21,7 @@ from .channel import (
     transmit_power,
 )
 from .config import ConfigError, RunConfig
-from .detector import (
-    PeEstimate,
-    analytic_pe_no_shadowing,
-    estimate_pe,
-    max_noise_from_uniform,
-    signal_energy,
-    signal_power_from_uniform,
-)
+from .errorlaw import PeEstimate, analytic_pe_no_shadowing, signal_energy
 from .scheme import PhysicalInputs, SchemeParams, amplitude, derive_scheme
 from .sweep import SweepResult, SweepRow, SweepSpec, compare_shadowing, run_sweep
 
@@ -60,3 +57,19 @@ __all__ = [
     "RunConfig",
     "__version__",
 ]
+
+# Re-exported from wtfc.detector on first access (PEP 562), so that
+# ``import wtfc`` does not import numpy.
+_SAMPLER_NAMES = ("estimate_pe", "signal_power_from_uniform", "max_noise_from_uniform")
+
+
+def __getattr__(name: str):
+    if name in _SAMPLER_NAMES:
+        from . import detector
+
+        return getattr(detector, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SAMPLER_NAMES))

@@ -1,13 +1,16 @@
-"""Large-scale fading model and per-symbol shadowing draws.
+"""Large-scale fading model: path loss and log-normal shadowing.
 
 Large-scale fading combines a deterministic path loss (free space by
 default, or a user-supplied reference-loss relationship) with log-normal
 shadowing. Small-scale fading is the squared magnitude of a unit-variance
 circularly symmetric complex Gaussian, i.e. a unit-mean exponential, which
-the detector folds into the exponential law of the signal slot; only the
-large-scale amplitude is drawn here. Multipath never appears tap by tap:
-its aggregate effect is exactly this small-scale gain, so no waveform is
-synthesized anywhere.
+the detector folds into the exponential law of the signal slot. Multipath
+never appears tap by tap: its aggregate effect is exactly this small-scale
+gain, so no waveform is synthesized anywhere.
+
+This module is the closed-form half of the channel and imports the
+standard library alone. The per-symbol shadowing draw, ``draw_m_batch``,
+belongs to the Monte Carlo sampler in ``wtfc.detector``.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-import numpy as np
-
 __all__ = [
     "LargeScaleModel",
     "path_loss_db",
@@ -25,14 +26,10 @@ __all__ = [
     "deterministic_power_gain",
     "transmit_power",
     "constant_amplitude",
-    "draw_m_batch",
     "shadowing_mean_power_gain",
 ]
 
 ReferenceLoss = Union[float, Callable[[float], float], None]
-
-# Natural-log amplitude change per dB of loss: 10^(-L/20) = exp(-L ln10/20).
-_NEPERS_PER_DB = math.log(10.0) / 20.0
 
 
 @dataclass(frozen=True)
@@ -141,41 +138,3 @@ def constant_amplitude(model: LargeScaleModel) -> float | None:
         return large_scale_m(model.deterministic_loss_db())
     return None
 
-
-def draw_m_batch(
-    model: LargeScaleModel,
-    rng: np.random.Generator,
-    n: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Large-scale amplitudes for ``n`` consecutive symbols.
-
-    One fresh shadowing realization per symbol by default; ``model.block_len``
-    symbols share a realization when it is larger, and a short ``n`` keeps
-    its partial last block. Fills a constant (no rng consumption) when the
-    model is disabled or sigma is zero, which keeps paired enabled/disabled
-    runs on identical rng streams. The amplitudes go into ``out`` (``n``
-    floats) when given, else into a new array.
-    """
-    if out is None:
-        out = np.empty(n)
-    constant = constant_amplitude(model)
-    if constant is not None:
-        out.fill(constant)
-        return out
-    # m = exp(-(ln10/20)(L + sigma z)), one pass at a time over the draws.
-    block_len = model.block_len
-    n_blocks = -(-n // block_len)
-    m = out if block_len == 1 else np.empty(n_blocks)
-    rng.standard_normal(n_blocks, out=m)
-    m *= model.shadowing_std_db
-    m += model.deterministic_loss_db()
-    m *= -_NEPERS_PER_DB
-    np.exp(m, out=m)
-    if block_len > 1:
-        # Each block's amplitude broadcast over its row of a (blocks,
-        # block_len) view of ``out``; no n-element temporary.
-        full = n // block_len
-        out[: full * block_len].reshape(full, block_len)[:] = m[:full, None]
-        out[full * block_len :] = m[full:]
-    return out

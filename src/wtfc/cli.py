@@ -28,9 +28,8 @@ from .config import (
     parse_value,
     read_config_file,
 )
-from .detector import estimate_pe
 from .scheme import amplitude, derive_scheme
-from .sweep import SweepResult, SweepSpec, compare_shadowing, run_sweep
+from .sweep import SweepResult, SweepSpec, compare_shadowing, estimate_pe, run_sweep
 
 CSV_COLUMNS = [
     "axis_name",

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 
 from .channel import LargeScaleModel, deterministic_power_gain, transmit_power
+from .errorlaw import CHUNK_SIZE
 from .scheme import PhysicalInputs
 
 __all__ = ["ConfigError", "RunConfig", "KEYS", "ENV_PREFIX",
@@ -216,6 +217,12 @@ class RunConfig:
             raise ConfigError("iterations", "must be a positive integer")
         if self.seed < 0:
             raise ConfigError("seed", "must be a nonnegative integer")
+        if CHUNK_SIZE % self.model.block_len:
+            raise ConfigError(
+                "shadow_block_len",
+                f"{self.model.block_len} does not divide the {CHUNK_SIZE}-iteration "
+                "chunk, so shadowing blocks would be cut at chunk boundaries",
+            )
 
     def resolved_p_t(self) -> float | None:
         if self.p_t is not None:

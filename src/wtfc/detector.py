@@ -1,11 +1,13 @@
-"""Square-law receiver error model.
+"""Monte Carlo sampler of the square-law receiver.
 
-The receiver picks the (tone, slot) pair whose matched-filter output has the
-largest squared magnitude. Conditional on the large-scale amplitude ``m``,
-the squared output of the transmitted slot is exponential with mean
-``mu = m^2 P_t T_s / (theta N_0) + 1`` (small-scale fading folded in), and
-every other slot is exponential with mean 1. A symbol error occurs when the
-maximum of the ``S - 1`` noise outputs beats the signal output.
+This is the only module of the package that imports numpy. The error law
+itself (signal energy, the exact closed form without shadowing, the
+estimate record and the chunk size) lives in ``wtfc.errorlaw``, needs the
+standard library alone, and is re-exported here. Commands that never
+sample (``--version``, ``derive``, ``capacity --pe``) never import this
+module, so they start without numpy; ``wtfc.sweep`` and ``wtfc.cli``
+import it on their first estimate, and ``wtfc`` on first access to a
+sampler name.
 
 Monte Carlo estimation draws the signal statistic and the max-of-noise
 statistic by inverse transform sampling, two uniforms per iteration instead
@@ -27,11 +29,6 @@ The chunk kernel is allocation-free: each worker allocates its scratch rows
 ``CHUNK_SIZE`` floats once per ``estimate_pe`` call, and every chunk draws
 and transforms in place there. Per chunk only the 1-byte comparison masks
 and, for block shadowing, one amplitude per block are new memory.
-
-Without shadowing the error law is exact: with ``N = S - 1`` noise slots the
-probability of a correct decision is the Gamma ratio
-Gamma(N+1) Gamma(1+1/mu) / Gamma(N+1+1/mu), the noncoherent orthogonal
-signalling result, evaluated with the ``math`` module alone.
 """
 
 from __future__ import annotations
@@ -39,17 +36,12 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .channel import (
-    LargeScaleModel,
-    constant_amplitude,
-    draw_m_batch,
-    shadowing_mean_power_gain,
-)
+from .channel import LargeScaleModel, constant_amplitude, shadowing_mean_power_gain
+from .errorlaw import CHUNK_SIZE, PeEstimate, analytic_pe_no_shadowing, signal_energy
 from .scheme import SchemeParams
 
 __all__ = [
@@ -57,40 +49,59 @@ __all__ = [
     "signal_energy",
     "signal_power_from_uniform",
     "max_noise_from_uniform",
+    "draw_m_batch",
+    "point_seed",
     "estimate_pe",
     "analytic_pe_no_shadowing",
     "CHUNK_SIZE",
 ]
 
-# Iterations per chunk. Part of the determinism contract: changing it
-# changes which uniforms map to which iteration.
-CHUNK_SIZE = 100_000
+# Natural-log amplitude change per dB of loss: 10^(-L/20) = exp(-L ln10/20).
+_NEPERS_PER_DB = math.log(10.0) / 20.0
 
 
-@dataclass(frozen=True)
-class PeEstimate:
-    """Monte Carlo symbol error probability with its binomial 95% half-width."""
-
-    p_e: float
-    iterations: int
-    half_width_95: float
-    seed: int
+def point_seed(seed: int, axis_index: int) -> int:
+    """Deterministic per-grid-point seed derived from (seed, axis index)."""
+    return int(np.random.SeedSequence([seed, axis_index]).generate_state(1, np.uint64)[0])
 
 
-def signal_energy(
-    transmit_power: float, params: SchemeParams, noise_density: float
-) -> float:
-    """Signal energy per slot over N_0 at unit amplitude: P_t T_s/(theta N_0).
+def draw_m_batch(
+    model: LargeScaleModel,
+    rng: np.random.Generator,
+    n: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Large-scale amplitudes for ``n`` consecutive symbols.
 
-    The transmitted slot's squared output is exponential with mean
-    ``mu = m^2 * signal_energy + 1``; zero power is the pure-noise limit.
+    One fresh shadowing realization per symbol by default; ``model.block_len``
+    symbols share a realization when it is larger, and a short ``n`` keeps
+    its partial last block. Fills a constant (no rng consumption) when the
+    model is disabled or sigma is zero, which keeps paired enabled/disabled
+    runs on identical rng streams. The amplitudes go into ``out`` (``n``
+    floats) when given, else into a new array.
     """
-    if transmit_power < 0:
-        raise ValueError("transmit_power must be nonnegative")
-    if noise_density <= 0:
-        raise ValueError("noise_density must be positive")
-    inputs = params.inputs
-    return transmit_power * inputs.symbol_time_s / (inputs.duty_cycle * noise_density)
+    if out is None:
+        out = np.empty(n)
+    constant = constant_amplitude(model)
+    if constant is not None:
+        out.fill(constant)
+        return out
+    # m = exp(-(ln10/20)(L + sigma z)), one pass at a time over the draws.
+    block_len = model.block_len
+    n_blocks = -(-n // block_len)
+    m = out if block_len == 1 else np.empty(n_blocks)
+    rng.standard_normal(n_blocks, out=m)
+    m *= model.shadowing_std_db
+    m += model.deterministic_loss_db()
+    m *= -_NEPERS_PER_DB
+    np.exp(m, out=m)
+    if block_len > 1:
+        # Each block's amplitude broadcast over its row of a (blocks,
+        # block_len) view of ``out``; no n-element temporary.
+        full = n // block_len
+        out[: full * block_len].reshape(full, block_len)[:] = m[:full, None]
+        out[full * block_len :] = m[full:]
+    return out
 
 
 def _unit_exponential(u, out):
@@ -291,53 +302,3 @@ def _binomial_estimate(errors: int, iterations: int, seed: int) -> PeEstimate:
     p_e = errors / iterations
     half_width = 1.96 * math.sqrt(p_e * (1.0 - p_e) / iterations)
     return PeEstimate(p_e=p_e, iterations=iterations, half_width_95=half_width, seed=seed)
-
-
-# Below this argument lnGamma differences are summed term by term; from it
-# on, the six-term Stirling difference series is accurate to double
-# precision (its first omitted term is below 1e-16 of the sum).
-_STIRLING_MIN_X = 16
-
-# B_2j / (2j (2j - 1)) for j = 1..6: the Stirling series coefficients.
-_STIRLING_COEFFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
-
-
-def _lgamma_shift(x: float, a: float) -> float:
-    """lnGamma(x + a) - lnGamma(x) for x >= 16 by the Stirling difference.
-
-    Every term is written to be proportional to ``a`` (through
-    r = log1p(a/x) and expm1), so the difference keeps full relative
-    precision even when a = 1/mu is 1e-12 and x is 1e9.
-    """
-    r = math.log1p(a / x)
-    total = (x - 0.5) * r + a * (math.log(x) + r) - a
-    for j, c in enumerate(_STIRLING_COEFFS, start=1):
-        total += c * x ** (1 - 2 * j) * math.expm1(-(2 * j - 1) * r)
-    return total
-
-
-def analytic_pe_no_shadowing(mu: float, n_noise: int) -> float:
-    """Exact symbol error probability without shadowing.
-
-    Probability that an Exp(mean mu) signal statistic loses to the maximum
-    of ``n_noise`` independent Exp(1) noise statistics. With a = 1/mu the
-    probability of a correct decision is the Gamma ratio
-    Gamma(N+1) Gamma(1+a) / Gamma(N+1+a) = prod_{k=1..N} 1/(1 + a/k).
-    Its logarithm is summed directly for k < 16 and by the Stirling
-    difference series beyond, then p_e = -expm1(ln P(correct)); the
-    relative error is a few ulp for any mu >= 1 and N up to 1e9. The result
-    is capped at the uniform-guessing value 1 - 1/(N+1), which rounding
-    alone would overshoot by an ulp near mu = 1.
-    """
-    if mu < 1.0:
-        raise ValueError("mu must be at least 1")
-    if n_noise < 1:
-        raise ValueError("n_noise must be at least 1")
-    a = 1.0 / mu
-    head = min(n_noise, _STIRLING_MIN_X - 1)
-    log_correct = -math.fsum(math.log1p(a / k) for k in range(1, head + 1))
-    if n_noise >= _STIRLING_MIN_X:
-        log_correct += _lgamma_shift(_STIRLING_MIN_X, a) - _lgamma_shift(
-            float(n_noise + 1), a
-        )
-    return min(-math.expm1(log_correct), 1.0 - 1.0 / (n_noise + 1))

@@ -11,6 +11,10 @@ one ``estimate_pe`` call per grid point for all of the point's cells (every
 variant, and for a comparison the shadowing-off and -on models), so they
 share one pass over the point's draws; each row still equals the estimate
 of its cell alone.
+
+This module imports the standard library alone. Its ``estimate_pe`` and
+``_point_seed`` import the sampler, ``wtfc.detector``, and with it numpy,
+on their first call, so a command that never samples never loads numpy.
 """
 
 from __future__ import annotations
@@ -19,12 +23,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .capacity import awgn_capacity, dmc_capacity, ifsk_variant
 from .channel import LargeScaleModel
 from .config import ConfigError, RunConfig
-from .detector import estimate_pe
 from .scheme import derive_scheme
 
 __all__ = ["AXES", "SweepSpec", "SweepRow", "SweepResult", "run_sweep",
@@ -111,9 +112,18 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
+def estimate_pe(*args, **kwargs):
+    """``wtfc.detector.estimate_pe``, with the sampler imported on first use."""
+    from . import detector
+
+    return detector.estimate_pe(*args, **kwargs)
+
+
 def _point_seed(seed: int, axis_index: int) -> int:
-    """Deterministic per-grid-point seed derived from (seed, axis index)."""
-    return int(np.random.SeedSequence([seed, axis_index]).generate_state(1, np.uint64)[0])
+    """``wtfc.detector.point_seed``, with the sampler imported on first use."""
+    from . import detector
+
+    return detector.point_seed(seed, axis_index)
 
 
 def _point_config(base: RunConfig, axis: str, value: float) -> RunConfig:

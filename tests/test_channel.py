@@ -12,7 +12,7 @@ from wtfc import (
     shadowing_mean_power_gain,
     transmit_power,
 )
-from wtfc.channel import draw_m_batch
+from wtfc.detector import draw_m_batch
 
 # 4 pi d0 / lambda = 1, so the reference term is 0 dB.
 TRIVIAL = LargeScaleModel(

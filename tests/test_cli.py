@@ -97,6 +97,7 @@ INVALID_FIELDS = [
     ("path_loss_exponent", "0"),
     ("shadowing_std_db", "-1"),
     ("shadow_block_len", "0"),
+    ("shadow_block_len", "3"),
     ("p_r", "-1"),
     ("p_t", "-1"),
     ("n_0", "0"),
@@ -407,7 +408,30 @@ def test_block_cut_by_chunks_exits_2_naming_the_key(capsys):
         capsys,
     )
     assert code == 2
-    assert err.startswith("error: shadow_block_len 30000 does not divide")
+    assert err.startswith("error: shadow_block_len: 30000 does not divide")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("derive", []),
+    ("pe", []),
+    ("capacity", []),
+    ("capacity", ["--pe", "0.1"]),
+    ("sweep", ["--axis", "duty_cycle", "--grid", "1e-2,1e-3"]),
+    ("compare-shadowing", ["--axis", "duty_cycle", "--grid", "1e-2", "--sigma-db", "8"]),
+])
+def test_block_len_not_dividing_the_chunk_exits_2_before_sampling(
+        command, extra, capsys, tmp_path):
+    # The key is rejected while the config is built, so the header a
+    # derive would write can always be replayed by pe and sweep.
+    code, out, err = run_cli(
+        [command, *BASE_SETS, "--set", "shadow_block_len=3", *extra,
+         "--out", str(tmp_path / "out.csv")],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: shadow_block_len: 3 does not divide the 100000")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_env_override_changes_seed(capsys, tmp_path, monkeypatch):
