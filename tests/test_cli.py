@@ -521,6 +521,33 @@ def test_shared_pass_keeps_the_result_bytes(command, threads, capsys, tmp_path):
     assert digest == PINNED_CSV_SHA256[command]
 
 
+# The one-point commands and the sha256 of their --out files at 20 000
+# iterations, captured while the capacity ceiling still had two formulas.
+_ONE_POINT = [*BASE_SETS, "--iters", "20000", "--seed", "3"]
+_IFSK_JSON = ["--variant", "ifsk", "--format", "json"]
+PINNED_REPORTS = {
+    "derive": (["derive", *BASE_SETS],
+               "8cf3d8f504819bb5a064e1bdb54ccac60f3c29aacdb9a37780868b3636249957"),
+    "pe": (["pe", *_ONE_POINT],
+           "ab8623907555bee0cce51f06a81aad70bffe08f86572e14b02271fd1e9bb27d5"),
+    "pe-ifsk-json": (["pe", *_ONE_POINT, *_IFSK_JSON],
+                     "c52b4dc4c9f7f20f4802821b20754680cda312c7d4c6cac0384d169350921d68"),
+    "capacity": (["capacity", *_ONE_POINT],
+                 "2acf2617d78474cb64fb8a0cd6369bb784ed1a7c2197ba1660357c82e4182cb7"),
+    "capacity-ifsk-json": (["capacity", *_ONE_POINT, *_IFSK_JSON],
+                           "a5110a2e5f42b448748bab1690b67477bb669604696a78231b4085f62d6e3948"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_REPORTS))
+def test_report_files_keep_their_bytes(case, capsys, tmp_path):
+    command, pinned = PINNED_REPORTS[case]
+    out_file = tmp_path / "report.out"
+    code, _, _ = run_cli([*command, "--out", str(out_file)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == pinned
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize("command", ["pe", "sweep"])
 def test_threads_below_one_exit_2_naming_threads(command, threads, capsys, tmp_path):
