@@ -7,11 +7,11 @@ capacity through the symmetric DMC model, with the impulsive-FSK special
 case and the Shannon AWGN baseline.
 
 Importing the package loads the standard library alone. The Monte Carlo
-sampler names (``estimate_pe`` and the two inverse-CDF helpers) come from
-``wtfc.detector``, which imports numpy, on first access.
+sampler ``estimate_pe`` comes from ``wtfc.detector``, which imports numpy,
+on first access.
 """
 
-from .capacity import CapacityResult, awgn_capacity, dmc_capacity, ifsk_variant
+from .capacity import awgn_capacity, dmc_capacity, ifsk_variant
 from .channel import (
     LargeScaleModel,
     deterministic_power_gain,
@@ -40,11 +40,8 @@ __all__ = [
     "shadowing_mean_power_gain",
     "PeEstimate",
     "signal_energy",
-    "signal_power_from_uniform",
-    "max_noise_from_uniform",
     "estimate_pe",
     "analytic_pe_no_shadowing",
-    "CapacityResult",
     "dmc_capacity",
     "awgn_capacity",
     "ifsk_variant",
@@ -60,7 +57,7 @@ __all__ = [
 
 # Re-exported from wtfc.detector on first access (PEP 562), so that
 # ``import wtfc`` does not import numpy.
-_SAMPLER_NAMES = ("estimate_pe", "signal_power_from_uniform", "max_noise_from_uniform")
+_SAMPLER_NAMES = ("estimate_pe",)
 
 
 def __getattr__(name: str):

@@ -12,20 +12,11 @@ import dataclasses
 import logging
 import math
 
-from .scheme import SchemeParams, error_free_bps
+from .scheme import SchemeParams
 
-__all__ = ["CapacityResult", "dmc_capacity", "awgn_capacity", "ifsk_variant"]
+__all__ = ["dmc_capacity", "awgn_capacity", "ifsk_variant"]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclasses.dataclass(frozen=True)
-class CapacityResult:
-    capacity_bps: float
-    p_e: float
-    alphabet_size: int
-    ceiling_bps: float
-    scheme_tag: str = "WTFC"
 
 
 def dmc_capacity(
@@ -33,8 +24,7 @@ def dmc_capacity(
     alphabet_size: int,
     duty_cycle: float,
     symbol_time_s: float,
-    scheme_tag: str = "WTFC",
-) -> CapacityResult:
+) -> float:
     """Capacity in bits/s of the S-ary symmetric DMC at error rate ``p_e``.
 
     C = (log2 S + (1-p) log2(1-p) + p log2(p/(S-1))) * theta / T_s, with
@@ -67,14 +57,7 @@ def dmc_capacity(
         bits += (1.0 - p_e) * math.log2(1.0 - p_e)
         bits += p_e * math.log2(p_e / (s - 1))
 
-    capacity = max(bits * (duty_cycle / symbol_time_s), 0.0)
-    return CapacityResult(
-        capacity_bps=capacity,
-        p_e=p_e,
-        alphabet_size=s,
-        ceiling_bps=error_free_bps(s, duty_cycle, symbol_time_s),
-        scheme_tag=scheme_tag,
-    )
+    return max(bits * (duty_cycle / symbol_time_s), 0.0)
 
 
 def awgn_capacity(receive_power: float, noise_density: float, bandwidth_hz: float) -> float:
@@ -92,8 +75,6 @@ def ifsk_variant(params: SchemeParams) -> SchemeParams:
     M - 1 noise slots. Amplitude and duty-cycle bookkeeping are unchanged;
     with duty cycle 1 the two variants coincide.
     """
-    if params.variant == "IFSK":
-        return params
     return dataclasses.replace(
         params, variant="IFSK", alphabet_size=params.tone_count
     )

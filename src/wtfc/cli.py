@@ -55,6 +55,7 @@ _FLAG_KEYS = {
     "seed": "seed",
     "iters": "iterations",
     "variant": "variant",
+    "pe": "p_e",
     "axis": "axis",
     "grid": "grid",
     "variants": "variants",
@@ -82,14 +83,6 @@ def header_line(values: dict, extra: tuple[str, ...] = ()) -> str:
     """Single ``# config:`` line with every result-determining setting."""
     items = config_items(values, extra)
     return "# config: " + " ".join(f"{key}={value}" for key, value in items)
-
-
-def header_to_config_text(line: str) -> str:
-    """Turn a ``# config:`` header back into config-file text."""
-    prefix = "# config: "
-    if not line.startswith(prefix):
-        raise ValueError("not a config header line")
-    return "\n".join(line[len(prefix):].split(" ")) + "\n"
 
 
 def _sweep_table(result: SweepResult, snr_columns: bool, loss_column: bool):
@@ -173,7 +166,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    """pe and capacity: derive, pick the variant, estimate p_e (unless --pe)."""
+    """pe and capacity: derive, pick the variant, estimate p_e unless capacity has one."""
     values = _collect_values(args)
     config = build_run_config(values)
     config.require_power()
@@ -182,8 +175,8 @@ def cmd_estimate(args) -> int:
         params = ifsk_variant(params)
     fields = {"variant": params.variant, "alphabet_size": params.alphabet_size,
               "ci_half_width_95": None, "iterations": None, "seed": None}
-    if getattr(args, "pe", None) is not None:
-        fields["p_e"] = args.pe
+    if args.command == "capacity" and "p_e" in values:
+        fields["p_e"] = values["p_e"]
     else:
         estimate = estimate_pe(
             params,
@@ -197,7 +190,7 @@ def cmd_estimate(args) -> int:
         )
         fields.update(p_e=estimate.p_e, ci_half_width_95=estimate.half_width_95,
                       iterations=estimate.iterations, seed=estimate.seed)
-    header = header_line(values, ("variant",))
+    header = header_line(values, ("variant",) if args.command == "pe" else ("p_e", "variant"))
     if args.command == "pe":
         # A CSV --out file is a one-row table; a JSON one holds what is printed.
         csv_file = args.out and args.format == "csv"
@@ -207,16 +200,14 @@ def cmd_estimate(args) -> int:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(f"{header}\n{','.join(_PE_FILE_COLUMNS)}\n{row}\n")
         return 0
-    result = dmc_capacity(
-        fields["p_e"],
-        params.alphabet_size,
-        config.inputs.duty_cycle,
-        config.inputs.symbol_time_s,
-        scheme_tag=params.variant,
-    )
     fields.update(
-        capacity_bps=result.capacity_bps,
-        ceiling_bps=result.ceiling_bps,
+        capacity_bps=dmc_capacity(
+            fields["p_e"],
+            params.alphabet_size,
+            config.inputs.duty_cycle,
+            config.inputs.symbol_time_s,
+        ),
+        ceiling_bps=params.ceiling_bps(),
         awgn_bps=awgn_capacity(config.resolved_p_r(), config.n_0, config.inputs.bandwidth_hz),
     )
     _emit_report(args, {key: fields[key] for key in _CAPACITY_REPORT}, header)
@@ -324,11 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("capacity", "estimate capacity in bits/s"),
     ):
         sub = _add_command(commands, name, help_text, cmd_estimate)
-        sub.add_argument("--variant", choices=("wtfc", "ifsk"))
+        sub.add_argument("--variant", help="wtfc or ifsk")
         if name == "capacity":
             sub.add_argument(
                 "--pe",
-                type=float,
                 help="skip simulation and convert this error probability directly",
             )
 

@@ -113,7 +113,8 @@ KEYS = {
     "iterations": (_parse_int, 1_000_000, "iterations"),
     "seed": (_parse_int, 0, "seed"),
     "hold_mean_rx_power": (_parse_bool, False, "hold_mean_rx_power"),
-    # pe and capacity
+    # pe and capacity; only capacity reads p_e
+    "p_e": (_parse_float, None, None),
     "variant": (_parse_variant, "WTFC", None),
     # sweep
     "axis": (_parse_str, None, None),
@@ -160,11 +161,10 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def env_overrides(environ: dict | None = None) -> dict:
+def env_overrides() -> dict:
     """Typed values from WTFC_* environment variables."""
-    environ = os.environ if environ is None else environ
     values: dict = {}
-    for name, text in environ.items():
+    for name, text in os.environ.items():
         if not name.startswith(ENV_PREFIX):
             continue
         key = name[len(ENV_PREFIX):].lower()

@@ -69,23 +69,18 @@ def draw_m_batch(
     model: LargeScaleModel,
     rng: np.random.Generator,
     n: int,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Large-scale amplitudes for ``n`` consecutive symbols.
+    """Shadowed large-scale amplitudes for ``n`` consecutive symbols, into ``out``.
 
     One fresh shadowing realization per symbol by default; ``model.block_len``
     symbols share a realization when it is larger, and a short ``n`` keeps
-    its partial last block. Fills a constant (no rng consumption) when the
-    model is disabled or sigma is zero, which keeps paired enabled/disabled
-    runs on identical rng streams. The amplitudes go into ``out`` (``n``
-    floats) when given, else into a new array.
+    its partial last block. A disabled or zero-sigma model draws nothing:
+    its one amplitude is ``constant_amplitude(model)``, and it is rejected
+    here before the rng is touched.
     """
-    if out is None:
-        out = np.empty(n)
-    constant = constant_amplitude(model)
-    if constant is not None:
-        out.fill(constant)
-        return out
+    if constant_amplitude(model) is not None:
+        raise ValueError("the model's amplitude is constant; use constant_amplitude")
     # m = exp(-(ln10/20)(L + sigma z)), one pass at a time over the draws.
     block_len = model.block_len
     n_blocks = -(-n // block_len)
@@ -236,8 +231,6 @@ def estimate_pe(
         raise ValueError("params and model must each name at least one cell")
     if len(powers) != len(models):
         raise ValueError("transmit_power must be one number or one per model")
-    if any(p.alphabet_size < 2 for p in variants):
-        raise ValueError("alphabet_size must be at least 2")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if seed < 0:

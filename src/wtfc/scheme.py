@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["PhysicalInputs", "SchemeParams", "derive_scheme", "amplitude", "error_free_bps"]
+__all__ = ["PhysicalInputs", "SchemeParams", "derive_scheme", "amplitude"]
 
 # Tolerances for snapping near-integer ratios produced by float arithmetic
 # (e.g. 100e6 * (101e-6 - 20e-6) / 3 landing a few ulp below 2700).
@@ -123,15 +123,8 @@ class SchemeParams:
         return self.alphabet_size - 1
 
     def ceiling_bps(self) -> float:
-        """Error-free capacity: bits per symbol over the full cycle time."""
-        return error_free_bps(
-            self.alphabet_size, self.inputs.duty_cycle, self.inputs.symbol_time_s
-        )
-
-
-def error_free_bps(alphabet_size: int, duty_cycle: float, symbol_time_s: float) -> float:
-    """Capacity ceiling (theta / T_s) log2 S: one symbol per cycle, no errors."""
-    return (duty_cycle / symbol_time_s) * math.log2(alphabet_size)
+        """Capacity ceiling (theta / T_s) log2 S: one symbol per cycle, no errors."""
+        return (self.inputs.duty_cycle / self.inputs.symbol_time_s) * self.bits_per_symbol
 
 
 def derive_scheme(inputs: PhysicalInputs) -> SchemeParams:

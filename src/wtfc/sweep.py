@@ -108,7 +108,6 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    spec: SweepSpec
     rows: tuple[SweepRow, ...]
 
 
@@ -205,21 +204,19 @@ def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: i
                 if spec.include_awgn:
                     baseline_power = p_r if spec.awgn_power == "pr" else p_t
                     awgn_bps = awgn_capacity(baseline_power, config.n_0, bandwidth)
-                result = dmc_capacity(
-                    estimate.p_e,
-                    variant_params.alphabet_size,
-                    config.inputs.duty_cycle,
-                    config.inputs.symbol_time_s,
-                    scheme_tag=variant,
-                )
                 yield SweepRow(
                     axis_name=spec.axis,
                     axis_value=value,
                     variant=variant,
                     p_e=estimate.p_e,
                     ci_half_width_95=estimate.half_width_95,
-                    capacity_bps=result.capacity_bps,
-                    ceiling_bps=result.ceiling_bps,
+                    capacity_bps=dmc_capacity(
+                        estimate.p_e,
+                        variant_params.alphabet_size,
+                        config.inputs.duty_cycle,
+                        config.inputs.symbol_time_s,
+                    ),
+                    ceiling_bps=variant_params.ceiling_bps(),
                     awgn_bps=awgn_bps,
                     shadowing_enabled=config.model.enabled,
                     seed=seed,
@@ -231,8 +228,7 @@ def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: i
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Run every (grid point, variant) cell and return rows in grid order."""
-    rows = tuple(_point_rows(spec, (spec.base.model,), threads))
-    return SweepResult(spec=spec, rows=rows)
+    return SweepResult(rows=tuple(_point_rows(spec, (spec.base.model,), threads)))
 
 
 def compare_shadowing(
@@ -252,9 +248,6 @@ def compare_shadowing(
     model_on = dataclasses.replace(
         spec.base.model, enabled=True, shadowing_std_db=sigma_db
     )
-    spec_on = dataclasses.replace(
-        spec, base=dataclasses.replace(spec.base, model=model_on)
-    )
     rows: list[SweepRow] = []
     cells = _point_rows(spec, (model_off, model_on), threads)
     for off, on in zip(cells, cells):
@@ -263,4 +256,4 @@ def compare_shadowing(
             if off.capacity_bps > 0:
                 loss = 100.0 * (off.capacity_bps - on.capacity_bps) / off.capacity_bps
         rows += (off, dataclasses.replace(on, capacity_loss_pct=loss))
-    return SweepResult(spec=spec_on, rows=tuple(rows))
+    return SweepResult(rows=tuple(rows))

@@ -75,3 +75,11 @@ def naive_max_noise(n_noise: int, draws: int, seed: int) -> np.ndarray:
 
 def combined_3hw(hw_a: float, hw_b: float) -> float:
     return 3.0 * math.hypot(hw_a, hw_b)
+
+
+def header_to_config_text(line: str) -> str:
+    """Turn a ``# config:`` header back into config-file text."""
+    prefix = "# config: "
+    if not line.startswith(prefix):
+        raise ValueError("not a config header line")
+    return "\n".join(line[len(prefix):].split(" ")) + "\n"

@@ -16,26 +16,28 @@ from wtfc import (
 
 class TestDmcCapacity:
     def test_noiseless_hits_ceiling_exactly(self):
-        result = dmc_capacity(0.0, 1024, 1 / 100, 101e-6)
         expected = math.log2(1024) * (1 / 100) / 101e-6
-        assert result.capacity_bps == expected
-        assert result.ceiling_bps == expected
+        assert dmc_capacity(0.0, 1024, 1 / 100, 101e-6) == expected
+        base = derive_scheme(PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1 / 100))
+        for params in (base, ifsk_variant(base)):
+            inputs = params.inputs
+            capacity = dmc_capacity(
+                0.0, params.alphabet_size, inputs.duty_cycle, inputs.symbol_time_s
+            )
+            assert capacity == params.ceiling_bps()
 
     def test_uniform_guessing_gives_zero(self):
         for s in (2, 64, 1024):
-            result = dmc_capacity(1.0 - 1.0 / s, s, 1.0, 1.0)
-            assert abs(result.capacity_bps) <= 1e-12
+            assert abs(dmc_capacity(1.0 - 1.0 / s, s, 1.0, 1.0)) <= 1e-12
 
     def test_hand_evaluated_point(self):
         # 2 + 0.9 log2(0.9) + 0.1 log2(0.1/3), worked out by hand.
-        result = dmc_capacity(0.1, 4, 1.0, 1.0)
-        assert result.capacity_bps == pytest.approx(1.3725081563386, abs=1e-10)
+        assert dmc_capacity(0.1, 4, 1.0, 1.0) == pytest.approx(1.3725081563386, abs=1e-10)
 
     def test_clamps_overlarge_pe_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING, logger="wtfc.capacity"):
-            result = dmc_capacity(0.75, 2, 1.0, 1.0)
-        assert result.capacity_bps == pytest.approx(0.0, abs=1e-12)
-        assert result.p_e == 0.5
+            capacity = dmc_capacity(0.75, 2, 1.0, 1.0)
+        assert capacity == pytest.approx(0.0, abs=1e-12)
         assert any("clamp" in record.message for record in caplog.records)
 
     def test_rejects_bad_arguments(self):
@@ -49,22 +51,22 @@ class TestDmcCapacity:
     def test_strictly_decreasing_in_pe(self):
         s = 64
         grid = np.linspace(0.0, 1.0 - 1.0 / s, 100)
-        values = [dmc_capacity(p, s, 1.0, 1.0).capacity_bps for p in grid]
+        values = [dmc_capacity(p, s, 1.0, 1.0) for p in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_only_ratio_of_duty_cycle_and_symbol_time_matters(self):
         for c in (0.5, 3.0, 100.0):
             a = dmc_capacity(0.07, 128, 1 / 100, 5e-5)
             b = dmc_capacity(0.07, 128, 1 / 100 * c, 5e-5 * c)
-            assert a.capacity_bps == pytest.approx(b.capacity_bps, rel=1e-12)
+            assert a == pytest.approx(b, rel=1e-12)
 
     def test_bounds_hold_on_random_grid(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             s = int(rng.integers(2, 5000))
             p = float(rng.random() * (1.0 - 1.0 / s))
-            result = dmc_capacity(p, s, 0.01, 1e-4)
-            assert 0.0 <= result.capacity_bps <= result.ceiling_bps
+            ceiling = (0.01 / 1e-4) * math.log2(s)
+            assert 0.0 <= dmc_capacity(p, s, 0.01, 1e-4) <= ceiling
 
 
 class TestAwgnCapacity:
@@ -134,8 +136,7 @@ def test_simulated_capacity_respects_awgn_bound():
     params = derive_scheme(inputs)
     p_r = 1e5
     est = estimate_pe(params, LargeScaleModel(), p_r, 1.0, 200_000, seed=77)
-    result = dmc_capacity(
+    capacity = dmc_capacity(
         est.p_e, params.alphabet_size, inputs.duty_cycle, inputs.symbol_time_s
     )
-    bound = awgn_capacity(p_r, 1.0, inputs.bandwidth_hz)
-    assert result.capacity_bps <= bound
+    assert capacity <= awgn_capacity(p_r, 1.0, inputs.bandwidth_hz)

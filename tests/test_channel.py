@@ -12,6 +12,7 @@ from wtfc import (
     shadowing_mean_power_gain,
     transmit_power,
 )
+from wtfc.channel import constant_amplitude
 from wtfc.detector import draw_m_batch
 
 # 4 pi d0 / lambda = 1, so the reference term is 0 dB.
@@ -83,22 +84,21 @@ def test_transmit_power_round_trip():
 def test_disabled_model_is_transparent():
     model = LargeScaleModel(distance_m=1e4, wavelength_m=0.01, enabled=False)
     assert transmit_power(3.0, model) == 3.0
-    rng = np.random.default_rng(0)
-    m = draw_m_batch(model, rng, 1000)
-    assert np.all(m == 1.0)
+    assert constant_amplitude(model) == 1.0
 
 
 def test_zero_sigma_trivial_geometry_gives_unit_m():
-    rng = np.random.default_rng(1)
-    m = draw_m_batch(TRIVIAL, rng, 1000)
-    assert np.all(m == 1.0)
+    assert constant_amplitude(TRIVIAL) == 1.0
+    model = dataclasses.replace(TRIVIAL, distance_m=10.0)
+    assert constant_amplitude(model) == large_scale_m(model.deterministic_loss_db())
 
 
 def test_zero_sigma_consumes_no_rng():
     # Disabled and sigma=0 runs must leave the stream untouched so paired
     # comparisons stay draw-for-draw aligned.
     rng_a = np.random.default_rng(7)
-    draw_m_batch(TRIVIAL, rng_a, 50)
+    with pytest.raises(ValueError):
+        draw_m_batch(TRIVIAL, rng_a, 50, out=np.empty(50))
     rng_b = np.random.default_rng(7)
     assert rng_a.random() == rng_b.random()
 
@@ -108,7 +108,7 @@ def test_shadowing_moment_matches_lognormal():
     sigma = 8.0
     model = dataclasses.replace(TRIVIAL, distance_m=10.0, shadowing_std_db=sigma)
     rng = np.random.default_rng(1234)
-    m = draw_m_batch(model, rng, 1_000_000)
+    m = draw_m_batch(model, rng, 1_000_000, out=np.empty(1_000_000))
     det_power = deterministic_power_gain(model)
     ratio = float(np.mean(m**2)) / det_power
     expected = shadowing_mean_power_gain(model)
@@ -119,7 +119,7 @@ def test_shadowing_moment_matches_lognormal():
 def test_block_length_holds_m_constant():
     model = dataclasses.replace(TRIVIAL, shadowing_std_db=6.0, block_len=4)
     rng = np.random.default_rng(5)
-    m = draw_m_batch(model, rng, 10)
+    m = draw_m_batch(model, rng, 10, out=np.empty(10))
     assert np.all(m[0:4] == m[0])
     assert np.all(m[4:8] == m[4])
     assert m[0] != m[4]
@@ -146,16 +146,19 @@ def test_in_place_draw_equals_normal_formula_bit_for_bit(block_len, distance_m):
     got = draw_m_batch(model, np.random.default_rng(11), n, out=out)
     assert got is out
     assert np.array_equal(got, want)
-    assert np.array_equal(draw_m_batch(model, np.random.default_rng(11), n), want)
 
 
-def test_constant_draws_fill_out():
+def test_constant_model_is_rejected():
+    # A constant amplitude has no draws; the kernel uses constant_amplitude.
     out = np.full(5, np.nan)
-    draw_m_batch(LargeScaleModel(), np.random.default_rng(0), 5, out=out)
-    assert np.all(out == 1.0)
-    model = dataclasses.replace(TRIVIAL, distance_m=10.0)
-    draw_m_batch(model, np.random.default_rng(0), 5, out=out)
-    assert np.all(out == large_scale_m(model.deterministic_loss_db()))
+    for model in (
+        LargeScaleModel(),
+        dataclasses.replace(TRIVIAL, distance_m=10.0),
+        dataclasses.replace(TRIVIAL, shadowing_std_db=8.0, enabled=False),
+    ):
+        with pytest.raises(ValueError, match="constant_amplitude"):
+            draw_m_batch(model, np.random.default_rng(0), 5, out=out)
+    assert np.isnan(out).all()
 
 
 def test_reference_loss_override():

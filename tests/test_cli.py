@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from wtfc.cli import CSV_COLUMNS, build_parser, header_to_config_text, main
+from helpers import header_to_config_text
+from wtfc.cli import CSV_COLUMNS, build_parser, main
 from wtfc.config import ConfigError
 
 BASE_SETS = [
@@ -336,6 +337,8 @@ REPLAY_COMMANDS = {
     "derive": ["derive", *BASE_SETS],
     "pe": ["pe", *BASE_SETS, "--variant", "ifsk", "--iters", "20000", "--seed", "3"],
     "capacity": ["capacity", *BASE_SETS, "--variant", "ifsk", "--iters", "20000"],
+    # The header must carry p_e, or the replay would simulate instead.
+    "capacity-pe": ["capacity", *BASE_SETS, "--pe", "0.1"],
     "sweep": SWEEP_ARGS,
     "compare-shadowing": COMPARE_ARGS,
     # 1e4 Hz fits fewer than two tones: the header must carry allow_skips.
@@ -375,8 +378,25 @@ def test_capacity_out_writes_the_printed_report(fmt, capsys, tmp_path):
     else:
         header, _, body = text.partition("\n")
         assert header.startswith("# config: bandwidth_hz=")
-        assert header.endswith(" variant=WTFC")
+        assert header.endswith(" p_e=0.1 variant=WTFC")
         assert body == out
+
+
+def test_variant_flag_accepts_what_the_key_accepts(capsys):
+    by_flag = run_cli(["pe", *BASE_SETS, "--iters", "1000", "--variant", "WTFC"], capsys)
+    by_key = run_cli(["pe", *BASE_SETS, "--iters", "1000", "--set", "variant=wtfc"], capsys)
+    assert by_flag == by_key
+    assert by_flag[0] == 0 and "variant = WTFC" in by_flag[1]
+
+
+@pytest.mark.parametrize("command, flag, text, message", [
+    ("pe", "--variant", "foo", "variant: invalid value 'foo' (expected wtfc or ifsk)"),
+    ("capacity", "--pe", "nan", "p_e: invalid value 'nan' (must be finite)"),
+])
+def test_bad_flag_value_exits_2_naming_flag_and_key(command, flag, text, message, capsys):
+    code, out, err = run_cli([command, *BASE_SETS, flag, text], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag}: {message}\n"
 
 
 def test_pe_csv_out_writes_a_one_row_table(capsys, tmp_path):

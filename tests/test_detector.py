@@ -16,15 +16,15 @@ from wtfc import (
     analytic_pe_no_shadowing,
     derive_scheme,
     estimate_pe,
-    max_noise_from_uniform,
     signal_energy,
-    signal_power_from_uniform,
 )
 from wtfc.detector import (
     CHUNK_SIZE,
     _chunk_error_count,
     _max_noise_from_log,
     _unit_exponential,
+    max_noise_from_uniform,
+    signal_power_from_uniform,
 )
 
 NO_FADING = LargeScaleModel()

@@ -43,11 +43,10 @@ def test_single_point_grid_matches_direct_calls():
     est = estimate_pe(
         params, base.model, base.p_r, 1.0, 50_000, _point_seed(123, 0)
     )
-    cap = dmc_capacity(est.p_e, params.alphabet_size, 1 / 100, 101e-6)
     assert row.p_e == est.p_e
     assert row.ci_half_width_95 == est.half_width_95
-    assert row.capacity_bps == cap.capacity_bps
-    assert row.ceiling_bps == cap.ceiling_bps
+    assert row.capacity_bps == dmc_capacity(est.p_e, params.alphabet_size, 1 / 100, 101e-6)
+    assert row.ceiling_bps == params.ceiling_bps()
     assert row.seed == est.seed
     assert row.skipped_reason is None
 
