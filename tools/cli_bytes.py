@@ -62,7 +62,7 @@ CALLS = [
                         *OUT], {}),
     ("sweep-json-snr-columns", [*BANDWIDTH_SWEEP, "--grid", "1e6,1e7", "--set",
                                 "snr_columns=true", "--format", "json", *OUT], {}),
-    ("sweep-snr-db-pt", ["sweep", *POINT, *ITERS, "--axis", "snr_db", "--grid=-10,0",
+    ("sweep-snr-db-pt", ["sweep", *POINT, *ITERS, "--axis", "snr_db", "--grid=-45,-40",
                          "--set", "awgn_power=pt", *OUT], {}),
     ("sweep-skips", [*BANDWIDTH_SWEEP, "--grid", "1e4,1e5", *OUT], {}),
     ("sweep-skips-allowed", [*BANDWIDTH_SWEEP, "--grid", "1e4,1e5", "--allow-skips", *OUT],
