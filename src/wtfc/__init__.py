@@ -15,8 +15,6 @@ from .capacity import awgn_capacity, dmc_capacity, ifsk_variant
 from .channel import (
     LargeScaleModel,
     deterministic_power_gain,
-    large_scale_m,
-    path_loss_db,
     shadowing_mean_power_gain,
     transmit_power,
 )
@@ -33,8 +31,6 @@ __all__ = [
     "derive_scheme",
     "amplitude",
     "LargeScaleModel",
-    "path_loss_db",
-    "large_scale_m",
     "deterministic_power_gain",
     "transmit_power",
     "shadowing_mean_power_gain",

@@ -1,7 +1,7 @@
 """Large-scale fading model: path loss and log-normal shadowing.
 
-Large-scale fading combines a deterministic path loss (free space by
-default, or a user-supplied reference-loss relationship) with log-normal
+Large-scale fading combines a deterministic path loss (free space up to
+the reference distance, then a distance power law) with log-normal
 shadowing. Small-scale fading is the squared magnitude of a unit-variance
 circularly symmetric complex Gaussian, i.e. a unit-mean exponential, which
 the detector folds into the exponential law of the signal slot. Multipath
@@ -17,19 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 __all__ = [
     "LargeScaleModel",
-    "path_loss_db",
-    "large_scale_m",
     "deterministic_power_gain",
     "transmit_power",
     "constant_amplitude",
     "shadowing_mean_power_gain",
 ]
-
-ReferenceLoss = Union[float, Callable[[float], float], None]
 
 
 @dataclass(frozen=True)
@@ -37,10 +32,8 @@ class LargeScaleModel:
     """Path-loss geometry plus shadowing spread and an on/off switch.
 
     With ``enabled=False`` the channel applies no large-scale attenuation at
-    all (amplitude 1). ``reference_loss_db`` replaces the free-space first
-    term of the loss with a constant or a function of distance, for
-    experimentally derived loss relationships. ``block_len`` holds one
-    shadowing realization across that many consecutive symbols.
+    all (amplitude 1). ``block_len`` holds one shadowing realization across
+    that many consecutive symbols.
     """
 
     distance_m: float = 1.0
@@ -49,7 +42,6 @@ class LargeScaleModel:
     path_loss_exponent: float = 2.0
     shadowing_std_db: float = 0.0
     enabled: bool = False
-    reference_loss_db: ReferenceLoss = None
     block_len: int = 1
 
     def __post_init__(self) -> None:
@@ -66,35 +58,15 @@ class LargeScaleModel:
         if self.block_len < 1:
             raise ValueError("block_len must be a positive integer")
 
-    def _reference_term_db(self) -> float:
-        if self.reference_loss_db is None:
-            return 20.0 * math.log10(
-                4.0 * math.pi * self.reference_distance_m / self.wavelength_m
-            )
-        if callable(self.reference_loss_db):
-            return float(self.reference_loss_db(self.distance_m))
-        return float(self.reference_loss_db)
-
     def deterministic_loss_db(self) -> float:
-        """Path loss at the model geometry with the shadowing term zeroed."""
-        return path_loss_db(self, 0.0)
-
-
-def path_loss_db(model: LargeScaleModel, x_sigma_db: float) -> float:
-    """Path loss in dB for one shadowing realization ``x_sigma_db``.
-
-    Reference term (free space unless overridden) plus the distance power
-    law plus the shadowing realization.
-    """
-    distance_term = 10.0 * model.path_loss_exponent * math.log10(
-        model.distance_m / model.reference_distance_m
-    )
-    return model._reference_term_db() + distance_term + x_sigma_db
-
-
-def large_scale_m(loss_db: float) -> float:
-    """Amplitude attenuation corresponding to a dB loss: 10^(-L/20)."""
-    return math.sqrt(10.0 ** (-loss_db / 10.0))
+        """Path loss, shadowing zeroed: 20 log10(4 pi d0/lambda) + 10 n log10(d/d0)."""
+        reference_term = 20.0 * math.log10(
+            4.0 * math.pi * self.reference_distance_m / self.wavelength_m
+        )
+        distance_term = 10.0 * self.path_loss_exponent * math.log10(
+            self.distance_m / self.reference_distance_m
+        )
+        return reference_term + distance_term
 
 
 def deterministic_power_gain(model: LargeScaleModel) -> float:
@@ -132,9 +104,7 @@ def constant_amplitude(model: LargeScaleModel) -> float | None:
     1 when the model is disabled, the deterministic amplitude when sigma is
     zero; None when shadowing draws a fresh amplitude per block.
     """
-    if not model.enabled:
-        return 1.0
-    if model.shadowing_std_db == 0:
-        return large_scale_m(model.deterministic_loss_db())
-    return None
+    if model.enabled and model.shadowing_std_db != 0:
+        return None
+    return math.sqrt(deterministic_power_gain(model))
 

@@ -44,6 +44,13 @@ def _parse_float(text: str) -> float:
     return value
 
 
+def _parse_probability(text: str) -> float:
+    value = _parse_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError("must lie in [0, 1]")
+    return value
+
+
 def _parse_int(text: str) -> int:
     return int(text.strip(), 10)
 
@@ -114,7 +121,7 @@ KEYS = {
     "seed": (_parse_int, 0, "seed"),
     "hold_mean_rx_power": (_parse_bool, False, "hold_mean_rx_power"),
     # pe and capacity; only capacity reads p_e
-    "p_e": (_parse_float, None, None),
+    "p_e": (_parse_probability, None, None),
     "variant": (_parse_variant, "WTFC", None),
     # sweep
     "axis": (_parse_str, None, None),

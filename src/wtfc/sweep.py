@@ -92,14 +92,14 @@ class SweepRow:
     axis_name: str
     axis_value: float
     variant: str
-    p_e: float | None
-    ci_half_width_95: float | None
-    capacity_bps: float | None
-    ceiling_bps: float | None
-    awgn_bps: float | None
     shadowing_enabled: bool
     seed: int
     iterations: int
+    p_e: float | None = None
+    ci_half_width_95: float | None = None
+    capacity_bps: float | None = None
+    ceiling_bps: float | None = None
+    awgn_bps: float | None = None
     skipped_reason: str | None = None
     capacity_loss_pct: float | None = None
     snr_db_bw: float | None = None
@@ -145,24 +145,6 @@ def _point_config(base: RunConfig, axis: str, value: float) -> RunConfig:
     return dataclasses.replace(base, inputs=inputs)
 
 
-def _skipped_row(spec: SweepSpec, value: float, variant: str,
-                 model: LargeScaleModel, seed: int, reason: str) -> SweepRow:
-    return SweepRow(
-        axis_name=spec.axis,
-        axis_value=value,
-        variant=variant,
-        p_e=None,
-        ci_half_width_95=None,
-        capacity_bps=None,
-        ceiling_bps=None,
-        awgn_bps=None,
-        shadowing_enabled=model.enabled,
-        seed=seed,
-        iterations=spec.base.iterations,
-        skipped_reason=reason,
-    )
-
-
 def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: int):
     """Every cell's row, in grid, variant, then model order.
 
@@ -179,7 +161,8 @@ def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: i
         except (ValueError, ZeroDivisionError) as exc:
             for variant in spec.variants:
                 for model in models:
-                    yield _skipped_row(spec, value, variant, model, seed, str(exc))
+                    yield SweepRow(spec.axis, value, variant, model.enabled, seed,
+                                   spec.base.iterations, skipped_reason=str(exc))
             continue
         variants = tuple(params if v == "WTFC" else ifsk_variant(params)
                          for v in spec.variants)

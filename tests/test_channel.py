@@ -7,8 +7,6 @@ import pytest
 from wtfc import (
     LargeScaleModel,
     deterministic_power_gain,
-    large_scale_m,
-    path_loss_db,
     shadowing_mean_power_gain,
     transmit_power,
 )
@@ -30,33 +28,40 @@ def test_loss_at_reference_distance_is_reference_term():
         distance_m=2.0, reference_distance_m=2.0, wavelength_m=0.1, enabled=True
     )
     expected = 20.0 * math.log10(4.0 * math.pi * 2.0 / 0.1)
-    assert path_loss_db(model, 0.0) == pytest.approx(expected)
+    assert model.deterministic_loss_db() == pytest.approx(expected)
 
 
 def test_loss_decade_distance():
     model = dataclasses.replace(TRIVIAL, distance_m=10.0)
-    assert path_loss_db(model, 0.0) == pytest.approx(20.0)
-
-
-def test_loss_pure_shadowing_realization():
-    assert path_loss_db(TRIVIAL, 8.0) == pytest.approx(8.0)
+    assert model.deterministic_loss_db() == pytest.approx(20.0)
 
 
 def test_amplitude_from_loss():
-    assert large_scale_m(0.0) == pytest.approx(1.0)
-    assert large_scale_m(20.0) == pytest.approx(0.1)
-    assert large_scale_m(-20.0) == pytest.approx(10.0)
+    # 0, 20 and 40 dB of loss at 1, 10 and 100 m on the trivial geometry.
+    for d, m in [(1.0, 1.0), (10.0, 0.1), (100.0, 0.01)]:
+        model = dataclasses.replace(TRIVIAL, distance_m=d)
+        assert constant_amplitude(model) == pytest.approx(m)
 
 
 def test_loss_monotone_in_distance_and_shadowing():
     last = None
     for d in [1.0, 2.0, 5.0, 17.0, 100.0]:
-        m = large_scale_m(path_loss_db(dataclasses.replace(TRIVIAL, distance_m=d), 0.0))
+        m = constant_amplitude(dataclasses.replace(TRIVIAL, distance_m=d))
         if last is not None:
             assert m < last
         last = m
-    losses = [path_loss_db(TRIVIAL, x) for x in (-3.0, 0.0, 4.0, 9.0)]
-    assert losses == sorted(losses)
+    # The mean shadowing power factor grows with the spread.
+    gains = [shadowing_mean_power_gain(dataclasses.replace(TRIVIAL, shadowing_std_db=s))
+             for s in (0.0, 2.0, 4.0, 8.0)]
+    assert gains == sorted(gains) and gains[0] == 1.0 < gains[1]
+
+
+@pytest.mark.parametrize("distance_m", [1.0, 3.0, 350.0])
+def test_constant_amplitude_is_the_root_of_the_loss_bit_for_bit(distance_m):
+    model = dataclasses.replace(TRIVIAL, distance_m=distance_m)
+    loss = model.deterministic_loss_db()
+    assert constant_amplitude(model) == math.sqrt(10.0 ** (-loss / 10.0))
+    assert constant_amplitude(dataclasses.replace(model, enabled=False)) == 1.0
 
 
 def test_transmit_power_identity_at_reference():
@@ -90,7 +95,7 @@ def test_disabled_model_is_transparent():
 def test_zero_sigma_trivial_geometry_gives_unit_m():
     assert constant_amplitude(TRIVIAL) == 1.0
     model = dataclasses.replace(TRIVIAL, distance_m=10.0)
-    assert constant_amplitude(model) == large_scale_m(model.deterministic_loss_db())
+    assert constant_amplitude(model) == pytest.approx(0.1)
 
 
 def test_zero_sigma_consumes_no_rng():
@@ -159,16 +164,6 @@ def test_constant_model_is_rejected():
         with pytest.raises(ValueError, match="constant_amplitude"):
             draw_m_batch(model, np.random.default_rng(0), 5, out=out)
     assert np.isnan(out).all()
-
-
-def test_reference_loss_override():
-    flat = dataclasses.replace(TRIVIAL, reference_loss_db=10.0)
-    assert path_loss_db(flat, 0.0) == pytest.approx(10.0)
-    table = dataclasses.replace(
-        TRIVIAL, distance_m=4.0, reference_loss_db=lambda d: 3.0 * d
-    )
-    # 12 dB reference term plus the distance power law.
-    assert path_loss_db(table, 0.0) == pytest.approx(12.0 + 20.0 * math.log10(4.0))
 
 
 def test_model_validation():

@@ -392,6 +392,8 @@ def test_variant_flag_accepts_what_the_key_accepts(capsys):
 @pytest.mark.parametrize("command, flag, text, message", [
     ("pe", "--variant", "foo", "variant: invalid value 'foo' (expected wtfc or ifsk)"),
     ("capacity", "--pe", "nan", "p_e: invalid value 'nan' (must be finite)"),
+    ("capacity", "--pe", "1.5", "p_e: invalid value '1.5' (must lie in [0, 1])"),
+    ("capacity", "--set", "p_e=-0.5", "p_e: invalid value '-0.5' (must lie in [0, 1])"),
 ])
 def test_bad_flag_value_exits_2_naming_flag_and_key(command, flag, text, message, capsys):
     code, out, err = run_cli([command, *BASE_SETS, flag, text], capsys)

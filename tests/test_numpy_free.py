@@ -8,6 +8,7 @@ numpy loaded already.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -90,8 +91,13 @@ def test_sampling_calls_load_numpy(args):
 def test_sampler_names_resolve_to_the_detector():
     assert wtfc.estimate_pe is wtfc.detector.estimate_pe
     assert wtfc._SAMPLER_NAMES == ("estimate_pe",)
-    for name in wtfc.__all__:
-        assert getattr(wtfc, name) is not None, name
+    # Each name in the package's and every submodule's ``__all__`` resolves:
+    # a function deleted but left in an export list breaks ``import *``.
+    submodules = [importlib.import_module(f"wtfc.{path.stem}")
+                  for path in sorted((SRC / "wtfc").glob("*.py")) if path.stem != "__init__"]
+    for module in [wtfc, *submodules]:
+        for name in getattr(module, "__all__", ()):
+            assert getattr(module, name) is not None, (module.__name__, name)
     assert set(wtfc.__all__) <= set(dir(wtfc))
     with pytest.raises(AttributeError):
         wtfc.no_such_name

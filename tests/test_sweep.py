@@ -92,7 +92,10 @@ def test_too_small_bandwidth_becomes_skipped_row():
     rows = run_sweep(spec).rows
     assert rows[0].skipped_reason is not None
     assert "bandwidth" in rows[0].skipped_reason
-    assert rows[0].p_e is None and rows[0].capacity_bps is None
+    result_fields = ("p_e", "ci_half_width_95", "capacity_bps", "ceiling_bps", "awgn_bps")
+    assert [getattr(rows[0], name) for name in result_fields] == [None] * 5
+    assert rows[0].seed == _point_seed(123, 0) and rows[0].iterations == 50_000
+    assert rows[0].shadowing_enabled is False
     assert rows[1].skipped_reason is None
 
 

@@ -35,6 +35,17 @@ PR = ["--set", "p_r=10e3"]
 ITERS = ["--iters", "20000", "--seed", "3"]
 OUT = ["--out", "result.out"]
 SHADOWED = {"WTFC_SHADOWING_ENABLED": "true", "WTFC_SHADOWING_STD_DB": "8"}
+# A 350 m link, 2 m reference distance, 5 cm wavelength, exponent 3.2: about
+# 126 dB of path loss, where the default geometry has none. Sigma 0 gives
+# every symbol the one constant amplitude. A given p_t puts the loss into
+# the receive power; a given p_r would cancel it.
+PATH_LOSS = [
+    "--set", "distance_m=350",
+    "--set", "reference_distance_m=2",
+    "--set", "wavelength_m=0.05",
+    "--set", "path_loss_exponent=3.2",
+]
+CONSTANT_LOSS = [*PATH_LOSS, "--set", "shadowing_enabled=true", "--set", "shadowing_std_db=0"]
 BANDWIDTH_SWEEP = ["sweep", *POINT, *PR, *ITERS, "--axis", "bandwidth"]
 COMPARE = [
     "compare-shadowing", *POINT, "--set", "p_r=1e5", *ITERS,
@@ -79,6 +90,11 @@ CALLS = [
      {}),
     ("bad-delay-spread", ["derive", *POINT, *PR, "--set", "delay_spread_s=200e-6"], {}),
     ("missing-sigma-db", COMPARE, {}),
+    ("derive-path-loss", ["derive", *POINT, *PR, *CONSTANT_LOSS, *OUT], {}),
+    ("pe-path-loss", ["pe", *POINT, "--set", "p_t=4e16", *ITERS, *CONSTANT_LOSS, *OUT], {}),
+    ("compare-path-loss", ["compare-shadowing", *POINT, "--set", "p_t=4e17", *ITERS,
+                           "--axis", "duty_cycle", "--grid", "1e-2,1e-3", *PATH_LOSS,
+                           "--sigma-db", "8", *OUT], {}),
 ]
 
 
