@@ -11,7 +11,7 @@ sampler ``estimate_pe`` comes from ``wtfc.detector``, which imports numpy,
 on first access.
 """
 
-from .capacity import awgn_capacity, dmc_capacity, ifsk_variant
+from .capacity import awgn_capacity, dmc_capacity
 from .channel import (
     LargeScaleModel,
     deterministic_power_gain,
@@ -40,7 +40,6 @@ __all__ = [
     "analytic_pe_no_shadowing",
     "dmc_capacity",
     "awgn_capacity",
-    "ifsk_variant",
     "SweepSpec",
     "SweepRow",
     "SweepResult",

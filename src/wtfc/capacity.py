@@ -8,13 +8,10 @@ alone. A symbol occupies one slot out of ``1/theta``, hence the extra
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 
-from .scheme import SchemeParams
-
-__all__ = ["dmc_capacity", "awgn_capacity", "ifsk_variant"]
+__all__ = ["dmc_capacity", "awgn_capacity"]
 
 logger = logging.getLogger(__name__)
 
@@ -66,15 +63,3 @@ def awgn_capacity(receive_power: float, noise_density: float, bandwidth_hz: floa
         raise ValueError("receive_power, noise_density and bandwidth_hz must be positive")
     return bandwidth_hz * math.log2(1.0 + receive_power / (noise_density * bandwidth_hz))
 
-
-def ifsk_variant(params: SchemeParams) -> SchemeParams:
-    """Impulsive-FSK instantiation of the same physical parameters.
-
-    The receiver knows the time slot, so only the tone carries information:
-    the alphabet shrinks to the tone count and the detector competes against
-    M - 1 noise slots. Amplitude and duty-cycle bookkeeping are unchanged;
-    with duty cycle 1 the two variants coincide.
-    """
-    return dataclasses.replace(
-        params, variant="IFSK", alphabet_size=params.tone_count
-    )

@@ -18,7 +18,9 @@ import json
 import sys
 
 from . import __version__
-from .capacity import awgn_capacity, dmc_capacity, ifsk_variant
+# Unused here since ``cell_row`` computes capacities, but ``bench/run.py
+# --trace 1`` wraps both names in this module.
+from .capacity import awgn_capacity, dmc_capacity  # noqa: F401
 from .config import (
     ConfigError,
     build_run_config,
@@ -28,8 +30,10 @@ from .config import (
     parse_value,
     read_config_file,
 )
+from .errorlaw import PeEstimate
 from .scheme import amplitude, derive_scheme
-from .sweep import SweepResult, SweepSpec, compare_shadowing, estimate_pe, run_sweep
+from .sweep import (SweepResult, SweepSpec, cell_row, compare_shadowing, estimate_pe,
+                    run_sweep)
 
 CSV_COLUMNS = [
     "axis_name",
@@ -63,7 +67,6 @@ _FLAG_KEYS = {
     "sigma_db": "sigma_db",
 }
 
-_PE_REPORT = ("variant", "p_e", "ci_half_width_95", "iterations", "seed", "alphabet_size")
 _CAPACITY_REPORT = ("variant", "capacity_bps", "ceiling_bps", "alphabet_size",
                     "awgn_bps", "p_e", "iterations", "seed")
 _PE_FILE_COLUMNS = ("variant", "p_e", "ci_half_width_95", "iterations", "seed")
@@ -95,6 +98,14 @@ def _sweep_table(result: SweepResult, snr_columns: bool, loss_column: bool):
     return columns, [{name: getattr(row, name) for name in columns} for row in result.rows]
 
 
+def _write_csv(path: str, header: str, columns, rows) -> None:
+    """Header line, column line, then one line of formatted cells per row."""
+    lines = [header, ",".join(columns)]
+    lines += [",".join(_format_cell(value) for value in row) for row in rows]
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def write_sweep_csv(
     path: str,
     result: SweepResult,
@@ -103,10 +114,7 @@ def write_sweep_csv(
     loss_column: bool = False,
 ) -> None:
     columns, rows = _sweep_table(result, snr_columns, loss_column)
-    lines = [header, ",".join(columns)]
-    lines += [",".join(_format_cell(value) for value in row.values()) for row in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_csv(path, header, columns, (row.values() for row in rows))
 
 
 def _collect_values(args) -> dict:
@@ -166,17 +174,13 @@ def cmd_derive(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    """pe and capacity: derive, pick the variant, estimate p_e unless capacity has one."""
+    """pe and capacity: derive the variant's scheme, estimate p_e unless capacity has one."""
     values = _collect_values(args)
     config = build_run_config(values)
     config.require_power()
-    params = derive_scheme(config.inputs)
-    if values["variant"] == "IFSK":
-        params = ifsk_variant(params)
-    fields = {"variant": params.variant, "alphabet_size": params.alphabet_size,
-              "ci_half_width_95": None, "iterations": None, "seed": None}
+    params = derive_scheme(config.inputs, values["variant"])
     if args.command == "capacity" and "p_e" in values:
-        fields["p_e"] = values["p_e"]
+        estimate = PeEstimate(values["p_e"], None, None, None)
     else:
         estimate = estimate_pe(
             params,
@@ -188,29 +192,22 @@ def cmd_estimate(args) -> int:
             threads=args.threads,
             hold_mean_rx_power=config.hold_mean_rx_power,
         )
-        fields.update(p_e=estimate.p_e, ci_half_width_95=estimate.half_width_95,
-                      iterations=estimate.iterations, seed=estimate.seed)
-    header = header_line(values, ("variant",) if args.command == "pe" else ("p_e", "variant"))
     if args.command == "pe":
+        header = header_line(values, ("variant",))
+        report = {"variant": params.variant, "p_e": estimate.p_e,
+                  "ci_half_width_95": estimate.half_width_95,
+                  "iterations": estimate.iterations, "seed": estimate.seed,
+                  "alphabet_size": params.alphabet_size}
         # A CSV --out file is a one-row table; a JSON one holds what is printed.
         csv_file = args.out and args.format == "csv"
-        _emit_report(args, {key: fields[key] for key in _PE_REPORT}, None if csv_file else header)
+        _emit_report(args, report, None if csv_file else header)
         if csv_file:
-            row = ",".join(_format_cell(fields[key]) for key in _PE_FILE_COLUMNS)
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(f"{header}\n{','.join(_PE_FILE_COLUMNS)}\n{row}\n")
+            _write_csv(args.out, header, _PE_FILE_COLUMNS,
+                       [[report[key] for key in _PE_FILE_COLUMNS]])
         return 0
-    fields.update(
-        capacity_bps=dmc_capacity(
-            fields["p_e"],
-            params.alphabet_size,
-            config.inputs.duty_cycle,
-            config.inputs.symbol_time_s,
-        ),
-        ceiling_bps=params.ceiling_bps(),
-        awgn_bps=awgn_capacity(config.resolved_p_r(), config.n_0, config.inputs.bandwidth_hz),
-    )
-    _emit_report(args, {key: fields[key] for key in _CAPACITY_REPORT}, header)
+    fields = {**vars(cell_row(config, params, estimate)), "alphabet_size": params.alphabet_size}
+    _emit_report(args, {key: fields[key] for key in _CAPACITY_REPORT},
+                 header_line(values, ("p_e", "variant")))
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .channel import LargeScaleModel, deterministic_power_gain, transmit_power
 from .errorlaw import CHUNK_SIZE
-from .scheme import PhysicalInputs
+from .scheme import VARIANTS, PhysicalInputs
 
 __all__ = ["ConfigError", "RunConfig", "KEYS", "ENV_PREFIX",
            "read_config_file", "merge_sources", "build_run_config",
@@ -84,8 +84,8 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
 
 def _parse_variant(text: str) -> str:
     variant = text.strip().upper()
-    if variant not in ("WTFC", "IFSK"):
-        raise ValueError("expected wtfc or ifsk")
+    if variant not in VARIANTS:
+        raise ValueError("expected " + " or ".join(VARIANTS).lower())
     return variant
 
 

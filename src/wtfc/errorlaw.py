@@ -33,12 +33,16 @@ CHUNK_SIZE = 100_000
 
 @dataclass(frozen=True)
 class PeEstimate:
-    """Monte Carlo symbol error probability with its binomial 95% half-width."""
+    """Monte Carlo symbol error probability with its binomial 95% half-width.
+
+    For a p_e that was given rather than sampled (``capacity --pe``),
+    ``iterations``, ``half_width_95`` and ``seed`` are None.
+    """
 
     p_e: float
-    iterations: int
-    half_width_95: float
-    seed: int
+    iterations: int | None
+    half_width_95: float | None
+    seed: int | None
 
 
 def signal_energy(

@@ -3,18 +3,22 @@
 The modulation places one complex tone per duty cycle. Information rides on
 both the tone index (one of ``M`` orthogonal frequencies) and the time slot
 index (one of ``1/theta`` slots of length ``T_s``), so the alphabet has
-``S = M / theta`` symbols. The delay spread is spent as guard time, which
-shortens the usable transmission window to ``T_s - T_d`` and sets the
-orthogonal tone spacing ``q / (T_s - T_d)``; ``q`` is bumped up until the
-spacing clears the Doppler spread.
+``S = M / theta`` symbols; the impulsive-FSK (I-FSK) receiver knows the
+slot, so its alphabet is ``M``. The delay spread is spent as guard time,
+which shortens the usable transmission window to ``T_s - T_d`` and sets
+the orthogonal tone spacing ``q / (T_s - T_d)``; ``q`` is bumped up until
+the spacing clears the Doppler spread.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["PhysicalInputs", "SchemeParams", "derive_scheme", "amplitude"]
+__all__ = ["VARIANTS", "PhysicalInputs", "SchemeParams", "derive_scheme", "amplitude"]
+
+# Receiver variants: WTFC searches every tone and slot; I-FSK knows the slot.
+VARIANTS = ("WTFC", "IFSK")
 
 # Tolerances for snapping near-integer ratios produced by float arithmetic
 # (e.g. 100e6 * (101e-6 - 20e-6) / 3 landing a few ulp below 2700).
@@ -99,23 +103,22 @@ class SchemeParams:
     delta_f_hz: float
     tone_count: int
     slots_per_cycle: int
-    alphabet_size: int
-    bits_per_symbol: float = field(init=False)
     variant: str = "WTFC"
 
     def __post_init__(self) -> None:
-        if self.variant not in ("WTFC", "IFSK"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.tone_count < 2:
             raise ValueError("tone_count must be at least 2")
-        expected = (
-            self.tone_count * self.slots_per_cycle
-            if self.variant == "WTFC"
-            else self.tone_count
-        )
-        if self.alphabet_size != expected:
-            raise ValueError("alphabet_size inconsistent with tone count and slots")
-        object.__setattr__(self, "bits_per_symbol", math.log2(self.alphabet_size))
+
+    @property
+    def alphabet_size(self) -> int:
+        """S = M / theta symbols, or M for I-FSK, whose receiver knows the slot."""
+        return self.tone_count * (self.slots_per_cycle if self.variant == "WTFC" else 1)
+
+    @property
+    def bits_per_symbol(self) -> float:
+        return math.log2(self.alphabet_size)
 
     @property
     def noise_slot_count(self) -> int:
@@ -127,13 +130,15 @@ class SchemeParams:
         return (self.inputs.duty_cycle / self.inputs.symbol_time_s) * self.bits_per_symbol
 
 
-def derive_scheme(inputs: PhysicalInputs) -> SchemeParams:
+def derive_scheme(inputs: PhysicalInputs, variant: str = "WTFC") -> SchemeParams:
     """Derive tone spacing, tone count and alphabet size from physical inputs.
 
     The spacing multiplier ``q`` is the smallest positive integer giving
-    ``q / window >= doppler_spread``, unless overridden. Raises ValueError
-    when the bandwidth fits fewer than two tones or an override breaks the
-    Doppler constraint.
+    ``q / window >= doppler_spread``, unless overridden. Both variants share
+    every physical parameter; only the alphabet differs, and with duty
+    cycle 1 they coincide. Raises ValueError for a variant not in
+    ``VARIANTS``, when the bandwidth fits fewer than two tones or when an
+    override breaks the Doppler constraint.
     """
     window = inputs.window_s
     q_min = max(1, math.ceil(inputs.doppler_spread_hz * window - _REL_SNAP))
@@ -152,14 +157,13 @@ def derive_scheme(inputs: PhysicalInputs) -> SchemeParams:
             f"bandwidth_hz too small: only {tone_count} tone(s) fit the "
             f"{window:.6g} s window at spacing multiplier q={q}"
         )
-    slots = inputs.slots_per_cycle
     return SchemeParams(
         inputs=inputs,
         q=q,
         delta_f_hz=q / window,
         tone_count=tone_count,
-        slots_per_cycle=slots,
-        alphabet_size=tone_count * slots,
+        slots_per_cycle=inputs.slots_per_cycle,
+        variant=variant,
     )
 
 

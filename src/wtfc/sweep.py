@@ -23,17 +23,16 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .capacity import awgn_capacity, dmc_capacity, ifsk_variant
-from .channel import LargeScaleModel
+from .capacity import awgn_capacity, dmc_capacity
+from .channel import LargeScaleModel, deterministic_power_gain
 from .config import ConfigError, RunConfig
-from .scheme import derive_scheme
+from .errorlaw import PeEstimate
+from .scheme import VARIANTS, SchemeParams, derive_scheme
 
-__all__ = ["AXES", "SweepSpec", "SweepRow", "SweepResult", "run_sweep",
+__all__ = ["AXES", "SweepSpec", "SweepRow", "SweepResult", "cell_row", "run_sweep",
            "compare_shadowing"]
 
 AXES = ("snr_db", "duty_cycle", "symbol_time", "bandwidth", "doppler_spread")
-
-_VARIANTS = ("WTFC", "IFSK")
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,9 @@ class SweepSpec:
         if not variants:
             raise ConfigError("variants", "must not be empty")
         for index, variant in enumerate(variants):
-            if variant not in _VARIANTS:
+            if variant not in VARIANTS:
                 raise ConfigError(
-                    "variants", f"unknown variant {variant!r}; use WTFC or IFSK"
+                    "variants", f"unknown variant {variant!r}; use {' or '.join(VARIANTS)}"
                 )
             if variant in variants[:index]:
                 raise ConfigError("variants", f"duplicate variant {variant!r}")
@@ -89,12 +88,15 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    axis_name: str
-    axis_value: float
+    """One cell's result. A skipped row has no result fields; a row for a
+    given rather than sampled p_e has no seed or iterations."""
+
+    axis_name: str | None
+    axis_value: float | None
     variant: str
     shadowing_enabled: bool
-    seed: int
-    iterations: int
+    seed: int | None
+    iterations: int | None
     p_e: float | None = None
     ci_half_width_95: float | None = None
     capacity_bps: float | None = None
@@ -145,6 +147,31 @@ def _point_config(base: RunConfig, axis: str, value: float) -> RunConfig:
     return dataclasses.replace(base, inputs=inputs)
 
 
+def cell_row(point: RunConfig, params: SchemeParams, estimate: PeEstimate,
+             awgn_power: str | None = "pr", axis_name: str | None = None,
+             axis_value: float | None = None) -> SweepRow:
+    """The result row of one cell: its p_e as capacity, ceiling, AWGN and SNR.
+
+    ``awgn_power`` picks the baseline's power, receive ("pr") or transmit
+    ("pt"); None leaves the baseline column empty.
+    """
+    inputs, p_r = point.inputs, point.resolved_p_r()
+    awgn_bps = None
+    if awgn_power is not None:
+        baseline_power = p_r if awgn_power == "pr" else point.resolved_p_t()
+        awgn_bps = awgn_capacity(baseline_power, point.n_0, inputs.bandwidth_hz)
+    return SweepRow(
+        axis_name, axis_value, params.variant, point.model.enabled, estimate.seed,
+        estimate.iterations, p_e=estimate.p_e, ci_half_width_95=estimate.half_width_95,
+        capacity_bps=dmc_capacity(estimate.p_e, params.alphabet_size, inputs.duty_cycle,
+                                  inputs.symbol_time_s),
+        ceiling_bps=params.ceiling_bps(),
+        awgn_bps=awgn_bps,
+        snr_db_bw=10.0 * math.log10(p_r / (point.n_0 * inputs.bandwidth_hz)),
+        snr_db_n0=10.0 * math.log10(p_r / point.n_0),
+    )
+
+
 def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: int):
     """Every cell's row, in grid, variant, then model order.
 
@@ -153,60 +180,33 @@ def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: i
     points that fail scheme validation become explicit skipped rows rather
     than silently vanishing from the output.
     """
+    awgn_power = spec.awgn_power if spec.include_awgn else None
     for index, value in enumerate(spec.grid):
         seed = _point_seed(spec.base.seed, index)
         try:
             point = _point_config(spec.base, spec.axis, value)
-            params = derive_scheme(point.inputs)
+            variants = tuple(derive_scheme(point.inputs, v) for v in spec.variants)
         except (ValueError, ZeroDivisionError) as exc:
             for variant in spec.variants:
                 for model in models:
                     yield SweepRow(spec.axis, value, variant, model.enabled, seed,
                                    spec.base.iterations, skipped_reason=str(exc))
             continue
-        variants = tuple(params if v == "WTFC" else ifsk_variant(params)
-                         for v in spec.variants)
         configs = [dataclasses.replace(point, model=model) for model in models]
-        powers = tuple(config.resolved_p_t() for config in configs)
         estimates = estimate_pe(
             variants,
             models,
-            powers,
+            tuple(config.resolved_p_t() for config in configs),
             point.n_0,
             point.iterations,
             seed,
             threads=threads,
             hold_mean_rx_power=point.hold_mean_rx_power,
         )
-        for v, (variant, variant_params) in enumerate(zip(spec.variants, variants)):
-            for m, (config, p_t) in enumerate(zip(configs, powers)):
-                estimate = estimates[m * len(variants) + v]
-                p_r = config.resolved_p_r()
-                bandwidth = config.inputs.bandwidth_hz
-                awgn_bps = None
-                if spec.include_awgn:
-                    baseline_power = p_r if spec.awgn_power == "pr" else p_t
-                    awgn_bps = awgn_capacity(baseline_power, config.n_0, bandwidth)
-                yield SweepRow(
-                    axis_name=spec.axis,
-                    axis_value=value,
-                    variant=variant,
-                    p_e=estimate.p_e,
-                    ci_half_width_95=estimate.half_width_95,
-                    capacity_bps=dmc_capacity(
-                        estimate.p_e,
-                        variant_params.alphabet_size,
-                        config.inputs.duty_cycle,
-                        config.inputs.symbol_time_s,
-                    ),
-                    ceiling_bps=variant_params.ceiling_bps(),
-                    awgn_bps=awgn_bps,
-                    shadowing_enabled=config.model.enabled,
-                    seed=seed,
-                    iterations=estimate.iterations,
-                    snr_db_bw=10.0 * math.log10(p_r / (config.n_0 * bandwidth)),
-                    snr_db_n0=10.0 * math.log10(p_r / config.n_0),
-                )
+        for v, params in enumerate(variants):
+            for m, config in enumerate(configs):
+                yield cell_row(config, params, estimates[m * len(variants) + v],
+                               awgn_power, spec.axis, value)
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
@@ -223,7 +223,10 @@ def compare_shadowing(
     loss percentage relative to its unshadowed partner. Both rows of a pair
     come from one pass over the point's draws, so they differ only through
     the shadowing stream: with sigma_db = 0 the paired simulated values are
-    identical draw for draw.
+    identical draw for draw. The off model applies no large-scale loss, so
+    a given ``p_t`` is first turned into the receive power after the
+    deterministic path loss: both rows then start from the same receive
+    power, and the loss percentage charges shadowing alone.
     """
     if sigma_db < 0:
         raise ConfigError("sigma_db", "must be nonnegative")
@@ -231,6 +234,9 @@ def compare_shadowing(
     model_on = dataclasses.replace(
         spec.base.model, enabled=True, shadowing_std_db=sigma_db
     )
+    if spec.base.p_t is not None:
+        p_r = spec.base.p_t * deterministic_power_gain(model_on)
+        spec = dataclasses.replace(spec, base=dataclasses.replace(spec.base, p_r=p_r, p_t=None))
     rows: list[SweepRow] = []
     cells = _point_rows(spec, (model_off, model_on), threads)
     for off, on in zip(cells, cells):

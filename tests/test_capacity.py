@@ -10,7 +10,6 @@ from wtfc import (
     awgn_capacity,
     derive_scheme,
     dmc_capacity,
-    ifsk_variant,
 )
 
 
@@ -18,8 +17,8 @@ class TestDmcCapacity:
     def test_noiseless_hits_ceiling_exactly(self):
         expected = math.log2(1024) * (1 / 100) / 101e-6
         assert dmc_capacity(0.0, 1024, 1 / 100, 101e-6) == expected
-        base = derive_scheme(PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1 / 100))
-        for params in (base, ifsk_variant(base)):
+        inputs = PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1 / 100)
+        for params in (derive_scheme(inputs), derive_scheme(inputs, "IFSK")):
             inputs = params.inputs
             capacity = dmc_capacity(
                 0.0, params.alphabet_size, inputs.duty_cycle, inputs.symbol_time_s
@@ -98,8 +97,8 @@ class TestAwgnCapacity:
 
 class TestIfskVariant:
     def test_alphabet_shrinks_to_tone_count(self):
-        base = derive_scheme(PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1 / 100))
-        ifsk = ifsk_variant(base)
+        inputs = PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1 / 100)
+        base, ifsk = derive_scheme(inputs), derive_scheme(inputs, "IFSK")
         assert base.alphabet_size == 270_000
         assert ifsk.alphabet_size == 2700
         assert ifsk.variant == "IFSK"
@@ -109,19 +108,20 @@ class TestIfskVariant:
         assert ifsk.inputs == base.inputs
         assert ifsk.q == base.q and ifsk.delta_f_hz == base.delta_f_hz
 
-    def test_idempotent(self):
-        base = derive_scheme(PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1 / 100))
-        assert ifsk_variant(ifsk_variant(base)) == ifsk_variant(base)
+    def test_unknown_variant_is_rejected(self):
+        inputs = PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1 / 100)
+        with pytest.raises(ValueError, match="'FSK'"):
+            derive_scheme(inputs, "FSK")
 
     def test_full_duty_cycle_collapses_variants(self):
-        base = derive_scheme(PhysicalInputs(100.0, 1.0, 0.0, 0.0, 1.0))
-        ifsk = ifsk_variant(base)
+        inputs = PhysicalInputs(100.0, 1.0, 0.0, 0.0, 1.0)
+        base, ifsk = derive_scheme(inputs), derive_scheme(inputs, "IFSK")
         assert ifsk.alphabet_size == base.alphabet_size == base.tone_count
         assert ifsk.ceiling_bps() == base.ceiling_bps()
 
     def test_fewer_competitors_but_lower_ceiling(self):
-        base = derive_scheme(PhysicalInputs(1e6, 101e-6, 20e-6, 360.0, 1 / 100))
-        ifsk = ifsk_variant(base)
+        inputs = PhysicalInputs(1e6, 101e-6, 20e-6, 360.0, 1 / 100)
+        base, ifsk = derive_scheme(inputs), derive_scheme(inputs, "IFSK")
         mu = 25.0
         pe_wtfc = analytic_pe_no_shadowing(mu, base.noise_slot_count)
         pe_ifsk = analytic_pe_no_shadowing(mu, ifsk.noise_slot_count)

@@ -10,6 +10,7 @@ from wtfc import (
     SweepSpec,
     compare_shadowing,
     derive_scheme,
+    deterministic_power_gain,
     dmc_capacity,
     estimate_pe,
     run_sweep,
@@ -97,6 +98,15 @@ def test_too_small_bandwidth_becomes_skipped_row():
     assert rows[0].seed == _point_seed(123, 0) and rows[0].iterations == 50_000
     assert rows[0].shadowing_enabled is False
     assert rows[1].skipped_reason is None
+
+
+def test_too_small_bandwidth_skips_every_variant_with_one_reason():
+    spec = SweepSpec(base=make_base(), axis="bandwidth", grid=(1e4,),
+                     variants=("WTFC", "IFSK"))
+    rows = run_sweep(spec).rows
+    assert [row.variant for row in rows] == ["WTFC", "IFSK"]
+    assert rows[0].skipped_reason is not None
+    assert rows[1].skipped_reason == rows[0].skipped_reason
 
 
 @pytest.mark.parametrize("key", ["p_r", "p_t", "n_0"])
@@ -228,6 +238,25 @@ def test_compare_shadowing_orders_and_annotates():
         assert on.p_e > off.p_e  # shadowing hurts in this low-error regime
     with pytest.raises(ConfigError, match="sigma_db"):
         compare_shadowing(spec, -1.0)
+
+
+def test_compare_shadowing_given_p_t_equals_given_p_r_after_path_loss():
+    # About 126 dB of deterministic loss: the off row must not get the
+    # whole transmit power while the on row gets the lossy link.
+    model = LargeScaleModel(distance_m=350.0, reference_distance_m=2.0,
+                            wavelength_m=0.05, path_loss_exponent=3.2)
+    p_t = 4e17
+    p_r = p_t * deterministic_power_gain(dataclasses.replace(model, enabled=True))
+
+    def compare(**power):
+        base = make_base(model=model, iterations=20_000, **power)
+        return compare_shadowing(SweepSpec(base=base, axis="duty_cycle", grid=(1e-2, 1e-3)),
+                                 8.0).rows
+
+    by_pt = compare(p_r=None, p_t=p_t)
+    assert by_pt == compare(p_r=p_r)
+    for off, on in zip(by_pt[0::2], by_pt[1::2]):
+        assert off.awgn_bps == on.awgn_bps
 
 
 def test_threads_do_not_change_rows():

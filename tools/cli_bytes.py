@@ -53,7 +53,8 @@ COMPARE = [
 ]
 
 # (name, arguments after ``python -m wtfc.cli``, environment variables).
-# ``capacity --pe`` in CSV writes no file: its header holds the given p_e.
+# ``capacity --pe`` without ``--out`` writes no file; with it, the file's
+# header holds the given p_e.
 CALLS = [
     ("version", ["--version"], {}),
     ("derive-csv", ["derive", *POINT, *PR, *OUT], {}),
@@ -62,6 +63,7 @@ CALLS = [
     ("capacity-pe-ifsk-json",
      ["capacity", *POINT, *PR, "--pe", "0.1", "--variant", "ifsk", "--format", "json", *OUT],
      {}),
+    ("capacity-pe-out", ["capacity", *POINT, *PR, "--pe", "0.1", *OUT], {}),
     ("capacity", ["capacity", *POINT, *PR, *ITERS, *OUT], {}),
     ("capacity-ifsk", ["capacity", *POINT, *PR, *ITERS, "--variant", "ifsk", *OUT], {}),
     ("capacity-json", ["capacity", *POINT, *PR, *ITERS, "--format", "json", *OUT], {}),
@@ -78,6 +80,10 @@ CALLS = [
     ("sweep-skips", [*BANDWIDTH_SWEEP, "--grid", "1e4,1e5", *OUT], {}),
     ("sweep-skips-allowed", [*BANDWIDTH_SWEEP, "--grid", "1e4,1e5", "--allow-skips", *OUT],
      {}),
+    ("sweep-skips-variants", [*BANDWIDTH_SWEEP, "--grid", "1e4,1e5", "--variants", "wtfc,ifsk",
+                              "--allow-skips", *OUT], {}),
+    ("sweep-no-awgn", [*BANDWIDTH_SWEEP, "--grid", "1e6,1e7", "--variants", "wtfc,ifsk",
+                       "--set", "include_awgn=false", *OUT], {}),
     ("compare-threads-2", [*COMPARE, "--sigma-db", "8", "--threads", "2"], {}),
     ("compare-sigma-0-json", [*COMPARE, "--sigma-db", "0", "--format", "json"], {}),
     ("compare-block-hold", [*COMPARE, "--sigma-db", "8", "--set", "shadow_block_len=1000",
