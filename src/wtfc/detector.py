@@ -19,16 +19,27 @@ unchanged when shadowing is toggled on a zero-sigma model.
 The unit of work is a grid point: one ``estimate_pe`` call may carry every
 (model, variant) cell of a point, such as WTFC and I-FSK, or shadowing off
 and on. Each chunk then draws its uniforms once and computes
-E = -ln(1 - u) and ln(v) once; every model turns E into its signal
-statistic (a constant-mean model with one scalar mu, a shadowed one with
-one amplitude draw) and every variant finishes its noise maximum from
-ln(v). Each cell's count equals what a call for that cell alone gives.
+E = -ln(1 - u) and ln(v) at most once per iteration; every model turns E
+into its signal statistic (a constant-mean model with one scalar mu, a
+shadowed one with one amplitude draw) and every variant finishes its noise
+maximum from ln(v). Each cell's count equals what a call for that cell
+alone gives.
+
+Only iterations that can be errors are inverted. The noise maximum rises
+with its uniform v, so the one at a chunk's largest v, padded by a
+relative 1e-6 (``_SLACK``) against the ufuncs' few-ulp error, bounds every
+maximum of the chunk. An iteration whose signal statistic lies above the
+bound is correct for every variant; only the others get ln(v), the noise
+maxima, the comparison and, for a constant mean, E, through the same
+element-wise ufuncs as a pass over every iteration, so each count equals
+that pass's bit for bit.
 
 The chunk kernel is allocation-free: each worker allocates its scratch rows
 (one per distinct noise-slot count of the point, plus two) of
 ``CHUNK_SIZE`` floats once per ``estimate_pe`` call, and every chunk draws
-and transforms in place there. Per chunk only the 1-byte comparison masks
-and, for block shadowing, one amplitude per block are new memory.
+and transforms in place there; gathered candidates fit in one row. Per
+chunk only the 1-byte candidate and comparison masks, the candidates'
+indices and, for block shadowing, one amplitude per block are new memory.
 """
 
 from __future__ import annotations
@@ -58,6 +69,9 @@ __all__ = [
 
 # Natural-log amplitude change per dB of loss: 10^(-L/20) = exp(-L ln10/20).
 _NEPERS_PER_DB = math.log(10.0) / 20.0
+# Relative pad on the chunk's noise bound and on the signal cut derived from
+# it, far above the few-ulp error of the ufuncs that compute either side.
+_SLACK = 1e-6
 
 
 def point_seed(seed: int, axis_index: int) -> int:
@@ -138,6 +152,35 @@ def max_noise_from_uniform(n_noise: int, u):
         return _max_noise_from_log(n_noise, np.log(out, out=out), out)
 
 
+def _noise_maxima(noise_counts: Sequence[int], v: np.ndarray, spare) -> list:
+    """Every noise maximum from the noise uniforms ``v``, in place.
+
+    ``v`` becomes ln(v) and then holds the last maximum; maximum ``k`` of
+    the others goes into ``spare[k]``.
+    """
+    with np.errstate(divide="ignore"):
+        np.log(v, out=v)
+    last = len(noise_counts) - 1
+    return [
+        _max_noise_from_log(n_noise, v, out=v if k == last else spare[k])
+        for k, n_noise in enumerate(noise_counts)
+    ]
+
+
+def _noise_bound(v: np.ndarray, noise_counts: Sequence[int]) -> float:
+    """A number that no noise maximum of a chunk with noise uniforms ``v`` exceeds.
+
+    The largest uniform gives the largest maximum for every noise count.
+    The pad covers the few-ulp error of each computed maximum, which is
+    absolute below 1 and relative above it.
+    """
+    with np.errstate(divide="ignore"):
+        log_top = np.log(v.max(keepdims=True))
+    top = max(float(_max_noise_from_log(n_noise, log_top, out=np.empty(1))[0])
+              for n_noise in noise_counts)
+    return top + _SLACK * max(top, 1.0)
+
+
 def _chunk_error_count(
     chunk_index: int,
     n: int,
@@ -150,45 +193,100 @@ def _chunk_error_count(
 
     A signal is its signal-slot mean: a float when it is the same for every
     iteration, else the (model, signal energy) whose amplitudes the
-    shadowing stream draws. The chunk is seeded by (seed, chunk). Its signal
-    and noise uniforms are drawn once and turned once into E = -ln(1 - u)
-    and ln(v); each signal statistic is then mu * E and each noise maximum
-    is finished from ln(v), the same ufuncs in the same order as a one-cell
-    chunk, so each count equals that chunk's bit for bit. ``scratch`` holds
-    at least ``len(noise_counts) + 2`` rows of at least ``n`` floats; the
-    chunk overwrites the first ``n`` entries of those it uses. Returns counts
+    shadowing stream draws. The chunk is seeded by (seed, chunk); its signal
+    uniforms u and noise uniforms v are drawn once. ``scratch`` holds at
+    least ``len(noise_counts) + 2`` rows of at least ``n`` floats; the chunk
+    overwrites the first ``n`` entries of those it uses. Returns counts
     shaped (signals, noise counts).
+
+    Only iterations that can be errors are inverted, and the counts stay
+    exact:
+
+    - No noise maximum of the chunk exceeds ``bound = _noise_bound(v)``.
+      Each maximum increases with v; the bound is the maximum at the
+      largest v, padded by more than the few-ulp error of any computed one.
+    - So an iteration whose signal statistic x lies above the bound is
+      correct for every noise count: a signal's errors are among its
+      candidates, the iterations with x <= bound.
+    - A shadowed signal's x is formed over the whole chunk, since its
+      amplitudes are drawn there anyway, and compared with the bound.
+    - The constant-mean signals share one set of candidates, the u at or
+      below -expm1(-bound * pad / mu_min) * pad with pad = 1 + ``_SLACK``.
+      E = -ln(1 - u) increases with u and mu * E rounds at most a few ulp
+      above the exact product, so every u whose x can reach the bound
+      passes, and E is computed for candidates only.
+
+    Each group, every shadowed signal in turn and then the constant-mean
+    signals together, runs one sequence: E, ln v, every noise maximum and
+    ``x <= y``. It runs on the group's candidates gathered into the first
+    spare row while no group has needed the whole chunk's noise maxima and
+    the candidates number at most min(n * K // 8, n // (K + 2)) for K noise
+    counts, else on the whole chunk. Every ufunc acts element by element,
+    so a gathered element gets the value it has in place, and counting
+    over any superset of a signal's candidates gives the all-iterations
+    count bit for bit. Ties count as errors (measure zero, pinned for
+    reproducibility).
     """
     shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
         [seed, chunk_index]
     ).spawn(3)
-    e, log_v, *spare = (row[:n] for row in scratch)
-    _unit_exponential(np.random.default_rng(signal_seed).random(n, out=e), out=e)
-    with np.errstate(divide="ignore"):
-        np.log(np.random.default_rng(noise_seed).random(n, out=log_v), out=log_v)
+    scratch_rows = [row[:n] for row in scratch[: len(noise_counts) + 2]]
+    u, v, *spare = scratch_rows
+    np.random.default_rng(signal_seed).random(n, out=u)
+    np.random.default_rng(noise_seed).random(n, out=v)
+    bound = _noise_bound(v, noise_counts)
+    # A gather pays while the candidates number less than about an eighth
+    # of the chunk per noise count, since each count adds a whole-chunk
+    # inversion; and up to n // rows, the gathered rows fit in one row.
+    most = min(n * len(noise_counts) // 8, n // len(scratch_rows))
+    ys = None  # the noise maxima of the whole chunk, once a group needed them
 
-    # Hold every noise maximum, the last in ln(v)'s row; the signal
-    # statistics pass through one work row, the last one through E's.
-    last = len(noise_counts) - 1
-    ys = [
-        _max_noise_from_log(n_noise, log_v, out=log_v if k == last else spare[k])
-        for k, n_noise in enumerate(noise_counts)
-    ]
-    work = spare[last]
-    # Ties count as errors (measure zero, pinned for reproducibility).
+    def group_rows(candidates, source, into):
+        """The E row, work row and noise maxima of a group: its candidates,
+        ``source`` gathered into row ``into``, or else the whole chunk."""
+        nonlocal ys
+        if ys is None and np.count_nonzero(candidates) <= most:
+            index = np.flatnonzero(candidates)
+            shape = (len(scratch_rows), index.size)
+            rows = spare[0][: shape[0] * shape[1]].reshape(shape)
+            # The indices are in range, so "clip" only skips the check that
+            # makes take copy its output; it still copies when ``source``
+            # overlaps the rows.
+            np.take(source, index, out=rows[into], mode="clip")
+            np.take(v, index, out=rows[1], mode="clip")
+            e, v_c, *spare_c = rows
+            return e, spare_c[-1], _noise_maxima(noise_counts, v_c, spare_c)
+        if ys is None:
+            ys = _noise_maxima(noise_counts, v, spare)
+        return u, spare[-1], ys
+
     counts = np.empty((len(signals), len(noise_counts)), dtype=np.int64)
-    for j, signal in enumerate(signals):
-        x = e if j == len(signals) - 1 else work
-        mu = signal
-        if not isinstance(signal, float):
-            model, energy_factor = signal
-            mu = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=work)
-            # mu = (m * m) * energy_factor + 1, evaluated in that order.
-            mu *= mu
-            mu *= energy_factor
-            mu += 1.0
-        np.multiply(mu, e, out=x)
-        counts[j] = [np.count_nonzero(x <= y) for y in ys]
+    constant = [j for j, signal in enumerate(signals) if isinstance(signal, float)]
+    shadowed = [j for j in range(len(signals)) if j not in constant]
+    if constant:
+        pad = 1.0 + _SLACK
+        cut = -math.expm1(-bound * pad / min(signals[j] for j in constant)) * pad
+        constant_candidates = u <= cut
+    if shadowed:
+        _unit_exponential(u, out=u)
+    for j in shadowed:
+        model, energy_factor = signals[j]
+        mu = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=spare[-1])
+        # mu = (m * m) * energy_factor + 1, evaluated in that order.
+        mu *= mu
+        mu *= energy_factor
+        mu += 1.0
+        x = np.multiply(mu, u, out=mu)
+        _, x, group_ys = group_rows(x <= bound, x, -1)
+        counts[j] = [np.count_nonzero(x <= y) for y in group_ys]
+    if constant:
+        e, work, group_ys = group_rows(constant_candidates, u, 0)
+        if not shadowed:
+            # Nothing needed E over the whole chunk: invert the rows used.
+            _unit_exponential(e, out=e)
+        for j in constant:
+            x = np.multiply(signals[j], e, out=work)
+            counts[j] = [np.count_nonzero(x <= y) for y in group_ys]
     return counts
 
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .capacity import awgn_capacity, dmc_capacity
-from .channel import LargeScaleModel, deterministic_power_gain
+from .channel import LargeScaleModel
 from .config import ConfigError, RunConfig
 from .errorlaw import PeEstimate
 from .scheme import VARIANTS, SchemeParams, derive_scheme
@@ -223,20 +223,17 @@ def compare_shadowing(
     loss percentage relative to its unshadowed partner. Both rows of a pair
     come from one pass over the point's draws, so they differ only through
     the shadowing stream: with sigma_db = 0 the paired simulated values are
-    identical draw for draw. The off model applies no large-scale loss, so
-    a given ``p_t`` is first turned into the receive power after the
-    deterministic path loss: both rows then start from the same receive
-    power, and the loss percentage charges shadowing alone.
+    identical draw for draw. The off model is the on model with sigma 0, so
+    both rows keep the same path loss, transmit and receive power, and the
+    loss percentage charges shadowing alone; the off rows still read
+    ``shadowing_enabled`` false.
     """
     if sigma_db < 0:
         raise ConfigError("sigma_db", "must be nonnegative")
-    model_off = dataclasses.replace(spec.base.model, enabled=False)
     model_on = dataclasses.replace(
         spec.base.model, enabled=True, shadowing_std_db=sigma_db
     )
-    if spec.base.p_t is not None:
-        p_r = spec.base.p_t * deterministic_power_gain(model_on)
-        spec = dataclasses.replace(spec, base=dataclasses.replace(spec.base, p_r=p_r, p_t=None))
+    model_off = dataclasses.replace(model_on, shadowing_std_db=0.0)
     rows: list[SweepRow] = []
     cells = _point_rows(spec, (model_off, model_on), threads)
     for off, on in zip(cells, cells):
@@ -244,5 +241,6 @@ def compare_shadowing(
         if off.capacity_bps is not None and on.capacity_bps is not None:
             if off.capacity_bps > 0:
                 loss = 100.0 * (off.capacity_bps - on.capacity_bps) / off.capacity_bps
-        rows += (off, dataclasses.replace(on, capacity_loss_pct=loss))
+        rows += (dataclasses.replace(off, shadowing_enabled=False),
+                 dataclasses.replace(on, capacity_loss_pct=loss))
     return SweepResult(rows=tuple(rows))

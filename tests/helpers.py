@@ -8,10 +8,12 @@ the fast path.
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from wtfc import PhysicalInputs, derive_scheme
+from wtfc import LargeScaleModel, PhysicalInputs, derive_scheme
+from wtfc.detector import _max_noise_from_log, _unit_exponential, draw_m_batch
 
 
 def scheme_with_alphabet(alphabet_size: int):
@@ -83,3 +85,59 @@ def header_to_config_text(line: str) -> str:
     if not line.startswith(prefix):
         raise ValueError("not a config header line")
     return "\n".join(line[len(prefix):].split(" ")) + "\n"
+
+
+# The chunk kernel as it stood before the candidate filter, kept verbatim
+# (under a new name) as the reference its counts must equal bit for bit.
+def reference_chunk_error_count(
+    chunk_index: int,
+    n: int,
+    seed: int,
+    signals: Sequence[float | tuple[LargeScaleModel, float]],
+    noise_counts: Sequence[int],
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """Errors of every (signal, noise count) pair in one chunk of ``n`` iterations.
+
+    A signal is its signal-slot mean: a float when it is the same for every
+    iteration, else the (model, signal energy) whose amplitudes the
+    shadowing stream draws. The chunk is seeded by (seed, chunk). Its signal
+    and noise uniforms are drawn once and turned once into E = -ln(1 - u)
+    and ln(v); each signal statistic is then mu * E and each noise maximum
+    is finished from ln(v), the same ufuncs in the same order as a one-cell
+    chunk, so each count equals that chunk's bit for bit. ``scratch`` holds
+    at least ``len(noise_counts) + 2`` rows of at least ``n`` floats; the
+    chunk overwrites the first ``n`` entries of those it uses. Returns counts
+    shaped (signals, noise counts).
+    """
+    shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
+        [seed, chunk_index]
+    ).spawn(3)
+    e, log_v, *spare = (row[:n] for row in scratch)
+    _unit_exponential(np.random.default_rng(signal_seed).random(n, out=e), out=e)
+    with np.errstate(divide="ignore"):
+        np.log(np.random.default_rng(noise_seed).random(n, out=log_v), out=log_v)
+
+    # Hold every noise maximum, the last in ln(v)'s row; the signal
+    # statistics pass through one work row, the last one through E's.
+    last = len(noise_counts) - 1
+    ys = [
+        _max_noise_from_log(n_noise, log_v, out=log_v if k == last else spare[k])
+        for k, n_noise in enumerate(noise_counts)
+    ]
+    work = spare[last]
+    # Ties count as errors (measure zero, pinned for reproducibility).
+    counts = np.empty((len(signals), len(noise_counts)), dtype=np.int64)
+    for j, signal in enumerate(signals):
+        x = e if j == len(signals) - 1 else work
+        mu = signal
+        if not isinstance(signal, float):
+            model, energy_factor = signal
+            mu = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=work)
+            # mu = (m * m) * energy_factor + 1, evaluated in that order.
+            mu *= mu
+            mu *= energy_factor
+            mu += 1.0
+        np.multiply(mu, e, out=x)
+        counts[j] = [np.count_nonzero(x <= y) for y in ys]
+    return counts

@@ -381,6 +381,91 @@ def test_warm_chunk_allocates_less_than_one_chunk_array(case):
     assert peak < CHUNK_SIZE * 8
 
 
+# Signal-slot means from certain errors (1) to far above every noise
+# maximum of a chunk (1e6), against noise counts from 1 to 1e9.
+_KERNEL_MUS = (1.0, 101.0, 1.01e5, 1e6)
+_KERNEL_NOISE = [1, 2, 2699, 269_999, 10**9]
+_BLOCKS = dataclasses.replace(_PIN_SHADOWED, block_len=1000)
+
+
+def _kernel_signals(cells, mu):
+    return {
+        "constant": [mu, 3.0 * mu],
+        "shadowed": [(_PIN_SHADOWED, mu)],
+        "blocks": [(_BLOCKS, mu)],
+        "mixed": [mu, (_PIN_SHADOWED, mu), 3.0 * mu, (_BLOCKS, mu)],
+    }[cells]
+
+
+def _assert_kernel_matches_reference(signals, noise_counts, n, chunks, seed=11):
+    scratch = np.empty((len(noise_counts) + 2, n))
+    reference = np.empty_like(scratch)
+    for chunk in chunks:
+        got = _chunk_error_count(chunk, n, seed, signals, noise_counts, scratch)
+        want = helpers.reference_chunk_error_count(chunk, n, seed, signals, noise_counts,
+                                                   reference)
+        assert np.array_equal(got, want), chunk
+
+
+@pytest.mark.parametrize("n", [CHUNK_SIZE, 37])
+@pytest.mark.parametrize("mu", _KERNEL_MUS)
+@pytest.mark.parametrize("cells", ["constant", "shadowed", "blocks", "mixed"])
+def test_chunk_counts_equal_the_all_iterations_kernel(cells, mu, n):
+    chunks = range(20 if n < CHUNK_SIZE else 5)
+    _assert_kernel_matches_reference(_kernel_signals(cells, mu), _KERNEL_NOISE, n, chunks)
+
+
+def test_chunk_counts_equal_on_both_sides_of_the_gather_switch(monkeypatch):
+    # Near mu = 150 with 2699 noise slots the candidates' share of a chunk
+    # straddles the switch, an eighth for one noise count: some chunks
+    # gather their candidates, the rest run whole.
+    gathers = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: gathers.append(a.size) or flatnonzero(a))
+    _assert_kernel_matches_reference([150.0], [2699], CHUNK_SIZE, range(20), seed=7)
+    assert 0 < len(gathers) < 20
+
+
+class _FixedUniforms:
+    """A generator whose ``random`` returns given uniforms; normals stay drawn."""
+
+    def __init__(self, rng, uniforms):
+        self._rng, self._uniforms = rng, uniforms
+
+    def random(self, n, out):
+        if self._uniforms is None:
+            return self._rng.random(n, out=out)
+        out[:] = self._uniforms[:n]
+        return out
+
+    def standard_normal(self, n, out):
+        return self._rng.standard_normal(n, out=out)
+
+
+@pytest.mark.parametrize("noise", ["edges", "zero"])
+def test_edge_uniforms_count_as_in_the_all_iterations_kernel(monkeypatch, noise):
+    # u = 0 gives x = 0, a tie with every noise maximum, which counts as an
+    # error. v = 0 gives the maximum 0; v = nextafter(1, 0) the largest one.
+    n = 1000
+    rng = np.random.default_rng(5)
+    u, v = rng.random(n), rng.random(n)
+    u[::10] = 0.0
+    if noise == "zero":
+        v[:] = 0.0
+    else:
+        v[1], v[2] = 0.0, np.nextafter(1.0, 0.0)
+    default_rng = np.random.default_rng
+    # The chunk's three streams are its seed's spawns 0 (shadowing), 1 (u), 2 (v).
+    monkeypatch.setattr(np.random, "default_rng", lambda seq: _FixedUniforms(
+        default_rng(seq), {1: u, 2: v}.get(seq.spawn_key[-1])))
+    signals, noise_counts = [1e6, (_PIN_SHADOWED, 1e6)], [1, 10**9]
+    _assert_kernel_matches_reference(signals, noise_counts, n, [0])
+    counts = _chunk_error_count(0, n, 11, signals, noise_counts, np.empty((4, n)))
+    assert (counts >= n // 10).all()
+    if noise == "zero":
+        assert (counts == n // 10).all()
+
+
 @pytest.mark.parametrize("iterations", [250_000, 37])
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_every_cell_of_a_shared_pass_equals_its_one_cell_call(iterations, threads):

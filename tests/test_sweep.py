@@ -259,6 +259,20 @@ def test_compare_shadowing_given_p_t_equals_given_p_r_after_path_loss():
         assert off.awgn_bps == on.awgn_bps
 
 
+@pytest.mark.parametrize("power", [{"p_r": None, "p_t": 4e17}, {"p_r": 1e5}])
+def test_compare_shadowing_transmit_power_baseline_is_shared_by_off_and_on(power):
+    # With awgn_power=pt both rows of a pair compare against the Shannon
+    # rate at the one transmit power, path loss or not.
+    model = LargeScaleModel(distance_m=350.0, reference_distance_m=2.0,
+                            wavelength_m=0.05, path_loss_exponent=3.2)
+    base = make_base(model=model, iterations=20_000, **power)
+    spec = SweepSpec(base=base, axis="duty_cycle", grid=(1e-2, 1e-3), awgn_power="pt")
+    rows = compare_shadowing(spec, 8.0).rows
+    for off, on in zip(rows[0::2], rows[1::2]):
+        assert (off.shadowing_enabled, on.shadowing_enabled) == (False, True)
+        assert off.awgn_bps == on.awgn_bps
+
+
 def test_threads_do_not_change_rows():
     spec = SweepSpec(base=make_base(iterations=250_000), axis="bandwidth", grid=(1e6, 1e7))
     assert run_sweep(spec, threads=1).rows == run_sweep(spec, threads=4).rows

@@ -51,6 +51,13 @@ COMPARE = [
     "compare-shadowing", *POINT, "--set", "p_r=1e5", *ITERS,
     "--axis", "duty_cycle", "--grid", "1e-2,1e-3", *OUT,
 ]
+# Low duty cycles, where few iterations of a chunk can be errors: two full
+# chunks and a half one, so the last chunk is short.
+LOW_DUTY = ["--iters", "250000", "--seed", "3", "--axis", "duty_cycle", "--grid", "1e-4,1e-5"]
+COMPARE_PATH_LOSS = [
+    "compare-shadowing", *POINT, "--set", "p_t=4e17", *ITERS,
+    "--axis", "duty_cycle", "--grid", "1e-2,1e-3", *PATH_LOSS, "--sigma-db", "8", *OUT,
+]
 
 # (name, arguments after ``python -m wtfc.cli``, environment variables).
 # ``capacity --pe`` without ``--out`` writes no file; with it, the file's
@@ -98,9 +105,12 @@ CALLS = [
     ("missing-sigma-db", COMPARE, {}),
     ("derive-path-loss", ["derive", *POINT, *PR, *CONSTANT_LOSS, *OUT], {}),
     ("pe-path-loss", ["pe", *POINT, "--set", "p_t=4e16", *ITERS, *CONSTANT_LOSS, *OUT], {}),
-    ("compare-path-loss", ["compare-shadowing", *POINT, "--set", "p_t=4e17", *ITERS,
-                           "--axis", "duty_cycle", "--grid", "1e-2,1e-3", *PATH_LOSS,
-                           "--sigma-db", "8", *OUT], {}),
+    ("compare-path-loss", COMPARE_PATH_LOSS, {}),
+    ("compare-path-loss-pt", [*COMPARE_PATH_LOSS, "--set", "awgn_power=pt"], {}),
+    ("sweep-low-duty", ["sweep", *POINT, *PR, *LOW_DUTY, "--variants", "wtfc,ifsk", *OUT], {}),
+    ("compare-low-duty-blocks", ["compare-shadowing", *POINT, "--set", "p_r=1e5", *LOW_DUTY,
+                                 "--sigma-db", "8", "--threads", "2",
+                                 "--set", "shadow_block_len=1000", *OUT], {}),
 ]
 
 
