@@ -18,12 +18,12 @@ unchanged when shadowing is toggled on a zero-sigma model.
 
 The unit of work is a grid point: one ``estimate_pe`` call may carry every
 (model, variant) cell of a point, such as WTFC and I-FSK, or shadowing off
-and on. Each chunk then draws its uniforms once and computes
-E = -ln(1 - u) and ln(v) at most once per iteration; every model turns E
-into its signal statistic (a constant-mean model with one scalar mu, a
-shadowed one with one amplitude draw) and every variant finishes its noise
-maximum from ln(v). Each cell's count equals what a call for that cell
-alone gives.
+and on, all at the point's one transmit power. Each chunk then draws its
+uniforms once and computes E = -ln(1 - u) and ln(v) at most once per
+iteration; every model turns E into its signal statistic (a constant-mean
+model with one scalar mu, a shadowed one with one amplitude draw) and every
+variant finishes its noise maximum from ln(v). Each cell's count equals
+what a call for that cell alone gives.
 
 Only iterations that can be errors are inverted. The noise maximum rises
 with its uniform v, so the one at a chunk's largest v, padded by a
@@ -45,7 +45,6 @@ indices and, for block shadowing, one amplitude per block are new memory.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
@@ -167,17 +166,15 @@ def _noise_maxima(noise_counts: Sequence[int], v: np.ndarray, spare) -> list:
     ]
 
 
-def _noise_bound(v: np.ndarray, noise_counts: Sequence[int]) -> float:
+def _noise_bound(v: np.ndarray, n_noise: int) -> float:
     """A number that no noise maximum of a chunk with noise uniforms ``v`` exceeds.
 
-    The largest uniform gives the largest maximum for every noise count.
-    The pad covers the few-ulp error of each computed maximum, which is
+    The maximum rises with its uniform and with the noise count, so the one
+    at the largest uniform and the largest count ``n_noise`` bounds them
+    all. The pad covers the few-ulp error of each computed maximum, which is
     absolute below 1 and relative above it.
     """
-    with np.errstate(divide="ignore"):
-        log_top = np.log(v.max(keepdims=True))
-    top = max(float(_max_noise_from_log(n_noise, log_top, out=np.empty(1))[0])
-              for n_noise in noise_counts)
+    top = float(max_noise_from_uniform(n_noise, v.max()))
     return top + _SLACK * max(top, 1.0)
 
 
@@ -203,8 +200,9 @@ def _chunk_error_count(
     exact:
 
     - No noise maximum of the chunk exceeds ``bound = _noise_bound(v)``.
-      Each maximum increases with v; the bound is the maximum at the
-      largest v, padded by more than the few-ulp error of any computed one.
+      Each maximum increases with v and with the noise count; the bound is
+      the maximum at the largest v and count, padded by more than the
+      few-ulp error of any computed one.
     - So an iteration whose signal statistic x lies above the bound is
       correct for every noise count: a signal's errors are among its
       candidates, the iterations with x <= bound.
@@ -234,7 +232,7 @@ def _chunk_error_count(
     u, v, *spare = scratch_rows
     np.random.default_rng(signal_seed).random(n, out=u)
     np.random.default_rng(noise_seed).random(n, out=v)
-    bound = _noise_bound(v, noise_counts)
+    bound = _noise_bound(v, max(noise_counts))
     # A gather pays while the candidates number less than about an eighth
     # of the chunk per noise count, since each count adds a whole-chunk
     # inversion; and up to n // rows, the gathered rows fit in one row.
@@ -293,7 +291,7 @@ def _chunk_error_count(
 def estimate_pe(
     params: SchemeParams | Sequence[SchemeParams],
     model: LargeScaleModel | Sequence[LargeScaleModel],
-    transmit_power: float | Sequence[float],
+    transmit_power: float,
     noise_density: float,
     iterations: int,
     seed: int,
@@ -307,10 +305,10 @@ def estimate_pe(
     statistics, count an error when the signal does not win. Deterministic
     for fixed (seed, iterations); ``threads`` only changes wall time.
 
-    ``params`` and ``model`` may each be a sequence, with ``transmit_power``
-    then a number or one per model: the call estimates every (model,
-    params) cell of one grid point from one pass over the draws and returns
-    their estimates in model-major order, each equal to the one-cell call.
+    ``params`` and ``model`` may each be a sequence: the call estimates
+    every (model, params) cell of one grid point, all at the one
+    ``transmit_power``, from one pass over the draws and returns their
+    estimates in model-major order, each equal to the one-cell call.
 
     ``hold_mean_rx_power`` rescales transmit power so the mean received
     power under shadowing matches the shadowing-free value; the default
@@ -321,14 +319,8 @@ def estimate_pe(
     one_cell = isinstance(params, SchemeParams) and isinstance(model, LargeScaleModel)
     variants = (params,) if isinstance(params, SchemeParams) else tuple(params)
     models = (model,) if isinstance(model, LargeScaleModel) else tuple(model)
-    if isinstance(transmit_power, numbers.Real):
-        powers = (transmit_power,) * len(models)
-    else:
-        powers = tuple(transmit_power)
     if not variants or not models:
         raise ValueError("params and model must each name at least one cell")
-    if len(powers) != len(models):
-        raise ValueError("transmit_power must be one number or one per model")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if seed < 0:
@@ -348,7 +340,8 @@ def estimate_pe(
     signals: dict = {}
     noise_counts: dict = {}
     cells = []
-    for m, p_t in zip(models, powers):
+    for m in models:
+        p_t = transmit_power
         if hold_mean_rx_power:
             p_t /= shadowing_mean_power_gain(m)
         amplitude = constant_amplitude(m)

@@ -8,13 +8,13 @@ regardless of thread count or execution order.
 
 ``run_sweep`` and ``compare_shadowing`` share one per-point loop. It makes
 one ``estimate_pe`` call per grid point for all of the point's cells (every
-variant, and for a comparison the shadowing-off and -on models), so they
-share one pass over the point's draws; each row still equals the estimate
-of its cell alone.
+variant, and for a comparison the shadowing-off and -on models), at the
+point's one transmit power, so they share one pass over the point's draws;
+each row still equals the estimate of its cell alone.
 
-This module imports the standard library alone. Its ``estimate_pe`` and
-``_point_seed`` import the sampler, ``wtfc.detector``, and with it numpy,
-on their first call, so a command that never samples never loads numpy.
+This module imports the standard library alone. Its ``estimate_pe`` and the
+per-point loop import the sampler, ``wtfc.detector``, and with it numpy,
+when they start, so a command that never samples never loads numpy.
 """
 
 from __future__ import annotations
@@ -32,7 +32,15 @@ from .scheme import VARIANTS, SchemeParams, derive_scheme
 __all__ = ["AXES", "SweepSpec", "SweepRow", "SweepResult", "cell_row", "run_sweep",
            "compare_shadowing"]
 
-AXES = ("snr_db", "duty_cycle", "symbol_time", "bandwidth", "doppler_spread")
+# Each axis and the ``PhysicalInputs`` field its grid value replaces; an
+# ``snr_db`` value sets the receive power instead.
+AXES = {
+    "snr_db": None,
+    "duty_cycle": "duty_cycle",
+    "symbol_time": "symbol_time_s",
+    "bandwidth": "bandwidth_hz",
+    "doppler_spread": "doppler_spread_hz",
+}
 
 
 @dataclass(frozen=True)
@@ -120,16 +128,10 @@ def estimate_pe(*args, **kwargs):
     return detector.estimate_pe(*args, **kwargs)
 
 
-def _point_seed(seed: int, axis_index: int) -> int:
-    """``wtfc.detector.point_seed``, with the sampler imported on first use."""
-    from . import detector
-
-    return detector.point_seed(seed, axis_index)
-
-
 def _point_config(base: RunConfig, axis: str, value: float) -> RunConfig:
     """Base configuration with one axis value applied."""
-    if axis == "snr_db":
+    field = AXES[axis]
+    if field is None:
         # Grid value is 10 log10(P_r / (N_0 B)); N_0 stays fixed. A power
         # past the float range is an infinite p_r, which RunConfig rejects.
         try:
@@ -137,12 +139,6 @@ def _point_config(base: RunConfig, axis: str, value: float) -> RunConfig:
         except OverflowError:
             p_r = math.inf
         return dataclasses.replace(base, p_r=p_r, p_t=None)
-    field = {
-        "duty_cycle": "duty_cycle",
-        "symbol_time": "symbol_time_s",
-        "bandwidth": "bandwidth_hz",
-        "doppler_spread": "doppler_spread_hz",
-    }[axis]
     inputs = dataclasses.replace(base.inputs, **{field: value})
     return dataclasses.replace(base, inputs=inputs)
 
@@ -176,27 +172,30 @@ def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: i
     """Every cell's row, in grid, variant, then model order.
 
     All (model, variant) cells of a point come from one ``estimate_pe``
-    call on the point's seed, so they share one pass over the draws. Grid
-    points that fail scheme validation become explicit skipped rows rather
-    than silently vanishing from the output.
+    call on the point's seed and transmit power, so they share one pass
+    over the draws. Each row takes its path loss, powers and
+    ``shadowing_enabled`` from the point, the base configuration with the
+    grid value applied. Grid points that fail scheme validation become
+    explicit skipped rows rather than silently vanishing from the output.
     """
+    from .detector import point_seed
+
     awgn_power = spec.awgn_power if spec.include_awgn else None
     for index, value in enumerate(spec.grid):
-        seed = _point_seed(spec.base.seed, index)
+        seed = point_seed(spec.base.seed, index)
         try:
             point = _point_config(spec.base, spec.axis, value)
             variants = tuple(derive_scheme(point.inputs, v) for v in spec.variants)
         except (ValueError, ZeroDivisionError) as exc:
             for variant in spec.variants:
-                for model in models:
-                    yield SweepRow(spec.axis, value, variant, model.enabled, seed,
+                for _ in models:
+                    yield SweepRow(spec.axis, value, variant, spec.base.model.enabled, seed,
                                    spec.base.iterations, skipped_reason=str(exc))
             continue
-        configs = [dataclasses.replace(point, model=model) for model in models]
         estimates = estimate_pe(
             variants,
             models,
-            tuple(config.resolved_p_t() for config in configs),
+            point.resolved_p_t(),
             point.n_0,
             point.iterations,
             seed,
@@ -204,9 +203,8 @@ def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: i
             hold_mean_rx_power=point.hold_mean_rx_power,
         )
         for v, params in enumerate(variants):
-            for m, config in enumerate(configs):
-                yield cell_row(config, params, estimates[m * len(variants) + v],
-                               awgn_power, spec.axis, value)
+            for estimate in estimates[v::len(variants)]:
+                yield cell_row(point, params, estimate, awgn_power, spec.axis, value)
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
@@ -223,10 +221,11 @@ def compare_shadowing(
     loss percentage relative to its unshadowed partner. Both rows of a pair
     come from one pass over the point's draws, so they differ only through
     the shadowing stream: with sigma_db = 0 the paired simulated values are
-    identical draw for draw. The off model is the on model with sigma 0, so
-    both rows keep the same path loss, transmit and receive power, and the
-    loss percentage charges shadowing alone; the off rows still read
-    ``shadowing_enabled`` false.
+    identical draw for draw. The per-point loop runs on a spec whose base
+    model is the on model, and the off model is the on model with sigma 0,
+    so both rows keep the on model's path loss, transmit and receive power,
+    and the loss percentage charges shadowing alone; the off rows still
+    read ``shadowing_enabled`` false.
     """
     if sigma_db < 0:
         raise ConfigError("sigma_db", "must be nonnegative")
@@ -234,8 +233,9 @@ def compare_shadowing(
         spec.base.model, enabled=True, shadowing_std_db=sigma_db
     )
     model_off = dataclasses.replace(model_on, shadowing_std_db=0.0)
+    spec_on = dataclasses.replace(spec, base=dataclasses.replace(spec.base, model=model_on))
     rows: list[SweepRow] = []
-    cells = _point_rows(spec, (model_off, model_on), threads)
+    cells = _point_rows(spec_on, (model_off, model_on), threads)
     for off, on in zip(cells, cells):
         loss = None
         if off.capacity_bps is not None and on.capacity_bps is not None:

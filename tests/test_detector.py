@@ -22,6 +22,7 @@ from wtfc.detector import (
     CHUNK_SIZE,
     _chunk_error_count,
     _max_noise_from_log,
+    _noise_bound,
     _unit_exponential,
     max_noise_from_uniform,
     signal_power_from_uniform,
@@ -466,6 +467,29 @@ def test_edge_uniforms_count_as_in_the_all_iterations_kernel(monkeypatch, noise)
         assert (counts == n // 10).all()
 
 
+def _noise_uniforms(case):
+    v = np.random.default_rng(13).random(1000)
+    if case == "zeros":
+        v[:] = 0.0
+    elif case == "near one":
+        v[3] = np.nextafter(1.0, 0.0)
+    elif case == "subnormal":
+        v[:] = 0.0
+        v[::7] = 5e-324
+    return v
+
+
+@pytest.mark.parametrize("uniforms", ["zeros", "random", "near one", "subnormal"])
+@pytest.mark.parametrize("noise_counts", [[1], [2699, 269_999], [1, 10**9]])
+def test_noise_bound_at_the_largest_count_covers_every_count(noise_counts, uniforms):
+    # The kernel computes one bound, at the largest noise count; no noise
+    # maximum of any count may exceed it.
+    v = _noise_uniforms(uniforms)
+    bound = _noise_bound(v, max(noise_counts))
+    for n_noise in noise_counts:
+        assert bound >= max_noise_from_uniform(n_noise, v).max(), n_noise
+
+
 @pytest.mark.parametrize("iterations", [250_000, 37])
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_every_cell_of_a_shared_pass_equals_its_one_cell_call(iterations, threads):
@@ -501,18 +525,6 @@ def test_every_cell_of_a_shared_pass_equals_its_one_cell_call(iterations, thread
                         threads=threads, hold_mean_rx_power=hold)
             for params in variants
         ), (hold, iterations, threads)
-
-
-def test_per_model_transmit_power_matches_one_cell_calls():
-    params = helpers.scheme_with_alphabet(16)
-    models = (NO_FADING, _PIN_SHADOWED)
-    shared = estimate_pe(params, models, (100.0, 40.0), 1.0, 150_000, seed=8)
-    assert shared == (
-        estimate_pe(params, NO_FADING, 100.0, 1.0, 150_000, seed=8),
-        estimate_pe(params, _PIN_SHADOWED, 40.0, 1.0, 150_000, seed=8),
-    )
-    with pytest.raises(ValueError, match="transmit_power"):
-        estimate_pe(params, models, (100.0,), 1.0, 10, seed=0)
 
 
 @pytest.mark.parametrize("threads", [0, -3])

@@ -15,7 +15,7 @@ from wtfc import (
     estimate_pe,
     run_sweep,
 )
-from wtfc.sweep import _point_seed
+from wtfc.detector import point_seed
 
 BASE_INPUTS = PhysicalInputs(100e6, 101e-6, 20e-6, 360.0, 1 / 100)
 
@@ -42,7 +42,7 @@ def test_single_point_grid_matches_direct_calls():
     inputs = dataclasses.replace(BASE_INPUTS, bandwidth_hz=1e6)
     params = derive_scheme(inputs)
     est = estimate_pe(
-        params, base.model, base.p_r, 1.0, 50_000, _point_seed(123, 0)
+        params, base.model, base.p_r, 1.0, 50_000, point_seed(123, 0)
     )
     assert row.p_e == est.p_e
     assert row.ci_half_width_95 == est.half_width_95
@@ -95,7 +95,7 @@ def test_too_small_bandwidth_becomes_skipped_row():
     assert "bandwidth" in rows[0].skipped_reason
     result_fields = ("p_e", "ci_half_width_95", "capacity_bps", "ceiling_bps", "awgn_bps")
     assert [getattr(rows[0], name) for name in result_fields] == [None] * 5
-    assert rows[0].seed == _point_seed(123, 0) and rows[0].iterations == 50_000
+    assert rows[0].seed == point_seed(123, 0) and rows[0].iterations == 50_000
     assert rows[0].shadowing_enabled is False
     assert rows[1].skipped_reason is None
 

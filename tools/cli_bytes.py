@@ -54,10 +54,21 @@ COMPARE = [
 # Low duty cycles, where few iterations of a chunk can be errors: two full
 # chunks and a half one, so the last chunk is short.
 LOW_DUTY = ["--iters", "250000", "--seed", "3", "--axis", "duty_cycle", "--grid", "1e-4,1e-5"]
-COMPARE_PATH_LOSS = [
-    "compare-shadowing", *POINT, "--set", "p_t=4e17", *ITERS,
-    "--axis", "duty_cycle", "--grid", "1e-2,1e-3", *PATH_LOSS, "--sigma-db", "8", *OUT,
-]
+
+
+def compare_path_loss(power: str) -> list[str]:
+    """compare-shadowing over the ``PATH_LOSS`` geometry at one given power.
+
+    The base has shadowing off, so at a given p_r the transmit power of
+    both rows of a pair comes from the on model's path loss.
+    """
+    return [
+        "compare-shadowing", *POINT, "--set", power, *ITERS,
+        "--axis", "duty_cycle", "--grid", "1e-2,1e-3", *PATH_LOSS, "--sigma-db", "8", *OUT,
+    ]
+
+
+COMPARE_PATH_LOSS = compare_path_loss("p_t=4e17")
 
 # (name, arguments after ``python -m wtfc.cli``, environment variables).
 # ``capacity --pe`` without ``--out`` writes no file; with it, the file's
@@ -107,6 +118,7 @@ CALLS = [
     ("pe-path-loss", ["pe", *POINT, "--set", "p_t=4e16", *ITERS, *CONSTANT_LOSS, *OUT], {}),
     ("compare-path-loss", COMPARE_PATH_LOSS, {}),
     ("compare-path-loss-pt", [*COMPARE_PATH_LOSS, "--set", "awgn_power=pt"], {}),
+    ("compare-path-loss-pr", [*compare_path_loss("p_r=1e5"), "--set", "awgn_power=pt"], {}),
     ("sweep-low-duty", ["sweep", *POINT, *PR, *LOW_DUTY, "--variants", "wtfc,ifsk", *OUT], {}),
     ("compare-low-duty-blocks", ["compare-shadowing", *POINT, "--set", "p_r=1e5", *LOW_DUTY,
                                  "--sigma-db", "8", "--threads", "2",
