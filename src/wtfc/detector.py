@@ -18,28 +18,27 @@ unchanged when shadowing is toggled on a zero-sigma model.
 
 The unit of work is a grid point: one ``estimate_pe`` call may carry every
 (model, variant) cell of a point, such as WTFC and I-FSK, or shadowing off
-and on, all at the point's one transmit power. Each chunk then draws its
+and on, all at the point's one transmit power. Each chunk draws its
 uniforms once and computes E = -ln(1 - u) and ln(v) at most once per
-iteration; every model turns E into its signal statistic (a constant-mean
-model with one scalar mu, a shadowed one with one amplitude draw) and every
-variant finishes its noise maximum from ln(v). Each cell's count equals
-what a call for that cell alone gives.
+iteration; every model turns E into its signal statistic (one scalar mu,
+or one amplitude draw when shadowed) and every variant finishes its noise
+maximum from ln(v), so each cell's count equals its one-cell call's.
 
 Only iterations that can be errors are inverted. The noise maximum rises
 with its uniform v, so the one at a chunk's largest v, padded by a
 relative 1e-6 (``_SLACK``) against the ufuncs' few-ulp error, bounds every
-maximum of the chunk. An iteration whose signal statistic lies above the
-bound is correct for every variant; only the others get ln(v), the noise
-maxima, the comparison and, for a constant mean, E, through the same
-element-wise ufuncs as a pass over every iteration, so each count equals
-that pass's bit for bit.
+maximum of the chunk, and an iteration whose signal statistic lies above
+the bound is correct for every cell. Each chunk gathers the candidates of
+all its cells once, when they are few, and computes E, the noise maxima
+and every comparison on them through the same element-wise ufuncs as a
+pass over every iteration, so each count equals that pass's bit for bit.
 
-The chunk kernel is allocation-free: each worker allocates its scratch rows
-(one per distinct noise-slot count of the point, plus two) of
-``CHUNK_SIZE`` floats once per ``estimate_pe`` call, and every chunk draws
-and transforms in place there; gathered candidates fit in one row. Per
-chunk only the 1-byte candidate and comparison masks, the candidates'
-indices and, for block shadowing, one amplitude per block are new memory.
+The chunk kernel is allocation-free: each worker allocates its scratch
+rows of ``CHUNK_SIZE`` floats once per ``estimate_pe`` call, as many as
+``_scratch_rows`` asks, and every chunk draws, gathers and transforms in
+place there. Per chunk only the 1-byte candidate and comparison masks,
+the candidates' indices and, for block shadowing, one amplitude per block
+are new memory.
 """
 
 from __future__ import annotations
@@ -151,21 +150,6 @@ def max_noise_from_uniform(n_noise: int, u):
         return _max_noise_from_log(n_noise, np.log(out, out=out), out)
 
 
-def _noise_maxima(noise_counts: Sequence[int], v: np.ndarray, spare) -> list:
-    """Every noise maximum from the noise uniforms ``v``, in place.
-
-    ``v`` becomes ln(v) and then holds the last maximum; maximum ``k`` of
-    the others goes into ``spare[k]``.
-    """
-    with np.errstate(divide="ignore"):
-        np.log(v, out=v)
-    last = len(noise_counts) - 1
-    return [
-        _max_noise_from_log(n_noise, v, out=v if k == last else spare[k])
-        for k, n_noise in enumerate(noise_counts)
-    ]
-
-
 def _noise_bound(v: np.ndarray, n_noise: int) -> float:
     """A number that no noise maximum of a chunk with noise uniforms ``v`` exceeds.
 
@@ -176,6 +160,13 @@ def _noise_bound(v: np.ndarray, n_noise: int) -> float:
     """
     top = float(max_noise_from_uniform(n_noise, v.max()))
     return top + _SLACK * max(top, 1.0)
+
+
+def _scratch_rows(signals: Sequence, noise_counts: Sequence[int]) -> int:
+    """Rows of scratch the chunk kernel needs: one for u, one per noise
+    count, and one per shadowed signal for its x, or one work row if none."""
+    shadowed = sum(not isinstance(signal, float) for signal in signals)
+    return 1 + len(noise_counts) + max(1, shadowed)
 
 
 def _chunk_error_count(
@@ -192,9 +183,9 @@ def _chunk_error_count(
     iteration, else the (model, signal energy) whose amplitudes the
     shadowing stream draws. The chunk is seeded by (seed, chunk); its signal
     uniforms u and noise uniforms v are drawn once. ``scratch`` holds at
-    least ``len(noise_counts) + 2`` rows of at least ``n`` floats; the chunk
-    overwrites the first ``n`` entries of those it uses. Returns counts
-    shaped (signals, noise counts).
+    least ``_scratch_rows(signals, noise_counts)`` rows of at least ``n``
+    floats, else ``ValueError``; the chunk overwrites the first ``n``
+    entries of those it uses. Returns counts shaped (signals, noise counts).
 
     Only iterations that can be errors are inverted, and the counts stay
     exact:
@@ -214,77 +205,83 @@ def _chunk_error_count(
       above the exact product, so every u whose x can reach the bound
       passes, and E is computed for candidates only.
 
-    Each group, every shadowed signal in turn and then the constant-mean
-    signals together, runs one sequence: E, ln v, every noise maximum and
-    ``x <= y``. It runs on the group's candidates gathered into the first
-    spare row while no group has needed the whole chunk's noise maxima and
-    the candidates number at most min(n * K // 8, n // (K + 2)) for K noise
-    counts, else on the whole chunk. Every ufunc acts element by element,
-    so a gathered element gets the value it has in place, and counting
-    over any superset of a signal's candidates gives the all-iterations
-    count bit for bit. Ties count as errors (measure zero, pinned for
-    reproducibility).
+    The chunk's candidates are every signal's together. When at most
+    n * K // 8 for K noise counts, u (or E), v and each shadowed x are
+    gathered through one index array, else the whole chunk runs; then E
+    where still needed, ln v and the K noise maxima are computed once and
+    every pair counts x <= y. Every ufunc acts element by element, so a
+    gathered element gets the value it has in place, and counting over any
+    superset of a signal's candidates gives the all-iterations count bit
+    for bit. Ties count as errors (measure zero, pinned for reproducibility).
     """
+    rows = _scratch_rows(signals, noise_counts)
+    if len(scratch) < rows:
+        raise ValueError(f"scratch has {len(scratch)} rows; the chunk needs {rows}")
     shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
         [seed, chunk_index]
     ).spawn(3)
-    scratch_rows = [row[:n] for row in scratch[: len(noise_counts) + 2]]
-    u, v, *spare = scratch_rows
+    u, v, *free = (row[:n] for row in scratch[:rows])
     np.random.default_rng(signal_seed).random(n, out=u)
     np.random.default_rng(noise_seed).random(n, out=v)
     bound = _noise_bound(v, max(noise_counts))
-    # A gather pays while the candidates number less than about an eighth
-    # of the chunk per noise count, since each count adds a whole-chunk
-    # inversion; and up to n // rows, the gathered rows fit in one row.
-    most = min(n * len(noise_counts) // 8, n // len(scratch_rows))
-    ys = None  # the noise maxima of the whole chunk, once a group needed them
 
-    def group_rows(candidates, source, into):
-        """The E row, work row and noise maxima of a group: its candidates,
-        ``source`` gathered into row ``into``, or else the whole chunk."""
-        nonlocal ys
-        if ys is None and np.count_nonzero(candidates) <= most:
-            index = np.flatnonzero(candidates)
-            shape = (len(scratch_rows), index.size)
-            rows = spare[0][: shape[0] * shape[1]].reshape(shape)
-            # The indices are in range, so "clip" only skips the check that
-            # makes take copy its output; it still copies when ``source``
-            # overlaps the rows.
-            np.take(source, index, out=rows[into], mode="clip")
-            np.take(v, index, out=rows[1], mode="clip")
-            e, v_c, *spare_c = rows
-            return e, spare_c[-1], _noise_maxima(noise_counts, v_c, spare_c)
-        if ys is None:
-            ys = _noise_maxima(noise_counts, v, spare)
-        return u, spare[-1], ys
-
-    counts = np.empty((len(signals), len(noise_counts)), dtype=np.int64)
     constant = [j for j, signal in enumerate(signals) if isinstance(signal, float)]
     shadowed = [j for j in range(len(signals)) if j not in constant]
+    candidates = None
     if constant:
         pad = 1.0 + _SLACK
         cut = -math.expm1(-bound * pad / min(signals[j] for j in constant)) * pad
-        constant_candidates = u <= cut
+        candidates = u <= cut
     if shadowed:
         _unit_exponential(u, out=u)
+    xs = []
     for j in shadowed:
         model, energy_factor = signals[j]
-        mu = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=spare[-1])
+        mu = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=free.pop())
         # mu = (m * m) * energy_factor + 1, evaluated in that order.
         mu *= mu
         mu *= energy_factor
         mu += 1.0
-        x = np.multiply(mu, u, out=mu)
-        _, x, group_ys = group_rows(x <= bound, x, -1)
-        counts[j] = [np.count_nonzero(x <= y) for y in group_ys]
-    if constant:
-        e, work, group_ys = group_rows(constant_candidates, u, 0)
-        if not shadowed:
-            # Nothing needed E over the whole chunk: invert the rows used.
-            _unit_exponential(e, out=e)
-        for j in constant:
-            x = np.multiply(signals[j], e, out=work)
-            counts[j] = [np.count_nonzero(x <= y) for y in group_ys]
+        xs.append(np.multiply(mu, u, out=mu))
+        if candidates is None:
+            candidates = xs[-1] <= bound
+        else:
+            candidates |= xs[-1] <= bound
+
+    # A gather pays below about an eighth of the chunk per noise count,
+    # since each count adds a whole-chunk inversion.
+    index = None
+    if np.count_nonzero(candidates) <= n * len(noise_counts) // 8:
+        index = np.flatnonzero(candidates)
+    del candidates
+    live = [u, v, *xs]
+    if index is not None:
+        for k, source in enumerate(live):
+            # Into the oldest free row, the source's own only if none was
+            # free; "clip" skips the range check that makes take copy.
+            free.append(source)
+            live[k] = np.take(source, index, out=free.pop(0)[: index.size], mode="clip")
+        free = [row[: index.size] for row in free]
+    e, v, *xs = live
+
+    if not shadowed:
+        _unit_exponential(e, out=e)
+    with np.errstate(divide="ignore"):
+        np.log(v, out=v)
+    # Hold every noise maximum, the last in ln(v)'s row.
+    last = len(noise_counts) - 1
+    ys = [
+        _max_noise_from_log(n_noise, v, out=v if k == last else free[k])
+        for k, n_noise in enumerate(noise_counts)
+    ]
+    counts = np.empty((len(signals), len(noise_counts)), dtype=np.int64)
+    for j, x in zip(shadowed, xs):
+        counts[j] = [np.count_nonzero(x <= y) for y in ys]
+    # The last shadowed x's row, once counted, takes the constant means' x.
+    work = xs[-1] if xs else free[last]
+    for j in constant:
+        x = np.multiply(signals[j], e, out=work)
+        counts[j] = [np.count_nonzero(x <= y) for y in ys]
     return counts
 
 
@@ -364,7 +361,8 @@ def estimate_pe(
     def work(first: int) -> np.ndarray:
         # Worker ``first`` runs chunks first, first + workers, ... in its
         # own scratch; a chunk's draws depend on its index alone.
-        scratch = np.empty((len(noise_list) + 2, min(CHUNK_SIZE, iterations)))
+        scratch = np.empty((_scratch_rows(signal_list, noise_list),
+                            min(CHUNK_SIZE, iterations)))
         errors = np.zeros((len(signal_list), len(noise_list)), dtype=np.int64)
         for i in range(first, n_chunks, workers):
             n = min(CHUNK_SIZE, iterations - i * CHUNK_SIZE)

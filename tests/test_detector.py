@@ -23,6 +23,7 @@ from wtfc.detector import (
     _chunk_error_count,
     _max_noise_from_log,
     _noise_bound,
+    _scratch_rows,
     _unit_exponential,
     max_noise_from_uniform,
     signal_power_from_uniform,
@@ -365,12 +366,33 @@ _CHUNK_CELLS = {
 }
 
 
+def _readme_point_cells(duty_cycle, shadowing):
+    """Chunk arguments at the README point (p_r = 10e3, N_0 = 1) at one duty
+    cycle: mc-sweep's WTFC and I-FSK cells, which share one signal mean, or
+    shadow-pair's off and on cells at 8 dB, WTFC alone."""
+    inputs = PhysicalInputs(
+        bandwidth_hz=100e6, symbol_time_s=101e-6, delay_spread_s=20e-6,
+        doppler_spread_hz=25e3, duty_cycle=duty_cycle,
+    )
+    wtfc, ifsk = derive_scheme(inputs), derive_scheme(inputs, "IFSK")
+    energy = signal_energy(10e3, wtfc, 1.0)
+    if shadowing:
+        on = LargeScaleModel(enabled=True, shadowing_std_db=8.0)
+        return [energy + 1.0, (on, energy)], [wtfc.noise_slot_count]
+    return [energy + 1.0], [wtfc.noise_slot_count, ifsk.noise_slot_count]
+
+
+for _duty in (1e-2, 1e-3, 1e-4, 1e-5):
+    _CHUNK_CELLS[f"mc_sweep_{_duty:g}"] = _readme_point_cells(_duty, False)
+    _CHUNK_CELLS[f"shadow_pair_{_duty:g}"] = _readme_point_cells(_duty, True)
+
+
 @pytest.mark.parametrize("case", list(_CHUNK_CELLS))
 def test_warm_chunk_allocates_less_than_one_chunk_array(case):
     # Per-op temporaries would each cost a CHUNK_SIZE float array; the
     # kernel writes into the scratch rows instead.
     signals, noise_counts = _CHUNK_CELLS[case]
-    scratch = np.empty((len(noise_counts) + 2, CHUNK_SIZE))
+    scratch = np.empty((_scratch_rows(signals, noise_counts), CHUNK_SIZE))
     args = (0, CHUNK_SIZE, 1, signals, noise_counts, scratch)
     _chunk_error_count(*args)
     tracemalloc.start()
@@ -399,8 +421,9 @@ def _kernel_signals(cells, mu):
 
 
 def _assert_kernel_matches_reference(signals, noise_counts, n, chunks, seed=11):
-    scratch = np.empty((len(noise_counts) + 2, n))
-    reference = np.empty_like(scratch)
+    scratch = np.empty((_scratch_rows(signals, noise_counts), n))
+    # The reference kernel's own rule: a row per noise count, plus two.
+    reference = np.empty((len(noise_counts) + 2, n))
     for chunk in chunks:
         got = _chunk_error_count(chunk, n, seed, signals, noise_counts, scratch)
         want = helpers.reference_chunk_error_count(chunk, n, seed, signals, noise_counts,
@@ -416,15 +439,40 @@ def test_chunk_counts_equal_the_all_iterations_kernel(cells, mu, n):
     _assert_kernel_matches_reference(_kernel_signals(cells, mu), _KERNEL_NOISE, n, chunks)
 
 
+# Means near which the candidates' share of a chunk straddles the gather
+# switch, n * K // 8 for K noise counts, at the noise counts of shadow-pair
+# ([2699]) and mc-sweep ([269_999, 2699]): (cells, noise counts, mu).
+_SWITCH_CASES = [
+    ("constant", [2699], 150.0),
+    ("constant", [269_999, 2699], 90.0),
+    ("shadowed", [2699], 4200.0),
+    ("shadowed", [269_999, 2699], 1700.0),
+    ("mixed", [2699], 9000.0),
+    ("mixed", [269_999, 2699], 3900.0),
+]
+
+
 def test_chunk_counts_equal_on_both_sides_of_the_gather_switch(monkeypatch):
-    # Near mu = 150 with 2699 noise slots the candidates' share of a chunk
-    # straddles the switch, an eighth for one noise count: some chunks
-    # gather their candidates, the rest run whole.
+    # In every case some chunks gather their candidates, the rest run
+    # whole, and no chunk gathers twice.
     gathers = []
     flatnonzero = np.flatnonzero
     monkeypatch.setattr(np, "flatnonzero", lambda a: gathers.append(a.size) or flatnonzero(a))
-    _assert_kernel_matches_reference([150.0], [2699], CHUNK_SIZE, range(20), seed=7)
-    assert 0 < len(gathers) < 20
+    for cells, noise_counts, mu in _SWITCH_CASES:
+        gathers.clear()
+        _assert_kernel_matches_reference(
+            _kernel_signals(cells, mu), noise_counts, CHUNK_SIZE, range(20), seed=7
+        )
+        assert 0 < len(gathers) < 20, (cells, noise_counts, len(gathers))
+
+
+@pytest.mark.parametrize("cells", ["constant", "shadowed", "mixed"])
+def test_scratch_one_row_short_is_rejected(cells):
+    # Mixed cells have two shadowed signals, so K + 2 rows are one short.
+    signals, noise_counts = _kernel_signals(cells, 150.0), [269_999, 2699]
+    scratch = np.empty((_scratch_rows(signals, noise_counts) - 1, 37))
+    with pytest.raises(ValueError, match="^scratch has"):
+        _chunk_error_count(0, 37, 11, signals, noise_counts, scratch)
 
 
 class _FixedUniforms:
@@ -461,7 +509,8 @@ def test_edge_uniforms_count_as_in_the_all_iterations_kernel(monkeypatch, noise)
         default_rng(seq), {1: u, 2: v}.get(seq.spawn_key[-1])))
     signals, noise_counts = [1e6, (_PIN_SHADOWED, 1e6)], [1, 10**9]
     _assert_kernel_matches_reference(signals, noise_counts, n, [0])
-    counts = _chunk_error_count(0, n, 11, signals, noise_counts, np.empty((4, n)))
+    scratch = np.empty((_scratch_rows(signals, noise_counts), n))
+    counts = _chunk_error_count(0, n, 11, signals, noise_counts, scratch)
     assert (counts >= n // 10).all()
     if noise == "zero":
         assert (counts == n // 10).all()
