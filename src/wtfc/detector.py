@@ -16,29 +16,30 @@ chunk seeded by (seed, chunk index) with separate substreams for shadowing,
 signal and noise, so estimates are bit-identical for any worker count and
 unchanged when shadowing is toggled on a zero-sigma model.
 
-The unit of work is a grid point: one ``estimate_pe`` call may carry every
-(model, variant) cell of a point, such as WTFC and I-FSK, or shadowing off
-and on, all at the point's one transmit power. Each chunk draws its
-uniforms once and computes E = -ln(1 - u) and ln(v) at most once per
-iteration; every model turns E into its signal statistic (one scalar mu,
-or one amplitude draw when shadowed) and every variant finishes its noise
-maximum from ln(v), so each cell's count equals its one-cell call's.
+The unit of work is a whole sweep: one ``estimate_pe`` call may carry
+every (model, variant) cell of every grid point, such as WTFC and I-FSK,
+or shadowing off and on, each variant at its own point's transmit power.
+Each chunk draws its uniforms, and each shadowing model its amplitudes,
+once for every cell, so the rows of a sweep share their draws (common
+random numbers) and each cell's count equals its one-cell call's.
 
 Only iterations that can be errors are inverted. The noise maximum rises
 with its uniform v, so the one at a chunk's largest v, padded by a
 relative 1e-6 (``_SLACK``) against the ufuncs' few-ulp error, bounds every
-maximum of the chunk, and an iteration whose signal statistic lies above
-the bound is correct for every cell. Each chunk gathers the candidates of
-all its cells once, when they are few, and computes E, the noise maxima
-and every comparison on them through the same element-wise ufuncs as a
-pass over every iteration, so each count equals that pass's bit for bit.
+maximum of the chunk at that noise count, and an iteration whose signal
+statistic lies above the bound is correct in that cell. Each chunk
+gathers the candidates of all its cells once, when they are few, and
+computes E, the noise maxima and every comparison on them through the
+same element-wise ufuncs as a pass over every iteration, so each count
+equals that pass's bit for bit.
 
 The chunk kernel is allocation-free: each worker allocates its scratch
-rows of ``CHUNK_SIZE`` floats once per ``estimate_pe`` call, as many as
-``_scratch_rows`` asks, and every chunk draws, gathers and transforms in
-place there. Per chunk only the 1-byte candidate and comparison masks,
-the candidates' indices and, for block shadowing, one amplitude per block
-are new memory.
+rows of ``CHUNK_SIZE`` floats once per ``estimate_pe`` call, and so once
+per sweep, as many as ``_scratch_rows`` asks: u, v, one work row and one
+per shadowing model, however many grid points the call carries. Every
+chunk draws, gathers and transforms in place there. Per chunk only the
+1-byte candidate and comparison masks, the candidates' indices and, for
+block shadowing, one amplitude per block are new memory.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ __all__ = [
     "signal_power_from_uniform",
     "max_noise_from_uniform",
     "draw_m_batch",
-    "point_seed",
     "estimate_pe",
     "analytic_pe_no_shadowing",
     "CHUNK_SIZE",
@@ -70,11 +70,9 @@ _NEPERS_PER_DB = math.log(10.0) / 20.0
 # Relative pad on the chunk's noise bound and on the signal cut derived from
 # it, far above the few-ulp error of the ufuncs that compute either side.
 _SLACK = 1e-6
-
-
-def point_seed(seed: int, axis_index: int) -> int:
-    """Deterministic per-grid-point seed derived from (seed, axis index)."""
-    return int(np.random.SeedSequence([seed, axis_index]).generate_state(1, np.uint64)[0])
+# Iterations per span of the chunk kernel's work row: the noise maxima and
+# the signal statistics of this many iterations are held at a time.
+_SPAN = 1 << 14
 
 
 def draw_m_batch(
@@ -150,23 +148,36 @@ def max_noise_from_uniform(n_noise: int, u):
         return _max_noise_from_log(n_noise, np.log(out, out=out), out)
 
 
-def _noise_bound(v: np.ndarray, n_noise: int) -> float:
-    """A number that no noise maximum of a chunk with noise uniforms ``v`` exceeds.
+def _noise_bound(top: float, n_noise: int) -> float:
+    """A number that no noise maximum of ``n_noise`` slots in a chunk exceeds.
 
-    The maximum rises with its uniform and with the noise count, so the one
-    at the largest uniform and the largest count ``n_noise`` bounds them
-    all. The pad covers the few-ulp error of each computed maximum, which is
-    absolute below 1 and relative above it.
+    ``top`` is the chunk's largest noise uniform. The maximum rises with its
+    uniform, so the one at ``top`` bounds them all. The pad covers the
+    few-ulp error of each computed maximum, which is absolute below 1 and
+    relative above it.
     """
-    top = float(max_noise_from_uniform(n_noise, v.max()))
+    top = float(max_noise_from_uniform(n_noise, top))
     return top + _SLACK * max(top, 1.0)
 
 
-def _scratch_rows(signals: Sequence, noise_counts: Sequence[int]) -> int:
-    """Rows of scratch the chunk kernel needs: one for u, one per noise
-    count, and one per shadowed signal for its x, or one work row if none."""
-    shadowed = sum(not isinstance(signal, float) for signal in signals)
-    return 1 + len(noise_counts) + max(1, shadowed)
+def _shadowed_by_model(signals: Sequence) -> dict:
+    """Indices of the shadowed signals, grouped by model in first-seen order."""
+    groups: dict = {}
+    for j, signal in enumerate(signals):
+        if not isinstance(signal, float):
+            groups.setdefault(signal[0], []).append(j)
+    return groups
+
+
+def _scratch_rows(signals: Sequence) -> int:
+    """Rows of scratch the chunk kernel needs: one each for u, v and the
+    work row, and one per distinct shadowing model for its amplitudes."""
+    return 3 + len(_shadowed_by_model(signals))
+
+
+def _spans(length: int, span: int) -> list[slice]:
+    """Consecutive slices of at most ``span`` that cover ``range(length)``."""
+    return [slice(start, min(start + span, length)) for start in range(0, length, span)]
 
 
 def _chunk_error_count(
@@ -175,120 +186,141 @@ def _chunk_error_count(
     seed: int,
     signals: Sequence[float | tuple[LargeScaleModel, float]],
     noise_counts: Sequence[int],
+    cells: Sequence[tuple[int, int]],
     scratch: np.ndarray,
 ) -> np.ndarray:
-    """Errors of every (signal, noise count) pair in one chunk of ``n`` iterations.
+    """Errors of every cell in one chunk of ``n`` iterations.
 
     A signal is its signal-slot mean: a float when it is the same for every
     iteration, else the (model, signal energy) whose amplitudes the
-    shadowing stream draws. The chunk is seeded by (seed, chunk); its signal
-    uniforms u and noise uniforms v are drawn once. ``scratch`` holds at
-    least ``_scratch_rows(signals, noise_counts)`` rows of at least ``n``
-    floats, else ``ValueError``; the chunk overwrites the first ``n``
-    entries of those it uses. Returns counts shaped (signals, noise counts).
+    shadowing stream draws. A cell is a (signal, noise count) pair of
+    indices. The chunk is seeded by (seed, chunk); its signal uniforms u,
+    its noise uniforms v and each distinct model's amplitudes are drawn
+    once for every cell. ``scratch`` holds at least
+    ``_scratch_rows(signals)`` rows of at least max(n, 2) floats, else
+    ``ValueError``; the chunk overwrites those rows. Returns one count per
+    cell.
 
     Only iterations that can be errors are inverted, and the counts stay
     exact:
 
-    - No noise maximum of the chunk exceeds ``bound = _noise_bound(v)``.
-      Each maximum increases with v and with the noise count; the bound is
-      the maximum at the largest v and count, padded by more than the
-      few-ulp error of any computed one.
-    - So an iteration whose signal statistic x lies above the bound is
-      correct for every noise count: a signal's errors are among its
-      candidates, the iterations with x <= bound.
-    - A shadowed signal's x is formed over the whole chunk, since its
-      amplitudes are drawn there anyway, and compared with the bound.
-    - The constant-mean signals share one set of candidates, the u at or
-      below -expm1(-bound * pad / mu_min) * pad with pad = 1 + ``_SLACK``.
+    - No noise maximum of the chunk at noise count N exceeds
+      ``bound[N] = _noise_bound(max v, N)``: each maximum increases with
+      v, and the pad exceeds the few-ulp error of any computed one.
+    - So an iteration whose signal statistic x lies above the bound of its
+      cell's noise count is correct in that cell: a cell's errors are
+      among its candidates, the iterations with x <= bound.
+    - A constant mean mu is tested on u, the u at or below
+      -expm1(-bound * pad / mu) * pad with pad = 1 + ``_SLACK``.
       E = -ln(1 - u) increases with u and mu * E rounds at most a few ulp
       above the exact product, so every u whose x can reach the bound
-      passes, and E is computed for candidates only.
+      passes. The constant cells share the largest of their cuts.
+    - A shadowed model's amplitudes are drawn over the whole chunk, and
+      x = (m * m * energy + 1) * E at its smallest energy factor, the
+      smallest x of any of its signals, is compared with the largest
+      bound of its cells.
 
-    The chunk's candidates are every signal's together. When at most
-    n * K // 8 for K noise counts, u (or E), v and each shadowed x are
-    gathered through one index array, else the whole chunk runs; then E
-    where still needed, ln v and the K noise maxima are computed once and
-    every pair counts x <= y. Every ufunc acts element by element, so a
-    gathered element gets the value it has in place, and counting over any
-    superset of a signal's candidates gives the all-iterations count bit
-    for bit. Ties count as errors (measure zero, pinned for reproducibility).
+    The chunk's candidates are every cell's together. When at most
+    n * K // 8 for K noise counts, u (or E), v and each model's squared
+    amplitudes are gathered in place, else the whole chunk runs. The work
+    row holds one span of ``_SPAN`` floats for the noise maxima y and one
+    for the signal statistics x, so a cell's values stay in cache and the
+    row's rest is never touched; every cell counts x <= y a span at a
+    time. Every ufunc acts element by element, so a gathered or spanned
+    element gets the value it has in a pass over every iteration, and
+    counting over any superset of a cell's candidates gives that pass's
+    count bit for bit. Ties count as errors (measure zero, pinned for
+    reproducibility).
     """
-    rows = _scratch_rows(signals, noise_counts)
-    if len(scratch) < rows:
-        raise ValueError(f"scratch has {len(scratch)} rows; the chunk needs {rows}")
+    rows = _scratch_rows(signals)
+    if len(scratch) < rows or scratch.shape[1] < max(n, 2):
+        raise ValueError(f"scratch has {len(scratch)} rows of {scratch.shape[1]} floats; "
+                         f"the chunk needs {rows} of {max(n, 2)}")
     shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
         [seed, chunk_index]
     ).spawn(3)
-    u, v, *free = (row[:n] for row in scratch[:rows])
+    u, v = scratch[0, :n], scratch[1, :n]
+    span = min(_SPAN, scratch.shape[1] // 2)
+    ys, xs = scratch[2, :span], scratch[2, span : 2 * span]
     np.random.default_rng(signal_seed).random(n, out=u)
     np.random.default_rng(noise_seed).random(n, out=v)
-    bound = _noise_bound(v, max(noise_counts))
+    top = v.max()
+    bounds = [_noise_bound(top, n_noise) for n_noise in noise_counts]
 
-    constant = [j for j, signal in enumerate(signals) if isinstance(signal, float)]
-    shadowed = [j for j in range(len(signals)) if j not in constant]
-    candidates = None
+    constant = [(j, k) for j, k in cells if isinstance(signals[j], float)]
     if constant:
         pad = 1.0 + _SLACK
-        cut = -math.expm1(-bound * pad / min(signals[j] for j in constant)) * pad
+        cut = max(-math.expm1(-bounds[k] * pad / signals[j]) * pad for j, k in constant)
         candidates = u <= cut
-    if shadowed:
+    else:
+        candidates = np.zeros(n, dtype=bool)
+    groups = _shadowed_by_model(signals)
+    if groups:
         _unit_exponential(u, out=u)
-    xs = []
-    for j in shadowed:
-        model, energy_factor = signals[j]
-        mu = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=free.pop())
-        # mu = (m * m) * energy_factor + 1, evaluated in that order.
-        mu *= mu
-        mu *= energy_factor
-        mu += 1.0
-        xs.append(np.multiply(mu, u, out=mu))
-        if candidates is None:
-            candidates = xs[-1] <= bound
-        else:
-            candidates |= xs[-1] <= bound
+    squares = []
+    for row, (model, members) in zip(scratch[3:rows], groups.items()):
+        m2 = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=row[:n])
+        m2 *= m2
+        squares.append(m2)
+        energy = min(signals[j][1] for j in members)
+        bound = max(bounds[k] for j, k in cells if j in members)
+        for part in _spans(n, span):
+            # (m * m) * energy + 1 times E, at the model's smallest energy.
+            x = np.multiply(m2[part], energy, out=xs[: part.stop - part.start])
+            x += 1.0
+            x *= u[part]
+            candidates[part] |= x <= bound
 
     # A gather pays below about an eighth of the chunk per noise count,
     # since each count adds a whole-chunk inversion.
-    index = None
-    if np.count_nonzero(candidates) <= n * len(noise_counts) // 8:
-        index = np.flatnonzero(candidates)
-    del candidates
-    live = [u, v, *xs]
-    if index is not None:
-        for k, source in enumerate(live):
-            # Into the oldest free row, the source's own only if none was
-            # free; "clip" skips the range check that makes take copy.
-            free.append(source)
-            live[k] = np.take(source, index, out=free.pop(0)[: index.size], mode="clip")
-        free = [row[: index.size] for row in free]
-    e, v, *xs = live
+    live = [u, v, *squares]
+    found = np.count_nonzero(candidates)
+    if found <= n * len(noise_counts) // 8:
+        # Compacted in place, a span of the chunk at a time through the y
+        # span: a span's candidates land at or before their own places,
+        # so no span overwrites what a later one reads. "clip" skips the
+        # range check that makes take copy.
+        size = 0
+        for part in _spans(n, span):
+            index = np.flatnonzero(candidates[part])
+            gathered = slice(size, size + index.size)
+            for source in live:
+                source[gathered] = np.take(source[part], index, mode="clip",
+                                           out=ys[: index.size])
+            size = gathered.stop
+        del candidates
+        live = [source[:found] for source in live]
+    e, log_v, *squares = live
 
-    if not shadowed:
+    if not groups:
         _unit_exponential(e, out=e)
     with np.errstate(divide="ignore"):
-        np.log(v, out=v)
-    # Hold every noise maximum, the last in ln(v)'s row.
-    last = len(noise_counts) - 1
-    ys = [
-        _max_noise_from_log(n_noise, v, out=v if k == last else free[k])
-        for k, n_noise in enumerate(noise_counts)
-    ]
-    counts = np.empty((len(signals), len(noise_counts)), dtype=np.int64)
-    for j, x in zip(shadowed, xs):
-        counts[j] = [np.count_nonzero(x <= y) for y in ys]
-    # The last shadowed x's row, once counted, takes the constant means' x.
-    work = xs[-1] if xs else free[last]
-    for j in constant:
-        x = np.multiply(signals[j], e, out=work)
-        counts[j] = [np.count_nonzero(x <= y) for y in ys]
+        np.log(log_v, out=log_v)
+    square_of = {j: m2 for m2, members in zip(squares, groups.values()) for j in members}
+    by_noise: dict = {}
+    for c, (j, k) in enumerate(cells):
+        by_noise.setdefault(k, []).append((c, j))
+    counts = np.zeros(len(cells), dtype=np.int64)
+    for part in _spans(len(e), span):
+        x = xs[: part.stop - part.start]
+        for k, members in by_noise.items():
+            y = _max_noise_from_log(noise_counts[k], log_v[part],
+                                    out=ys[: part.stop - part.start])
+            for c, j in members:
+                if j in square_of:
+                    np.multiply(square_of[j][part], signals[j][1], out=x)
+                    x += 1.0
+                    x *= e[part]
+                else:
+                    np.multiply(signals[j], e[part], out=x)
+                counts[c] += np.count_nonzero(x <= y)
     return counts
 
 
 def estimate_pe(
     params: SchemeParams | Sequence[SchemeParams],
     model: LargeScaleModel | Sequence[LargeScaleModel],
-    transmit_power: float,
+    transmit_power: float | Sequence[float],
     noise_density: float,
     iterations: int,
     seed: int,
@@ -302,10 +334,11 @@ def estimate_pe(
     statistics, count an error when the signal does not win. Deterministic
     for fixed (seed, iterations); ``threads`` only changes wall time.
 
-    ``params`` and ``model`` may each be a sequence: the call estimates
-    every (model, params) cell of one grid point, all at the one
-    ``transmit_power``, from one pass over the draws and returns their
-    estimates in model-major order, each equal to the one-cell call.
+    ``params`` and ``model`` may each be a sequence, and then
+    ``transmit_power`` holds one power per ``params`` entry: the call
+    estimates every (model, params) cell, such as every variant of every
+    point of a sweep, from one set of draws and returns their estimates in
+    model-major order, each equal to the one-cell call.
 
     ``hold_mean_rx_power`` rescales transmit power so the mean received
     power under shadowing matches the shadowing-free value; the default
@@ -313,11 +346,15 @@ def estimate_pe(
     blocks restart in every chunk, so ``model.block_len`` must divide
     CHUNK_SIZE.
     """
-    one_cell = isinstance(params, SchemeParams) and isinstance(model, LargeScaleModel)
-    variants = (params,) if isinstance(params, SchemeParams) else tuple(params)
+    one_params = isinstance(params, SchemeParams)
+    one_cell = one_params and isinstance(model, LargeScaleModel)
+    variants = (params,) if one_params else tuple(params)
+    powers = (transmit_power,) if one_params else tuple(transmit_power)
     models = (model,) if isinstance(model, LargeScaleModel) else tuple(model)
     if not variants or not models:
         raise ValueError("params and model must each name at least one cell")
+    if len(powers) != len(variants):
+        raise ValueError("transmit_power must hold one power per params entry")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if seed < 0:
@@ -332,28 +369,27 @@ def estimate_pe(
                 "at chunk boundaries"
             )
 
-    # Cells map to distinct signal means and noise-slot counts; equal ones
-    # share their arrays.
+    # Estimates map to distinct cells, cells to distinct signal means and
+    # noise-slot counts; equal ones share their counts and arrays.
     signals: dict = {}
     noise_counts: dict = {}
-    cells = []
+    cells: dict = {}
+    estimate_cells = []
     for m in models:
-        p_t = transmit_power
-        if hold_mean_rx_power:
-            p_t /= shadowing_mean_power_gain(m)
         amplitude = constant_amplitude(m)
-        for p in variants:
+        for p, p_t in zip(variants, powers):
+            if hold_mean_rx_power:
+                p_t /= shadowing_mean_power_gain(m)
             energy_factor = signal_energy(p_t, p, noise_density)
             if amplitude is None:
                 signal = (m, energy_factor)
             else:
                 # (m * m) * energy_factor + 1, as a drawn mu array is formed.
                 signal = amplitude * amplitude * energy_factor + 1.0
-            cells.append((
-                signals.setdefault(signal, len(signals)),
-                noise_counts.setdefault(p.noise_slot_count, len(noise_counts)),
-            ))
-    signal_list, noise_list = list(signals), list(noise_counts)
+            cell = (signals.setdefault(signal, len(signals)),
+                    noise_counts.setdefault(p.noise_slot_count, len(noise_counts)))
+            estimate_cells.append(cells.setdefault(cell, len(cells)))
+    signal_list, noise_list, cell_list = list(signals), list(noise_counts), list(cells)
 
     n_chunks = -(-iterations // CHUNK_SIZE)
     workers = min(threads, n_chunks)
@@ -361,12 +397,12 @@ def estimate_pe(
     def work(first: int) -> np.ndarray:
         # Worker ``first`` runs chunks first, first + workers, ... in its
         # own scratch; a chunk's draws depend on its index alone.
-        scratch = np.empty((_scratch_rows(signal_list, noise_list),
-                            min(CHUNK_SIZE, iterations)))
-        errors = np.zeros((len(signal_list), len(noise_list)), dtype=np.int64)
+        scratch = np.empty((_scratch_rows(signal_list), max(2, min(CHUNK_SIZE, iterations))))
+        errors = np.zeros(len(cell_list), dtype=np.int64)
         for i in range(first, n_chunks, workers):
             n = min(CHUNK_SIZE, iterations - i * CHUNK_SIZE)
-            errors += _chunk_error_count(i, n, seed, signal_list, noise_list, scratch)
+            errors += _chunk_error_count(i, n, seed, signal_list, noise_list, cell_list,
+                                         scratch)
         return errors
 
     if workers == 1:
@@ -375,8 +411,8 @@ def estimate_pe(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             errors = sum(pool.map(work, range(workers)))
 
-    estimates = tuple(_binomial_estimate(int(errors[j, k]), iterations, seed)
-                      for j, k in cells)
+    estimates = tuple(_binomial_estimate(int(errors[c]), iterations, seed)
+                      for c in estimate_cells)
     return estimates[0] if one_cell else estimates
 
 

@@ -2,19 +2,22 @@
 
 Each grid point re-derives the scheme, estimates the symbol error
 probability and converts it into capacity, optionally alongside the Shannon
-baseline. Grid points are seeded from (base seed, axis index), so a sweep is
-a pure function of its spec: re-running reproduces every row exactly,
-regardless of thread count or execution order.
+baseline. A sweep is a pure function of its spec: re-running reproduces
+every row exactly, regardless of thread count.
 
-``run_sweep`` and ``compare_shadowing`` share one per-point loop. It makes
-one ``estimate_pe`` call per grid point for all of the point's cells (every
-variant, and for a comparison the shadowing-off and -on models), at the
-point's one transmit power, so they share one pass over the point's draws;
-each row still equals the estimate of its cell alone.
+``run_sweep`` and ``compare_shadowing`` share one loop. It makes one
+``estimate_pe`` call, on the run seed, for every cell of every grid point
+that is not skipped (every variant, and for a comparison the shadowing-off
+and -on models), each at its point's transmit power. So the rows share
+one set of draws, and the worker scratch is allocated once per sweep:
+rows at different points are positively correlated (common random
+numbers), each row's interval stays valid on its own, and each row equals
+``wtfc pe`` at its point with the same seed.
 
-This module imports the standard library alone. Its ``estimate_pe`` and the
-per-point loop import the sampler, ``wtfc.detector``, and with it numpy,
-when they start, so a command that never samples never loads numpy.
+This module imports the standard library alone. Its ``estimate_pe``
+imports the sampler, ``wtfc.detector``, and with it numpy, on the first
+estimate, so a command that never samples, a sweep whose every point is
+skipped included, never loads numpy.
 """
 
 from __future__ import annotations
@@ -171,40 +174,52 @@ def cell_row(point: RunConfig, params: SchemeParams, estimate: PeEstimate,
 def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: int):
     """Every cell's row, in grid, variant, then model order.
 
-    All (model, variant) cells of a point come from one ``estimate_pe``
-    call on the point's seed and transmit power, so they share one pass
-    over the draws. Each row takes its path loss, powers and
-    ``shadowing_enabled`` from the point, the base configuration with the
-    grid value applied. Grid points that fail scheme validation become
-    explicit skipped rows rather than silently vanishing from the output.
+    All (model, variant) cells of every grid point come from one
+    ``estimate_pe`` call on the run seed, each variant at its point's
+    transmit power, so they share one set of draws. Each row takes its
+    path loss, powers and ``shadowing_enabled`` from its point, the base
+    configuration with the grid value applied. Grid points that fail
+    scheme validation become explicit skipped rows rather than silently
+    vanishing from the output; a sweep whose every point is skipped
+    samples nothing.
     """
-    from .detector import point_seed
-
-    awgn_power = spec.awgn_power if spec.include_awgn else None
-    for index, value in enumerate(spec.grid):
-        seed = point_seed(spec.base.seed, index)
+    base = spec.base
+    # (grid value, point configuration, its variants' params, skip reason)
+    points = []
+    for value in spec.grid:
         try:
-            point = _point_config(spec.base, spec.axis, value)
-            variants = tuple(derive_scheme(point.inputs, v) for v in spec.variants)
+            point = _point_config(base, spec.axis, value)
+            variants = [derive_scheme(point.inputs, v) for v in spec.variants]
         except (ValueError, ZeroDivisionError) as exc:
+            points.append((value, None, [], str(exc)))
+            continue
+        points.append((value, point, variants, None))
+    cells = [(point, params) for _, point, variants, _ in points for params in variants]
+    estimates = ()
+    if cells:
+        estimates = estimate_pe(
+            [params for _, params in cells],
+            models,
+            [point.resolved_p_t() for point, _ in cells],
+            base.n_0,
+            base.iterations,
+            base.seed,
+            threads=threads,
+            hold_mean_rx_power=base.hold_mean_rx_power,
+        )
+    awgn_power = spec.awgn_power if spec.include_awgn else None
+    # Estimates come model-major, so a cell's are len(cells) apart.
+    cell = 0
+    for value, point, variants, reason in points:
+        if reason is not None:
             for variant in spec.variants:
                 for _ in models:
-                    yield SweepRow(spec.axis, value, variant, spec.base.model.enabled, seed,
-                                   spec.base.iterations, skipped_reason=str(exc))
-            continue
-        estimates = estimate_pe(
-            variants,
-            models,
-            point.resolved_p_t(),
-            point.n_0,
-            point.iterations,
-            seed,
-            threads=threads,
-            hold_mean_rx_power=point.hold_mean_rx_power,
-        )
-        for v, params in enumerate(variants):
-            for estimate in estimates[v::len(variants)]:
+                    yield SweepRow(spec.axis, value, variant, base.model.enabled, base.seed,
+                                   base.iterations, skipped_reason=reason)
+        for params in variants:
+            for estimate in estimates[cell::len(cells)]:
                 yield cell_row(point, params, estimate, awgn_power, spec.axis, value)
+            cell += 1
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
@@ -219,9 +234,9 @@ def compare_shadowing(
 
     Rows come in (off, on) pairs per cell; the on-row carries the capacity
     loss percentage relative to its unshadowed partner. Both rows of a pair
-    come from one pass over the point's draws, so they differ only through
-    the shadowing stream: with sigma_db = 0 the paired simulated values are
-    identical draw for draw. The per-point loop runs on a spec whose base
+    come from the sweep's one set of draws, so they differ only through the
+    shadowing stream: with sigma_db = 0 the paired simulated values are
+    identical draw for draw. The sweep loop runs on a spec whose base
     model is the on model, and the off model is the on model with sigma 0,
     so both rows keep the on model's path loss, transmit and receive power,
     and the loss percentage charges shadowing alone; the off rows still

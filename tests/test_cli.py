@@ -522,11 +522,12 @@ def test_compare_shadowing_csv(capsys, tmp_path):
     assert data[0][-1] == "" and data[1][-1] != ""
 
 
-# sha256 of the result files at 250 000 iterations, captured when every
-# cell of a point still ran its own pass over the draws.
+# sha256 of the result files at 250 000 iterations, captured when the
+# points of a sweep first shared one set of draws on the run seed; each row
+# equals the one-cell estimate at its point (tests/test_sweep.py).
 PINNED_CSV_SHA256 = {
-    "sweep": "31cb56fa916116fce0f5db6620f430a3f161c241d90e4ef3ca89c2744b8fd1e8",
-    "compare-shadowing": "6d9c511dff50d1b7befd0fde1d06582826c884d9490c6c2fe3cf3aa00c281ae8",
+    "sweep": "7289be288164cd88f1590535f0771a055199d394f1abde13e557f83dc8f9262a",
+    "compare-shadowing": "1b7c335240a69f30a03ac3e3b2a2b1e437d9b2f0e22175eac3f9c6d6df758dce",
 }
 
 

@@ -356,6 +356,21 @@ def test_error_counts_are_pinned_for_any_thread_count(case):
             assert est.p_e == errors / iterations, (iterations, threads)
 
 
+def _chunk_args(point_cells):
+    """Chunk arguments from (signal, noise count) cells, deduplicated in
+    first-seen order as ``estimate_pe`` does: (signals, noise counts, cells)."""
+    signals, noise_counts, cells = {}, {}, {}
+    for signal, n_noise in point_cells:
+        cells.setdefault((signals.setdefault(signal, len(signals)),
+                          noise_counts.setdefault(n_noise, len(noise_counts))), None)
+    return list(signals), list(noise_counts), list(cells)
+
+
+def _every_cell(signals, noise_counts):
+    """Every (signal, noise count) pair, signal-major, as the reference counts them."""
+    return [(j, k) for j in range(len(signals)) for k in range(len(noise_counts))]
+
+
 # Chunk arguments: the signal-slot means and noise-slot counts of a point.
 # A constant mean is one float; a shadowed one is (model, signal energy).
 _CHUNK_CELLS = {
@@ -364,36 +379,50 @@ _CHUNK_CELLS = {
     "blocks": ([(dataclasses.replace(_PIN_SHADOWED, block_len=1000), 100.0)], [15]),
     "shared_pass": ([101.0, (_PIN_SHADOWED, 100.0)], [15, 3]),
 }
+_CHUNK_CELLS = {case: (signals, noise_counts, _every_cell(signals, noise_counts))
+                for case, (signals, noise_counts) in _CHUNK_CELLS.items()}
+
+_README_DUTIES = (1e-2, 1e-3, 1e-4, 1e-5)
 
 
-def _readme_point_cells(duty_cycle, shadowing):
-    """Chunk arguments at the README point (p_r = 10e3, N_0 = 1) at one duty
-    cycle: mc-sweep's WTFC and I-FSK cells, which share one signal mean, or
-    shadow-pair's off and on cells at 8 dB, WTFC alone."""
-    inputs = PhysicalInputs(
-        bandwidth_hz=100e6, symbol_time_s=101e-6, delay_spread_s=20e-6,
-        doppler_spread_hz=25e3, duty_cycle=duty_cycle,
-    )
-    wtfc, ifsk = derive_scheme(inputs), derive_scheme(inputs, "IFSK")
-    energy = signal_energy(10e3, wtfc, 1.0)
-    if shadowing:
-        on = LargeScaleModel(enabled=True, shadowing_std_db=8.0)
-        return [energy + 1.0, (on, energy)], [wtfc.noise_slot_count]
-    return [energy + 1.0], [wtfc.noise_slot_count, ifsk.noise_slot_count]
+def _readme_point_cells(duty_cycles, shadowing):
+    """Chunk arguments at the README point (p_r = 10e3, N_0 = 1) over a
+    duty-cycle grid: mc-sweep's WTFC and I-FSK cells, which share one
+    signal mean per point, or shadow-pair's off and on cells at 8 dB, WTFC
+    alone."""
+    point_cells = []
+    for duty_cycle in duty_cycles:
+        inputs = PhysicalInputs(
+            bandwidth_hz=100e6, symbol_time_s=101e-6, delay_spread_s=20e-6,
+            doppler_spread_hz=25e3, duty_cycle=duty_cycle,
+        )
+        wtfc, ifsk = derive_scheme(inputs), derive_scheme(inputs, "IFSK")
+        energy = signal_energy(10e3, wtfc, 1.0)
+        if shadowing:
+            on = LargeScaleModel(enabled=True, shadowing_std_db=8.0)
+            point_cells += [(energy + 1.0, wtfc.noise_slot_count),
+                            ((on, energy), wtfc.noise_slot_count)]
+        else:
+            point_cells += [(energy + 1.0, wtfc.noise_slot_count),
+                            (energy + 1.0, ifsk.noise_slot_count)]
+    return _chunk_args(point_cells)
 
 
-for _duty in (1e-2, 1e-3, 1e-4, 1e-5):
-    _CHUNK_CELLS[f"mc_sweep_{_duty:g}"] = _readme_point_cells(_duty, False)
-    _CHUNK_CELLS[f"shadow_pair_{_duty:g}"] = _readme_point_cells(_duty, True)
+for _duty in _README_DUTIES:
+    _CHUNK_CELLS[f"mc_sweep_{_duty:g}"] = _readme_point_cells([_duty], False)
+    _CHUNK_CELLS[f"shadow_pair_{_duty:g}"] = _readme_point_cells([_duty], True)
+# Every duty point of the workload in one chunk, as a sweep runs it.
+_CHUNK_CELLS["mc_sweep_grid"] = _readme_point_cells(_README_DUTIES, False)
+_CHUNK_CELLS["shadow_pair_grid"] = _readme_point_cells(_README_DUTIES, True)
 
 
 @pytest.mark.parametrize("case", list(_CHUNK_CELLS))
 def test_warm_chunk_allocates_less_than_one_chunk_array(case):
     # Per-op temporaries would each cost a CHUNK_SIZE float array; the
     # kernel writes into the scratch rows instead.
-    signals, noise_counts = _CHUNK_CELLS[case]
-    scratch = np.empty((_scratch_rows(signals, noise_counts), CHUNK_SIZE))
-    args = (0, CHUNK_SIZE, 1, signals, noise_counts, scratch)
+    signals, noise_counts, cells = _CHUNK_CELLS[case]
+    scratch = np.empty((_scratch_rows(signals), CHUNK_SIZE))
+    args = (0, CHUNK_SIZE, 1, signals, noise_counts, cells, scratch)
     _chunk_error_count(*args)
     tracemalloc.start()
     try:
@@ -402,6 +431,30 @@ def test_warm_chunk_allocates_less_than_one_chunk_array(case):
     finally:
         tracemalloc.stop()
     assert peak < CHUNK_SIZE * 8
+
+
+@pytest.mark.parametrize("shadowing", [False, True], ids=["mc_sweep", "shadow_pair"])
+def test_scratch_rows_do_not_grow_with_the_grid(shadowing):
+    # The rule counts rows per worker; the whole estimate stays within
+    # those rows plus the warm chunk's less than one chunk array.
+    four = _readme_point_cells(_README_DUTIES, shadowing)[0]
+    twelve_duties = [1 / slots for slots in (100, 150, 200, 300, 500, 700, 1000, 2000,
+                                             5000, 10_000, 50_000, 100_000)]
+    twelve = _readme_point_cells(twelve_duties, shadowing)[0]
+    assert _scratch_rows(four) == _scratch_rows(twelve) <= 4
+    inputs = [PhysicalInputs(bandwidth_hz=100e6, symbol_time_s=101e-6, delay_spread_s=20e-6,
+                             doppler_spread_hz=25e3, duty_cycle=duty)
+              for duty in twelve_duties]
+    variants = [derive_scheme(i, v) for i in inputs for v in ("WTFC", "IFSK")]
+    on = LargeScaleModel(enabled=True, shadowing_std_db=8.0)
+    models = (dataclasses.replace(on, shadowing_std_db=0.0), on) if shadowing else (NO_FADING,)
+    tracemalloc.start()
+    try:
+        estimate_pe(variants, models, [10e3] * len(variants), 1.0, CHUNK_SIZE, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (_scratch_rows(twelve) + 1) * CHUNK_SIZE * 8
 
 
 # Signal-slot means from certain errors (1) to far above every noise
@@ -421,14 +474,15 @@ def _kernel_signals(cells, mu):
 
 
 def _assert_kernel_matches_reference(signals, noise_counts, n, chunks, seed=11):
-    scratch = np.empty((_scratch_rows(signals, noise_counts), n))
+    scratch = np.empty((_scratch_rows(signals), n))
     # The reference kernel's own rule: a row per noise count, plus two.
     reference = np.empty((len(noise_counts) + 2, n))
+    cells = _every_cell(signals, noise_counts)
     for chunk in chunks:
-        got = _chunk_error_count(chunk, n, seed, signals, noise_counts, scratch)
+        got = _chunk_error_count(chunk, n, seed, signals, noise_counts, cells, scratch)
         want = helpers.reference_chunk_error_count(chunk, n, seed, signals, noise_counts,
                                                    reference)
-        assert np.array_equal(got, want), chunk
+        assert np.array_equal(got, want.ravel()), chunk
 
 
 @pytest.mark.parametrize("n", [CHUNK_SIZE, 37])
@@ -453,26 +507,31 @@ _SWITCH_CASES = [
 
 
 def test_chunk_counts_equal_on_both_sides_of_the_gather_switch(monkeypatch):
-    # In every case some chunks gather their candidates, the rest run
-    # whole, and no chunk gathers twice.
+    # In every case some chunks gather their candidates and the rest run
+    # whole; a gathering chunk finds its candidates a span at a time.
     gathers = []
     flatnonzero = np.flatnonzero
     monkeypatch.setattr(np, "flatnonzero", lambda a: gathers.append(a.size) or flatnonzero(a))
     for cells, noise_counts, mu in _SWITCH_CASES:
-        gathers.clear()
-        _assert_kernel_matches_reference(
-            _kernel_signals(cells, mu), noise_counts, CHUNK_SIZE, range(20), seed=7
-        )
-        assert 0 < len(gathers) < 20, (cells, noise_counts, len(gathers))
+        gathered = []
+        for chunk in range(20):
+            gathers.clear()
+            _assert_kernel_matches_reference(
+                _kernel_signals(cells, mu), noise_counts, CHUNK_SIZE, [chunk], seed=7
+            )
+            assert sum(gathers) in (0, CHUNK_SIZE), (cells, noise_counts, chunk)
+            gathered.append(bool(gathers))
+        assert 0 < sum(gathered) < 20, (cells, noise_counts, sum(gathered))
 
 
 @pytest.mark.parametrize("cells", ["constant", "shadowed", "mixed"])
 def test_scratch_one_row_short_is_rejected(cells):
-    # Mixed cells have two shadowed signals, so K + 2 rows are one short.
+    # Mixed cells have two shadowing models, so four rows are one short.
     signals, noise_counts = _kernel_signals(cells, 150.0), [269_999, 2699]
-    scratch = np.empty((_scratch_rows(signals, noise_counts) - 1, 37))
-    with pytest.raises(ValueError, match="^scratch has"):
-        _chunk_error_count(0, 37, 11, signals, noise_counts, scratch)
+    args = (0, 37, 11, signals, noise_counts, _every_cell(signals, noise_counts))
+    for shape in [(_scratch_rows(signals) - 1, 37), (_scratch_rows(signals), 36)]:
+        with pytest.raises(ValueError, match="^scratch has"):
+            _chunk_error_count(*args, np.empty(shape))
 
 
 class _FixedUniforms:
@@ -509,8 +568,9 @@ def test_edge_uniforms_count_as_in_the_all_iterations_kernel(monkeypatch, noise)
         default_rng(seq), {1: u, 2: v}.get(seq.spawn_key[-1])))
     signals, noise_counts = [1e6, (_PIN_SHADOWED, 1e6)], [1, 10**9]
     _assert_kernel_matches_reference(signals, noise_counts, n, [0])
-    scratch = np.empty((_scratch_rows(signals, noise_counts), n))
-    counts = _chunk_error_count(0, n, 11, signals, noise_counts, scratch)
+    scratch = np.empty((_scratch_rows(signals), n))
+    counts = _chunk_error_count(0, n, 11, signals, noise_counts,
+                                _every_cell(signals, noise_counts), scratch)
     assert (counts >= n // 10).all()
     if noise == "zero":
         assert (counts == n // 10).all()
@@ -531,42 +591,46 @@ def _noise_uniforms(case):
 @pytest.mark.parametrize("uniforms", ["zeros", "random", "near one", "subnormal"])
 @pytest.mark.parametrize("noise_counts", [[1], [2699, 269_999], [1, 10**9]])
 def test_noise_bound_at_the_largest_count_covers_every_count(noise_counts, uniforms):
-    # The kernel computes one bound, at the largest noise count; no noise
-    # maximum of any count may exceed it.
+    # The kernel computes one bound per noise count from the chunk's largest
+    # uniform; no noise maximum of that count, or of a smaller one, may
+    # exceed it.
     v = _noise_uniforms(uniforms)
-    bound = _noise_bound(v, max(noise_counts))
     for n_noise in noise_counts:
-        assert bound >= max_noise_from_uniform(n_noise, v).max(), n_noise
+        top = max_noise_from_uniform(n_noise, v).max()
+        assert _noise_bound(v.max(), n_noise) >= top, n_noise
+        assert _noise_bound(v.max(), max(noise_counts)) >= top, n_noise
 
 
 @pytest.mark.parametrize("iterations", [250_000, 37])
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_every_cell_of_a_shared_pass_equals_its_one_cell_call(iterations, threads):
     # All PINNED_ERRORS models, both hold_mean_rx_power settings and three
-    # alphabets: each cell of one multi-cell call is the one-cell estimate.
+    # alphabets, each at its own transmit power, as the grid points of a
+    # sweep: each cell of one multi-cell call is the one-cell estimate.
     variants = tuple(helpers.scheme_with_alphabet(s) for s in (16, 4, 2))
+    powers = (100.0, 250.0, 40.0)
     models = tuple(model for model, _, _ in PINNED_ERRORS.values())
     for hold in (False, True):
         shared = estimate_pe(
-            variants, models, 100.0, 1.0, iterations, seed=2024,
+            variants, models, powers, 1.0, iterations, seed=2024,
             threads=threads, hold_mean_rx_power=hold,
         )
         single = [
-            estimate_pe(params, model, 100.0, 1.0, iterations, seed=2024,
+            estimate_pe(params, model, p_t, 1.0, iterations, seed=2024,
                         threads=threads, hold_mean_rx_power=hold)
             for model in models
-            for params in variants
+            for params, p_t in zip(variants, powers)
         ]
         assert shared == tuple(single), (hold, iterations, threads)
     for model, hold, pinned in PINNED_ERRORS.values():
         (est,) = estimate_pe(
-            variants[:1], (model,), 100.0, 1.0, iterations, seed=2024,
+            variants[:1], (model,), powers[:1], 1.0, iterations, seed=2024,
             threads=threads, hold_mean_rx_power=hold,
         )
         assert est.p_e == pinned[iterations] / iterations
-        # One signal beside several noise counts.
+        # One model at one power beside several noise counts.
         one_model = estimate_pe(
-            variants, (model,), 100.0, 1.0, iterations, seed=2024,
+            variants, (model,), (100.0,) * 3, 1.0, iterations, seed=2024,
             threads=threads, hold_mean_rx_power=hold,
         )
         assert one_model == tuple(
@@ -574,6 +638,13 @@ def test_every_cell_of_a_shared_pass_equals_its_one_cell_call(iterations, thread
                         threads=threads, hold_mean_rx_power=hold)
             for params in variants
         ), (hold, iterations, threads)
+
+
+@pytest.mark.parametrize("powers", [100.0, (100.0,), (100.0, 100.0, 100.0)])
+def test_rejects_powers_not_one_per_params_entry(powers):
+    variants = (helpers.scheme_with_alphabet(16), helpers.scheme_with_alphabet(4))
+    with pytest.raises((ValueError, TypeError)):
+        estimate_pe(variants, NO_FADING, powers, 1.0, 10, seed=0)
 
 
 @pytest.mark.parametrize("threads", [0, -3])

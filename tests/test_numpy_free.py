@@ -70,7 +70,11 @@ def run_child(script, args=()):
     ["derive", *BASE_SETS, "--format", "json"],
     ["capacity", *BASE_SETS, "--pe", "1e-3"],
     ["capacity", *BASE_SETS, "--pe", "1e-3", "--variant", "ifsk"],
-], ids=["version", "derive-csv", "derive-json", "capacity-pe-wtfc", "capacity-pe-ifsk"])
+    # Neither bandwidth fits two tones, so every row is skipped.
+    ["sweep", *BASE_SETS, "--axis", "bandwidth", "--grid", "1e3,1e4", "--allow-skips",
+     "--out", os.devnull],
+], ids=["version", "derive-csv", "derive-json", "capacity-pe-wtfc", "capacity-pe-ifsk",
+        "sweep-all-skipped"])
 def test_calls_that_never_sample_do_not_load_numpy(args):
     assert run_child(CLI_SCRIPT, args) == "exit 0 False"
 

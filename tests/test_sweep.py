@@ -15,7 +15,7 @@ from wtfc import (
     estimate_pe,
     run_sweep,
 )
-from wtfc.detector import point_seed
+from wtfc.sweep import _point_config, cell_row
 
 BASE_INPUTS = PhysicalInputs(100e6, 101e-6, 20e-6, 360.0, 1 / 100)
 
@@ -41,9 +41,7 @@ def test_single_point_grid_matches_direct_calls():
 
     inputs = dataclasses.replace(BASE_INPUTS, bandwidth_hz=1e6)
     params = derive_scheme(inputs)
-    est = estimate_pe(
-        params, base.model, base.p_r, 1.0, 50_000, point_seed(123, 0)
-    )
+    est = estimate_pe(params, base.model, base.p_r, 1.0, 50_000, 123)
     assert row.p_e == est.p_e
     assert row.ci_half_width_95 == est.half_width_95
     assert row.capacity_bps == dmc_capacity(est.p_e, params.alphabet_size, 1 / 100, 101e-6)
@@ -73,19 +71,81 @@ def test_rows_appear_in_grid_and_variant_order():
     ]
 
 
-def test_shared_point_seed_couples_variants():
-    # Same uniforms per point, and the IFSK max-of-noise is dominated by the
-    # WTFC one, so the paired error estimate is ordered deterministically.
-    spec = SweepSpec(
-        base=make_base(),
-        axis="bandwidth",
-        grid=(1e5, 1e6, 1e7),
-        variants=("WTFC", "IFSK"),
-    )
-    rows = run_sweep(spec).rows
-    for wtfc_row, ifsk_row in zip(rows[0::2], rows[1::2]):
-        assert wtfc_row.seed == ifsk_row.seed
-        assert ifsk_row.p_e <= wtfc_row.p_e
+def _one_cell_estimate(base, axis, row, model):
+    """``wtfc pe`` at a row's point: its own estimate_pe call on the run seed."""
+    point = dataclasses.replace(_point_config(base, axis, row.axis_value), model=model)
+    params = derive_scheme(point.inputs, row.variant)
+    estimate = estimate_pe(params, model, point.resolved_p_t(), point.n_0, point.iterations,
+                           point.seed, hold_mean_rx_power=point.hold_mean_rx_power)
+    return point, params, estimate
+
+
+def assert_rows_equal_one_cell_calls(spec, rows, sigma_db=None):
+    """Every computed row equals the one-cell estimate at its point with the
+    run seed; a sweep row equals the row built from it, field for field."""
+    base, models = spec.base, (spec.base.model,)
+    if sigma_db is not None:
+        on = dataclasses.replace(base.model, enabled=True, shadowing_std_db=sigma_db)
+        base, models = dataclasses.replace(base, model=on), (
+            dataclasses.replace(on, shadowing_std_db=0.0), on)
+    computed = 0
+    for index, row in enumerate(rows):
+        assert row.seed == spec.base.seed and row.iterations == spec.base.iterations
+        if row.skipped_reason is not None:
+            continue
+        computed += 1
+        point, params, estimate = _one_cell_estimate(base, spec.axis, row,
+                                                     models[index % len(models)])
+        assert (row.p_e, row.ci_half_width_95) == (estimate.p_e, estimate.half_width_95)
+        if sigma_db is None:
+            awgn_power = spec.awgn_power if spec.include_awgn else None
+            assert row == cell_row(point, params, estimate, awgn_power, spec.axis,
+                                   row.axis_value)
+    assert computed
+
+
+_SHADOWED_BASE = dict(inputs=PhysicalInputs(100e6, 100e-6, 0.3e-6, 360.0, 1e-3), p_r=1e5,
+                      iterations=150_000)
+_ROW_EQUALITY_SWEEPS = {
+    "duty_cycle": SweepSpec(base=make_base(iterations=150_000), axis="duty_cycle",
+                            grid=(1e-2, 1e-3, 1e-4), variants=("WTFC", "IFSK")),
+    "bandwidth_skip": SweepSpec(base=make_base(iterations=150_000), axis="bandwidth",
+                                grid=(1e4, 1e5, 1e6), variants=("WTFC", "IFSK")),
+    "snr_db": SweepSpec(
+        base=make_base(p_r=None, inputs=PhysicalInputs(400e6, 100e-6, 0.3e-6, 360.0, 1e-3),
+                       iterations=150_000),
+        axis="snr_db", grid=(-60.0, -50.0, -40.0)),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", list(_ROW_EQUALITY_SWEEPS))
+def test_every_sweep_row_equals_pe_at_its_point(case, threads):
+    # One set of draws for the whole grid: each row is still the one-cell
+    # estimate at its own point on the run seed, skipped points aside.
+    spec = _ROW_EQUALITY_SWEEPS[case]
+    assert_rows_equal_one_cell_calls(spec, run_sweep(spec, threads=threads).rows)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_every_compare_shadowing_row_equals_pe_at_its_point(threads):
+    model = LargeScaleModel(block_len=1000)
+    base = make_base(model=model, hold_mean_rx_power=True, **_SHADOWED_BASE)
+    spec = SweepSpec(base=base, axis="duty_cycle", grid=(1e-3, 1e-4), variants=("WTFC", "IFSK"))
+    rows = compare_shadowing(spec, 8.0, threads=threads).rows
+    assert [row.shadowing_enabled for row in rows] == [False, True] * 4
+    assert_rows_equal_one_cell_calls(spec, rows, sigma_db=8.0)
+
+
+@pytest.mark.parametrize("sigma_db", [None, 8.0])
+def test_a_point_reads_the_same_rows_in_any_grid(sigma_db):
+    def rows_at_1e_3(grid):
+        spec = SweepSpec(base=make_base(**_SHADOWED_BASE), axis="duty_cycle", grid=grid,
+                         variants=("WTFC", "IFSK"))
+        rows = (run_sweep(spec) if sigma_db is None else compare_shadowing(spec, sigma_db)).rows
+        return [row for row in rows if row.axis_value == 1e-3]
+
+    assert rows_at_1e_3((1e-3,)) == rows_at_1e_3((1e-2, 1e-3))
 
 
 def test_too_small_bandwidth_becomes_skipped_row():
@@ -95,9 +155,22 @@ def test_too_small_bandwidth_becomes_skipped_row():
     assert "bandwidth" in rows[0].skipped_reason
     result_fields = ("p_e", "ci_half_width_95", "capacity_bps", "ceiling_bps", "awgn_bps")
     assert [getattr(rows[0], name) for name in result_fields] == [None] * 5
-    assert rows[0].seed == point_seed(123, 0) and rows[0].iterations == 50_000
+    assert rows[0].seed == 123 and rows[0].iterations == 50_000
     assert rows[0].shadowing_enabled is False
     assert rows[1].skipped_reason is None
+
+
+def test_sweep_with_every_point_skipped_never_samples(monkeypatch):
+    import wtfc.sweep
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("estimate_pe called")
+
+    monkeypatch.setattr(wtfc.sweep, "estimate_pe", no_sampling)
+    spec = SweepSpec(base=make_base(), axis="bandwidth", grid=(1e3, 1e4))
+    for result in (run_sweep(spec), compare_shadowing(spec, 8.0)):
+        assert all(row.skipped_reason is not None for row in result.rows)
+        assert all(row.seed == 123 for row in result.rows)
 
 
 def test_too_small_bandwidth_skips_every_variant_with_one_reason():

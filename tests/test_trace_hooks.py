@@ -56,7 +56,7 @@ def test_layer_wrappers_record_estimates_and_chunks(bench_modules, command, extr
     assert code == 0
     estimates = [span for span in tracer.spans if span.name == "detector.estimate"]
     chunks = [span for span in tracer.spans if span.name == "detector.chunk"]
-    # One estimate per grid point, each over two 100 000-iteration chunks.
-    assert len(estimates) == 2
+    # One estimate for the whole sweep, over two 100 000-iteration chunks.
+    assert len(estimates) == 1
     assert all(span.attrs["iterations"] > 0 for span in estimates)
-    assert len(chunks) == 4
+    assert len(chunks) == 2
