@@ -127,6 +127,22 @@ def test_every_sweep_row_equals_pe_at_its_point(case, threads):
     assert_rows_equal_one_cell_calls(spec, run_sweep(spec, threads=threads).rows)
 
 
+def test_shared_draws_couple_variants():
+    # Same uniforms at every point, and the IFSK max-of-noise is dominated
+    # by the WTFC one, so the paired error estimate is ordered
+    # deterministically.
+    spec = SweepSpec(
+        base=make_base(),
+        axis="bandwidth",
+        grid=(1e5, 1e6, 1e7),
+        variants=("WTFC", "IFSK"),
+    )
+    rows = run_sweep(spec).rows
+    for wtfc_row, ifsk_row in zip(rows[0::2], rows[1::2]):
+        assert wtfc_row.seed == ifsk_row.seed == 123
+        assert ifsk_row.p_e <= wtfc_row.p_e
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_every_compare_shadowing_row_equals_pe_at_its_point(threads):
     model = LargeScaleModel(block_len=1000)
