@@ -8,12 +8,9 @@ alone. A symbol occupies one slot out of ``1/theta``, hence the extra
 
 from __future__ import annotations
 
-import logging
 import math
 
 __all__ = ["dmc_capacity", "awgn_capacity"]
-
-logger = logging.getLogger(__name__)
 
 
 def dmc_capacity(
@@ -40,7 +37,10 @@ def dmc_capacity(
     s = alphabet_size
     worst = 1.0 - 1.0 / s
     if p_e > worst:
-        logger.warning(
+        # Imported here: no command that stays below the clamp needs logging.
+        import logging
+
+        logging.getLogger(__name__).warning(
             "p_e=%.6g exceeds 1 - 1/S = %.6g; clamping to the zero-capacity point",
             p_e,
             worst,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import __version__
@@ -142,6 +141,8 @@ def _collect_values(args) -> dict:
 def _emit_report(args, report: dict, header: str | None) -> None:
     """Print the report; with --out and a header, also write it to the file."""
     if args.format == "json":
+        import json
+
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         text = "".join(f"{key} = {_format_cell(value)}\n" for key, value in report.items())
@@ -237,6 +238,8 @@ def _run_sweep_command(args, paired: bool) -> int:
 
     extra = _SWEEP_KEYS + (("sigma_db",) if paired else ())
     if args.format == "json":
+        import json
+
         _, rows = _sweep_table(result, values["snr_columns"], paired)
         payload = {"config": dict(config_items(values, extra)), "rows": rows}
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -24,14 +24,16 @@ once for every cell, so the rows of a sweep share their draws (common
 random numbers) and each cell's count equals its one-cell call's.
 
 Only iterations that can be errors are inverted. The noise maximum rises
-with its uniform v, so the one at a chunk's largest v, padded by a
-relative 1e-6 (``_SLACK``) against the ufuncs' few-ulp error, bounds every
-maximum of the chunk at that noise count, and an iteration whose signal
-statistic lies above the bound is correct in that cell. Each chunk
-gathers the candidates of all its cells once, when they are few, and
-computes E, the noise maxima and every comparison on them through the
-same element-wise ufuncs as a pass over every iteration, so each count
-equals that pass's bit for bit.
+with its uniform v, so the one at a chunk's largest v, computed on one
+float with ``math`` and padded by a relative 1e-6 (``_SLACK``) against
+the few-ulp error of either computation, bounds every maximum of the
+chunk at that noise count, and an iteration whose signal statistic lies
+above the bound is correct in that cell. Each chunk gathers the
+candidates of all its cells once, when they are few; each noise count
+then inverts its maximum, and counts its cells, only over its own
+candidates among them, unless they are most of a span. E, the noise
+maxima and every comparison go through the same element-wise ufuncs as a
+pass over every iteration, so each count equals that pass's bit for bit.
 
 The chunk kernel is allocation-free: each worker allocates its scratch
 rows of ``CHUNK_SIZE`` floats once per ``estimate_pe`` call, and so once
@@ -45,7 +47,6 @@ block shadowing, one amplitude per block are new memory.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -152,11 +153,12 @@ def _noise_bound(top: float, n_noise: int) -> float:
     """A number that no noise maximum of ``n_noise`` slots in a chunk exceeds.
 
     ``top`` is the chunk's largest noise uniform. The maximum rises with its
-    uniform, so the one at ``top`` bounds them all. The pad covers the
-    few-ulp error of each computed maximum, which is absolute below 1 and
-    relative above it.
+    uniform, so the one at ``top`` bounds them all; it is computed here in
+    ``math`` on one float, as ``max_noise_from_uniform`` computes it, with
+    0 mapped to 0. The pad covers the few-ulp error of either computation,
+    which is absolute below 1 and relative above it.
     """
-    top = float(max_noise_from_uniform(n_noise, top))
+    top = -math.log(-math.expm1(math.log(top) / n_noise)) if top > 0.0 else 0.0
     return top + _SLACK * max(top, 1.0)
 
 
@@ -178,6 +180,14 @@ def _scratch_rows(signals: Sequence) -> int:
 def _spans(length: int, span: int) -> list[slice]:
     """Consecutive slices of at most ``span`` that cover ``range(length)``."""
     return [slice(start, min(start + span, length)) for start in range(0, length, span)]
+
+
+def _select(source, index, out):
+    """``source`` at ``index``, taken into ``out``; all of it when ``index`` is None.
+
+    "clip" skips the range check that makes take copy.
+    """
+    return source if index is None else np.take(source, index, mode="clip", out=out)
 
 
 def _chunk_error_count(
@@ -209,28 +219,38 @@ def _chunk_error_count(
       v, and the pad exceeds the few-ulp error of any computed one.
     - So an iteration whose signal statistic x lies above the bound of its
       cell's noise count is correct in that cell: a cell's errors are
-      among its candidates, the iterations with x <= bound.
-    - A constant mean mu is tested on u, the u at or below
+      among its candidates, the iterations with x <= bound, and a noise
+      count's candidates are its cells' together.
+    - The chunk tests a constant mean mu on u, the u at or below
       -expm1(-bound * pad / mu) * pad with pad = 1 + ``_SLACK``.
       E = -ln(1 - u) increases with u and mu * E rounds at most a few ulp
       above the exact product, so every u whose x can reach the bound
-      passes. The constant cells share the largest of their cuts.
-    - A shadowed model's amplitudes are drawn over the whole chunk, and
-      x = (m * m * energy + 1) * E at its smallest energy factor, the
-      smallest x of any of its signals, is compared with the largest
-      bound of its cells.
+      passes. Each noise count's cut is at its smallest mean, and the
+      chunk's is the largest of them.
+    - A noise count tests its constant means on E itself, at or below
+      bound * pad / mu * pad at its smallest mean: E is the value the
+      count multiplies, and mu * E rounds within an ulp of the product.
+    - A shadowed model's amplitudes are drawn over the whole chunk. The
+      chunk compares x = (m * m * energy + 1) * E at the model's smallest
+      energy, the smallest x of any of its signals, with the largest
+      bound of its cells; a noise count compares that x, computed as the
+      count computes it, at the model's smallest energy among its cells
+      with its own bound.
 
     The chunk's candidates are every cell's together. When at most
     n * K // 8 for K noise counts, u (or E), v and each model's squared
     amplitudes are gathered in place, else the whole chunk runs. The work
     row holds one span of ``_SPAN`` floats for the noise maxima y and one
-    for the signal statistics x, so a cell's values stay in cache and the
-    row's rest is never touched; every cell counts x <= y a span at a
-    time. Every ufunc acts element by element, so a gathered or spanned
-    element gets the value it has in a pass over every iteration, and
-    counting over any superset of a cell's candidates gives that pass's
-    count bit for bit. Ties count as errors (measure zero, pinned for
-    reproducibility).
+    for the signal statistics x, so a count's values stay in cache and the
+    row's rest is never touched. A span at a time, each noise count finds
+    its own candidates. When they are at most half the span, its log(v),
+    E and squared amplitudes are gathered side by side into the two
+    spans and the count inverts and compares only there; else it
+    runs on the whole span. Every ufunc acts element by element, so a
+    gathered or spanned element gets the value it has in a pass over
+    every iteration, and counting over any superset of a cell's
+    candidates gives that pass's count bit for bit. Ties count as errors
+    (measure zero, pinned for reproducibility).
     """
     rows = _scratch_rows(signals)
     if len(scratch) < rows or scratch.shape[1] < max(n, 2):
@@ -244,17 +264,30 @@ def _chunk_error_count(
     ys, xs = scratch[2, :span], scratch[2, span : 2 * span]
     np.random.default_rng(signal_seed).random(n, out=u)
     np.random.default_rng(noise_seed).random(n, out=v)
-    top = v.max()
+    top = float(v.max())
     bounds = [_noise_bound(top, n_noise) for n_noise in noise_counts]
 
-    constant = [(j, k) for j, k in cells if isinstance(signals[j], float)]
-    if constant:
-        pad = 1.0 + _SLACK
-        cut = max(-math.expm1(-bounds[k] * pad / signals[j]) * pad for j, k in constant)
+    # Each noise count's cells, its smallest constant mean and, per
+    # shadowing model, its smallest signal energy: the count's own tests.
+    groups = _shadowed_by_model(signals)
+    model_of = {j: g for g, members in enumerate(groups.values()) for j in members}
+    by_noise: dict = {}
+    means: dict = {}
+    energies: dict = {}
+    for c, (j, k) in enumerate(cells):
+        by_noise.setdefault(k, []).append((c, j))
+        if j in model_of:
+            least = energies.setdefault(k, {})
+            least[model_of[j]] = min(least.get(model_of[j], math.inf), signals[j][1])
+        else:
+            means[k] = min(means.get(k, math.inf), signals[j])
+
+    pad = 1.0 + _SLACK
+    if means:
+        cut = max(-math.expm1(-bounds[k] * pad / mean) * pad for k, mean in means.items())
         candidates = u <= cut
     else:
         candidates = np.zeros(n, dtype=bool)
-    groups = _shadowed_by_model(signals)
     if groups:
         _unit_exponential(u, out=u)
     squares = []
@@ -272,7 +305,7 @@ def _chunk_error_count(
             candidates[part] |= x <= bound
 
     # A gather pays below about an eighth of the chunk per noise count,
-    # since each count adds a whole-chunk inversion.
+    # since a count whose own candidates are many inverts the whole chunk.
     live = [u, v, *squares]
     found = np.count_nonzero(candidates)
     if found <= n * len(noise_counts) // 8:
@@ -296,23 +329,37 @@ def _chunk_error_count(
         _unit_exponential(e, out=e)
     with np.errstate(divide="ignore"):
         np.log(log_v, out=log_v)
-    square_of = {j: m2 for m2, members in zip(squares, groups.values()) for j in members}
-    by_noise: dict = {}
-    for c, (j, k) in enumerate(cells):
-        by_noise.setdefault(k, []).append((c, j))
+    e_cuts = {k: bounds[k] * pad / mean * pad for k, mean in means.items()}
     counts = np.zeros(len(cells), dtype=np.int64)
     for part in _spans(len(e), span):
-        x = xs[: part.stop - part.start]
+        length = part.stop - part.start
         for k, members in by_noise.items():
-            y = _max_noise_from_log(noise_counts[k], log_v[part],
-                                    out=ys[: part.stop - part.start])
+            own = e[part] <= e_cuts[k] if k in e_cuts else np.zeros(length, dtype=bool)
+            for g, energy in energies.get(k, {}).items():
+                x = np.multiply(squares[g][part], energy, out=xs[:length])
+                x += 1.0
+                x *= e[part]
+                own |= x <= bounds[k]
+            size = np.count_nonzero(own)
+            if 2 * size <= length:
+                # The count's own candidates, side by side in the y span:
+                # y, then x; their E goes to the x span.
+                index = np.flatnonzero(own)
+                y, x, e_own = ys[:size], ys[size : 2 * size], xs[:size]
+            else:
+                index = None
+                y, x, e_own = ys[:length], xs[:length], None
+            del own
+            y = _max_noise_from_log(noise_counts[k], _select(log_v[part], index, y), out=y)
+            e_own = _select(e[part], index, e_own)
             for c, j in members:
-                if j in square_of:
-                    np.multiply(square_of[j][part], signals[j][1], out=x)
+                if j in model_of:
+                    m2 = _select(squares[model_of[j]][part], index, x)
+                    np.multiply(m2, signals[j][1], out=x)
                     x += 1.0
-                    x *= e[part]
+                    x *= e_own
                 else:
-                    np.multiply(signals[j], e[part], out=x)
+                    np.multiply(signals[j], e_own, out=x)
                 counts[c] += np.count_nonzero(x <= y)
     return counts
 
@@ -408,6 +455,8 @@ def estimate_pe(
     if workers == 1:
         errors = work(0)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             errors = sum(pool.map(work, range(workers)))
 

@@ -18,6 +18,7 @@ from wtfc import (
     estimate_pe,
     signal_energy,
 )
+from wtfc import detector
 from wtfc.detector import (
     CHUNK_SIZE,
     _chunk_error_count,
@@ -385,21 +386,23 @@ _CHUNK_CELLS = {case: (signals, noise_counts, _every_cell(signals, noise_counts)
 _README_DUTIES = (1e-2, 1e-3, 1e-4, 1e-5)
 
 
-def _readme_point_cells(duty_cycles, shadowing):
+def _readme_inputs(duty_cycle):
+    return PhysicalInputs(bandwidth_hz=100e6, symbol_time_s=101e-6, delay_spread_s=20e-6,
+                          doppler_spread_hz=25e3, duty_cycle=duty_cycle)
+
+
+def _readme_point_cells(duty_cycles, shadowing, block_len=1):
     """Chunk arguments at the README point (p_r = 10e3, N_0 = 1) over a
     duty-cycle grid: mc-sweep's WTFC and I-FSK cells, which share one
     signal mean per point, or shadow-pair's off and on cells at 8 dB, WTFC
-    alone."""
+    alone, with ``block_len`` symbols per shadowing realization."""
     point_cells = []
     for duty_cycle in duty_cycles:
-        inputs = PhysicalInputs(
-            bandwidth_hz=100e6, symbol_time_s=101e-6, delay_spread_s=20e-6,
-            doppler_spread_hz=25e3, duty_cycle=duty_cycle,
-        )
+        inputs = _readme_inputs(duty_cycle)
         wtfc, ifsk = derive_scheme(inputs), derive_scheme(inputs, "IFSK")
         energy = signal_energy(10e3, wtfc, 1.0)
         if shadowing:
-            on = LargeScaleModel(enabled=True, shadowing_std_db=8.0)
+            on = LargeScaleModel(enabled=True, shadowing_std_db=8.0, block_len=block_len)
             point_cells += [(energy + 1.0, wtfc.noise_slot_count),
                             ((on, energy), wtfc.noise_slot_count)]
         else:
@@ -414,6 +417,7 @@ for _duty in _README_DUTIES:
 # Every duty point of the workload in one chunk, as a sweep runs it.
 _CHUNK_CELLS["mc_sweep_grid"] = _readme_point_cells(_README_DUTIES, False)
 _CHUNK_CELLS["shadow_pair_grid"] = _readme_point_cells(_README_DUTIES, True)
+_CHUNK_CELLS["shadow_blocks_grid"] = _readme_point_cells(_README_DUTIES, True, block_len=1000)
 
 
 @pytest.mark.parametrize("case", list(_CHUNK_CELLS))
@@ -508,10 +512,18 @@ _SWITCH_CASES = [
 
 def test_chunk_counts_equal_on_both_sides_of_the_gather_switch(monkeypatch):
     # In every case some chunks gather their candidates and the rest run
-    # whole; a gathering chunk finds its candidates a span at a time.
+    # whole; a gathering chunk finds its candidates a span at a time. The
+    # chunk's gather indexes spans of its candidate mask, views of one
+    # chunk-long array; a noise count's own gather indexes a mask of its own.
     gathers = []
     flatnonzero = np.flatnonzero
-    monkeypatch.setattr(np, "flatnonzero", lambda a: gathers.append(a.size) or flatnonzero(a))
+
+    def spy(a):
+        if a.base is not None and a.base.size == CHUNK_SIZE:
+            gathers.append(a.size)
+        return flatnonzero(a)
+
+    monkeypatch.setattr(np, "flatnonzero", spy)
     for cells, noise_counts, mu in _SWITCH_CASES:
         gathered = []
         for chunk in range(20):
@@ -522,6 +534,35 @@ def test_chunk_counts_equal_on_both_sides_of_the_gather_switch(monkeypatch):
             assert sum(gathers) in (0, CHUNK_SIZE), (cells, noise_counts, chunk)
             gathered.append(bool(gathers))
         assert 0 < sum(gathered) < 20, (cells, noise_counts, sum(gathered))
+
+
+@pytest.mark.parametrize("case", ["mc_sweep_grid", "shadow_pair_grid", "shadow_blocks_grid"])
+def test_noise_counts_run_on_their_own_candidates_or_the_whole_span(monkeypatch, case):
+    # Over 20 chunks of a sweep's grid, the counts that pair with the
+    # 1e-2 point run on whole spans of the chunk's candidates (their
+    # log(v) is read in place) and the rest invert only their own,
+    # gathered into the work row; every count equals the reference's.
+    signals, noise_counts, cells = _CHUNK_CELLS[case]
+    scratch = np.empty((_scratch_rows(signals), CHUNK_SIZE))
+    reference = np.empty((len(noise_counts) + 2, CHUNK_SIZE))
+    inverted = {"whole": set(), "own": set()}
+    invert = detector._max_noise_from_log
+
+    def spy(n_noise, log_u, out):
+        path = "whole" if np.shares_memory(log_u, scratch[1]) else "own"
+        inverted[path].add(n_noise)
+        return invert(n_noise, log_u, out)
+
+    monkeypatch.setattr(detector, "_max_noise_from_log", spy)
+    for chunk in range(20):
+        got = _chunk_error_count(chunk, CHUNK_SIZE, 7, signals, noise_counts, cells, scratch)
+        want = helpers.reference_chunk_error_count(chunk, CHUNK_SIZE, 7, signals,
+                                                   noise_counts, reference)
+        assert got.tolist() == [want[j, k] for j, k in cells], chunk
+    wtfc_slots = [derive_scheme(_readme_inputs(duty)).noise_slot_count
+                  for duty in _README_DUTIES]
+    assert wtfc_slots[0] in inverted["whole"]
+    assert set(wtfc_slots[1:]) <= inverted["own"] - inverted["whole"]
 
 
 @pytest.mark.parametrize("cells", ["constant", "shadowed", "mixed"])
@@ -599,6 +640,16 @@ def test_noise_bound_at_the_largest_count_covers_every_count(noise_counts, unifo
         top = max_noise_from_uniform(n_noise, v).max()
         assert _noise_bound(v.max(), n_noise) >= top, n_noise
         assert _noise_bound(v.max(), max(noise_counts)) >= top, n_noise
+
+
+@pytest.mark.parametrize("n_noise", [1, 2, 2699, 10**9])
+@pytest.mark.parametrize("top", [0.0, 5e-324, 1e-300, 0.5, np.nextafter(1.0, 0.0)])
+def test_noise_bound_covers_the_largest_maximum_at_the_edges(top, n_noise):
+    # The bound is computed on one float with math, the maxima with numpy's
+    # ufuncs; the pad must cover the two at either end of the uniforms.
+    bound = _noise_bound(float(top), n_noise)
+    assert math.isfinite(bound)
+    assert bound >= max_noise_from_uniform(n_noise, top)
 
 
 @pytest.mark.parametrize("iterations", [250_000, 37])

@@ -79,6 +79,47 @@ def test_calls_that_never_sample_do_not_load_numpy(args):
     assert run_child(CLI_SCRIPT, args) == "exit 0 False"
 
 
+MODULES_SCRIPT = """
+import sys
+import wtfc.cli
+try:
+    code = wtfc.cli.main(sys.argv[2:])
+except SystemExit as exc:
+    code = exc.code
+print("exit", code, *sorted(name for name in sys.argv[1].split(",") if name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["--version"],
+    ["derive", *BASE_SETS],
+    ["capacity", *BASE_SETS, "--pe", "1e-3"],
+], ids=["version", "derive", "capacity-pe"])
+def test_calls_without_a_warning_or_json_load_neither_logging_nor_json(args):
+    assert run_child(MODULES_SCRIPT, ["logging,json", *args]) == "exit 0"
+
+
+def test_one_thread_pe_does_not_load_the_thread_pool():
+    args = ["concurrent.futures", "pe", *BASE_SETS, "--iters", "1000", "--threads", "1"]
+    assert run_child(MODULES_SCRIPT, args) == "exit 0"
+
+
+JSON_SCRIPT = """
+import contextlib, io, json, sys
+import wtfc.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = wtfc.cli.main(sys.argv[1:])
+print("exit", code, json.loads(out.getvalue())["alphabet_size"])
+"""
+
+
+def test_json_derive_still_writes_json():
+    # json is imported only by the writer that needs it.
+    args = ["derive", *BASE_SETS, "--format", "json"]
+    assert run_child(JSON_SCRIPT, args) == "exit 0 270000"
+
+
 def test_closed_form_library_calls_do_not_load_numpy():
     assert run_child(LIBRARY_SCRIPT) == "exit 0 False"
 
