@@ -40,8 +40,9 @@ rows of ``CHUNK_SIZE`` floats once per ``estimate_pe`` call, and so once
 per sweep, as many as ``_scratch_rows`` asks: u, v, one work row and one
 per shadowing model, however many grid points the call carries. Every
 chunk draws, gathers and transforms in place there. Per chunk only the
-1-byte candidate and comparison masks, the candidates' indices and, for
-block shadowing, one amplitude per block are new memory.
+1-byte candidate and comparison masks, the candidates' indices (the
+chunk's, and each noise count's a span at a time) and, for block
+shadowing, one amplitude per block are new memory.
 """
 
 from __future__ import annotations
@@ -311,15 +312,13 @@ def _chunk_error_count(
     if found <= n * len(noise_counts) // 8:
         # Compacted in place, a span of the chunk at a time through the y
         # span: a span's candidates land at or before their own places,
-        # so no span overwrites what a later one reads. "clip" skips the
-        # range check that makes take copy.
+        # so no span overwrites what a later one reads.
         size = 0
         for part in _spans(n, span):
             index = np.flatnonzero(candidates[part])
             gathered = slice(size, size + index.size)
             for source in live:
-                source[gathered] = np.take(source[part], index, mode="clip",
-                                           out=ys[: index.size])
+                source[gathered] = _select(source[part], index, ys[: index.size])
             size = gathered.stop
         del candidates
         live = [source[:found] for source in live]
@@ -349,7 +348,6 @@ def _chunk_error_count(
             else:
                 index = None
                 y, x, e_own = ys[:length], xs[:length], None
-            del own
             y = _max_noise_from_log(noise_counts[k], _select(log_v[part], index, y), out=y)
             e_own = _select(e[part], index, e_own)
             for c, j in members:
