@@ -27,7 +27,7 @@ def dmc_capacity(
     """
     if alphabet_size < 2:
         raise ValueError("alphabet_size must be at least 2")
-    if symbol_time_s <= 0:
+    if not symbol_time_s > 0:
         raise ValueError("symbol_time_s must be positive")
     if not 0 < duty_cycle <= 1:
         raise ValueError("duty_cycle must lie in (0, 1]")
@@ -59,7 +59,7 @@ def dmc_capacity(
 
 def awgn_capacity(receive_power: float, noise_density: float, bandwidth_hz: float) -> float:
     """Shannon capacity B log2(1 + P_r / (N_0 B)), the upper-bound baseline."""
-    if receive_power <= 0 or noise_density <= 0 or bandwidth_hz <= 0:
+    if not (receive_power > 0 and noise_density > 0 and bandwidth_hz > 0):
         raise ValueError("receive_power, noise_density and bandwidth_hz must be positive")
     return bandwidth_hz * math.log2(1.0 + receive_power / (noise_density * bandwidth_hz))
 

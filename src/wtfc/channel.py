@@ -45,15 +45,15 @@ class LargeScaleModel:
     block_len: int = 1
 
     def __post_init__(self) -> None:
-        if self.reference_distance_m <= 0:
+        if not self.reference_distance_m > 0:
             raise ValueError("reference_distance_m must be positive")
-        if self.distance_m < self.reference_distance_m:
+        if not self.distance_m >= self.reference_distance_m:
             raise ValueError("distance_m must be at least reference_distance_m")
-        if self.wavelength_m <= 0:
+        if not self.wavelength_m > 0:
             raise ValueError("wavelength_m must be positive")
-        if self.path_loss_exponent <= 0:
+        if not self.path_loss_exponent > 0:
             raise ValueError("path_loss_exponent must be positive")
-        if self.shadowing_std_db < 0:
+        if not self.shadowing_std_db >= 0:
             raise ValueError("shadowing_std_db must be nonnegative")
         if self.block_len < 1:
             raise ValueError("block_len must be a positive integer")
@@ -82,7 +82,7 @@ def transmit_power(receive_power: float, model: LargeScaleModel) -> float:
     Inverts the deterministic (shadowing-free) power gain. A disabled model
     attenuates nothing, so transmit and receive power coincide.
     """
-    if receive_power <= 0:
+    if not receive_power > 0:
         raise ValueError("receive_power must be positive")
     return receive_power / deterministic_power_gain(model)
 

@@ -28,18 +28,22 @@ with its uniform v, so the one at a chunk's largest v, computed on one
 float with ``math`` and padded by a relative 1e-6 (``_SLACK``) against
 the few-ulp error of either computation, bounds every maximum of the
 chunk at that noise count, and an iteration whose signal statistic lies
-above the bound is correct in that cell. Each chunk gathers the
-candidates of all its cells once, when they are few; each noise count
-then inverts its maximum, and counts its cells, only over its own
-candidates among them, unless they are most of a span. E, the noise
-maxima and every comparison go through the same element-wise ufuncs as a
-pass over every iteration, so each count equals that pass's bit for bit.
+above the bound is correct in that cell. Each noise count has one cut
+on E for its constant means, from which the chunk's test on u is
+derived, and a shadowed statistic is formed by ``_shadowed`` alone,
+wherever it is tested or counted. Each chunk gathers the candidates of
+all its cells once, when they are few; each noise count then inverts its
+maximum, and counts its cells, only over its own candidates among them,
+unless they are most of a span. E, the noise maxima and every comparison
+go through the same element-wise ufuncs as a pass over every iteration,
+so each count equals that pass's bit for bit.
 
 The chunk kernel is allocation-free: each worker allocates its scratch
 rows of ``CHUNK_SIZE`` floats once per ``estimate_pe`` call, and so once
-per sweep, as many as ``_scratch_rows`` asks: u, v, one work row and one
-per shadowing model, however many grid points the call carries. Every
-chunk draws, gathers and transforms in place there. Per chunk only the
+per sweep, as many as ``_scratch_rows`` asks: u, v, one work row of
+three spans (the noise maxima, E and the signal statistics) and one per
+shadowing model, however many grid points the call carries. Every chunk
+draws, gathers and transforms in place there. Per chunk only the
 1-byte candidate and comparison masks, the candidates' indices (the
 chunk's, and each noise count's a span at a time) and, for block
 shadowing, one amplitude per block are new memory.
@@ -75,6 +79,9 @@ _SLACK = 1e-6
 # Iterations per span of the chunk kernel's work row: the noise maxima and
 # the signal statistics of this many iterations are held at a time.
 _SPAN = 1 << 14
+# Columns the chunk kernel's scratch needs at least: its work row holds
+# three spans, for the noise maxima y, E and the signal statistics x.
+_MIN_COLUMNS = 3
 
 
 def draw_m_batch(
@@ -163,19 +170,24 @@ def _noise_bound(top: float, n_noise: int) -> float:
     return top + _SLACK * max(top, 1.0)
 
 
-def _shadowed_by_model(signals: Sequence) -> dict:
-    """Indices of the shadowed signals, grouped by model in first-seen order."""
-    groups: dict = {}
-    for j, signal in enumerate(signals):
-        if not isinstance(signal, float):
-            groups.setdefault(signal[0], []).append(j)
-    return groups
+def _shadowed(m2, energy: float, e, out):
+    """(m * m * energy + 1) * E into ``out``, from m * m: the shadowed signal
+    statistic, formed in this one order wherever it is tested or counted."""
+    np.multiply(m2, energy, out=out)
+    out += 1.0
+    return np.multiply(out, e, out=out)
+
+
+def _shadowing_models(signals: Sequence) -> dict:
+    """Each distinct shadowing model of the signals and its index, in first-seen order."""
+    models = dict.fromkeys(signal[0] for signal in signals if not isinstance(signal, float))
+    return {model: g for g, model in enumerate(models)}
 
 
 def _scratch_rows(signals: Sequence) -> int:
     """Rows of scratch the chunk kernel needs: one each for u, v and the
     work row, and one per distinct shadowing model for its amplitudes."""
-    return 3 + len(_shadowed_by_model(signals))
+    return 3 + len(_shadowing_models(signals))
 
 
 def _spans(length: int, span: int) -> list[slice]:
@@ -208,9 +220,9 @@ def _chunk_error_count(
     indices. The chunk is seeded by (seed, chunk); its signal uniforms u,
     its noise uniforms v and each distinct model's amplitudes are drawn
     once for every cell. ``scratch`` holds at least
-    ``_scratch_rows(signals)`` rows of at least max(n, 2) floats, else
-    ``ValueError``; the chunk overwrites those rows. Returns one count per
-    cell.
+    ``_scratch_rows(signals)`` rows of at least max(n, ``_MIN_COLUMNS``)
+    floats, else ``ValueError``; the chunk overwrites those rows. Returns
+    one count per cell.
 
     Only iterations that can be errors are inverted, and the counts stay
     exact:
@@ -222,87 +234,76 @@ def _chunk_error_count(
       cell's noise count is correct in that cell: a cell's errors are
       among its candidates, the iterations with x <= bound, and a noise
       count's candidates are its cells' together.
-    - The chunk tests a constant mean mu on u, the u at or below
-      -expm1(-bound * pad / mu) * pad with pad = 1 + ``_SLACK``.
-      E = -ln(1 - u) increases with u and mu * E rounds at most a few ulp
-      above the exact product, so every u whose x can reach the bound
-      passes. Each noise count's cut is at its smallest mean, and the
-      chunk's is the largest of them.
-    - A noise count tests its constant means on E itself, at or below
-      bound * pad / mu * pad at its smallest mean: E is the value the
-      count multiplies, and mu * E rounds within an ulp of the product.
-    - A shadowed model's amplitudes are drawn over the whole chunk. The
-      chunk compares x = (m * m * energy + 1) * E at the model's smallest
-      energy, the smallest x of any of its signals, with the largest
-      bound of its cells; a noise count compares that x, computed as the
-      count computes it, at the model's smallest energy among its cells
-      with its own bound.
+    - A constant mean mu gives x = mu * E, within an ulp of the product,
+      so each noise count has one cut on E, bound * pad / mu * pad at its
+      smallest mean with pad = 1 + ``_SLACK``, or -1, which no E reaches,
+      without a constant mean. E = -ln(1 - u) rises with u, within a few
+      ulp, so the chunk tests u at or below -expm1(-cut) * pad for the
+      largest cut, which keeps every u of every count's E cut.
+    - A shadowed signal's x is ``_shadowed``'s (m * m * energy + 1) * E,
+      formed alike wherever it is tested or counted. A model's amplitudes
+      are drawn over the whole chunk; the chunk tests x at the smallest
+      of its counts' energies against the largest of their bounds, and a
+      noise count at its own smallest energy against its own bound.
 
     The chunk's candidates are every cell's together. When at most
     n * K // 8 for K noise counts, u (or E), v and each model's squared
     amplitudes are gathered in place, else the whole chunk runs. The work
-    row holds one span of ``_SPAN`` floats for the noise maxima y and one
-    for the signal statistics x, so a count's values stay in cache and the
-    row's rest is never touched. A span at a time, each noise count finds
-    its own candidates. When they are at most half the span, its log(v),
-    E and squared amplitudes are gathered side by side into the two
-    spans and the count inverts and compares only there; else it
-    runs on the whole span. Every ufunc acts element by element, so a
-    gathered or spanned element gets the value it has in a pass over
-    every iteration, and counting over any superset of a cell's
+    row holds three spans of ``_SPAN`` floats, for the noise maxima y, E
+    and the signal statistics x, so a count's values stay in cache and
+    the row's rest is never touched. A span at a time, each noise count
+    finds its own candidates. When they are at most half the span, its
+    log(v), E and squared amplitudes are gathered into the y, E and x
+    spans and the count inverts and compares only there; else it runs on
+    the whole span, through the same spans. Every ufunc acts element by
+    element, so a gathered or spanned element gets the value it has in a
+    pass over every iteration, and counting over any superset of a cell's
     candidates gives that pass's count bit for bit. Ties count as errors
     (measure zero, pinned for reproducibility).
     """
-    rows = _scratch_rows(signals)
-    if len(scratch) < rows or scratch.shape[1] < max(n, 2):
+    rows, columns = _scratch_rows(signals), max(n, _MIN_COLUMNS)
+    if len(scratch) < rows or scratch.shape[1] < columns:
         raise ValueError(f"scratch has {len(scratch)} rows of {scratch.shape[1]} floats; "
-                         f"the chunk needs {rows} of {max(n, 2)}")
+                         f"the chunk needs {rows} of {columns}")
     shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
         [seed, chunk_index]
     ).spawn(3)
     u, v = scratch[0, :n], scratch[1, :n]
-    span = min(_SPAN, scratch.shape[1] // 2)
-    ys, xs = scratch[2, :span], scratch[2, span : 2 * span]
+    span = min(_SPAN, scratch.shape[1] // _MIN_COLUMNS)
+    ys, es, xs = (scratch[2, i * span : (i + 1) * span] for i in range(_MIN_COLUMNS))
     np.random.default_rng(signal_seed).random(n, out=u)
     np.random.default_rng(noise_seed).random(n, out=v)
     top = float(v.max())
     bounds = [_noise_bound(top, n_noise) for n_noise in noise_counts]
 
-    # Each noise count's cells, its smallest constant mean and, per
-    # shadowing model, its smallest signal energy: the count's own tests.
-    groups = _shadowed_by_model(signals)
-    model_of = {j: g for g, members in enumerate(groups.values()) for j in members}
+    # Each noise count's cells as (cell, model index or None, mean or
+    # energy), and its smallest value per model index, None for the means.
+    models = _shadowing_models(signals)
     by_noise: dict = {}
-    means: dict = {}
-    energies: dict = {}
+    least: list = [{} for _ in noise_counts]
     for c, (j, k) in enumerate(cells):
-        by_noise.setdefault(k, []).append((c, j))
-        if j in model_of:
-            least = energies.setdefault(k, {})
-            least[model_of[j]] = min(least.get(model_of[j], math.inf), signals[j][1])
-        else:
-            means[k] = min(means.get(k, math.inf), signals[j])
-
+        g, value = ((None, signals[j]) if isinstance(signals[j], float)
+                    else (models[signals[j][0]], signals[j][1]))
+        by_noise.setdefault(k, []).append((c, g, value))
+        least[k][g] = min(least[k].get(g, math.inf), value)
+    # Each count's one cut on E, at its smallest mean, or -1, below every
+    # E; what stays in ``least`` is its smallest energy per model.
     pad = 1.0 + _SLACK
-    if means:
-        cut = max(-math.expm1(-bounds[k] * pad / mean) * pad for k, mean in means.items())
-        candidates = u <= cut
-    else:
-        candidates = np.zeros(n, dtype=bool)
-    if groups:
+    cuts = [bound * pad / low.pop(None) * pad if None in low else -1.0
+            for bound, low in zip(bounds, least)]
+
+    candidates = u <= -math.expm1(-max(cuts)) * pad
+    if models:
         _unit_exponential(u, out=u)
     squares = []
-    for row, (model, members) in zip(scratch[3:rows], groups.items()):
+    for (model, g), row in zip(models.items(), scratch[3:rows]):
         m2 = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=row[:n])
         m2 *= m2
         squares.append(m2)
-        energy = min(signals[j][1] for j in members)
-        bound = max(bounds[k] for j, k in cells if j in members)
+        energy = min(low[g] for low in least if g in low)
+        bound = max(b for b, low in zip(bounds, least) if g in low)
         for part in _spans(n, span):
-            # (m * m) * energy + 1 times E, at the model's smallest energy.
-            x = np.multiply(m2[part], energy, out=xs[: part.stop - part.start])
-            x += 1.0
-            x *= u[part]
+            x = _shadowed(m2[part], energy, u[part], xs[: part.stop - part.start])
             candidates[part] |= x <= bound
 
     # A gather pays below about an eighth of the chunk per noise count,
@@ -324,40 +325,30 @@ def _chunk_error_count(
         live = [source[:found] for source in live]
     e, log_v, *squares = live
 
-    if not groups:
+    if not models:
         _unit_exponential(e, out=e)
     with np.errstate(divide="ignore"):
         np.log(log_v, out=log_v)
-    e_cuts = {k: bounds[k] * pad / mean * pad for k, mean in means.items()}
     counts = np.zeros(len(cells), dtype=np.int64)
     for part in _spans(len(e), span):
         length = part.stop - part.start
         for k, members in by_noise.items():
-            own = e[part] <= e_cuts[k] if k in e_cuts else np.zeros(length, dtype=bool)
-            for g, energy in energies.get(k, {}).items():
-                x = np.multiply(squares[g][part], energy, out=xs[:length])
-                x += 1.0
-                x *= e[part]
-                own |= x <= bounds[k]
+            own = e[part] <= cuts[k]
+            for g, energy in least[k].items():
+                own |= _shadowed(squares[g][part], energy, e[part], xs[:length]) <= bounds[k]
             size = np.count_nonzero(own)
             if 2 * size <= length:
-                # The count's own candidates, side by side in the y span:
-                # y, then x; their E goes to the x span.
                 index = np.flatnonzero(own)
-                y, x, e_own = ys[:size], ys[size : 2 * size], xs[:size]
             else:
-                index = None
-                y, x, e_own = ys[:length], xs[:length], None
+                index, size = None, length
+            y, e_own, x = ys[:size], es[:size], xs[:size]
             y = _max_noise_from_log(noise_counts[k], _select(log_v[part], index, y), out=y)
             e_own = _select(e[part], index, e_own)
-            for c, j in members:
-                if j in model_of:
-                    m2 = _select(squares[model_of[j]][part], index, x)
-                    np.multiply(m2, signals[j][1], out=x)
-                    x += 1.0
-                    x *= e_own
+            for c, g, value in members:
+                if g is None:
+                    np.multiply(value, e_own, out=x)
                 else:
-                    np.multiply(signals[j], e_own, out=x)
+                    _shadowed(_select(squares[g][part], index, x), value, e_own, x)
                 counts[c] += np.count_nonzero(x <= y)
     return counts
 
@@ -442,7 +433,8 @@ def estimate_pe(
     def work(first: int) -> np.ndarray:
         # Worker ``first`` runs chunks first, first + workers, ... in its
         # own scratch; a chunk's draws depend on its index alone.
-        scratch = np.empty((_scratch_rows(signal_list), max(2, min(CHUNK_SIZE, iterations))))
+        columns = max(_MIN_COLUMNS, min(CHUNK_SIZE, iterations))
+        scratch = np.empty((_scratch_rows(signal_list), columns))
         errors = np.zeros(len(cell_list), dtype=np.int64)
         for i in range(first, n_chunks, workers):
             n = min(CHUNK_SIZE, iterations - i * CHUNK_SIZE)

@@ -53,9 +53,9 @@ def signal_energy(
     The transmitted slot's squared output is exponential with mean
     ``mu = m^2 * signal_energy + 1``; zero power is the pure-noise limit.
     """
-    if transmit_power < 0:
+    if not transmit_power >= 0:
         raise ValueError("transmit_power must be nonnegative")
-    if noise_density <= 0:
+    if not noise_density > 0:
         raise ValueError("noise_density must be positive")
     inputs = params.inputs
     return transmit_power * inputs.symbol_time_s / (inputs.duty_cycle * noise_density)
@@ -97,7 +97,7 @@ def analytic_pe_no_shadowing(mu: float, n_noise: int) -> float:
     is capped at the uniform-guessing value 1 - 1/(N+1), which rounding
     alone would overshoot by an ulp near mu = 1.
     """
-    if mu < 1.0:
+    if not mu >= 1.0:
         raise ValueError("mu must be at least 1")
     if n_noise < 1:
         raise ValueError("n_noise must be at least 1")

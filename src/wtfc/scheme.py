@@ -49,13 +49,13 @@ class PhysicalInputs:
     guard_time_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.bandwidth_hz <= 0:
+        if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be positive")
-        if self.symbol_time_s <= 0:
+        if not self.symbol_time_s > 0:
             raise ValueError("symbol_time_s must be positive")
-        if self.delay_spread_s < 0:
+        if not self.delay_spread_s >= 0:
             raise ValueError("delay_spread_s must be nonnegative")
-        if self.doppler_spread_hz < 0:
+        if not self.doppler_spread_hz >= 0:
             raise ValueError("doppler_spread_hz must be nonnegative")
         if self.delay_spread_s >= self.symbol_time_s:
             raise ValueError(
@@ -74,7 +74,7 @@ class PhysicalInputs:
             raise ValueError("q_override must be a positive integer")
         guard = self.guard_time_s
         if guard is not None:
-            if guard < self.delay_spread_s:
+            if not guard >= self.delay_spread_s:
                 raise ValueError("guard_time_s must be at least the delay spread")
             if guard >= self.symbol_time_s:
                 raise ValueError("guard_time_s must be smaller than symbol_time_s")
@@ -173,7 +173,7 @@ def amplitude(transmit_power: float, params: SchemeParams) -> float:
     The tone is on for ``window`` seconds out of every ``T_s / theta``,
     so the amplitude is boosted to sqrt(P_t * T_s / (theta * window)).
     """
-    if transmit_power <= 0:
+    if not transmit_power > 0:
         raise ValueError("transmit_power must be positive")
     inputs = params.inputs
     return math.sqrt(

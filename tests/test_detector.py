@@ -19,12 +19,14 @@ from wtfc import (
     signal_energy,
 )
 from wtfc import detector
+from wtfc.channel import constant_amplitude
 from wtfc.detector import (
     CHUNK_SIZE,
     _chunk_error_count,
     _max_noise_from_log,
     _noise_bound,
     _scratch_rows,
+    _shadowed,
     _unit_exponential,
     max_noise_from_uniform,
     signal_power_from_uniform,
@@ -497,6 +499,37 @@ def test_chunk_counts_equal_the_all_iterations_kernel(cells, mu, n):
     _assert_kernel_matches_reference(_kernel_signals(cells, mu), _KERNEL_NOISE, n, chunks)
 
 
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+@pytest.mark.parametrize("cells", ["constant", "shadowed", "mixed"])
+def test_tiny_iteration_counts_equal_the_all_iterations_kernel(cells, iterations):
+    # Fewer iterations than the work row's three spans need columns: the
+    # estimate's scratch must still hold them, and each cell, formed as
+    # estimate_pe forms it, equals the reference's count.
+    models = {"constant": (NO_FADING, _PIN_GEOMETRY), "shadowed": (_PIN_SHADOWED, _BLOCKS),
+              "mixed": (NO_FADING, _PIN_SHADOWED)}[cells]
+    variants = tuple(helpers.scheme_with_alphabet(s) for s in (16, 4, 2))
+    powers = (3.0, 10.0, 1.0)
+    signals = []
+    for model in models:
+        amplitude = constant_amplitude(model)
+        for params, p_t in zip(variants, powers):
+            energy = signal_energy(p_t, params, 1.0)
+            signals.append((model, energy) if amplitude is None
+                           else amplitude * amplitude * energy + 1.0)
+    noise_counts = [params.noise_slot_count for params in variants]
+    reference = np.empty((len(noise_counts) + 2, iterations))
+    errors = 0
+    for seed in range(20):
+        got = estimate_pe(variants, models, powers, 1.0, iterations, seed=seed)
+        want = helpers.reference_chunk_error_count(0, iterations, seed, signals,
+                                                   noise_counts, reference)
+        assert [est.p_e for est in got] == [
+            want[j, j % len(variants)] / iterations for j in range(len(signals))
+        ], seed
+        errors += int(want.sum())
+    assert errors > 0
+
+
 # Means near which the candidates' share of a chunk straddles the gather
 # switch, n * K // 8 for K noise counts, at the noise counts of shadow-pair
 # ([2699]) and mc-sweep ([269_999, 2699]): (cells, noise counts, mu).
@@ -652,6 +685,41 @@ def test_noise_bound_covers_the_largest_maximum_at_the_edges(top, n_noise):
     assert bound >= max_noise_from_uniform(n_noise, top)
 
 
+@pytest.mark.parametrize("energy", [0.0, 1e-300, 100.0, 1e12])
+def test_shadowed_statistic_matches_the_reference_order_bit_for_bit(energy):
+    # The reference forms mu = m * m; mu *= energy; mu += 1 and then mu * E.
+    # A reordering rarely flips a count, so compare bits at the edges.
+    m = np.repeat([0.0, 5e-324, 1.0, 1e150], 4)
+    e = np.tile([0.0, 5e-324, 1.0, 745.0], 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = m * m
+        mu *= energy
+        mu += 1.0
+        want = np.multiply(mu, e).tobytes()
+        assert _shadowed(m * m, energy, e, np.empty_like(e)).tobytes() == want
+        # In place over m * m, as a count forms it from gathered amplitudes.
+        m2 = m * m
+        assert _shadowed(m2, energy, e, m2).tobytes() == want
+
+
+@pytest.mark.parametrize("cut", np.geomspace(1e-12, 50.0, 41))
+def test_uniform_cut_keeps_every_uniform_within_the_e_cut(cut):
+    # The chunk tests u against -expm1(-cut) * pad, derived from a count's
+    # cut on E: every u whose E = -ln(1 - u) is at or below the cut passes.
+    pad = 1.0 + detector._SLACK
+    u_cut = -math.expm1(-cut)
+    steps = [u_cut]
+    for toward in (0.0, 1.0):
+        u = u_cut
+        for _ in range(64):
+            u = np.nextafter(u, toward)
+            steps.append(u)
+    u = np.array([step for step in steps if step < 1.0])
+    kept = _unit_exponential(u, np.empty_like(u)) <= cut
+    assert kept.any()
+    assert (u[kept] <= u_cut * pad).all()
+
+
 @pytest.mark.parametrize("iterations", [250_000, 37])
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_every_cell_of_a_shared_pass_equals_its_one_cell_call(iterations, threads):
@@ -703,6 +771,29 @@ def test_rejects_threads_below_one(threads):
     params = helpers.scheme_with_alphabet(4)
     with pytest.raises(ValueError, match="^threads must be at least 1$"):
         estimate_pe(params, NO_FADING, 1.0, 1.0, 10, seed=0, threads=threads)
+
+
+_NAN_SHADOWING = ("distance_m", "reference_distance_m", "wavelength_m",
+                  "path_loss_exponent", "shadowing_std_db")
+_NAN_INPUTS = ("bandwidth_hz", "symbol_time_s", "delay_spread_s", "doppler_spread_hz",
+               "guard_time_s")
+
+
+@pytest.mark.parametrize("field", [*_NAN_SHADOWING, *_NAN_INPUTS,
+                                   "transmit_power", "noise_density"])
+def test_nan_fails_at_its_field(field):
+    # A comparison with NaN is False, so a check must be written to fail
+    # on it rather than to pass it.
+    params = helpers.scheme_with_alphabet(4)
+    with pytest.raises(ValueError, match=f"^{field} "):
+        if field in _NAN_SHADOWING:
+            dataclasses.replace(_PIN_SHADOWED, **{field: math.nan})
+        elif field in _NAN_INPUTS:
+            dataclasses.replace(_readme_inputs(1e-2), **{field: math.nan})
+        elif field == "transmit_power":
+            estimate_pe(params, NO_FADING, math.nan, 1.0, 10, seed=0)
+        else:
+            estimate_pe(params, NO_FADING, 1.0, math.nan, 10, seed=0)
 
 
 def test_oracle_agreement_smoke():
