@@ -76,11 +76,11 @@ _NEPERS_PER_DB = math.log(10.0) / 20.0
 # Relative pad on the chunk's noise bound and on the signal cut derived from
 # it, far above the few-ulp error of the ufuncs that compute either side.
 _SLACK = 1e-6
-# Iterations per span of the chunk kernel's work row: the noise maxima and
-# the signal statistics of this many iterations are held at a time.
+# Iterations per span of the chunk kernel's work row: the noise maxima, E
+# and the signal statistics of this many iterations are held at a time.
 _SPAN = 1 << 14
-# Columns the chunk kernel's scratch needs at least: its work row holds
-# three spans, for the noise maxima y, E and the signal statistics x.
+# Columns the chunk kernel's scratch needs at least: one for each of the
+# work row's three spans, y, E and x.
 _MIN_COLUMNS = 3
 
 
@@ -255,11 +255,11 @@ def _chunk_error_count(
     finds its own candidates. When they are at most half the span, its
     log(v), E and squared amplitudes are gathered into the y, E and x
     spans and the count inverts and compares only there; else it runs on
-    the whole span, through the same spans. Every ufunc acts element by
-    element, so a gathered or spanned element gets the value it has in a
-    pass over every iteration, and counting over any superset of a cell's
-    candidates gives that pass's count bit for bit. Ties count as errors
-    (measure zero, pinned for reproducibility).
+    the whole span, with y and x in their spans. Every ufunc acts element
+    by element, so a gathered or spanned element gets the value it has in
+    a pass over every iteration, and counting over any superset of a
+    cell's candidates gives that pass's count bit for bit. Ties count as
+    errors (measure zero, pinned for reproducibility).
     """
     rows, columns = _scratch_rows(signals), max(n, _MIN_COLUMNS)
     if len(scratch) < rows or scratch.shape[1] < columns:

@@ -18,8 +18,8 @@ from wtfc import (
     estimate_pe,
     signal_energy,
 )
-from wtfc import detector
-from wtfc.channel import constant_amplitude
+from wtfc import channel, detector, scheme
+from wtfc.capacity import awgn_capacity, dmc_capacity
 from wtfc.detector import (
     CHUNK_SIZE,
     _chunk_error_count,
@@ -511,7 +511,7 @@ def test_tiny_iteration_counts_equal_the_all_iterations_kernel(cells, iterations
     powers = (3.0, 10.0, 1.0)
     signals = []
     for model in models:
-        amplitude = constant_amplitude(model)
+        amplitude = channel.constant_amplitude(model)
         for params, p_t in zip(variants, powers):
             energy = signal_energy(p_t, params, 1.0)
             signals.append((model, energy) if amplitude is None
@@ -797,6 +797,21 @@ def test_nan_fails_at_its_field(field):
             estimate_pe(params, NO_FADING, math.nan, 1.0, 10, seed=0)
         else:
             estimate_pe(params, NO_FADING, 1.0, math.nan, 10, seed=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: scheme.amplitude(math.nan, helpers.scheme_with_alphabet(4)),
+    lambda: channel.transmit_power(math.nan, NO_FADING),
+    lambda: analytic_pe_no_shadowing(math.nan, 3),
+    lambda: dmc_capacity(0.1, 4, 1.0, math.nan),
+    lambda: awgn_capacity(math.nan, 1.0, 1.0),
+    lambda: awgn_capacity(1.0, math.nan, 1.0),
+    lambda: awgn_capacity(1.0, 1.0, math.nan),
+], ids=["amplitude", "transmit_power", "analytic_pe", "dmc_capacity", "awgn_receive_power",
+        "awgn_noise_density", "awgn_bandwidth_hz"])
+def test_nan_fails_the_closed_form_checks(call):
+    with pytest.raises(ValueError, match="must be"):
+        call()
 
 
 def test_oracle_agreement_smoke():
