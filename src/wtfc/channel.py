@@ -16,7 +16,8 @@ belongs to the Monte Carlo sampler in ``wtfc.detector``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 __all__ = [
     "LargeScaleModel",
@@ -27,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LargeScaleModel:
+class LargeScaleModel(Record):
     """Path-loss geometry plus shadowing spread and an on/off switch.
 
     With ``enabled=False`` the channel applies no large-scale attenuation at

@@ -329,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
         handler = functools.partial(_run_sweep_command, paired=paired)
         sub = _add_command(commands, name, help_text, handler)
         sub.add_argument("--axis", help="swept variable")
-        sub.add_argument("--grid", help="comma-separated axis values")
+        sub.add_argument("--grid", help="comma-separated axis values; a list that starts "
+                         "with a minus sign needs '=', as in --grid=-40,-30")
         sub.add_argument("--variants", help="comma-separated: wtfc,ifsk")
         sub.add_argument("--allow-skips", action="store_const", const="true")
         if paired:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 from .channel import LargeScaleModel, deterministic_power_gain, transmit_power
 from .errorlaw import CHUNK_SIZE
+from .record import Record
 from .scheme import VARIANTS, PhysicalInputs
 
 __all__ = ["ConfigError", "RunConfig", "KEYS", "ENV_PREFIX",
@@ -134,7 +134,7 @@ KEYS = {
     "allow_skips": (_parse_bool, False, None),
 }
 
-# Dataclass field -> config key, for naming the key a validator rejected.
+# Record field -> config key, for naming the key a validator rejected.
 _KEY_OF_FIELD = {
     target.rpartition(".")[2]: key for key, (_, _, target) in KEYS.items() if target
 }
@@ -194,8 +194,7 @@ def merge_sources(*sources: dict) -> dict:
     return merged
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Fully resolved simulation configuration.
 
     Exactly one of ``p_r``/``p_t`` is given unless an SNR sweep supplies the

@@ -19,8 +19,8 @@ energy, the estimate record and the chunk size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .record import Record
 from .scheme import SchemeParams
 
 __all__ = ["CHUNK_SIZE", "PeEstimate", "signal_energy", "analytic_pe_no_shadowing"]
@@ -31,8 +31,7 @@ __all__ = ["CHUNK_SIZE", "PeEstimate", "signal_energy", "analytic_pe_no_shadowin
 CHUNK_SIZE = 100_000
 
 
-@dataclass(frozen=True)
-class PeEstimate:
+class PeEstimate(Record):
     """Monte Carlo symbol error probability with its binomial 95% half-width.
 
     For a p_e that was given rather than sampled (``capacity --pe``),

@@ -13,7 +13,8 @@ the spacing clears the Doppler spread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 __all__ = ["VARIANTS", "PhysicalInputs", "SchemeParams", "derive_scheme", "amplitude"]
 
@@ -32,8 +33,7 @@ def _snapped_floor(x: float) -> int:
     return int(math.floor(x))
 
 
-@dataclass(frozen=True)
-class PhysicalInputs:
+class PhysicalInputs(Record):
     """Physical-layer inputs from which every scheme parameter is derived.
 
     ``guard_time_s`` defaults to the delay spread; a longer guard is legal
@@ -90,8 +90,7 @@ class PhysicalInputs:
         return self.symbol_time_s - guard
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(Record):
     """Derived signal parameters for one scheme instantiation.
 
     ``variant`` is "WTFC" (receiver searches tones and slots, alphabet

@@ -22,14 +22,13 @@ skipped included, never loads numpy.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 
 from .capacity import awgn_capacity, dmc_capacity
 from .channel import LargeScaleModel
 from .config import ConfigError, RunConfig
 from .errorlaw import PeEstimate
+from .record import Record
 from .scheme import VARIANTS, SchemeParams, derive_scheme
 
 __all__ = ["AXES", "SweepSpec", "SweepRow", "SweepResult", "cell_row", "run_sweep",
@@ -46,8 +45,7 @@ AXES = {
 }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """One experiment: a base configuration plus the swept axis and grid.
 
     For the ``snr_db`` axis the grid value is 10 log10(P_r / (N_0 B)) and
@@ -97,8 +95,7 @@ class SweepSpec:
             self.base.require_power()
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     """One cell's result. A skipped row has no result fields; a row for a
     given rather than sampled p_e has no seed or iterations."""
 
@@ -119,8 +116,7 @@ class SweepRow:
     snr_db_n0: float | None = None
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     rows: tuple[SweepRow, ...]
 
 
@@ -141,9 +137,9 @@ def _point_config(base: RunConfig, axis: str, value: float) -> RunConfig:
             p_r = base.n_0 * base.inputs.bandwidth_hz * 10.0 ** (value / 10.0)
         except OverflowError:
             p_r = math.inf
-        return dataclasses.replace(base, p_r=p_r, p_t=None)
-    inputs = dataclasses.replace(base.inputs, **{field: value})
-    return dataclasses.replace(base, inputs=inputs)
+        return base.replace(p_r=p_r, p_t=None)
+    inputs = base.inputs.replace(**{field: value})
+    return base.replace(inputs=inputs)
 
 
 def cell_row(point: RunConfig, params: SchemeParams, estimate: PeEstimate,
@@ -244,11 +240,9 @@ def compare_shadowing(
     """
     if sigma_db < 0:
         raise ConfigError("sigma_db", "must be nonnegative")
-    model_on = dataclasses.replace(
-        spec.base.model, enabled=True, shadowing_std_db=sigma_db
-    )
-    model_off = dataclasses.replace(model_on, shadowing_std_db=0.0)
-    spec_on = dataclasses.replace(spec, base=dataclasses.replace(spec.base, model=model_on))
+    model_on = spec.base.model.replace(enabled=True, shadowing_std_db=sigma_db)
+    model_off = model_on.replace(shadowing_std_db=0.0)
+    spec_on = spec.replace(base=spec.base.replace(model=model_on))
     rows: list[SweepRow] = []
     cells = _point_rows(spec_on, (model_off, model_on), threads)
     for off, on in zip(cells, cells):
@@ -256,6 +250,6 @@ def compare_shadowing(
         if off.capacity_bps is not None and on.capacity_bps is not None:
             if off.capacity_bps > 0:
                 loss = 100.0 * (off.capacity_bps - on.capacity_bps) / off.capacity_bps
-        rows += (dataclasses.replace(off, shadowing_enabled=False),
-                 dataclasses.replace(on, capacity_loss_pct=loss))
+        rows += (off.replace(shadowing_enabled=False),
+                 on.replace(capacity_loss_pct=loss))
     return SweepResult(rows=tuple(rows))

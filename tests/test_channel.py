@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -32,36 +31,36 @@ def test_loss_at_reference_distance_is_reference_term():
 
 
 def test_loss_decade_distance():
-    model = dataclasses.replace(TRIVIAL, distance_m=10.0)
+    model = TRIVIAL.replace(distance_m=10.0)
     assert model.deterministic_loss_db() == pytest.approx(20.0)
 
 
 def test_amplitude_from_loss():
     # 0, 20 and 40 dB of loss at 1, 10 and 100 m on the trivial geometry.
     for d, m in [(1.0, 1.0), (10.0, 0.1), (100.0, 0.01)]:
-        model = dataclasses.replace(TRIVIAL, distance_m=d)
+        model = TRIVIAL.replace(distance_m=d)
         assert constant_amplitude(model) == pytest.approx(m)
 
 
 def test_loss_monotone_in_distance_and_shadowing():
     last = None
     for d in [1.0, 2.0, 5.0, 17.0, 100.0]:
-        m = constant_amplitude(dataclasses.replace(TRIVIAL, distance_m=d))
+        m = constant_amplitude(TRIVIAL.replace(distance_m=d))
         if last is not None:
             assert m < last
         last = m
     # The mean shadowing power factor grows with the spread.
-    gains = [shadowing_mean_power_gain(dataclasses.replace(TRIVIAL, shadowing_std_db=s))
+    gains = [shadowing_mean_power_gain(TRIVIAL.replace(shadowing_std_db=s))
              for s in (0.0, 2.0, 4.0, 8.0)]
     assert gains == sorted(gains) and gains[0] == 1.0 < gains[1]
 
 
 @pytest.mark.parametrize("distance_m", [1.0, 3.0, 350.0])
 def test_constant_amplitude_is_the_root_of_the_loss_bit_for_bit(distance_m):
-    model = dataclasses.replace(TRIVIAL, distance_m=distance_m)
+    model = TRIVIAL.replace(distance_m=distance_m)
     loss = model.deterministic_loss_db()
     assert constant_amplitude(model) == math.sqrt(10.0 ** (-loss / 10.0))
-    assert constant_amplitude(dataclasses.replace(model, enabled=False)) == 1.0
+    assert constant_amplitude(model.replace(enabled=False)) == 1.0
 
 
 def test_transmit_power_identity_at_reference():
@@ -70,7 +69,7 @@ def test_transmit_power_identity_at_reference():
 
 
 def test_transmit_power_decade():
-    model = dataclasses.replace(TRIVIAL, distance_m=10.0)
+    model = TRIVIAL.replace(distance_m=10.0)
     assert transmit_power(1.0, model) == pytest.approx(100.0)
 
 
@@ -94,7 +93,7 @@ def test_disabled_model_is_transparent():
 
 def test_zero_sigma_trivial_geometry_gives_unit_m():
     assert constant_amplitude(TRIVIAL) == 1.0
-    model = dataclasses.replace(TRIVIAL, distance_m=10.0)
+    model = TRIVIAL.replace(distance_m=10.0)
     assert constant_amplitude(model) == pytest.approx(0.1)
 
 
@@ -111,7 +110,7 @@ def test_zero_sigma_consumes_no_rng():
 def test_shadowing_moment_matches_lognormal():
     # E[m^2] relative to the deterministic value is exp((sigma ln10/10)^2/2).
     sigma = 8.0
-    model = dataclasses.replace(TRIVIAL, distance_m=10.0, shadowing_std_db=sigma)
+    model = TRIVIAL.replace(distance_m=10.0, shadowing_std_db=sigma)
     rng = np.random.default_rng(1234)
     m = draw_m_batch(model, rng, 1_000_000, out=np.empty(1_000_000))
     det_power = deterministic_power_gain(model)
@@ -122,7 +121,7 @@ def test_shadowing_moment_matches_lognormal():
 
 
 def test_block_length_holds_m_constant():
-    model = dataclasses.replace(TRIVIAL, shadowing_std_db=6.0, block_len=4)
+    model = TRIVIAL.replace(shadowing_std_db=6.0, block_len=4)
     rng = np.random.default_rng(5)
     m = draw_m_batch(model, rng, 10, out=np.empty(10))
     assert np.all(m[0:4] == m[0])
@@ -142,9 +141,7 @@ def _reference_m(model, rng, n):
 @pytest.mark.parametrize("block_len", [1, 4, 1000])
 @pytest.mark.parametrize("distance_m", [1.0, 3.0, 350.0])
 def test_in_place_draw_equals_normal_formula_bit_for_bit(block_len, distance_m):
-    model = dataclasses.replace(
-        TRIVIAL, distance_m=distance_m, shadowing_std_db=8.0, block_len=block_len
-    )
+    model = TRIVIAL.replace(distance_m=distance_m, shadowing_std_db=8.0, block_len=block_len)
     n = 100_003
     want = _reference_m(model, np.random.default_rng(11), n)
     out = np.full(n, np.nan)
@@ -158,8 +155,8 @@ def test_constant_model_is_rejected():
     out = np.full(5, np.nan)
     for model in (
         LargeScaleModel(),
-        dataclasses.replace(TRIVIAL, distance_m=10.0),
-        dataclasses.replace(TRIVIAL, shadowing_std_db=8.0, enabled=False),
+        TRIVIAL.replace(distance_m=10.0),
+        TRIVIAL.replace(shadowing_std_db=8.0, enabled=False),
     ):
         with pytest.raises(ValueError, match="constant_amplitude"):
             draw_m_batch(model, np.random.default_rng(0), 5, out=out)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -320,17 +319,17 @@ class TestEstimatePe:
         params = helpers.scheme_with_alphabet(4)
         shadowed = LargeScaleModel(enabled=True, shadowing_std_db=6.0)
         for block_len in (3, 30_000, 200_000):
-            model = dataclasses.replace(shadowed, block_len=block_len)
+            model = shadowed.replace(block_len=block_len)
             with pytest.raises(ValueError, match=r"^shadow_block_len"):
                 estimate_pe(params, model, 1.0, 1.0, 250_000, seed=0)
         for block_len in (1, 4, 25_000, 100_000):
-            model = dataclasses.replace(shadowed, block_len=block_len)
+            model = shadowed.replace(block_len=block_len)
             est = estimate_pe(params, model, 1.0, 1.0, 250_000, seed=0)
             assert est.iterations == 250_000
 
 
 _PIN_GEOMETRY = LargeScaleModel(enabled=True, distance_m=3.0)
-_PIN_SHADOWED = dataclasses.replace(_PIN_GEOMETRY, shadowing_std_db=8.0)
+_PIN_SHADOWED = _PIN_GEOMETRY.replace(shadowing_std_db=8.0)
 
 # Errors of estimate_pe(alphabet 16, P_t = 100, N_0 = 1, seed 2024) as the
 # out-of-place chunk kernel counted them, at 250 000 iterations (two full
@@ -340,7 +339,7 @@ PINNED_ERRORS = {
     "zero_sigma": (_PIN_GEOMETRY, False, {250_000: 59142, 37: 11}),
     "sigma_8db": (_PIN_SHADOWED, False, {250_000: 79938, 37: 14}),
     "sigma_8db_blocks": (
-        dataclasses.replace(_PIN_SHADOWED, block_len=1000), False, {250_000: 68496, 37: 10}
+        _PIN_SHADOWED.replace(block_len=1000), False, {250_000: 68496, 37: 10}
     ),
     "hold_mean_rx_power": (_PIN_SHADOWED, True, {250_000: 144054, 37: 23}),
 }
@@ -379,7 +378,7 @@ def _every_cell(signals, noise_counts):
 _CHUNK_CELLS = {
     "off": ([101.0], [15]),
     "shadowed": ([(_PIN_SHADOWED, 100.0)], [15]),
-    "blocks": ([(dataclasses.replace(_PIN_SHADOWED, block_len=1000), 100.0)], [15]),
+    "blocks": ([(_PIN_SHADOWED.replace(block_len=1000), 100.0)], [15]),
     "shared_pass": ([101.0, (_PIN_SHADOWED, 100.0)], [15, 3]),
 }
 _CHUNK_CELLS = {case: (signals, noise_counts, _every_cell(signals, noise_counts))
@@ -453,7 +452,7 @@ def test_scratch_rows_do_not_grow_with_the_grid(shadowing):
               for duty in twelve_duties]
     variants = [derive_scheme(i, v) for i in inputs for v in ("WTFC", "IFSK")]
     on = LargeScaleModel(enabled=True, shadowing_std_db=8.0)
-    models = (dataclasses.replace(on, shadowing_std_db=0.0), on) if shadowing else (NO_FADING,)
+    models = (on.replace(shadowing_std_db=0.0), on) if shadowing else (NO_FADING,)
     tracemalloc.start()
     try:
         estimate_pe(variants, models, [10e3] * len(variants), 1.0, CHUNK_SIZE, seed=1)
@@ -467,7 +466,7 @@ def test_scratch_rows_do_not_grow_with_the_grid(shadowing):
 # maximum of a chunk (1e6), against noise counts from 1 to 1e9.
 _KERNEL_MUS = (1.0, 101.0, 1.01e5, 1e6)
 _KERNEL_NOISE = [1, 2, 2699, 269_999, 10**9]
-_BLOCKS = dataclasses.replace(_PIN_SHADOWED, block_len=1000)
+_BLOCKS = _PIN_SHADOWED.replace(block_len=1000)
 
 
 def _kernel_signals(cells, mu):
@@ -790,9 +789,9 @@ def test_nan_fails_at_its_field(field):
     params = helpers.scheme_with_alphabet(4)
     with pytest.raises(ValueError, match=f"^{field} "):
         if field in _NAN_SHADOWING:
-            dataclasses.replace(_PIN_SHADOWED, **{field: math.nan})
+            _PIN_SHADOWED.replace(**{field: math.nan})
         elif field in _NAN_INPUTS:
-            dataclasses.replace(_readme_inputs(1e-2), **{field: math.nan})
+            _readme_inputs(1e-2).replace(**{field: math.nan})
         elif field == "transmit_power":
             estimate_pe(params, NO_FADING, math.nan, 1.0, 10, seed=0)
         else:

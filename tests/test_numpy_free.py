@@ -99,6 +99,31 @@ def test_calls_without_a_warning_or_json_load_neither_logging_nor_json(args):
     assert run_child(MODULES_SCRIPT, ["logging,json", *args]) == "exit 0"
 
 
+IMPORT_SCRIPT = """
+import sys
+import wtfc
+print("exit", 0, *sorted(name for name in sys.argv[1].split(",") if name in sys.modules))
+"""
+
+
+# The value classes are records, not dataclasses: importing ``dataclasses``
+# loads ``inspect``, which cost every call more than the package itself.
+@pytest.mark.parametrize("script, args", [
+    (IMPORT_SCRIPT, []),
+    (MODULES_SCRIPT, ["--version"]),
+    (MODULES_SCRIPT, ["derive", *BASE_SETS]),
+    (MODULES_SCRIPT, ["capacity", *BASE_SETS, "--pe", "1e-3"]),
+], ids=["import", "version", "derive", "capacity-pe"])
+def test_start_up_loads_neither_dataclasses_nor_inspect(script, args):
+    assert run_child(script, ["dataclasses,inspect", *args]) == "exit 0"
+
+
+def test_pe_does_not_load_dataclasses():
+    # numpy imports inspect itself, so only dataclasses is pinned here.
+    args = ["dataclasses", "pe", *BASE_SETS, "--iters", "1000"]
+    assert run_child(MODULES_SCRIPT, args) == "exit 0"
+
+
 def test_one_thread_pe_does_not_load_the_thread_pool():
     args = ["concurrent.futures", "pe", *BASE_SETS, "--iters", "1000", "--threads", "1"]
     assert run_child(MODULES_SCRIPT, args) == "exit 0"

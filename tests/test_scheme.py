@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -86,7 +85,7 @@ def test_tone_count_doubles_with_bandwidth():
         inputs = PhysicalInputs(bandwidth, 101e-6, 20e-6, 25e3, 1 / 100)
         m_single = derive_scheme(inputs).tone_count
         m_double = derive_scheme(
-            dataclasses.replace(inputs, bandwidth_hz=2 * bandwidth)
+            inputs.replace(bandwidth_hz=2 * bandwidth)
         ).tone_count
         assert m_double >= 2 * m_single - 1
         if previous is not None:
@@ -113,11 +112,11 @@ def test_derive_is_pure():
 
 def test_longer_guard_shrinks_window():
     base = PhysicalInputs(100e6, 101e-6, 20e-6, 360.0, 1 / 100)
-    padded = dataclasses.replace(base, guard_time_s=41e-6)
+    padded = base.replace(guard_time_s=41e-6)
     assert derive_scheme(padded).tone_count == 6000
     assert derive_scheme(base).tone_count == 8100
     with pytest.raises(ValueError, match="guard_time_s"):
-        dataclasses.replace(base, guard_time_s=10e-6)
+        base.replace(guard_time_s=10e-6)
 
 
 def test_amplitude_full_window_is_unit():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from wtfc import (
@@ -39,7 +37,7 @@ def test_single_point_grid_matches_direct_calls():
     spec = SweepSpec(base=base, axis="bandwidth", grid=(1e6,), include_awgn=True)
     row = run_sweep(spec).rows[0]
 
-    inputs = dataclasses.replace(BASE_INPUTS, bandwidth_hz=1e6)
+    inputs = BASE_INPUTS.replace(bandwidth_hz=1e6)
     params = derive_scheme(inputs)
     est = estimate_pe(params, base.model, base.p_r, 1.0, 50_000, 123)
     assert row.p_e == est.p_e
@@ -73,7 +71,7 @@ def test_rows_appear_in_grid_and_variant_order():
 
 def _one_cell_estimate(base, axis, row, model):
     """``wtfc pe`` at a row's point: its own estimate_pe call on the run seed."""
-    point = dataclasses.replace(_point_config(base, axis, row.axis_value), model=model)
+    point = _point_config(base, axis, row.axis_value).replace(model=model)
     params = derive_scheme(point.inputs, row.variant)
     estimate = estimate_pe(params, model, point.resolved_p_t(), point.n_0, point.iterations,
                            point.seed, hold_mean_rx_power=point.hold_mean_rx_power)
@@ -85,9 +83,8 @@ def assert_rows_equal_one_cell_calls(spec, rows, sigma_db=None):
     run seed; a sweep row equals the row built from it, field for field."""
     base, models = spec.base, (spec.base.model,)
     if sigma_db is not None:
-        on = dataclasses.replace(base.model, enabled=True, shadowing_std_db=sigma_db)
-        base, models = dataclasses.replace(base, model=on), (
-            dataclasses.replace(on, shadowing_std_db=0.0), on)
+        on = base.model.replace(enabled=True, shadowing_std_db=sigma_db)
+        base, models = base.replace(model=on), (on.replace(shadowing_std_db=0.0), on)
     computed = 0
     for index, row in enumerate(rows):
         assert row.seed == spec.base.seed and row.iterations == spec.base.iterations
@@ -335,7 +332,7 @@ def test_compare_shadowing_given_p_t_equals_given_p_r_after_path_loss():
     model = LargeScaleModel(distance_m=350.0, reference_distance_m=2.0,
                             wavelength_m=0.05, path_loss_exponent=3.2)
     p_t = 4e17
-    p_r = p_t * deterministic_power_gain(dataclasses.replace(model, enabled=True))
+    p_r = p_t * deterministic_power_gain(model.replace(enabled=True))
 
     def compare(**power):
         base = make_base(model=model, iterations=20_000, **power)
