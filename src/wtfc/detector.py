@@ -14,7 +14,9 @@ statistic by inverse transform sampling, two uniforms per iteration instead
 of ``S`` exponentials. Iterations are processed in fixed-size chunks, each
 chunk seeded by (seed, chunk index) with separate substreams for shadowing,
 signal and noise, so estimates are bit-identical for any worker count and
-unchanged when shadowing is toggled on a zero-sigma model.
+unchanged when shadowing is toggled on a zero-sigma model. A chunk runs a
+span, about a third of it, at a time; its streams carry on from span to
+span, so every draw equals the one a whole-chunk draw gives.
 
 The unit of work is a whole sweep: one ``estimate_pe`` call may carry
 every (model, variant) cell of every grid point, such as WTFC and I-FSK,
@@ -24,29 +26,29 @@ once for every cell, so the rows of a sweep share their draws (common
 random numbers) and each cell's count equals its one-cell call's.
 
 Only iterations that can be errors are inverted. The noise maximum rises
-with its uniform v, so the one at a chunk's largest v, computed on one
+with its uniform v, so the one at a span's largest v, computed on one
 float with ``math`` and padded by a relative 1e-6 (``_SLACK``) against
 the few-ulp error of either computation, bounds every maximum of the
-chunk at that noise count, and an iteration whose signal statistic lies
+span at that noise count, and an iteration whose signal statistic lies
 above the bound is correct in that cell. Each noise count has one cut
-on E for its constant means, from which the chunk's test on u is
+on E for its constant means, from which the span's test on u is
 derived, and a shadowed statistic is formed by ``_shadowed`` alone,
-wherever it is tested or counted. Each chunk gathers the candidates of
+wherever it is tested or counted. Each span gathers the candidates of
 all its cells once, when they are few; each noise count then inverts its
 maximum, and counts its cells, only over its own candidates among them,
-unless they are most of a span. E, the noise maxima and every comparison
+unless they are most of them. E, the noise maxima and every comparison
 go through the same element-wise ufuncs as a pass over every iteration,
 so each count equals that pass's bit for bit.
 
 The chunk kernel is allocation-free: each worker allocates its scratch
-rows of ``CHUNK_SIZE`` floats once per ``estimate_pe`` call, and so once
-per sweep, as many as ``_scratch_rows`` asks: u, v, one work row of
-three spans (the noise maxima, E and the signal statistics) and one per
-shadowing model, however many grid points the call carries. Every chunk
-draws, gathers and transforms in place there. Per chunk only the
-1-byte candidate and comparison masks, the candidates' indices (the
-chunk's, and each noise count's a span at a time) and, for block
-shadowing, one amplitude per block are new memory.
+once per ``estimate_pe`` call, and so once per sweep: ``_scratch_rows``
+rows of one span, ``_span`` floats (a third of a chunk, rounded up to
+whole shadowing blocks), for u, v, the noise maxima, E, the signal
+statistics and each shadowing model's amplitudes, however many grid
+points the call carries. Every span draws, gathers and transforms in
+place there. Per span only the 1-byte candidate and comparison masks,
+the candidates' indices (the span's and each noise count's) and, for
+block shadowing, one amplitude per block are new memory.
 """
 
 from __future__ import annotations
@@ -76,12 +78,6 @@ _NEPERS_PER_DB = math.log(10.0) / 20.0
 # Relative pad on the chunk's noise bound and on the signal cut derived from
 # it, far above the few-ulp error of the ufuncs that compute either side.
 _SLACK = 1e-6
-# Iterations per span of the chunk kernel's work row: the noise maxima, E
-# and the signal statistics of this many iterations are held at a time.
-_SPAN = 1 << 14
-# Columns the chunk kernel's scratch needs at least: one for each of the
-# work row's three spans, y, E and x.
-_MIN_COLUMNS = 3
 
 
 def draw_m_batch(
@@ -185,14 +181,18 @@ def _shadowing_models(signals: Sequence) -> dict:
 
 
 def _scratch_rows(signals: Sequence) -> int:
-    """Rows of scratch the chunk kernel needs: one each for u, v and the
-    work row, and one per distinct shadowing model for its amplitudes."""
-    return 3 + len(_shadowing_models(signals))
+    """Rows of scratch the chunk kernel needs: one each for u, v, the noise
+    maxima y, E and the signal statistics x, and one per distinct shadowing
+    model for its amplitudes."""
+    return 5 + len(_shadowing_models(signals))
 
 
-def _spans(length: int, span: int) -> list[slice]:
-    """Consecutive slices of at most ``span`` that cover ``range(length)``."""
-    return [slice(start, min(start + span, length)) for start in range(0, length, span)]
+def _span(signals: Sequence) -> int:
+    """Iterations per span of the chunk kernel: a third of a chunk, rounded
+    up to whole shadowing blocks of every model, so that no span cuts a block."""
+    block = math.lcm(*(model.block_len for model in _shadowing_models(signals)))
+    third = -(-CHUNK_SIZE // 3)
+    return -(-third // block) * block
 
 
 def _select(source, index, out):
@@ -201,6 +201,16 @@ def _select(source, index, out):
     "clip" skips the range check that makes take copy.
     """
     return source if index is None else np.take(source, index, mode="clip", out=out)
+
+
+def _compact(rows, mask, buffer):
+    """Each row's entries where ``mask`` holds, moved to its front through
+    ``buffer``; returns those fronts."""
+    index = np.flatnonzero(mask)
+    fronts = [row[: index.size] for row in rows]
+    for row, front in zip(rows, fronts):
+        front[:] = _select(row, index, buffer[: index.size])
+    return fronts
 
 
 def _chunk_error_count(
@@ -220,16 +230,21 @@ def _chunk_error_count(
     indices. The chunk is seeded by (seed, chunk); its signal uniforms u,
     its noise uniforms v and each distinct model's amplitudes are drawn
     once for every cell. ``scratch`` holds at least
-    ``_scratch_rows(signals)`` rows of at least max(n, ``_MIN_COLUMNS``)
+    ``_scratch_rows(signals)`` rows of at least min(n, ``_span(signals)``)
     floats, else ``ValueError``; the chunk overwrites those rows. Returns
     one count per cell.
 
-    Only iterations that can be errors are inverted, and the counts stay
-    exact:
+    The chunk runs a span of ``_span(signals)`` iterations at a time. Each
+    span draws its own u, v and amplitudes from the chunk's three
+    generators, which carry on from span to span, so every value equals
+    the one a whole-chunk draw gives it; a span is whole shadowing blocks,
+    but for a short chunk's last one. Only iterations that can be errors
+    are inverted, and the counts stay exact:
 
-    - No noise maximum of the chunk at noise count N exceeds
-      ``bound[N] = _noise_bound(max v, N)``: each maximum increases with
-      v, and the pad exceeds the few-ulp error of any computed one.
+    - No noise maximum of the span at noise count N exceeds
+      ``bound[N] = _noise_bound(max v, N)``, over the span's v: each
+      maximum increases with v, and the pad exceeds the few-ulp error of
+      any computed one.
     - So an iteration whose signal statistic x lies above the bound of its
       cell's noise count is correct in that cell: a cell's errors are
       among its candidates, the iterations with x <= bound, and a noise
@@ -238,46 +253,36 @@ def _chunk_error_count(
       so each noise count has one cut on E, bound * pad / mu * pad at its
       smallest mean with pad = 1 + ``_SLACK``, or -1, which no E reaches,
       without a constant mean. E = -ln(1 - u) rises with u, within a few
-      ulp, so the chunk tests u at or below -expm1(-cut) * pad for the
+      ulp, so the span tests u at or below -expm1(-cut) * pad for the
       largest cut, which keeps every u of every count's E cut.
     - A shadowed signal's x is ``_shadowed``'s (m * m * energy + 1) * E,
-      formed alike wherever it is tested or counted. A model's amplitudes
-      are drawn over the whole chunk; the chunk tests x at the smallest
-      of its counts' energies against the largest of their bounds, and a
-      noise count at its own smallest energy against its own bound.
+      formed alike wherever it is tested or counted. The span tests a
+      model's x at the smallest of its counts' energies against the
+      largest of their bounds, and a noise count at its own smallest
+      energy against its own bound.
 
-    The chunk's candidates are every cell's together. When at most
-    n * K // 8 for K noise counts, u (or E), v and each model's squared
-    amplitudes are gathered in place, else the whole chunk runs. The work
-    row holds three spans of ``_SPAN`` floats, for the noise maxima y, E
-    and the signal statistics x, so a count's values stay in cache and
-    the row's rest is never touched. A span at a time, each noise count
-    finds its own candidates. When they are at most half the span, its
-    log(v), E and squared amplitudes are gathered into the y, E and x
-    spans and the count inverts and compares only there; else it runs on
-    the whole span, with y and x in their spans. Every ufunc acts element
-    by element, so a gathered or spanned element gets the value it has in
-    a pass over every iteration, and counting over any superset of a
-    cell's candidates gives that pass's count bit for bit. Ties count as
-    errors (measure zero, pinned for reproducibility).
+    The span's candidates are every cell's together. When at most
+    length * K // 8 for K noise counts, u (or E), v and each model's
+    squared amplitudes are compacted in place, else the whole span runs.
+    Each noise count then finds its own candidates among them. When they
+    are at most half, its log(v), E and squared amplitudes are gathered
+    into the y, E and x rows and the count inverts and compares only
+    there; else it runs on all of them, with y and x in their rows. Every
+    ufunc acts element by element, so a gathered element gets the value
+    it has in a pass over every iteration, and counting over any superset
+    of a cell's candidates gives that pass's count bit for bit. Ties count
+    as errors (measure zero, pinned for reproducibility).
     """
-    rows, columns = _scratch_rows(signals), max(n, _MIN_COLUMNS)
+    span = _span(signals)
+    rows, columns = _scratch_rows(signals), min(n, span)
     if len(scratch) < rows or scratch.shape[1] < columns:
         raise ValueError(f"scratch has {len(scratch)} rows of {scratch.shape[1]} floats; "
                          f"the chunk needs {rows} of {columns}")
-    shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
-        [seed, chunk_index]
-    ).spawn(3)
-    u, v = scratch[0, :n], scratch[1, :n]
-    span = min(_SPAN, scratch.shape[1] // _MIN_COLUMNS)
-    ys, es, xs = (scratch[2, i * span : (i + 1) * span] for i in range(_MIN_COLUMNS))
-    np.random.default_rng(signal_seed).random(n, out=u)
-    np.random.default_rng(noise_seed).random(n, out=v)
-    top = float(v.max())
-    bounds = [_noise_bound(top, n_noise) for n_noise in noise_counts]
+    u_row, v_row, y_row, e_row, x_row, *amplitude_rows = scratch[:rows]
 
     # Each noise count's cells as (cell, model index or None, mean or
-    # energy), and its smallest value per model index, None for the means.
+    # energy), its smallest constant mean, None without one, and its
+    # smallest energy per model index.
     models = _shadowing_models(signals)
     by_noise: dict = {}
     least: list = [{} for _ in noise_counts]
@@ -286,70 +291,70 @@ def _chunk_error_count(
                     else (models[signals[j][0]], signals[j][1]))
         by_noise.setdefault(k, []).append((c, g, value))
         least[k][g] = min(least[k].get(g, math.inf), value)
-    # Each count's one cut on E, at its smallest mean, or -1, below every
-    # E; what stays in ``least`` is its smallest energy per model.
+    means = [low.pop(None, None) for low in least]
+
+    shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
+        [seed, chunk_index]
+    ).spawn(3)
+    signal_rng, noise_rng = np.random.default_rng(signal_seed), np.random.default_rng(noise_seed)
+    # Every model draws its amplitudes from the start of the shadowing stream.
+    shadow_rngs = [np.random.default_rng(shadow_seed) for _ in models]
     pad = 1.0 + _SLACK
-    cuts = [bound * pad / low.pop(None) * pad if None in low else -1.0
-            for bound, low in zip(bounds, least)]
-
-    candidates = u <= -math.expm1(-max(cuts)) * pad
-    if models:
-        _unit_exponential(u, out=u)
-    squares = []
-    for (model, g), row in zip(models.items(), scratch[3:rows]):
-        m2 = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=row[:n])
-        m2 *= m2
-        squares.append(m2)
-        energy = min(low[g] for low in least if g in low)
-        bound = max(b for b, low in zip(bounds, least) if g in low)
-        for part in _spans(n, span):
-            x = _shadowed(m2[part], energy, u[part], xs[: part.stop - part.start])
-            candidates[part] |= x <= bound
-
-    # A gather pays below about an eighth of the chunk per noise count,
-    # since a count whose own candidates are many inverts the whole chunk.
-    live = [u, v, *squares]
-    found = np.count_nonzero(candidates)
-    if found <= n * len(noise_counts) // 8:
-        # Compacted in place, a span of the chunk at a time through the y
-        # span: a span's candidates land at or before their own places,
-        # so no span overwrites what a later one reads.
-        size = 0
-        for part in _spans(n, span):
-            index = np.flatnonzero(candidates[part])
-            gathered = slice(size, size + index.size)
-            for source in live:
-                source[gathered] = _select(source[part], index, ys[: index.size])
-            size = gathered.stop
-        del candidates
-        live = [source[:found] for source in live]
-    e, log_v, *squares = live
-
-    if not models:
-        _unit_exponential(e, out=e)
-    with np.errstate(divide="ignore"):
-        np.log(log_v, out=log_v)
     counts = np.zeros(len(cells), dtype=np.int64)
-    for part in _spans(len(e), span):
-        length = part.stop - part.start
+    for start in range(0, n, span):
+        length = min(span, n - start)
+        u = signal_rng.random(length, out=u_row[:length])
+        v = noise_rng.random(length, out=v_row[:length])
+        top = float(v.max())
+        bounds = [_noise_bound(top, n_noise) for n_noise in noise_counts]
+        # Each count's one cut on E, at its smallest mean, or -1, below every E.
+        cuts = [-1.0 if mean is None else bound * pad / mean * pad
+                for bound, mean in zip(bounds, means)]
+
+        candidates = u <= -math.expm1(-max(cuts)) * pad
+        if models:
+            _unit_exponential(u, out=u)
+        squares = []
+        for (model, g), rng, row in zip(models.items(), shadow_rngs, amplitude_rows):
+            m2 = draw_m_batch(model, rng, length, out=row[:length])
+            m2 *= m2
+            squares.append(m2)
+            energy = min(low[g] for low in least if g in low)
+            bound = max(b for b, low in zip(bounds, least) if g in low)
+            candidates |= _shadowed(m2, energy, u, x_row[:length]) <= bound
+
+        # A gather pays below about an eighth of the span per noise count,
+        # since a count whose own candidates are many inverts them all.
+        live = [u, v, *squares]
+        if np.count_nonzero(candidates) <= length * len(noise_counts) // 8:
+            live = _compact(live, candidates, y_row)
+        del candidates
+        e, log_v, *squares = live
+        if not models:
+            _unit_exponential(e, out=e)
+        with np.errstate(divide="ignore"):
+            np.log(log_v, out=log_v)
         for k, members in by_noise.items():
-            own = e[part] <= cuts[k]
+            own = e <= cuts[k]
             for g, energy in least[k].items():
-                own |= _shadowed(squares[g][part], energy, e[part], xs[:length]) <= bounds[k]
+                own |= _shadowed(squares[g], energy, e, x_row[: e.size]) <= bounds[k]
             size = np.count_nonzero(own)
-            if 2 * size <= length:
+            if 2 * size <= e.size:
                 index = np.flatnonzero(own)
             else:
-                index, size = None, length
-            y, e_own, x = ys[:size], es[:size], xs[:size]
-            y = _max_noise_from_log(noise_counts[k], _select(log_v[part], index, y), out=y)
-            e_own = _select(e[part], index, e_own)
+                index, size = None, e.size
+            y, e_own, x = y_row[:size], e_row[:size], x_row[:size]
+            y = _max_noise_from_log(noise_counts[k], _select(log_v, index, y), out=y)
+            e_own = _select(e, index, e_own)
             for c, g, value in members:
                 if g is None:
                     np.multiply(value, e_own, out=x)
                 else:
-                    _shadowed(_select(squares[g][part], index, x), value, e_own, x)
+                    _shadowed(_select(squares[g], index, x), value, e_own, x)
                 counts[c] += np.count_nonzero(x <= y)
+            # Freed before the next count builds its own, so a span's
+            # temporaries stay under one span of floats.
+            del own, index
     return counts
 
 
@@ -430,11 +435,12 @@ def estimate_pe(
     n_chunks = -(-iterations // CHUNK_SIZE)
     workers = min(threads, n_chunks)
 
+    scratch_shape = (_scratch_rows(signal_list), min(_span(signal_list), iterations))
+
     def work(first: int) -> np.ndarray:
         # Worker ``first`` runs chunks first, first + workers, ... in its
         # own scratch; a chunk's draws depend on its index alone.
-        columns = max(_MIN_COLUMNS, min(CHUNK_SIZE, iterations))
-        scratch = np.empty((_scratch_rows(signal_list), columns))
+        scratch = np.empty(scratch_shape)
         errors = np.zeros(len(cell_list), dtype=np.int64)
         for i in range(first, n_chunks, workers):
             n = min(CHUNK_SIZE, iterations - i * CHUNK_SIZE)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import header_to_config_text
+from wtfc import cli
 from wtfc.cli import CSV_COLUMNS, build_parser, main
 from wtfc.config import ConfigError
 
@@ -636,3 +638,45 @@ def test_cli_runs_without_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "0.1.0"
+
+
+def test_main_in_process_leaves_the_gc_freeze_count_unchanged(capsys, tmp_path):
+    # Only ``run`` freezes, at the end of a process; an in-process caller of
+    # ``main`` keeps every object collectable.
+    before = gc.get_freeze_count()
+    assert run_cli(["derive", *BASE_SETS], capsys)[0] == 0
+    assert run_cli(["pe", *BASE_SETS, "--iters", "1000", "--out", str(tmp_path / "pe.csv")],
+                   capsys)[0] == 0
+    assert run_cli(["capacity", *BASE_SETS, "--pe", "1.5"], capsys)[0] == 2
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, status", [(["derive", *BASE_SETS], 0),
+                                          (["capacity", *BASE_SETS, "--pe", "1.5"], 2)])
+def test_run_freezes_after_main_and_returns_its_status(monkeypatch, capsys, argv, status):
+    # The freeze comes once main has written its output or its error.
+    frozen = []
+    monkeypatch.setattr(sys, "argv", ["wtfc", *argv])
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(capsys.readouterr()))
+    assert cli.run() == status
+    assert len(frozen) == 1
+    assert (frozen[0].out if status == 0 else frozen[0].err.startswith("error: "))
+
+
+def test_module_and_script_entry_points_run_through_run(tmp_path):
+    # ``python -m wtfc.cli`` and the ``wtfc`` script both end in ``run``,
+    # and a file written through ``--out`` is complete when the process ends.
+    source = (Path(__file__).parents[1] / "src" / "wtfc" / "cli.py").read_text()
+    assert source.rstrip().endswith('if __name__ == "__main__":\n    sys.exit(run())')
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert 'wtfc = "wtfc.cli:run"' in pyproject
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "wtfc.cli", "pe", *BASE_SETS, "--iters", "1000",
+         "--out", "pe.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = (tmp_path / "pe.csv").read_text().splitlines()
+    assert lines[0].startswith("# config: ") and len(lines) == 3
+    assert f"p_e = {lines[2].split(',')[1]}" in result.stdout.splitlines()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -26,7 +27,9 @@ from wtfc.detector import (
     _noise_bound,
     _scratch_rows,
     _shadowed,
+    _span,
     _unit_exponential,
+    draw_m_batch,
     max_noise_from_uniform,
     signal_power_from_uniform,
 )
@@ -423,10 +426,10 @@ _CHUNK_CELLS["shadow_blocks_grid"] = _readme_point_cells(_README_DUTIES, True, b
 
 @pytest.mark.parametrize("case", list(_CHUNK_CELLS))
 def test_warm_chunk_allocates_less_than_one_chunk_array(case):
-    # Per-op temporaries would each cost a CHUNK_SIZE float array; the
-    # kernel writes into the scratch rows instead.
+    # Per-op temporaries would each cost a span-long float array; the
+    # kernel writes into the scratch rows, one span long, instead.
     signals, noise_counts, cells = _CHUNK_CELLS[case]
-    scratch = np.empty((_scratch_rows(signals), CHUNK_SIZE))
+    scratch = np.empty((_scratch_rows(signals), _span(signals)))
     args = (0, CHUNK_SIZE, 1, signals, noise_counts, cells, scratch)
     _chunk_error_count(*args)
     tracemalloc.start()
@@ -435,18 +438,21 @@ def test_warm_chunk_allocates_less_than_one_chunk_array(case):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < CHUNK_SIZE * 8
+    assert peak < _span(signals) * 8
 
 
 @pytest.mark.parametrize("shadowing", [False, True], ids=["mc_sweep", "shadow_pair"])
 def test_scratch_rows_do_not_grow_with_the_grid(shadowing):
-    # The rule counts rows per worker; the whole estimate stays within
-    # those rows plus the warm chunk's less than one chunk array.
+    # The rule counts rows of one span per worker: at most six rows of a
+    # third of a chunk, 1.6 MB, where four chunk-long rows took 3.2 MB.
+    # The whole estimate stays within them plus the warm chunk's less
+    # than one span array.
     four = _readme_point_cells(_README_DUTIES, shadowing)[0]
     twelve_duties = [1 / slots for slots in (100, 150, 200, 300, 500, 700, 1000, 2000,
                                              5000, 10_000, 50_000, 100_000)]
     twelve = _readme_point_cells(twelve_duties, shadowing)[0]
-    assert _scratch_rows(four) == _scratch_rows(twelve) <= 4
+    scratch_bytes = _scratch_rows(twelve) * _span(twelve) * 8
+    assert scratch_bytes == _scratch_rows(four) * _span(four) * 8 <= 6 * 33_334 * 8
     inputs = [PhysicalInputs(bandwidth_hz=100e6, symbol_time_s=101e-6, delay_spread_s=20e-6,
                              doppler_spread_hz=25e3, duty_cycle=duty)
               for duty in twelve_duties]
@@ -459,7 +465,29 @@ def test_scratch_rows_do_not_grow_with_the_grid(shadowing):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (_scratch_rows(twelve) + 1) * CHUNK_SIZE * 8
+    assert peak < scratch_bytes + _span(twelve) * 8
+
+
+@pytest.mark.parametrize("shadowing", [False, True], ids=["mc_sweep", "shadow_pair"])
+def test_two_workers_hold_two_scratches_and_their_chunks(shadowing):
+    # Each worker holds its own scratch, rows of one span, and its chunk's
+    # temporaries, less than one span array (the warm-chunk test above).
+    # Both may hold their temporaries at once: on shadow-pair's grid each
+    # worker's gather index alone is ~0.45 of a span.
+    variants = [derive_scheme(_readme_inputs(duty), v)
+                for duty in _README_DUTIES for v in ("WTFC", "IFSK")]
+    on = LargeScaleModel(enabled=True, shadowing_std_db=8.0)
+    models = (on.replace(shadowing_std_db=0.0), on) if shadowing else (NO_FADING,)
+    signals = _readme_point_cells(_README_DUTIES, shadowing)[0]
+    workers, span = 2, _span(signals)
+    tracemalloc.start()
+    try:
+        estimate_pe(variants, models, [10e3] * len(variants), 1.0, 4 * CHUNK_SIZE, seed=1,
+                    threads=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < workers * (_scratch_rows(signals) + 1) * span * 8
 
 
 # Signal-slot means from certain errors (1) to far above every noise
@@ -498,12 +526,54 @@ def test_chunk_counts_equal_the_all_iterations_kernel(cells, mu, n):
     _assert_kernel_matches_reference(_kernel_signals(cells, mu), _KERNEL_NOISE, n, chunks)
 
 
+# Block lengths that divide a chunk but not a third of it, and the spans
+# they give: whole blocks, where a block length of 1 gives 33 334.
+_LONG_BLOCKS = {20_000: 40_000, 50_000: 50_000, 100_000: 100_000}
+
+
+@pytest.mark.parametrize("n", [CHUNK_SIZE, 70_001])
+@pytest.mark.parametrize("block_len", [*_LONG_BLOCKS, "20000+50000"])
+def test_long_shadowing_blocks_equal_the_all_iterations_kernel(block_len, n):
+    # 70 001 iterations, as in a short last chunk, end in a partial block.
+    # Beside a model of single-symbol blocks the span is the long model's;
+    # two long models share the span of both their blocks.
+    if block_len == "20000+50000":
+        long_models = [_PIN_SHADOWED.replace(block_len=b) for b in (20_000, 50_000)]
+        span = CHUNK_SIZE
+    else:
+        long_models, span = [_PIN_SHADOWED.replace(block_len=block_len)], _LONG_BLOCKS[block_len]
+    signals = [101.0, (_PIN_SHADOWED, 100.0), *((model, 100.0) for model in long_models)]
+    assert _span(signals) == span
+    _assert_kernel_matches_reference(signals, [2699, 15], n, range(3))
+
+
+@pytest.mark.parametrize("n", [CHUNK_SIZE, 70_001])
+@pytest.mark.parametrize("block_len", [1, 1000, *_LONG_BLOCKS])
+def test_span_draws_equal_slices_of_one_whole_chunk_draw(block_len, n):
+    # The kernel draws a span at a time from generators that carry on from
+    # span to span; each span's values must be the matching slice of one
+    # draw over the whole chunk, the amplitudes' blocks included.
+    model = _PIN_SHADOWED.replace(block_len=block_len)
+    span = _span([(model, 100.0)])
+    draws = {
+        "random": lambda rng, k: rng.random(k, out=np.empty(k)),
+        "standard_normal": lambda rng, k: rng.standard_normal(k, out=np.empty(k)),
+        "amplitudes": lambda rng, k: draw_m_batch(model, rng, k, np.empty(k)),
+    }
+    for stream, (name, draw) in zip(np.random.SeedSequence([11, 3]).spawn(3), draws.items()):
+        whole = draw(np.random.default_rng(stream), n)
+        rng = np.random.default_rng(stream)
+        for start in range(0, n, span):
+            length = min(span, n - start)
+            assert _same_bits(draw(rng, length), whole[start : start + length]), (name, start)
+
+
 @pytest.mark.parametrize("iterations", [1, 2, 3])
 @pytest.mark.parametrize("cells", ["constant", "shadowed", "mixed"])
 def test_tiny_iteration_counts_equal_the_all_iterations_kernel(cells, iterations):
-    # Fewer iterations than the work row's three spans need columns: the
-    # estimate's scratch must still hold them, and each cell, formed as
-    # estimate_pe forms it, equals the reference's count.
+    # A chunk of one to three iterations, in scratch as wide as the
+    # iterations: each cell, formed as estimate_pe forms it, equals the
+    # reference's count.
     models = {"constant": (NO_FADING, _PIN_GEOMETRY), "shadowed": (_PIN_SHADOWED, _BLOCKS),
               "mixed": (NO_FADING, _PIN_SHADOWED)}[cells]
     variants = tuple(helpers.scheme_with_alphabet(s) for s in (16, 4, 2))
@@ -543,45 +613,49 @@ _SWITCH_CASES = [
 
 
 def test_chunk_counts_equal_on_both_sides_of_the_gather_switch(monkeypatch):
-    # In every case some chunks gather their candidates and the rest run
-    # whole; a gathering chunk finds its candidates a span at a time. The
-    # chunk's gather indexes spans of its candidate mask, views of one
-    # chunk-long array; a noise count's own gather indexes a mask of its own.
+    # In every case some spans gather their candidates and the rest run
+    # whole. A span decides alone: its gather takes a mask over the whole
+    # span, with at most length * K // 8 candidates, and a span of each
+    # chunk gathers at most once.
     gathers = []
-    flatnonzero = np.flatnonzero
+    compact = detector._compact
 
-    def spy(a):
-        if a.base is not None and a.base.size == CHUNK_SIZE:
-            gathers.append(a.size)
-        return flatnonzero(a)
+    def spy(rows, mask, buffer):
+        gathers.append((mask.size, int(np.count_nonzero(mask))))
+        return compact(rows, mask, buffer)
 
-    monkeypatch.setattr(np, "flatnonzero", spy)
+    monkeypatch.setattr(detector, "_compact", spy)
     for cells, noise_counts, mu in _SWITCH_CASES:
-        gathered = []
+        signals = _kernel_signals(cells, mu)
+        span = _span(signals)
+        lengths = [min(span, CHUNK_SIZE - start) for start in range(0, CHUNK_SIZE, span)]
+        gathered = 0
         for chunk in range(20):
             gathers.clear()
-            _assert_kernel_matches_reference(
-                _kernel_signals(cells, mu), noise_counts, CHUNK_SIZE, [chunk], seed=7
-            )
-            assert sum(gathers) in (0, CHUNK_SIZE), (cells, noise_counts, chunk)
-            gathered.append(bool(gathers))
-        assert 0 < sum(gathered) < 20, (cells, noise_counts, sum(gathered))
+            _assert_kernel_matches_reference(signals, noise_counts, CHUNK_SIZE, [chunk],
+                                             seed=7)
+            sizes = Counter(size for size, _ in gathers)
+            assert not sizes - Counter(lengths), (cells, noise_counts, chunk)
+            assert all(found <= size * len(noise_counts) // 8 for size, found in gathers)
+            gathered += len(gathers)
+        assert 0 < gathered < 20 * len(lengths), (cells, noise_counts, gathered)
 
 
 @pytest.mark.parametrize("case", ["mc_sweep_grid", "shadow_pair_grid", "shadow_blocks_grid"])
 def test_noise_counts_run_on_their_own_candidates_or_the_whole_span(monkeypatch, case):
     # Over 20 chunks of a sweep's grid, the counts that pair with the
-    # 1e-2 point run on whole spans of the chunk's candidates (their
-    # log(v) is read in place) and the rest invert only their own,
-    # gathered into the work row; every count equals the reference's.
+    # 1e-2 point run on all of a span's candidates (their log(v) is read
+    # in place, in the v row) and the rest invert only their own, gathered
+    # into the y row; every count equals the reference's.
     signals, noise_counts, cells = _CHUNK_CELLS[case]
-    scratch = np.empty((_scratch_rows(signals), CHUNK_SIZE))
+    scratch = np.empty((_scratch_rows(signals), _span(signals)))
     reference = np.empty((len(noise_counts) + 2, CHUNK_SIZE))
     inverted = {"whole": set(), "own": set()}
     invert = detector._max_noise_from_log
 
     def spy(n_noise, log_u, out):
         path = "whole" if np.shares_memory(log_u, scratch[1]) else "own"
+        assert path == "whole" or log_u is out and np.shares_memory(out, scratch[2])
         inverted[path].add(n_noise)
         return invert(n_noise, log_u, out)
 
@@ -599,12 +673,18 @@ def test_noise_counts_run_on_their_own_candidates_or_the_whole_span(monkeypatch,
 
 @pytest.mark.parametrize("cells", ["constant", "shadowed", "mixed"])
 def test_scratch_one_row_short_is_rejected(cells):
-    # Mixed cells have two shadowing models, so four rows are one short.
+    # Mixed cells have two shadowing models, so six rows are one short. A
+    # chunk needs min(n, span) columns: one span, not a chunk, when full.
     signals, noise_counts = _kernel_signals(cells, 150.0), [269_999, 2699]
-    args = (0, 37, 11, signals, noise_counts, _every_cell(signals, noise_counts))
-    for shape in [(_scratch_rows(signals) - 1, 37), (_scratch_rows(signals), 36)]:
-        with pytest.raises(ValueError, match="^scratch has"):
-            _chunk_error_count(*args, np.empty(shape))
+    rows, span = _scratch_rows(signals), _span(signals)
+    assert rows == 5 + {"constant": 0, "shadowed": 1, "mixed": 2}[cells]
+    cell_list = _every_cell(signals, noise_counts)
+    for n, columns in [(37, 37), (CHUNK_SIZE, span)]:
+        args = (0, n, 11, signals, noise_counts, cell_list)
+        for shape in [(rows - 1, columns), (rows, columns - 1)]:
+            with pytest.raises(ValueError, match="^scratch has"):
+                _chunk_error_count(*args, np.empty(shape))
+        _chunk_error_count(*args, np.empty((rows, columns)))
 
 
 class _FixedUniforms:

@@ -54,6 +54,13 @@ COMPARE = [
 # Low duty cycles, where few iterations of a chunk can be errors: two full
 # chunks and a half one, so the last chunk is short.
 LOW_DUTY = ["--iters", "250000", "--seed", "3", "--axis", "duty_cycle", "--grid", "1e-4,1e-5"]
+# Every span edge of those chunks: a chunk runs a third of itself at a time,
+# rounded up to whole shadowing blocks, so 20 000-symbol blocks give spans
+# of 40 000 and 50 000-symbol blocks spans of 50 000; the short chunk's last
+# span ends inside a block at 20 000. Duty 1e-2 gives many candidates.
+SPAN_EDGES = ["compare-shadowing", *POINT, "--set", "p_r=1e5", "--iters", "250000",
+              "--seed", "3", "--axis", "duty_cycle", "--grid", "1e-2,1e-4", "--sigma-db", "8",
+              *OUT]
 
 
 def compare_path_loss(power: str) -> list[str]:
@@ -123,6 +130,9 @@ CALLS = [
     ("compare-low-duty-blocks", ["compare-shadowing", *POINT, "--set", "p_r=1e5", *LOW_DUTY,
                                  "--sigma-db", "8", "--threads", "2",
                                  "--set", "shadow_block_len=1000", *OUT], {}),
+    ("compare-span-blocks-20000", [*SPAN_EDGES, "--set", "shadow_block_len=20000"], {}),
+    ("compare-span-blocks-50000", [*SPAN_EDGES, "--set", "shadow_block_len=50000"], {}),
+    ("compare-span-threads-2", [*SPAN_EDGES, "--threads", "2"], {}),
 ]
 
 
