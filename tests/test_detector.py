@@ -444,9 +444,8 @@ def test_warm_chunk_allocates_less_than_one_chunk_array(case):
 @pytest.mark.parametrize("shadowing", [False, True], ids=["mc_sweep", "shadow_pair"])
 def test_scratch_rows_do_not_grow_with_the_grid(shadowing):
     # The rule counts rows of one span per worker: at most six rows of a
-    # third of a chunk, 1.6 MB, where four chunk-long rows took 3.2 MB.
-    # The whole estimate stays within them plus the warm chunk's less
-    # than one span array.
+    # third of a chunk, 1.6 MB. The whole estimate stays within them plus
+    # the warm chunk's less than one span array.
     four = _readme_point_cells(_README_DUTIES, shadowing)[0]
     twelve_duties = [1 / slots for slots in (100, 150, 200, 300, 500, 700, 1000, 2000,
                                              5000, 10_000, 50_000, 100_000)]
