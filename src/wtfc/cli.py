@@ -4,7 +4,9 @@ Subcommands: derive | pe | capacity | sweep | compare-shadowing. Settings
 come from defaults, then --config file, then WTFC_* environment variables,
 then repeated --set key=value, then dedicated flags; later sources win.
 Output files start with a ``# config:`` comment holding the fully resolved
-configuration, from which the run can be reproduced byte for byte.
+configuration, from which the run can be reproduced byte for byte. A
+sweep file's columns, and the keys that add the optional ones, come from
+``wtfc.sweep.COLUMNS``; this module names none.
 
 Exit codes: 0 success, 1 I/O or internal failure, 2 invalid configuration,
 3 sweep produced skipped rows without --allow-skips.
@@ -32,27 +34,15 @@ from .config import (
 )
 from .errorlaw import PeEstimate
 from .scheme import amplitude, derive_scheme
-from .sweep import (SweepResult, SweepSpec, cell_row, compare_shadowing, estimate_pe,
-                    run_sweep)
+from .sweep import (COLUMNS, SweepResult, SweepSpec, cell_row, compare_shadowing,
+                    estimate_pe, run_sweep)
 
-CSV_COLUMNS = [
-    "axis_name",
-    "axis_value",
-    "variant",
-    "p_e",
-    "ci_half_width_95",
-    "capacity_bps",
-    "ceiling_bps",
-    "awgn_bps",
-    "shadowing_enabled",
-    "seed",
-    "iterations",
-    "skipped_reason",
-]
+CSV_COLUMNS = [name for name, key in COLUMNS.items() if key is None]
 
-# Config keys a sweep writes to its header besides the RunConfig keys.
-_SWEEP_KEYS = ("axis", "grid", "variants", "include_awgn", "awgn_power", "snr_columns",
-               "allow_skips")
+# Config keys a sweep writes to its header besides the RunConfig keys: its
+# own, then the key of each optional column but compare-shadowing's sigma_db.
+_SWEEP_KEYS = ("axis", "grid", "variants", "include_awgn", "awgn_power", "allow_skips",
+               *dict.fromkeys(key for key in COLUMNS.values() if key not in (None, "sigma_db")))
 
 # Dedicated flags (argparse dest) and the config keys they set.
 _FLAG_KEYS = {
@@ -88,13 +78,15 @@ def header_line(values: dict, extra: tuple[str, ...] = ()) -> str:
     return "# config: " + " ".join(f"{key}={value}" for key, value in items)
 
 
-def _sweep_table(result: SweepResult, snr_columns: bool, loss_column: bool):
-    """Column names and one {column: value} dict per row, CSV and JSON alike."""
-    columns = list(CSV_COLUMNS)
-    if loss_column:
-        columns.append("capacity_loss_pct")
-    if snr_columns:
-        columns += ["snr_db_bw", "snr_db_n0"]
+def _sweep_table(result: SweepResult, values: dict, keys: tuple[str, ...]):
+    """Column names and one {column: value} dict per row, CSV and JSON alike.
+
+    An optional column is written when its key is a header key and set.
+    ``merge_sources`` keeps no None, and False is tested by identity, as a
+    sigma_db of 0.0 equals False yet adds its column.
+    """
+    columns = [name for name, key in COLUMNS.items()
+               if key is None or key in keys and values.get(key, False) is not False]
     return columns, [{name: getattr(row, name) for name in columns} for row in result.rows]
 
 
@@ -106,15 +98,10 @@ def _write_csv(path: str, header: str, columns, rows) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def write_sweep_csv(
-    path: str,
-    result: SweepResult,
-    header: str,
-    snr_columns: bool = False,
-    loss_column: bool = False,
-) -> None:
-    columns, rows = _sweep_table(result, snr_columns, loss_column)
-    _write_csv(path, header, columns, (row.values() for row in rows))
+def write_sweep_csv(path: str, result: SweepResult, values: dict, keys: tuple) -> None:
+    """The sweep's CSV file: its header holds ``values`` and the ``keys``."""
+    columns, rows = _sweep_table(result, values, keys)
+    _write_csv(path, header_line(values, keys), columns, (row.values() for row in rows))
 
 
 def _collect_values(args) -> dict:
@@ -241,16 +228,13 @@ def _run_sweep_command(args, paired: bool) -> int:
     if args.format == "json":
         import json
 
-        _, rows = _sweep_table(result, values["snr_columns"], paired)
+        _, rows = _sweep_table(result, values, extra)
         payload = {"config": dict(config_items(values, extra)), "rows": rows}
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
     else:
-        write_sweep_csv(
-            args.out, result, header_line(values, extra),
-            snr_columns=values["snr_columns"], loss_column=paired,
-        )
+        write_sweep_csv(args.out, result, values, extra)
 
     for variant in spec.variants:
         rows = [r for r in result.rows if r.variant == variant]

@@ -14,6 +14,9 @@ rows at different points are positively correlated (common random
 numbers), each row's interval stays valid on its own, and each row equals
 ``wtfc pe`` at its point with the same seed.
 
+``COLUMNS`` names the result columns, which a ``SweepRow`` carries: a new
+column is one entry there, one field and its value in ``cell_row``.
+
 This module imports the standard library alone. Its ``estimate_pe``
 imports the sampler, ``wtfc.detector``, and with it numpy, on the first
 estimate, so a command that never samples, a sweep whose every point is
@@ -31,7 +34,7 @@ from .errorlaw import PeEstimate
 from .record import Record
 from .scheme import VARIANTS, SchemeParams, derive_scheme
 
-__all__ = ["AXES", "SweepSpec", "SweepRow", "SweepResult", "cell_row", "run_sweep",
+__all__ = ["AXES", "COLUMNS", "SweepSpec", "SweepRow", "SweepResult", "cell_row", "run_sweep",
            "compare_shadowing"]
 
 # Each axis and the ``PhysicalInputs`` field its grid value replaces; an
@@ -114,6 +117,18 @@ class SweepRow(Record):
     capacity_loss_pct: float | None = None
     snr_db_bw: float | None = None
     snr_db_n0: float | None = None
+
+
+# Every result column in file order, with the config key that adds it, or
+# None for a column every sweep writes.
+COLUMNS = {
+    "axis_name": None, "axis_value": None, "variant": None, "p_e": None,
+    "ci_half_width_95": None, "capacity_bps": None, "ceiling_bps": None, "awgn_bps": None,
+    "shadowing_enabled": None, "seed": None, "iterations": None, "skipped_reason": None,
+    "capacity_loss_pct": "sigma_db",
+    "snr_db_bw": "snr_columns",
+    "snr_db_n0": "snr_columns",
+}
 
 
 class SweepResult(Record):

@@ -512,9 +512,12 @@ def test_config_file_parse_error_names_line(capsys, tmp_path):
     assert "bad.cfg:2" in err and "duty_cycle" in err
 
 
-def test_compare_shadowing_csv(capsys, tmp_path):
+# Sigma 0 still writes the loss column, though 0.0 == False.
+@pytest.mark.parametrize("sigma_db", ["8", "0"])
+def test_compare_shadowing_csv(sigma_db, capsys, tmp_path):
     out_file = tmp_path / "cmp.csv"
-    code, _, _ = run_cli([*COMPARE_ARGS, "--out", str(out_file)], capsys)
+    code, _, _ = run_cli([*COMPARE_ARGS, "--sigma-db", sigma_db, "--out", str(out_file)],
+                         capsys)
     assert code == 0
     lines = out_file.read_text().splitlines()
     assert lines[1] == ",".join(CSV_COLUMNS) + ",capacity_loss_pct"
@@ -593,30 +596,42 @@ def test_duplicate_variants_exit_2(capsys, tmp_path):
     assert out == "" and not (tmp_path / "dup.csv").exists()
 
 
-def test_snr_columns_flag(capsys, tmp_path):
-    out_file = tmp_path / "snr.csv"
-    code, _, _ = run_cli(
-        [
-            "sweep",
-            "--set", "bandwidth_hz=400e6",
-            "--set", "symbol_time_s=100e-6",
-            "--set", "delay_spread_s=0.3e-6",
-            "--set", "doppler_spread_hz=360",
-            "--set", "duty_cycle=1/1000",
-            "--set", "snr_columns=true",
-            "--axis", "snr_db",
-            "--grid=-60,-50",
-            "--iters", "5000",
-            "--out", str(out_file),
-        ],
-        capsys,
-    )
-    assert code == 0
-    lines = out_file.read_text().splitlines()
-    assert lines[1].endswith("snr_db_bw,snr_db_n0")
-    first = lines[2].split(",")
-    assert float(first[-2]) == pytest.approx(-60.0)
-    assert float(first[-1]) == pytest.approx(-60.0 + 10 * 8.602059991327963, abs=1e-6)
+SNR_SWEEP_ARGS = [
+    "sweep",
+    "--set", "bandwidth_hz=400e6",
+    "--set", "symbol_time_s=100e-6",
+    "--set", "delay_spread_s=0.3e-6",
+    "--set", "doppler_spread_hz=360",
+    "--set", "duty_cycle=1/1000",
+    "--axis", "snr_db",
+    "--grid=-60,-50",
+    "--iters", "5000",
+]
+SNR_COLUMNS = ["--set", "snr_columns=true"]
+
+
+# The columns each sweep adds to ``CSV_COLUMNS``: ``sigma_db`` adds the loss
+# column only where it is a header key, as in compare-shadowing.
+@pytest.mark.parametrize("args, optional", [
+    (SNR_SWEEP_ARGS, []),
+    ([*SNR_SWEEP_ARGS, *SNR_COLUMNS], ["snr_db_bw", "snr_db_n0"]),
+    ([*SNR_SWEEP_ARGS, "--set", "sigma_db=8"], []),
+    (COMPARE_ARGS, ["capacity_loss_pct"]),
+    ([*COMPARE_ARGS, *SNR_COLUMNS], ["capacity_loss_pct", "snr_db_bw", "snr_db_n0"]),
+], ids=["sweep", "sweep-snr", "sweep-sigma-db", "compare", "compare-snr"])
+def test_snr_columns_flag(args, optional, capsys, tmp_path):
+    files = {fmt: tmp_path / f"result.{fmt}" for fmt in ("csv", "json")}
+    for fmt, path in files.items():
+        code, _, _ = run_cli([*args, "--format", fmt, "--out", str(path)], capsys)
+        assert code == 0
+    columns = files["csv"].read_text().splitlines()[1].split(",")
+    assert columns == CSV_COLUMNS + optional
+    rows = json.loads(files["json"].read_text())["rows"]
+    assert [list(row) for row in rows] == [columns] * len(rows)
+    if args[0] == "sweep" and "snr_db_bw" in optional:
+        assert rows[0]["snr_db_bw"] == pytest.approx(-60.0)
+        assert rows[0]["snr_db_n0"] == pytest.approx(-60.0 + 10 * 8.602059991327963,
+                                                     abs=1e-6)
 
 
 def test_cli_runs_without_scipy():

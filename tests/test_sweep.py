@@ -13,7 +13,7 @@ from wtfc import (
     estimate_pe,
     run_sweep,
 )
-from wtfc.sweep import _point_config, cell_row
+from wtfc.sweep import COLUMNS, SweepRow, _point_config, cell_row
 
 BASE_INPUTS = PhysicalInputs(100e6, 101e-6, 20e-6, 360.0, 1 / 100)
 
@@ -362,3 +362,7 @@ def test_compare_shadowing_transmit_power_baseline_is_shared_by_off_and_on(power
 def test_threads_do_not_change_rows():
     spec = SweepSpec(base=make_base(iterations=250_000), axis="bandwidth", grid=(1e6, 1e7))
     assert run_sweep(spec, threads=1).rows == run_sweep(spec, threads=4).rows
+
+
+def test_every_column_is_a_row_field():
+    assert sorted(COLUMNS) == sorted(SweepRow.__annotations__)

@@ -111,6 +111,9 @@ CALLS = [
                        "--set", "include_awgn=false", *OUT], {}),
     ("compare-threads-2", [*COMPARE, "--sigma-db", "8", "--threads", "2"], {}),
     ("compare-sigma-0-json", [*COMPARE, "--sigma-db", "0", "--format", "json"], {}),
+    ("compare-snr-columns", [*COMPARE, "--sigma-db", "8", "--set", "snr_columns=true"], {}),
+    ("sweep-sigma-db-set", [*BANDWIDTH_SWEEP, "--grid", "1e6,1e7", "--set", "sigma_db=8", *OUT],
+     {}),
     ("compare-block-hold", [*COMPARE, "--sigma-db", "8", "--set", "shadow_block_len=1000",
                             "--set", "hold_mean_rx_power=true"], {}),
     ("capacity-pe-1.5", ["capacity", *POINT, *PR, "--pe", "1.5"], {}),
