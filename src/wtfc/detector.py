@@ -23,7 +23,20 @@ every (model, variant) cell of every grid point, such as WTFC and I-FSK,
 or shadowing off and on, each variant at its own point's transmit power.
 Each chunk draws its uniforms, and each shadowing model its amplitudes,
 once for every cell, so the rows of a sweep share their draws (common
-random numbers) and each cell's count equals its one-cell call's.
+random numbers) and each cell's scores equal its one-cell call's.
+
+An iteration is scored by its error indicator, unless its error is
+unlikely given its own noise maximum y and signal mean mu: where
+t = y / mu lies below c_f = -ln(1 - ``P_FLOOR``), the signal wins unless
+E = -ln(1 - u) <= t, and it scores 1{E <= c_f} (-expm1(-t)) / ``P_FLOOR``,
+its conditional error probability given (v, m) and whether E <= c_f.
+E is a unit exponential independent of (v, m), so the score's mean is
+still p_e (conditional Monte Carlo), and the scores of distinct
+iterations stay independent. Only the iterations with E <= c_f, about a
+64th of a chunk, can score a fraction; every span's union keeps them, the
+chunk collects them as it goes and scores them once it is drawn, in
+iteration order, so that the soft sums do not depend on the span, the
+other cells of the call or the threads.
 
 Only iterations that can be errors are inverted. The noise maximum rises
 with its uniform v, so the one at a span's largest v, computed on one
@@ -47,8 +60,10 @@ whole shadowing blocks), for u, v, the noise maxima, E, the signal
 statistics and each shadowing model's amplitudes, however many grid
 points the call carries. Every span draws, gathers and transforms in
 place there. Per span only the 1-byte candidate and comparison masks,
-the candidates' indices (the span's and each noise count's) and, for
-block shadowing, one amplitude per block are new memory.
+the candidates' indices (the span's and each noise count's), the E, v
+and squared amplitudes of its iterations with E <= c_f and, for block
+shadowing, one amplitude per block are new memory; the chunk joins the
+kept values once and scores them in its scratch rows.
 """
 
 from __future__ import annotations
@@ -71,6 +86,7 @@ __all__ = [
     "estimate_pe",
     "analytic_pe_no_shadowing",
     "CHUNK_SIZE",
+    "P_FLOOR",
 ]
 
 # Natural-log amplitude change per dB of loss: 10^(-L/20) = exp(-L ln10/20).
@@ -78,6 +94,14 @@ _NEPERS_PER_DB = math.log(10.0) / 20.0
 # Relative pad on the chunk's noise bound and on the signal cut derived from
 # it, far above the few-ulp error of the ufuncs that compute either side.
 _SLACK = 1e-6
+# The floor P_f: an iteration whose error probability given its own noise
+# maximum and amplitude is below it is scored by that probability. Part
+# of the determinism contract, as CHUNK_SIZE is: it decides which
+# iterations score a fraction, and so every such estimate's bits.
+P_FLOOR = 1.0 / 64.0
+# c_f = -ln(1 - P_f): a unit exponential E lies at or below it with
+# probability P_f.
+_FLOOR_CUT = -math.log1p(-P_FLOOR)
 
 
 def draw_m_batch(
@@ -162,8 +186,21 @@ def _noise_bound(top: float, n_noise: int) -> float:
     0 mapped to 0. The pad covers the few-ulp error of either computation,
     which is absolute below 1 and relative above it.
     """
-    top = -math.log(-math.expm1(math.log(top) / n_noise)) if top > 0.0 else 0.0
+    top = _noise_max(top, n_noise)
     return top + _SLACK * max(top, 1.0)
+
+
+def _noise_floor(bottom: float, n_noise: int) -> float:
+    """A number that no noise maximum of ``n_noise`` slots at a uniform of at
+    least ``bottom`` falls below: the maximum at ``bottom``, padded down as
+    ``_noise_bound`` pads it up."""
+    bottom = _noise_max(bottom, n_noise)
+    return bottom - _SLACK * max(bottom, 1.0)
+
+
+def _noise_max(u: float, n_noise: int) -> float:
+    """The noise maximum at uniform ``u``, in ``math`` on one float."""
+    return -math.log(-math.expm1(math.log(u) / n_noise)) if u > 0.0 else 0.0
 
 
 def _shadowed(m2, energy: float, e, out):
@@ -221,8 +258,8 @@ def _chunk_error_count(
     noise_counts: Sequence[int],
     cells: Sequence[tuple[int, int]],
     scratch: np.ndarray,
-) -> np.ndarray:
-    """Errors of every cell in one chunk of ``n`` iterations.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores of every cell in one chunk of ``n`` iterations.
 
     A signal is its signal-slot mean: a float when it is the same for every
     iteration, else the (model, signal energy) whose amplitudes the
@@ -231,8 +268,15 @@ def _chunk_error_count(
     its noise uniforms v and each distinct model's amplitudes are drawn
     once for every cell. ``scratch`` holds at least
     ``_scratch_rows(signals)`` rows of at least min(n, ``_span(signals)``)
-    floats, else ``ValueError``; the chunk overwrites those rows. Returns
-    one count per cell.
+    floats, else ``ValueError``; the chunk overwrites those rows.
+
+    An iteration's score is its error indicator, ``x <= y`` for signal
+    statistic x = mu * E and noise maximum y, unless it lies below the
+    floor: E <= c_f and t = y / mu < c_f, with c_f = -ln(1 - ``P_FLOOR``).
+    There it scores its conditional error probability given its own
+    (v, m) and E <= c_f: -expm1(-t) / ``P_FLOOR``. Returns, per cell, the
+    count of errors among the other iterations, and the sum and the sum of
+    squares of the soft values: ``_floor_scores`` gives both.
 
     The chunk runs a span of ``_span(signals)`` iterations at a time. Each
     span draws its own u, v and amplitudes from the chunk's three
@@ -267,11 +311,17 @@ def _chunk_error_count(
     Each noise count then finds its own candidates among them. When they
     are at most half, its log(v), E and squared amplitudes are gathered
     into the y, E and x rows and the count inverts and compares only
-    there; else it runs on all of them, with y and x in their rows. Every
+    there; else it runs on all of them, with y and x in their rows, and
+    the statistic its own test formed is counted as it stands. Every
     ufunc acts element by element, so a gathered element gets the value
     it has in a pass over every iteration, and counting over any superset
     of a cell's candidates gives that pass's count bit for bit. Ties count
     as errors (measure zero, pinned for reproducibility).
+
+    The span's union also keeps every iteration with E <= c_f: its test
+    on u takes the larger of the largest cut and c_f. Each span keeps
+    the E, v and squared amplitudes of those iterations, in order, and
+    ``_floor_scores`` scores them once the chunk is drawn.
     """
     span = _span(signals)
     rows, columns = _scratch_rows(signals), min(n, span)
@@ -300,6 +350,9 @@ def _chunk_error_count(
     # Every model draws its amplitudes from the start of the shadowing stream.
     shadow_rngs = [np.random.default_rng(shadow_seed) for _ in models]
     pad = 1.0 + _SLACK
+    # The E, v and each model's squared amplitudes of every span's
+    # iterations with E <= c_f, in iteration order.
+    below: list = [[] for _ in range(2 + len(models))]
     counts = np.zeros(len(cells), dtype=np.int64)
     for start in range(0, n, span):
         length = min(span, n - start)
@@ -311,7 +364,8 @@ def _chunk_error_count(
         cuts = [-1.0 if mean is None else bound * pad / mean * pad
                 for bound, mean in zip(bounds, means)]
 
-        candidates = u <= -math.expm1(-max(cuts)) * pad
+        # The union keeps every iteration with E <= c_f too.
+        candidates = u <= -math.expm1(-max(*cuts, _FLOOR_CUT)) * pad
         if models:
             _unit_exponential(u, out=u)
         squares = []
@@ -332,30 +386,138 @@ def _chunk_error_count(
         e, log_v, *squares = live
         if not models:
             _unit_exponential(e, out=e)
+        floor = np.flatnonzero(e <= _FLOOR_CUT)
+        for kept, row in zip(below, live):
+            kept.append(np.take(row, floor))
+        del floor
         with np.errstate(divide="ignore"):
             np.log(log_v, out=log_v)
         for k, members in by_noise.items():
             own = e <= cuts[k]
+            # The x row holds the statistic of the model tested last, at
+            # its smallest energy here.
+            held = None
             for g, energy in least[k].items():
                 own |= _shadowed(squares[g], energy, e, x_row[: e.size]) <= bounds[k]
+                held = (g, energy)
             size = np.count_nonzero(own)
             if 2 * size <= e.size:
-                index = np.flatnonzero(own)
+                index, held = np.flatnonzero(own), None
             else:
                 index, size = None, e.size
             y, e_own, x = y_row[:size], e_row[:size], x_row[:size]
             y = _max_noise_from_log(noise_counts[k], _select(log_v, index, y), out=y)
             e_own = _select(e, index, e_own)
+            if held is not None:
+                # The held cell first, before another cell overwrites its x.
+                members = sorted(members, key=lambda member: member[1:] != held)
             for c, g, value in members:
-                if g is None:
-                    np.multiply(value, e_own, out=x)
-                else:
-                    _shadowed(_select(squares[g], index, x), value, e_own, x)
+                if (g, value) != held:
+                    if g is None:
+                        np.multiply(value, e_own, out=x)
+                    else:
+                        _shadowed(_select(squares[g], index, x), value, e_own, x)
                 counts[c] += np.count_nonzero(x <= y)
             # Freed before the next count builds its own, so a span's
             # temporaries stay under one span of floats.
             del own, index
-    return counts
+    for i, parts in enumerate(below):
+        below[i] = np.concatenate(parts)
+    sums, square_sums = _floor_scores(below, signals, noise_counts, cells, models, counts,
+                                      scratch[:5])
+    return counts, sums, square_sums
+
+
+def _floor_scores(
+    below: Sequence[np.ndarray],
+    signals: Sequence[float | tuple[LargeScaleModel, float]],
+    noise_counts: Sequence[int],
+    cells: Sequence[tuple[int, int]],
+    models: dict,
+    counts: np.ndarray,
+    scratch: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score a chunk's iterations below the floor, in iteration order.
+
+    ``below`` holds the E, v and each model's squared amplitudes of the
+    chunk's iterations with E <= c_f, in iteration order; this overwrites
+    v. In a cell, an iteration with E <= c_f and
+    t = y / mu < c_f is a soft member: its error, if ``counts`` holds one,
+    is taken back out, and it scores -expm1(-t) / ``P_FLOOR`` instead.
+    Returns per cell the ``np.sum`` of the soft values over the chunk's
+    iterations with E <= c_f, in iteration order with 0 where t >= c_f,
+    and the same sum of their squares. Each is one sum over the chunk, so
+    its bits do not depend on the span.
+
+    Only a cell where some iteration can lie below the floor is scored:
+    no noise maximum lies below ``_noise_floor`` at the smallest v, and no
+    mean above the one at the largest squared amplitude. Those cells are
+    scored a block at a time in the rows of ``scratch``, one row per cell
+    and as many as a row holds, or in new rows when one cell does not fit.
+    """
+    sums, square_sums = np.zeros(len(cells)), np.zeros(len(cells))
+    e, v, *squares = below
+    size = e.size
+    if not size:
+        return sums, square_sums
+    # Blocks in the scratch rows, or in new rows when one cell does not fit.
+    rows = scratch if size <= scratch.shape[1] else np.empty((5, size))
+    floors = [_noise_floor(float(v.min()), n_noise) for n_noise in noise_counts]
+    with np.errstate(divide="ignore"):
+        log_v = np.log(v, out=v)
+
+    pad = 1.0 + _SLACK
+    largest = [float(m2.max()) for m2 in squares]
+    live = []
+    for c, (j, k) in enumerate(cells):
+        if isinstance(signals[j], float):
+            g, value = None, signals[j]
+            top = value
+        else:
+            g, value = models[signals[j][0]], signals[j][1]
+            top = largest[g] * value + 1.0
+        if floors[k] < _FLOOR_CUT * top * pad:
+            live.append((c, k, g, value))
+    # Cells of one noise count side by side, so a block inverts each once.
+    live.sort(key=lambda cell: cell[1])
+
+    per_block = rows.shape[1] // size
+    # The masks of a block, one byte per element, in the second row.
+    flags = rows[1].view(np.bool_)
+    for first in range(0, len(live), per_block):
+        block = live[first : first + per_block]
+        shape, elements = (len(block), size), len(block) * size
+        y, mu, x, t = (rows[r][:elements].reshape(shape) for r in (2, 0, 4, 3))
+        soft = flags[:elements].reshape(shape)
+        errors = flags[elements : 2 * elements].reshape(shape)
+        for i, (_, k, g, value) in enumerate(block):
+            if i and block[i - 1][1] == k:
+                y[i] = y[i - 1]
+            else:
+                row = y[i]
+                row[:] = log_v
+                _max_noise_from_log(noise_counts[k], row, out=row)
+            if g is None:
+                mu[i] = value
+            else:
+                # (m * m) * energy + 1, as _shadowed forms it.
+                np.multiply(squares[g], value, out=mu[i])
+                mu[i] += 1.0
+        np.divide(y, mu, out=t)
+        np.less(t, _FLOOR_CUT, out=soft)
+        np.less_equal(np.multiply(mu, e, out=x), y, out=errors)
+        errors &= soft
+        index = [c for c, _, _, _ in block]
+        counts[index] -= np.count_nonzero(errors, axis=1)
+        # -expm1(-t) / P_f: the sign and the power-of-two scale are exact.
+        np.negative(t, out=t)
+        np.expm1(t, out=t)
+        t *= -1.0 / P_FLOOR
+        t *= soft
+        sums[index] = t.sum(axis=1)
+        t *= t
+        square_sums[index] = t.sum(axis=1)
+    return sums, square_sums
 
 
 def estimate_pe(
@@ -372,8 +534,13 @@ def estimate_pe(
 
     Per iteration: draw the large-scale amplitude, compute the signal-slot
     mean, draw the signal statistic and the max of the ``S - 1`` noise
-    statistics, count an error when the signal does not win. Deterministic
-    for fixed (seed, iterations); ``threads`` only changes wall time.
+    statistics, and score the error indicator, 1 when the signal does not
+    win; below the floor, score the conditional error probability instead
+    (see the module docstring). ``p_e`` is the mean score and
+    ``half_width_95`` 1.96 times its iid standard error; without a score
+    below the floor they are the error count's fraction and binomial
+    half-width. Deterministic for fixed (seed, iterations); ``threads``
+    only changes wall time.
 
     ``params`` and ``model`` may each be a sequence, and then
     ``transmit_power`` holds one power per ``params`` entry: the call
@@ -437,31 +604,50 @@ def estimate_pe(
 
     scratch_shape = (_scratch_rows(signal_list), min(_span(signal_list), iterations))
 
-    def work(first: int) -> np.ndarray:
+    def work(first: int) -> tuple[np.ndarray, list]:
         # Worker ``first`` runs chunks first, first + workers, ... in its
-        # own scratch; a chunk's draws depend on its index alone.
+        # own scratch; a chunk's draws depend on its index alone. Its soft
+        # sums are kept per chunk, for one exact sum over all chunks.
         scratch = np.empty(scratch_shape)
         errors = np.zeros(len(cell_list), dtype=np.int64)
+        soft = []
         for i in range(first, n_chunks, workers):
             n = min(CHUNK_SIZE, iterations - i * CHUNK_SIZE)
-            errors += _chunk_error_count(i, n, seed, signal_list, noise_list, cell_list,
-                                         scratch)
-        return errors
+            chunk_errors, *chunk_soft = _chunk_error_count(
+                i, n, seed, signal_list, noise_list, cell_list, scratch)
+            errors += chunk_errors
+            soft.append(chunk_soft)
+        return errors, soft
 
     if workers == 1:
-        errors = work(0)
+        results = [work(0)]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = sum(pool.map(work, range(workers)))
+            results = list(pool.map(work, range(workers)))
+    errors = sum(worker_errors for worker_errors, _ in results)
+    chunks = [chunk for _, soft in results for chunk in soft]
+    estimates = []
+    for c in estimate_cells:
+        # math.fsum rounds the exact total once, so the order in which the
+        # workers ran their chunks cannot show.
+        soft_sum = math.fsum(sums[c] for sums, _ in chunks)
+        soft_square_sum = math.fsum(square_sums[c] for _, square_sums in chunks)
+        estimates.append(_estimate(int(errors[c]), soft_sum, soft_square_sum, iterations, seed))
+    return estimates[0] if one_cell else tuple(estimates)
 
-    estimates = tuple(_binomial_estimate(int(errors[c]), iterations, seed)
-                      for c in estimate_cells)
-    return estimates[0] if one_cell else estimates
 
+def _estimate(errors: int, soft_sum: float, soft_square_sum: float, iterations: int,
+              seed: int) -> PeEstimate:
+    """The mean score and its 95 % half-width, 1.96 times the iid standard error.
 
-def _binomial_estimate(errors: int, iterations: int, seed: int) -> PeEstimate:
-    p_e = errors / iterations
-    half_width = 1.96 * math.sqrt(p_e * (1.0 - p_e) / iterations)
+    The scores are ``errors`` ones, soft values summing to ``soft_sum``
+    with squares summing to ``soft_square_sum``, and zeros. Their sample
+    variance is p(1 - p) + (soft_square_sum - soft_sum) / n; without soft
+    values it is the binomial p(1 - p), bit for bit.
+    """
+    p_e = (errors + soft_sum) / iterations
+    variance = p_e * (1.0 - p_e) + (soft_square_sum - soft_sum) / iterations
+    half_width = 1.96 * math.sqrt(max(variance, 0.0) / iterations)
     return PeEstimate(p_e=p_e, iterations=iterations, half_width_95=half_width, seed=seed)

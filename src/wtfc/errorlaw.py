@@ -32,7 +32,13 @@ CHUNK_SIZE = 100_000
 
 
 class PeEstimate(Record):
-    """Monte Carlo symbol error probability with its binomial 95% half-width.
+    """Monte Carlo symbol error probability with its 95% half-width.
+
+    ``p_e`` is the mean score over ``iterations`` symbols and
+    ``half_width_95`` 1.96 times its standard error. A symbol scores its
+    error indicator, or below the sampler's floor its conditional error
+    probability (``wtfc.detector``); with no symbol below the floor these
+    are the error fraction and its binomial half-width.
 
     For a p_e that was given rather than sampled (``capacity --pe``),
     ``iterations``, ``half_width_95`` and ``seed`` are None.

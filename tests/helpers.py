@@ -12,8 +12,15 @@ from typing import Sequence
 
 import numpy as np
 
-from wtfc import LargeScaleModel, PhysicalInputs, derive_scheme
-from wtfc.detector import _max_noise_from_log, _unit_exponential, draw_m_batch
+from wtfc import LargeScaleModel, PhysicalInputs, analytic_pe_no_shadowing, derive_scheme
+from wtfc.channel import constant_amplitude
+from wtfc.detector import (
+    _FLOOR_CUT,
+    P_FLOOR,
+    _max_noise_from_log,
+    _unit_exponential,
+    draw_m_batch,
+)
 
 
 def scheme_with_alphabet(alphabet_size: int):
@@ -54,6 +61,27 @@ def naive_pe(alphabet_size: int, mu: float, iterations: int, seed: int):
     return p, half_width
 
 
+def exact_pe(model: LargeScaleModel, energy: float, n_noise: int, nodes: int = 64) -> float:
+    """Exact error probability at signal energy ``energy`` under ``model``.
+
+    The Gamma-ratio closed form at a constant amplitude; under log-normal
+    shadowing, its average over the amplitude by ``nodes``-point
+    Gauss-Hermite quadrature in the shadowing normal.
+    """
+    amplitude = constant_amplitude(model)
+    if amplitude is not None:
+        return analytic_pe_no_shadowing(amplitude * amplitude * energy + 1.0, n_noise)
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    nepers = math.log(10.0) / 20.0
+    loss = model.deterministic_loss_db()
+    return math.fsum(
+        wi / math.sqrt(math.pi) * analytic_pe_no_shadowing(
+            math.exp(-2.0 * nepers * (loss + model.shadowing_std_db * math.sqrt(2.0) * xi))
+            * energy + 1.0, n_noise)
+        for xi, wi in zip(x, w)
+    )
+
+
 def exact_pe_alternating_sum(mu: float, n_noise: int) -> float:
     """Closed-form error probability by the alternating binomial sum.
 
@@ -87,8 +115,9 @@ def header_to_config_text(line: str) -> str:
     return "\n".join(line[len(prefix):].split(" ")) + "\n"
 
 
-# The chunk kernel as it stood before the candidate filter, kept verbatim
-# (under a new name) as the reference its counts must equal bit for bit.
+# The chunk kernel without any filter: every iteration is inverted and
+# scored, in the order the estimator defines, as the reference whose
+# counts and soft sums the filtered kernel must equal bit for bit.
 def reference_chunk_error_count(
     chunk_index: int,
     n: int,
@@ -96,19 +125,22 @@ def reference_chunk_error_count(
     signals: Sequence[float | tuple[LargeScaleModel, float]],
     noise_counts: Sequence[int],
     scratch: np.ndarray,
-) -> np.ndarray:
-    """Errors of every (signal, noise count) pair in one chunk of ``n`` iterations.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores of every (signal, noise count) pair in one chunk of ``n`` iterations.
 
     A signal is its signal-slot mean: a float when it is the same for every
     iteration, else the (model, signal energy) whose amplitudes the
     shadowing stream draws. The chunk is seeded by (seed, chunk). Its signal
     and noise uniforms are drawn once and turned once into E = -ln(1 - u)
     and ln(v); each signal statistic is then mu * E and each noise maximum
-    is finished from ln(v), the same ufuncs in the same order as a one-cell
-    chunk, so each count equals that chunk's bit for bit. ``scratch`` holds
+    y is finished from ln(v). Every iteration with E <= c_f and
+    t = y / mu < c_f scores -expm1(-t) / P_FLOOR; every other one scores
+    its error indicator, x <= y (ties count as errors). ``scratch`` holds
     at least ``len(noise_counts) + 2`` rows of at least ``n`` floats; the
-    chunk overwrites the first ``n`` entries of those it uses. Returns counts
-    shaped (signals, noise counts).
+    chunk overwrites the first ``n`` entries of those it uses. Returns
+    the counts of the indicators, the np.sum over the iterations with
+    E <= c_f, in order, of the soft scores (0 where t >= c_f), and the same
+    sum of their squares, each shaped (signals, noise counts).
     """
     shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
         [seed, chunk_index]
@@ -117,6 +149,7 @@ def reference_chunk_error_count(
     _unit_exponential(np.random.default_rng(signal_seed).random(n, out=e), out=e)
     with np.errstate(divide="ignore"):
         np.log(np.random.default_rng(noise_seed).random(n, out=log_v), out=log_v)
+    floor = e <= _FLOOR_CUT
 
     # Hold every noise maximum, the last in ln(v)'s row; the signal
     # statistics pass through one work row, the last one through E's.
@@ -126,18 +159,24 @@ def reference_chunk_error_count(
         for k, n_noise in enumerate(noise_counts)
     ]
     work = spare[last]
-    # Ties count as errors (measure zero, pinned for reproducibility).
-    counts = np.empty((len(signals), len(noise_counts)), dtype=np.int64)
+    shape = (len(signals), len(noise_counts))
+    counts = np.empty(shape, dtype=np.int64)
+    sums, square_sums = np.empty(shape), np.empty(shape)
     for j, signal in enumerate(signals):
-        x = e if j == len(signals) - 1 else work
         mu = signal
         if not isinstance(signal, float):
             model, energy_factor = signal
-            mu = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=work)
+            mu = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=np.empty(n))
             # mu = (m * m) * energy_factor + 1, evaluated in that order.
             mu *= mu
             mu *= energy_factor
             mu += 1.0
-        np.multiply(mu, e, out=x)
-        counts[j] = [np.count_nonzero(x <= y) for y in ys]
-    return counts
+        x = np.multiply(mu, e, out=work)
+        for k, y in enumerate(ys):
+            t = y / mu
+            below = t < _FLOOR_CUT
+            counts[j, k] = np.count_nonzero((x <= y) & ~(below & floor))
+            scores = np.where(below, -np.expm1(-t) / P_FLOOR, 0.0)[floor]
+            sums[j, k] = np.sum(scores)
+            square_sums[j, k] = np.sum(scores * scores)
+    return counts, sums, square_sums

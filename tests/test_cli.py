@@ -1,3 +1,4 @@
+import csv
 import gc
 import hashlib
 import json
@@ -6,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
+import helpers
 from helpers import header_to_config_text
-from wtfc import cli
+from wtfc import LargeScaleModel, PhysicalInputs, cli, derive_scheme, signal_energy
 from wtfc.cli import CSV_COLUMNS, build_parser, main
 from wtfc.config import ConfigError
 
@@ -219,6 +223,30 @@ def test_pe_reports_seed_and_iterations(capsys, tmp_path):
     assert report["seed"] == 7
     assert 0.0 <= report["p_e"] <= 1.0
     assert out_file.read_text() == out
+
+
+# The README geometry at duty 1e-5 and p_r = 1e5, where p_e is ~2e-5.
+SATURATED_SETS = [*BASE_SETS, "--set", "duty_cycle=1e-5", "--set", "p_r=1e5"]
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_saturated_pe_scores_below_the_floor(seed, capsys):
+    # 20 000 iterations hold no error to count here: a 0/1 count read
+    # p_e = 0 +- 0. The ~310 iterations with E <= c_f lie below the floor
+    # and score their conditional error probabilities instead, so the
+    # estimate is positive, about 11 % wide, and covers the exact value.
+    code, out, _ = run_cli(["pe", *SATURATED_SETS, "--iters", "20000", "--seed", str(seed),
+                            "--format", "json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    inputs = PhysicalInputs(bandwidth_hz=100e6, symbol_time_s=101e-6, delay_spread_s=20e-6,
+                            doppler_spread_hz=25e3, duty_cycle=1e-5)
+    params = derive_scheme(inputs)
+    exact = helpers.exact_pe(LargeScaleModel(), signal_energy(1e5, params, 1.0),
+                             params.noise_slot_count)
+    p_e, half_width = report["p_e"], report["ci_half_width_95"]
+    assert p_e > 0 and 0.08 < half_width / p_e < 0.14
+    assert abs(p_e - exact) <= 3 * half_width
 
 
 def test_capacity_direct_pe_conversion(capsys):
@@ -527,12 +555,13 @@ def test_compare_shadowing_csv(sigma_db, capsys, tmp_path):
     assert data[0][-1] == "" and data[1][-1] != ""
 
 
-# sha256 of the result files at 250 000 iterations, captured when the
-# points of a sweep first shared one set of draws on the run seed; each row
-# equals the one-cell estimate at its point (tests/test_sweep.py).
+# sha256 of the result files at 250 000 iterations, captured when
+# iterations below the floor first scored their conditional error
+# probability; each row equals the one-cell estimate at its point
+# (tests/test_sweep.py) and lies near its exact value (below).
 PINNED_CSV_SHA256 = {
-    "sweep": "7289be288164cd88f1590535f0771a055199d394f1abde13e557f83dc8f9262a",
-    "compare-shadowing": "1b7c335240a69f30a03ac3e3b2a2b1e437d9b2f0e22175eac3f9c6d6df758dce",
+    "sweep": "d935c9418d6c130a5e455d94a0600d27a26cdcf8ee165475c03705e0f3a8df04",
+    "compare-shadowing": "d1315ab658d618da17ee9cd143361fdc0ef7b25df3311c0e6b33c620e844f567",
 }
 
 
@@ -547,6 +576,29 @@ def test_shared_pass_keeps_the_result_bytes(command, threads, capsys, tmp_path):
     assert code == 0
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
     assert digest == PINNED_CSV_SHA256[command]
+
+
+@pytest.mark.parametrize("command", list(PINNED_CSV_SHA256))
+def test_pinned_result_rows_lie_near_the_exact_value(command, capsys, tmp_path):
+    # The exact value lies within 3 half-widths of every row of the
+    # pinned files: the closed form, or its Gauss-Hermite average at 8 dB.
+    out_file = tmp_path / "result.csv"
+    args = {"sweep": SWEEP_ARGS, "compare-shadowing": COMPARE_ARGS}[command]
+    assert run_cli([*args, "--iters", "250000", "--out", str(out_file)], capsys)[0] == 0
+    sets = dict(arg.split("=") for arg in args if "=" in arg)
+    rows = list(csv.DictReader(out_file.read_text().splitlines()[1:]))
+    assert len(rows) == (6 if command == "sweep" else 4)
+    for row in rows:
+        inputs = PhysicalInputs(**{key: float(Fraction(sets[key])) for key in (
+            "bandwidth_hz", "symbol_time_s", "delay_spread_s", "doppler_spread_hz",
+            "duty_cycle")}).replace(**{row["axis_name"].replace("bandwidth", "bandwidth_hz"):
+                                       float(row["axis_value"])})
+        params = derive_scheme(inputs, row["variant"])
+        model = LargeScaleModel(enabled=row["shadowing_enabled"] == "true",
+                                shadowing_std_db=8.0)
+        exact = helpers.exact_pe(model, signal_energy(float(sets["p_r"]), params, 1.0),
+                                 params.noise_slot_count)
+        assert abs(float(row["p_e"]) - exact) <= 3 * float(row["ci_half_width_95"]), row
 
 
 # The one-point commands and the sha256 of their --out files at 20 000

@@ -27,4 +27,20 @@ def test_same_call_is_identical_and_a_changed_file_is_seen(cli_bytes, tmp_path):
 
 def test_call_names_are_unique(cli_bytes):
     names = [name for name, _, _ in cli_bytes.CALLS]
-    assert len(names) == len(set(names)) == 39
+    assert len(names) == len(set(names)) == 40
+
+
+@pytest.mark.parametrize("before, after, names", [
+    (b"# config: a=1\nvariant,p_e,seed\nWTFC,0.1,3\n",
+     b"# config: a=1\nvariant,p_e,seed\nWTFC,0.2,3\n", ["p_e"]),
+    (b"# config: a=1\nx,y\n1,2\n3,4\n", b"# config: a=2\nx,y\n1,2\n3,5\n",
+     ["# config", "y"]),
+    (b'{"config": {"seed": "3"}, "rows": [{"p_e": 0.1, "seed": 3}]}',
+     b'{"config": {"seed": "3"}, "rows": [{"p_e": 0.1, "seed": 4}]}', ["seed"]),
+    (b'{"variant": "WTFC", "p_e": 0.1}', b'{"variant": "WTFC", "p_e": 0.3}', ["p_e"]),
+    (b"variant = WTFC\np_e = 0.1\ncapacity_bps = 5\n",
+     b"variant = WTFC\np_e = 0.2\ncapacity_bps = 4\n", ["p_e", "capacity_bps"]),
+], ids=["csv", "csv-config", "json-rows", "json-report", "key-value"])
+def test_differing_columns_are_named(cli_bytes, before, after, names):
+    assert cli_bytes.differing_columns(before, after) == names
+    assert cli_bytes.differing_columns(before, before) == []

@@ -265,6 +265,23 @@ class TestEstimatePe:
         assert est.half_width_95 == pytest.approx(expected, rel=1e-12)
         assert est.seed == 2
 
+    def test_half_width_formula_below_the_floor(self):
+        # One chunk at mean 101 against 15 noise slots, where ~3 % of the
+        # iterations with E <= c_f lie below the floor: the half-width is
+        # 1.96 sqrt((p(1 - p) + (Q - G) / n) / n) for soft sums G and Q.
+        params = helpers.scheme_with_alphabet(16)
+        n = 50_000
+        est = estimate_pe(params, NO_FADING, 100.0, 1.0, n, seed=2)
+        counts, sums, squares = helpers.reference_chunk_error_count(
+            0, n, 2, [101.0], [15], np.empty((3, n)))
+        errors, soft, soft_squares = int(counts[0, 0]), sums[0, 0], squares[0, 0]
+        assert soft > 0
+        p_e = (errors + soft) / n
+        assert est.p_e == p_e
+        expected = 1.96 * math.sqrt((p_e * (1 - p_e) + (soft_squares - soft) / n) / n)
+        assert est.half_width_95 == pytest.approx(expected, rel=1e-12)
+        assert est.half_width_95 < 1.96 * math.sqrt(p_e * (1 - p_e) / n)
+
     def test_deterministic_and_thread_invariant(self):
         params = helpers.scheme_with_alphabet(16)
         a = estimate_pe(params, NO_FADING, 5.0, 1.0, 350_000, seed=9)
@@ -334,17 +351,20 @@ class TestEstimatePe:
 _PIN_GEOMETRY = LargeScaleModel(enabled=True, distance_m=3.0)
 _PIN_SHADOWED = _PIN_GEOMETRY.replace(shadowing_std_db=8.0)
 
-# Errors of estimate_pe(alphabet 16, P_t = 100, N_0 = 1, seed 2024) as the
-# out-of-place chunk kernel counted them, at 250 000 iterations (two full
-# chunks and a half one) and at 37: (model, hold_mean_rx_power, errors).
+# Score totals, p_e times iterations, of estimate_pe(alphabet 16, P_t = 100,
+# N_0 = 1, seed 2024) at 250 000 iterations (two full chunks and a half
+# one) and at 37: (model, hold_mean_rx_power, total). The out-of-place
+# chunk kernel counted the integer ones; the others hold soft scores from
+# iterations below the floor, and test_pins_lie_near_the_exact_value
+# checks them.
 PINNED_ERRORS = {
-    "disabled": (NO_FADING, False, {250_000: 8096, 37: 3}),
+    "disabled": (NO_FADING, False, {250_000: 8096.836476397812, 37: 3}),
     "zero_sigma": (_PIN_GEOMETRY, False, {250_000: 59142, 37: 11}),
-    "sigma_8db": (_PIN_SHADOWED, False, {250_000: 79938, 37: 14}),
+    "sigma_8db": (_PIN_SHADOWED, False, {250_000: 79929.94605731957, 37: 14}),
     "sigma_8db_blocks": (
-        _PIN_SHADOWED.replace(block_len=1000), False, {250_000: 68496, 37: 10}
+        _PIN_SHADOWED.replace(block_len=1000), False, {250_000: 68492.27150288099, 37: 10}
     ),
-    "hold_mean_rx_power": (_PIN_SHADOWED, True, {250_000: 144054, 37: 23}),
+    "hold_mean_rx_power": (_PIN_SHADOWED, True, {250_000: 144051.41441692645, 37: 23}),
 }
 
 
@@ -359,6 +379,20 @@ def test_error_counts_are_pinned_for_any_thread_count(case):
                 threads=threads, hold_mean_rx_power=hold,
             )
             assert est.p_e == errors / iterations, (iterations, threads)
+
+
+@pytest.mark.parametrize("case", [case for case in PINNED_ERRORS if case != "sigma_8db_blocks"])
+def test_pins_lie_near_the_exact_value(case):
+    # Exact: the closed form, or its Gauss-Hermite average under 8 dB
+    # shadowing. Blocks of 1000 symbols share one amplitude, so the iid
+    # half-width understates their spread and that pin is left out.
+    model, hold, pinned = PINNED_ERRORS[case]
+    params = helpers.scheme_with_alphabet(16)
+    p_t = 100.0 / channel.shadowing_mean_power_gain(model) if hold else 100.0
+    exact = helpers.exact_pe(model, signal_energy(p_t, params, 1.0), 15)
+    est = estimate_pe(params, model, 100.0, 1.0, 250_000, seed=2024, hold_mean_rx_power=hold)
+    assert est.p_e == pinned[250_000] / 250_000
+    assert abs(est.p_e - exact) <= 3 * est.half_width_95
 
 
 def _chunk_args(point_cells):
@@ -514,7 +548,8 @@ def _assert_kernel_matches_reference(signals, noise_counts, n, chunks, seed=11):
         got = _chunk_error_count(chunk, n, seed, signals, noise_counts, cells, scratch)
         want = helpers.reference_chunk_error_count(chunk, n, seed, signals, noise_counts,
                                                    reference)
-        assert np.array_equal(got, want.ravel()), chunk
+        assert np.array_equal(got[0], want[0].ravel()), chunk
+        assert _same_bits(got[1], want[1].ravel()) and _same_bits(got[2], want[2].ravel()), chunk
 
 
 @pytest.mark.parametrize("n", [CHUNK_SIZE, 37])
@@ -589,12 +624,13 @@ def test_tiny_iteration_counts_equal_the_all_iterations_kernel(cells, iterations
     errors = 0
     for seed in range(20):
         got = estimate_pe(variants, models, powers, 1.0, iterations, seed=seed)
-        want = helpers.reference_chunk_error_count(0, iterations, seed, signals,
-                                                   noise_counts, reference)
+        counts, sums, _ = helpers.reference_chunk_error_count(0, iterations, seed, signals,
+                                                              noise_counts, reference)
+        cells = [(j, j % len(variants)) for j in range(len(signals))]
         assert [est.p_e for est in got] == [
-            want[j, j % len(variants)] / iterations for j in range(len(signals))
+            (int(counts[cell]) + sums[cell]) / iterations for cell in cells
         ], seed
-        errors += int(want.sum())
+        errors += int(counts.sum())
     assert errors > 0
 
 
@@ -663,7 +699,8 @@ def test_noise_counts_run_on_their_own_candidates_or_the_whole_span(monkeypatch,
         got = _chunk_error_count(chunk, CHUNK_SIZE, 7, signals, noise_counts, cells, scratch)
         want = helpers.reference_chunk_error_count(chunk, CHUNK_SIZE, 7, signals,
                                                    noise_counts, reference)
-        assert got.tolist() == [want[j, k] for j, k in cells], chunk
+        for got_part, want_part in zip(got, want):
+            assert _same_bits(got_part, [want_part[j, k] for j, k in cells]), chunk
     wtfc_slots = [derive_scheme(_readme_inputs(duty)).noise_slot_count
                   for duty in _README_DUTIES]
     assert wtfc_slots[0] in inverted["whole"]
@@ -687,15 +724,17 @@ def test_scratch_one_row_short_is_rejected(cells):
 
 
 class _FixedUniforms:
-    """A generator whose ``random`` returns given uniforms; normals stay drawn."""
+    """A generator whose ``random`` returns given uniforms, carrying on from
+    call to call as a generator does; normals stay drawn."""
 
     def __init__(self, rng, uniforms):
-        self._rng, self._uniforms = rng, uniforms
+        self._rng, self._uniforms, self._at = rng, uniforms, 0
 
     def random(self, n, out):
         if self._uniforms is None:
             return self._rng.random(n, out=out)
-        out[:] = self._uniforms[:n]
+        out[:] = self._uniforms[self._at : self._at + n]
+        self._at += n
         return out
 
     def standard_normal(self, n, out):
@@ -705,7 +744,8 @@ class _FixedUniforms:
 @pytest.mark.parametrize("noise", ["edges", "zero"])
 def test_edge_uniforms_count_as_in_the_all_iterations_kernel(monkeypatch, noise):
     # u = 0 gives x = 0, a tie with every noise maximum, which counts as an
-    # error. v = 0 gives the maximum 0; v = nextafter(1, 0) the largest one.
+    # error unless it lies below the floor. v = 0 gives the maximum 0;
+    # v = nextafter(1, 0) the largest one.
     n = 1000
     rng = np.random.default_rng(5)
     u, v = rng.random(n), rng.random(n)
@@ -721,11 +761,30 @@ def test_edge_uniforms_count_as_in_the_all_iterations_kernel(monkeypatch, noise)
     signals, noise_counts = [1e6, (_PIN_SHADOWED, 1e6)], [1, 10**9]
     _assert_kernel_matches_reference(signals, noise_counts, n, [0])
     scratch = np.empty((_scratch_rows(signals), n))
-    counts = _chunk_error_count(0, n, 11, signals, noise_counts,
-                                _every_cell(signals, noise_counts), scratch)
-    assert (counts >= n // 10).all()
+    counts, sums, _ = _chunk_error_count(0, n, 11, signals, noise_counts,
+                                         _every_cell(signals, noise_counts), scratch)
     if noise == "zero":
-        assert (counts == n // 10).all()
+        # Every maximum is 0, so t = 0: every iteration with E <= c_f, each
+        # u = 0 tie among them, scores -expm1(-0) = 0, and x > 0 elsewhere.
+        assert (counts == 0).all() and (sums == 0).all()
+    else:
+        # At mean 1e6 even the largest maximum gives t < c_f, and an error
+        # needs E below it: each error, u = 0 ties too, scores its
+        # conditional probability, not 1.
+        assert (counts[:2] == 0).all() and (sums[:2] > 0).all()
+
+
+def test_floor_wider_than_a_span_is_scored_in_new_rows(monkeypatch):
+    # Every u of the chunk below the floor: 100 000 kept iterations do not
+    # fit a scratch row of one span, so each cell is scored alone in new
+    # rows; the scores still equal the reference's.
+    u = np.random.default_rng(5).random(CHUNK_SIZE) / 100.0
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seq: _FixedUniforms(
+        default_rng(seq), {1: u}.get(seq.spawn_key[-1])))
+    signals = [101.0, 1e6, (_PIN_SHADOWED, 1e6)]
+    assert _span(signals) < CHUNK_SIZE
+    _assert_kernel_matches_reference(signals, [15, 2699], CHUNK_SIZE, [0])
 
 
 def _noise_uniforms(case):
@@ -761,6 +820,17 @@ def test_noise_bound_covers_the_largest_maximum_at_the_edges(top, n_noise):
     bound = _noise_bound(float(top), n_noise)
     assert math.isfinite(bound)
     assert bound >= max_noise_from_uniform(n_noise, top)
+
+
+@pytest.mark.parametrize("n_noise", [1, 2, 2699, 10**9])
+@pytest.mark.parametrize("bottom", [0.0, 5e-324, 1e-300, 1e-3, 0.5, np.nextafter(1.0, 0.0)])
+def test_noise_floor_lies_below_every_maximum_above_it(bottom, n_noise):
+    # The floor pass leaves out a cell only when every noise maximum of its
+    # chunk's kept iterations is at or above the floor at their smallest v.
+    v = np.minimum(bottom + np.linspace(0.0, 1e-3, 6), np.nextafter(1.0, 0.0))
+    floor = detector._noise_floor(float(bottom), n_noise)
+    assert math.isfinite(floor)
+    assert (floor <= max_noise_from_uniform(n_noise, v)).all()
 
 
 @pytest.mark.parametrize("energy", [0.0, 1e-300, 100.0, 1e12])
@@ -838,6 +908,23 @@ def test_every_cell_of_a_shared_pass_equals_its_one_cell_call(iterations, thread
                         threads=threads, hold_mean_rx_power=hold)
             for params in variants
         ), (hold, iterations, threads)
+
+
+def test_intervals_cover_the_exact_value_below_the_floor():
+    # Over 20 fixed seeds, each 95 % interval must hold the exact value in
+    # at least 17: a no-shadowing cell where every iteration with E <= c_f
+    # lies below the floor, against the closed form, and an 8 dB cell,
+    # against its Gauss-Hermite average.
+    params = helpers.scheme_with_alphabet(16)
+    models = (NO_FADING, LargeScaleModel(enabled=True, shadowing_std_db=8.0))
+    energy = signal_energy(1e4, params, 1.0)
+    exact = [helpers.exact_pe(model, energy, 15) for model in models]
+    assert exact[0] == analytic_pe_no_shadowing(energy + 1.0, 15)
+    covered = [0, 0]
+    for seed in range(20):
+        for c, est in enumerate(estimate_pe(params, models, 1e4, 1.0, 50_000, seed=seed)):
+            covered[c] += abs(est.p_e - exact[c]) <= est.half_width_95
+    assert min(covered) >= 17, covered
 
 
 @pytest.mark.parametrize("powers", [100.0, (100.0,), (100.0, 100.0, 100.0)])

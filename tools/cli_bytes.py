@@ -10,12 +10,17 @@ each export, in a fresh empty directory, with the ``WTFC_*`` environment
 cleared except for what the call sets. The exit code, stdout, stderr and
 every file the call writes (its ``--out`` file) are compared. Each call
 prints one line, ``same`` or the parts that differ; the exit code is 1 if
-any call differs, else 0.
+any call differs, else 0. Under a call whose files differ, one more line
+per differing file names the columns that differ: by header for a CSV
+table, by key for JSON or ``key = value`` lines, and ``# config`` for the
+header comment.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -136,6 +141,10 @@ CALLS = [
     ("compare-span-blocks-20000", [*SPAN_EDGES, "--set", "shadow_block_len=20000"], {}),
     ("compare-span-blocks-50000", [*SPAN_EDGES, "--set", "shadow_block_len=50000"], {}),
     ("compare-span-threads-2", [*SPAN_EDGES, "--threads", "2"], {}),
+    # Duty 1e-5 at p_r = 1e5, p_e ~2e-5: 20 000 iterations hold no error, and
+    # the iterations below the floor give the estimate.
+    ("pe-saturated", ["pe", *POINT, "--set", "duty_cycle=1e-5", "--set", "p_r=1e5", *ITERS,
+                      *OUT], {}),
 ]
 
 
@@ -161,6 +170,46 @@ def differences(parent: dict, change: dict) -> list[str]:
             if parent[part] != change[part]]
 
 
+def columns(data: bytes) -> dict[str, list]:
+    """A result file's values by column, in file order.
+
+    JSON by key, with a sweep's ``rows`` by their keys; ``key = value``
+    lines by key; else a CSV table by its header. A ``# config:`` comment
+    is the column ``# config``.
+    """
+    text = data.decode()
+    lines = text.splitlines()
+    found: dict[str, list] = {}
+    if lines and lines[0].startswith("# config:"):
+        found["# config"] = [lines.pop(0)]
+    try:
+        document = json.loads(text)
+    except ValueError:
+        if lines and all(" = " in line for line in lines):
+            for line in lines:
+                key, value = line.split(" = ", 1)
+                found.setdefault(key, []).append(value)
+            return found
+        header, *rows = csv.reader(lines)
+        for i, name in enumerate(header):
+            found[name] = [row[i] for row in rows]
+        return found
+    for key, value in document.items():
+        if key == "rows" and isinstance(value, list):
+            for row in value:
+                for name, cell in row.items():
+                    found.setdefault(name, []).append(cell)
+        else:
+            found[key] = [value]
+    return found
+
+
+def differing_columns(parent: bytes, change: bytes) -> list[str]:
+    """The columns of one result file whose values differ between two runs."""
+    old, new = columns(parent), columns(change)
+    return [name for name in {**old, **new} if old.get(name) != new.get(name)]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent commit")
@@ -180,6 +229,14 @@ def main(argv: list[str] | None = None) -> int:
             differing += bool(parts)
             print(f"{name}: {'differs in ' + ', '.join(parts) if parts else 'same'}",
                   flush=True)
+            if "files" in parts:
+                files = [result["files"] for result in results]
+                for file in sorted(set(files[0]) | set(files[1])):
+                    sides = [side.get(file) for side in files]
+                    if sides[0] != sides[1]:
+                        names = (differing_columns(*sides) if None not in sides
+                                 else ["(only on one side)"])
+                        print(f"  {file} columns: {', '.join(names)}", flush=True)
     print(f"{len(CALLS) - differing} of {len(CALLS)} calls identical")
     return 1 if differing else 0
 
