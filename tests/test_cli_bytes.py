@@ -44,3 +44,16 @@ def test_call_names_are_unique(cli_bytes):
 def test_differing_columns_are_named(cli_bytes, before, after, names):
     assert cli_bytes.differing_columns(before, after) == names
     assert cli_bytes.differing_columns(before, before) == []
+
+
+def test_changed_files_name_each_differing_file(cli_bytes):
+    table = b"# config: a=1\nvariant,p_e\nWTFC,0.1\n"
+    parent = {"files": {"a.csv": table, "b.csv": table, "c.csv": table}}
+    change = {"files": {"a.csv": table, "b.csv": table.replace(b"0.1", b"0.2"),
+                        "d.csv": table}}
+    assert cli_bytes.changed_files(parent, change) == [
+        "  b.csv columns: p_e",
+        "  c.csv columns: (only on one side)",
+        "  d.csv columns: (only on one side)",
+    ]
+    assert cli_bytes.changed_files(parent, parent) == []

@@ -210,6 +210,19 @@ def differing_columns(parent: bytes, change: bytes) -> list[str]:
     return [name for name in {**old, **new} if old.get(name) != new.get(name)]
 
 
+def changed_files(parent: dict, change: dict) -> list[str]:
+    """One line per result file of two ``run_call`` results that differs,
+    naming the columns that differ."""
+    lines = []
+    for file in sorted(set(parent["files"]) | set(change["files"])):
+        contents = [parent["files"].get(file), change["files"].get(file)]
+        if contents[0] != contents[1]:
+            names = (differing_columns(*contents) if None not in contents
+                     else ["(only on one side)"])
+            lines.append(f"  {file} columns: {', '.join(names)}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent commit")
@@ -229,14 +242,8 @@ def main(argv: list[str] | None = None) -> int:
             differing += bool(parts)
             print(f"{name}: {'differs in ' + ', '.join(parts) if parts else 'same'}",
                   flush=True)
-            if "files" in parts:
-                files = [result["files"] for result in results]
-                for file in sorted(set(files[0]) | set(files[1])):
-                    sides = [side.get(file) for side in files]
-                    if sides[0] != sides[1]:
-                        names = (differing_columns(*sides) if None not in sides
-                                 else ["(only on one side)"])
-                        print(f"  {file} columns: {', '.join(names)}", flush=True)
+            for line in changed_files(*results):
+                print(line, flush=True)
     print(f"{len(CALLS) - differing} of {len(CALLS)} calls identical")
     return 1 if differing else 0
 
