@@ -153,7 +153,7 @@ def parse_value(key: str, text: str, source: str | None = None):
 def read_config_file(path: str) -> dict:
     """Parse a key = value file into typed values, with line-precise errors."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

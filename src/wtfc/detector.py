@@ -34,9 +34,9 @@ E is a unit exponential independent of (v, m), so the score's mean is
 still p_e (conditional Monte Carlo), and the scores of distinct
 iterations stay independent. Only the iterations with E <= c_f, about a
 64th of a chunk, can score a fraction; every span's union keeps them, the
-chunk collects them as it goes and scores them once it is drawn, in
-iteration order, so that the soft sums do not depend on the span, the
-other cells of the call or the threads.
+chunk collects them as it goes and scores them in every cell once it is
+drawn, in iteration order, so that the soft sums do not depend on the
+span, the other cells of the call or the threads.
 
 Only iterations that can be errors are inverted. The noise maximum rises
 with its uniform v, so the one at a span's largest v, computed on one
@@ -60,7 +60,7 @@ whole shadowing blocks), for u, v, the noise maxima, E, the signal
 statistics and each shadowing model's amplitudes, however many grid
 points the call carries. Every span draws, gathers and transforms in
 place there. Per span only the 1-byte candidate and comparison masks,
-the candidates' indices (the span's and each noise count's), the E, v
+the candidates' indices (the span's and each noise count's), the E, ln v
 and squared amplitudes of its iterations with E <= c_f and, for block
 shadowing, one amplitude per block are new memory; the chunk joins the
 kept values once and scores them in its scratch rows.
@@ -186,21 +186,8 @@ def _noise_bound(top: float, n_noise: int) -> float:
     0 mapped to 0. The pad covers the few-ulp error of either computation,
     which is absolute below 1 and relative above it.
     """
-    top = _noise_max(top, n_noise)
+    top = -math.log(-math.expm1(math.log(top) / n_noise)) if top > 0.0 else 0.0
     return top + _SLACK * max(top, 1.0)
-
-
-def _noise_floor(bottom: float, n_noise: int) -> float:
-    """A number that no noise maximum of ``n_noise`` slots at a uniform of at
-    least ``bottom`` falls below: the maximum at ``bottom``, padded down as
-    ``_noise_bound`` pads it up."""
-    bottom = _noise_max(bottom, n_noise)
-    return bottom - _SLACK * max(bottom, 1.0)
-
-
-def _noise_max(u: float, n_noise: int) -> float:
-    """The noise maximum at uniform ``u``, in ``math`` on one float."""
-    return -math.log(-math.expm1(math.log(u) / n_noise)) if u > 0.0 else 0.0
 
 
 def _shadowed(m2, energy: float, e, out):
@@ -311,8 +298,7 @@ def _chunk_error_count(
     Each noise count then finds its own candidates among them. When they
     are at most half, its log(v), E and squared amplitudes are gathered
     into the y, E and x rows and the count inverts and compares only
-    there; else it runs on all of them, with y and x in their rows, and
-    the statistic its own test formed is counted as it stands. Every
+    there; else it runs on all of them, with y and x in their rows. Every
     ufunc acts element by element, so a gathered element gets the value
     it has in a pass over every iteration, and counting over any superset
     of a cell's candidates gives that pass's count bit for bit. Ties count
@@ -320,8 +306,8 @@ def _chunk_error_count(
 
     The span's union also keeps every iteration with E <= c_f: its test
     on u takes the larger of the largest cut and c_f. Each span keeps
-    the E, v and squared amplitudes of those iterations, in order, and
-    ``_floor_scores`` scores them once the chunk is drawn.
+    the E, ln v and squared amplitudes of those iterations, in order, and
+    ``_floor_scores`` scores them in every cell once the chunk is drawn.
     """
     span = _span(signals)
     rows, columns = _scratch_rows(signals), min(n, span)
@@ -350,7 +336,7 @@ def _chunk_error_count(
     # Every model draws its amplitudes from the start of the shadowing stream.
     shadow_rngs = [np.random.default_rng(shadow_seed) for _ in models]
     pad = 1.0 + _SLACK
-    # The E, v and each model's squared amplitudes of every span's
+    # The E, ln v and each model's squared amplitudes of every span's
     # iterations with E <= c_f, in iteration order.
     below: list = [[] for _ in range(2 + len(models))]
     counts = np.zeros(len(cells), dtype=np.int64)
@@ -386,62 +372,52 @@ def _chunk_error_count(
         e, log_v, *squares = live
         if not models:
             _unit_exponential(e, out=e)
+        with np.errstate(divide="ignore"):
+            np.log(log_v, out=log_v)
         floor = np.flatnonzero(e <= _FLOOR_CUT)
         for kept, row in zip(below, live):
             kept.append(np.take(row, floor))
         del floor
-        with np.errstate(divide="ignore"):
-            np.log(log_v, out=log_v)
         for k, members in by_noise.items():
             own = e <= cuts[k]
-            # The x row holds the statistic of the model tested last, at
-            # its smallest energy here.
-            held = None
             for g, energy in least[k].items():
                 own |= _shadowed(squares[g], energy, e, x_row[: e.size]) <= bounds[k]
-                held = (g, energy)
             size = np.count_nonzero(own)
             if 2 * size <= e.size:
-                index, held = np.flatnonzero(own), None
+                index = np.flatnonzero(own)
             else:
                 index, size = None, e.size
             y, e_own, x = y_row[:size], e_row[:size], x_row[:size]
             y = _max_noise_from_log(noise_counts[k], _select(log_v, index, y), out=y)
             e_own = _select(e, index, e_own)
-            if held is not None:
-                # The held cell first, before another cell overwrites its x.
-                members = sorted(members, key=lambda member: member[1:] != held)
             for c, g, value in members:
-                if (g, value) != held:
-                    if g is None:
-                        np.multiply(value, e_own, out=x)
-                    else:
-                        _shadowed(_select(squares[g], index, x), value, e_own, x)
+                if g is None:
+                    np.multiply(value, e_own, out=x)
+                else:
+                    _shadowed(_select(squares[g], index, x), value, e_own, x)
                 counts[c] += np.count_nonzero(x <= y)
             # Freed before the next count builds its own, so a span's
             # temporaries stay under one span of floats.
             del own, index
     for i, parts in enumerate(below):
         below[i] = np.concatenate(parts)
-    sums, square_sums = _floor_scores(below, signals, noise_counts, cells, models, counts,
-                                      scratch[:5])
+    sums, square_sums = _floor_scores(below, by_noise, noise_counts, counts, scratch[:5])
     return counts, sums, square_sums
 
 
 def _floor_scores(
     below: Sequence[np.ndarray],
-    signals: Sequence[float | tuple[LargeScaleModel, float]],
+    by_noise: dict,
     noise_counts: Sequence[int],
-    cells: Sequence[tuple[int, int]],
-    models: dict,
     counts: np.ndarray,
     scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score a chunk's iterations below the floor, in iteration order.
 
-    ``below`` holds the E, v and each model's squared amplitudes of the
-    chunk's iterations with E <= c_f, in iteration order; this overwrites
-    v. In a cell, an iteration with E <= c_f and
+    ``below`` holds the E, ln v and each model's squared amplitudes of the
+    chunk's iterations with E <= c_f, in iteration order, and ``by_noise``
+    each noise count's cells as (cell, model index or None, mean or
+    energy). In a cell, an iteration with E <= c_f and
     t = y / mu < c_f is a soft member: its error, if ``counts`` holds one,
     is taken back out, and it scores -expm1(-t) / ``P_FLOOR`` instead.
     Returns per cell the ``np.sum`` of the soft values over the chunk's
@@ -449,43 +425,25 @@ def _floor_scores(
     and the same sum of their squares. Each is one sum over the chunk, so
     its bits do not depend on the span.
 
-    Only a cell where some iteration can lie below the floor is scored:
-    no noise maximum lies below ``_noise_floor`` at the smallest v, and no
-    mean above the one at the largest squared amplitude. Those cells are
-    scored a block at a time in the rows of ``scratch``, one row per cell
-    and as many as a row holds, or in new rows when one cell does not fit.
+    Every cell is scored, a block at a time in the rows of ``scratch``,
+    one row per cell and as many as a row holds, or in new rows when one
+    cell does not fit.
     """
-    sums, square_sums = np.zeros(len(cells)), np.zeros(len(cells))
-    e, v, *squares = below
+    sums, square_sums = np.zeros(counts.size), np.zeros(counts.size)
+    e, log_v, *squares = below
     size = e.size
     if not size:
         return sums, square_sums
     # Blocks in the scratch rows, or in new rows when one cell does not fit.
     rows = scratch if size <= scratch.shape[1] else np.empty((5, size))
-    floors = [_noise_floor(float(v.min()), n_noise) for n_noise in noise_counts]
-    with np.errstate(divide="ignore"):
-        log_v = np.log(v, out=v)
-
-    pad = 1.0 + _SLACK
-    largest = [float(m2.max()) for m2 in squares]
-    live = []
-    for c, (j, k) in enumerate(cells):
-        if isinstance(signals[j], float):
-            g, value = None, signals[j]
-            top = value
-        else:
-            g, value = models[signals[j][0]], signals[j][1]
-            top = largest[g] * value + 1.0
-        if floors[k] < _FLOOR_CUT * top * pad:
-            live.append((c, k, g, value))
     # Cells of one noise count side by side, so a block inverts each once.
-    live.sort(key=lambda cell: cell[1])
+    scored = [(c, k, g, value) for k, members in by_noise.items() for c, g, value in members]
 
     per_block = rows.shape[1] // size
     # The masks of a block, one byte per element, in the second row.
     flags = rows[1].view(np.bool_)
-    for first in range(0, len(live), per_block):
-        block = live[first : first + per_block]
+    for first in range(0, len(scored), per_block):
+        block = scored[first : first + per_block]
         shape, elements = (len(block), size), len(block) * size
         y, mu, x, t = (rows[r][:elements].reshape(shape) for r in (2, 0, 4, 3))
         soft = flags[:elements].reshape(shape)

@@ -540,6 +540,30 @@ def test_config_file_parse_error_names_line(capsys, tmp_path):
     assert "bad.cfg:2" in err and "duty_cycle" in err
 
 
+def test_config_file_byte_order_mark_is_ignored(capsys, tmp_path):
+    # An editor may save the file with a UTF-8 byte-order mark; it is not
+    # part of the first key.
+    text = (
+        "bandwidth_hz = 100e6\n"
+        "symbol_time_s = 101e-6\n"
+        "delay_spread_s = 20e-6\n"
+        "doppler_spread_hz = 25e3\n"
+        "duty_cycle = 1/100\n"
+        "p_r = 10e3\n"
+    )
+    outputs = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        (tmp_path / name).mkdir()
+        config, out_file = tmp_path / name / "run.cfg", tmp_path / name / "derive.csv"
+        config.write_text(text, encoding=encoding)
+        code, _, err = run_cli(["derive", "--config", str(config), "--out", str(out_file)],
+                               capsys)
+        assert code == 0, err
+        outputs.append(out_file.read_bytes())
+    assert (tmp_path / "bom" / "run.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0] == outputs[1]
+
+
 # Sigma 0 still writes the loss column, though 0.0 == False.
 @pytest.mark.parametrize("sigma_db", ["8", "0"])
 def test_compare_shadowing_csv(sigma_db, capsys, tmp_path):

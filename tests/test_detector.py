@@ -822,17 +822,6 @@ def test_noise_bound_covers_the_largest_maximum_at_the_edges(top, n_noise):
     assert bound >= max_noise_from_uniform(n_noise, top)
 
 
-@pytest.mark.parametrize("n_noise", [1, 2, 2699, 10**9])
-@pytest.mark.parametrize("bottom", [0.0, 5e-324, 1e-300, 1e-3, 0.5, np.nextafter(1.0, 0.0)])
-def test_noise_floor_lies_below_every_maximum_above_it(bottom, n_noise):
-    # The floor pass leaves out a cell only when every noise maximum of its
-    # chunk's kept iterations is at or above the floor at their smallest v.
-    v = np.minimum(bottom + np.linspace(0.0, 1e-3, 6), np.nextafter(1.0, 0.0))
-    floor = detector._noise_floor(float(bottom), n_noise)
-    assert math.isfinite(floor)
-    assert (floor <= max_noise_from_uniform(n_noise, v)).all()
-
-
 @pytest.mark.parametrize("energy", [0.0, 1e-300, 100.0, 1e12])
 def test_shadowed_statistic_matches_the_reference_order_bit_for_bit(energy):
     # The reference forms mu = m * m; mu *= energy; mu += 1 and then mu * E.

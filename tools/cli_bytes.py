@@ -145,6 +145,9 @@ CALLS = [
     # the iterations below the floor give the estimate.
     ("pe-saturated", ["pe", *POINT, "--set", "duty_cycle=1e-5", "--set", "p_r=1e5", *ITERS,
                       *OUT], {}),
+    # p_r = 100, mu ~2.01: every iteration is a candidate, every span and
+    # every count run whole, and no iteration with E <= c_f has t < c_f.
+    ("pe-low-snr", ["pe", *POINT, "--set", "p_r=100", *ITERS, *OUT], {}),
 ]
 
 
