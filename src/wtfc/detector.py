@@ -47,23 +47,23 @@ above the bound is correct in that cell. Each noise count has one cut
 on E for its constant means, from which the span's test on u is
 derived, and a shadowed statistic is formed by ``_shadowed`` alone,
 wherever it is tested or counted. Each span gathers the candidates of
-all its cells once, when they are few; each noise count then inverts its
-maximum, and counts its cells, only over its own candidates among them,
-unless they are most of them. E, the noise maxima and every comparison
-go through the same element-wise ufuncs as a pass over every iteration,
-so each count equals that pass's bit for bit.
+all its cells, its union, once; each noise count then inverts its
+maximum, and counts its cells, over that whole union. E, the noise
+maxima and every comparison go through the same element-wise ufuncs as
+a pass over every iteration, so each count equals that pass's bit for
+bit.
 
 The chunk kernel is allocation-free: each worker allocates its scratch
 once per ``estimate_pe`` call, and so once per sweep: ``_scratch_rows``
 rows of one span, ``_span`` floats (a third of a chunk, rounded up to
-whole shadowing blocks), for u, v, the noise maxima, E, the signal
-statistics and each shadowing model's amplitudes, however many grid
-points the call carries. Every span draws, gathers and transforms in
-place there. Per span only the 1-byte candidate and comparison masks,
-the candidates' indices (the span's and each noise count's), the E, ln v
-and squared amplitudes of its iterations with E <= c_f and, for block
-shadowing, one amplitude per block are new memory; the chunk joins the
-kept values once and scores them in its scratch rows.
+whole shadowing blocks), for u (then E), v, the noise maxima, the
+gather, the signal statistics and each shadowing model's amplitudes,
+however many grid points the call carries. Every span draws, gathers
+and transforms in place there. Per span only the 1-byte candidate and
+comparison masks, the candidates' indices, the E, ln v and squared
+amplitudes of its iterations with E <= c_f and, for block shadowing,
+one amplitude per block are new memory; the chunk joins the kept values
+once and scores them in its scratch rows.
 """
 
 from __future__ import annotations
@@ -205,9 +205,9 @@ def _shadowing_models(signals: Sequence) -> dict:
 
 
 def _scratch_rows(signals: Sequence) -> int:
-    """Rows of scratch the chunk kernel needs: one each for u, v, the noise
-    maxima y, E and the signal statistics x, and one per distinct shadowing
-    model for its amplitudes."""
+    """Rows of scratch the chunk kernel needs: one each for u (then E), v,
+    the noise maxima y, the gather and the signal statistics x, and one per
+    distinct shadowing model for its amplitudes."""
     return 5 + len(_shadowing_models(signals))
 
 
@@ -219,21 +219,14 @@ def _span(signals: Sequence) -> int:
     return -(-third // block) * block
 
 
-def _select(source, index, out):
-    """``source`` at ``index``, taken into ``out``; all of it when ``index`` is None.
-
-    "clip" skips the range check that makes take copy.
-    """
-    return source if index is None else np.take(source, index, mode="clip", out=out)
-
-
 def _compact(rows, mask, buffer):
     """Each row's entries where ``mask`` holds, moved to its front through
-    ``buffer``; returns those fronts."""
+    ``buffer``; returns those fronts. "clip" skips the range check that
+    makes take copy."""
     index = np.flatnonzero(mask)
     fronts = [row[: index.size] for row in rows]
     for row, front in zip(rows, fronts):
-        front[:] = _select(row, index, buffer[: index.size])
+        front[:] = np.take(row, index, mode="clip", out=buffer[: index.size])
     return fronts
 
 
@@ -281,28 +274,24 @@ def _chunk_error_count(
       among its candidates, the iterations with x <= bound, and a noise
       count's candidates are its cells' together.
     - A constant mean mu gives x = mu * E, within an ulp of the product,
-      so each noise count has one cut on E, bound * pad / mu * pad at its
-      smallest mean with pad = 1 + ``_SLACK``, or -1, which no E reaches,
-      without a constant mean. E = -ln(1 - u) rises with u, within a few
-      ulp, so the span tests u at or below -expm1(-cut) * pad for the
-      largest cut, which keeps every u of every count's E cut.
+      so each noise count with a constant mean has one cut on E,
+      bound * pad / mu * pad at its smallest mean with
+      pad = 1 + ``_SLACK``. E = -ln(1 - u) rises with u, within a few ulp,
+      so the span tests u at or below -expm1(-cut) * pad for the largest
+      cut, which keeps every u of every count's E cut.
     - A shadowed signal's x is ``_shadowed``'s (m * m * energy + 1) * E,
       formed alike wherever it is tested or counted. The span tests a
       model's x at the smallest of its counts' energies against the
-      largest of their bounds, and a noise count at its own smallest
-      energy against its own bound.
+      largest of their bounds.
 
-    The span's candidates are every cell's together. When at most
-    length * K // 8 for K noise counts, u (or E), v and each model's
-    squared amplitudes are compacted in place, else the whole span runs.
-    Each noise count then finds its own candidates among them. When they
-    are at most half, its log(v), E and squared amplitudes are gathered
-    into the y, E and x rows and the count inverts and compares only
-    there; else it runs on all of them, with y and x in their rows. Every
-    ufunc acts element by element, so a gathered element gets the value
-    it has in a pass over every iteration, and counting over any superset
-    of a cell's candidates gives that pass's count bit for bit. Ties count
-    as errors (measure zero, pinned for reproducibility).
+    The span's candidates are every cell's together, its union: u (or
+    E), v and each model's squared amplitudes are compacted to it in
+    place. Each noise count then inverts its maximum over the whole union
+    and compares each of its cells there. Every ufunc acts element by
+    element, so a gathered element gets the value it has in a pass over
+    every iteration, and counting over any superset of a cell's
+    candidates gives that pass's count bit for bit. Ties count as errors
+    (measure zero, pinned for reproducibility).
 
     The span's union also keeps every iteration with E <= c_f: its test
     on u takes the larger of the largest cut and c_f. Each span keeps
@@ -314,7 +303,7 @@ def _chunk_error_count(
     if len(scratch) < rows or scratch.shape[1] < columns:
         raise ValueError(f"scratch has {len(scratch)} rows of {scratch.shape[1]} floats; "
                          f"the chunk needs {rows} of {columns}")
-    u_row, v_row, y_row, e_row, x_row, *amplitude_rows = scratch[:rows]
+    u_row, v_row, y_row, gather_row, x_row, *amplitude_rows = scratch[:rows]
 
     # Each noise count's cells as (cell, model index or None, mean or
     # energy), its smallest constant mean, None without one, and its
@@ -346,12 +335,11 @@ def _chunk_error_count(
         v = noise_rng.random(length, out=v_row[:length])
         top = float(v.max())
         bounds = [_noise_bound(top, n_noise) for n_noise in noise_counts]
-        # Each count's one cut on E, at its smallest mean, or -1, below every E.
-        cuts = [-1.0 if mean is None else bound * pad / mean * pad
-                for bound, mean in zip(bounds, means)]
-
-        # The union keeps every iteration with E <= c_f too.
-        candidates = u <= -math.expm1(-max(*cuts, _FLOOR_CUT)) * pad
+        # Each count's one cut on E is at its smallest constant mean; the
+        # union keeps every E at or below the largest of them and c_f.
+        cut = max([_FLOOR_CUT] + [bound * pad / mean * pad
+                                  for bound, mean in zip(bounds, means) if mean is not None])
+        candidates = u <= -math.expm1(-cut) * pad
         if models:
             _unit_exponential(u, out=u)
         squares = []
@@ -363,13 +351,8 @@ def _chunk_error_count(
             bound = max(b for b, low in zip(bounds, least) if g in low)
             candidates |= _shadowed(m2, energy, u, x_row[:length]) <= bound
 
-        # A gather pays below about an eighth of the span per noise count,
-        # since a count whose own candidates are many inverts them all.
-        live = [u, v, *squares]
-        if np.count_nonzero(candidates) <= length * len(noise_counts) // 8:
-            live = _compact(live, candidates, y_row)
+        e, log_v, *squares = live = _compact([u, v, *squares], candidates, gather_row)
         del candidates
-        e, log_v, *squares = live
         if not models:
             _unit_exponential(e, out=e)
         with np.errstate(divide="ignore"):
@@ -378,27 +361,15 @@ def _chunk_error_count(
         for kept, row in zip(below, live):
             kept.append(np.take(row, floor))
         del floor
+        y, x = y_row[: e.size], x_row[: e.size]
         for k, members in by_noise.items():
-            own = e <= cuts[k]
-            for g, energy in least[k].items():
-                own |= _shadowed(squares[g], energy, e, x_row[: e.size]) <= bounds[k]
-            size = np.count_nonzero(own)
-            if 2 * size <= e.size:
-                index = np.flatnonzero(own)
-            else:
-                index, size = None, e.size
-            y, e_own, x = y_row[:size], e_row[:size], x_row[:size]
-            y = _max_noise_from_log(noise_counts[k], _select(log_v, index, y), out=y)
-            e_own = _select(e, index, e_own)
+            _max_noise_from_log(noise_counts[k], log_v, out=y)
             for c, g, value in members:
                 if g is None:
-                    np.multiply(value, e_own, out=x)
+                    np.multiply(value, e, out=x)
                 else:
-                    _shadowed(_select(squares[g], index, x), value, e_own, x)
+                    _shadowed(squares[g], value, e, x)
                 counts[c] += np.count_nonzero(x <= y)
-            # Freed before the next count builds its own, so a span's
-            # temporaries stay under one span of floats.
-            del own, index
     for i, parts in enumerate(below):
         below[i] = np.concatenate(parts)
     sums, square_sums = _floor_scores(below, by_noise, noise_counts, counts, scratch[:5])

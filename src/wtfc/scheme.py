@@ -57,6 +57,10 @@ class PhysicalInputs(Record):
             raise ValueError("delay_spread_s must be nonnegative")
         if not self.doppler_spread_hz >= 0:
             raise ValueError("doppler_spread_hz must be nonnegative")
+        # An infinite one would reach round() or ceil() in derive_scheme.
+        for field in ("bandwidth_hz", "symbol_time_s", "doppler_spread_hz"):
+            if getattr(self, field) == math.inf:
+                raise ValueError(f"{field} must be finite")
         if self.delay_spread_s >= self.symbol_time_s:
             raise ValueError(
                 "delay_spread_s must be smaller than symbol_time_s: "

@@ -71,6 +71,8 @@ class SweepSpec(Record):
         object.__setattr__(self, "grid", grid)
         if not grid:
             raise ConfigError("grid", "must not be empty")
+        if not all(math.isfinite(v) for v in grid):
+            raise ConfigError("grid", "must be finite")
         if len(grid) > 1:
             diffs = [b - a for a, b in zip(grid, grid[1:])]
             if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
@@ -253,7 +255,7 @@ def compare_shadowing(
     and the loss percentage charges shadowing alone; the off rows still
     read ``shadowing_enabled`` false.
     """
-    if sigma_db < 0:
+    if not sigma_db >= 0:
         raise ConfigError("sigma_db", "must be nonnegative")
     model_on = spec.base.model.replace(enabled=True, shadowing_std_db=sigma_db)
     model_off = model_on.replace(shadowing_std_db=0.0)

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from collections import Counter
 
 import mpmath
 import numpy as np
@@ -634,10 +633,9 @@ def test_tiny_iteration_counts_equal_the_all_iterations_kernel(cells, iterations
     assert errors > 0
 
 
-# Means near which the candidates' share of a chunk straddles the gather
-# switch, n * K // 8 for K noise counts, at the noise counts of shadow-pair
-# ([2699]) and mc-sweep ([269_999, 2699]): (cells, noise counts, mu).
-_SWITCH_CASES = [
+# Means at which a span's union holds 8-30 % of it, at the noise counts of
+# shadow-pair ([2699]) and mc-sweep ([269_999, 2699]): (cells, noise counts, mu).
+_UNION_CASES = [
     ("constant", [2699], 150.0),
     ("constant", [269_999, 2699], 90.0),
     ("shadowed", [2699], 4200.0),
@@ -647,11 +645,35 @@ _SWITCH_CASES = [
 ]
 
 
-def test_chunk_counts_equal_on_both_sides_of_the_gather_switch(monkeypatch):
-    # In every case some spans gather their candidates and the rest run
-    # whole. A span decides alone: its gather takes a mask over the whole
-    # span, with at most length * K // 8 candidates, and a span of each
-    # chunk gathers at most once.
+@pytest.mark.parametrize("cells, noise_counts, mu", _UNION_CASES,
+                         ids=[f"{cells}-{len(counts)}" for cells, counts, _ in _UNION_CASES])
+def test_chunk_counts_equal_the_reference_where_the_union_is_wide(cells, noise_counts, mu):
+    # Every noise count inverts and counts over the whole union, a superset
+    # of each of its cells' candidates, over 20 chunks.
+    _assert_kernel_matches_reference(_kernel_signals(cells, mu), noise_counts, CHUNK_SIZE,
+                                     range(20), seed=7)
+
+
+@pytest.mark.parametrize("case", ["mc_sweep_grid", "shadow_pair_grid", "shadow_blocks_grid"])
+def test_sweep_grid_counts_equal_the_reference(case):
+    # A sweep's grid: the 1e-2 point sets the union, and the counts of the
+    # lower duty cycles invert it all although their own candidates are few.
+    signals, noise_counts, cells = _CHUNK_CELLS[case]
+    scratch = np.empty((_scratch_rows(signals), _span(signals)))
+    reference = np.empty((len(noise_counts) + 2, CHUNK_SIZE))
+    for chunk in range(20):
+        got = _chunk_error_count(chunk, CHUNK_SIZE, 7, signals, noise_counts, cells, scratch)
+        want = helpers.reference_chunk_error_count(chunk, CHUNK_SIZE, 7, signals,
+                                                   noise_counts, reference)
+        for got_part, want_part in zip(got, want):
+            assert _same_bits(got_part, [want_part[j, k] for j, k in cells]), chunk
+
+
+@pytest.mark.parametrize("p_r", [1e4, 100.0], ids=["pe", "pe_low_snr"])
+def test_every_span_gathers_its_union_once(monkeypatch, p_r):
+    # One-count chunks of the README point: at p_r = 1e4 about a fifth of a
+    # span is its union, at p_r = 100 nearly all of it. Each span gathers once,
+    # over a mask as long as the span, however many candidates it holds.
     gathers = []
     compact = detector._compact
 
@@ -660,51 +682,19 @@ def test_chunk_counts_equal_on_both_sides_of_the_gather_switch(monkeypatch):
         return compact(rows, mask, buffer)
 
     monkeypatch.setattr(detector, "_compact", spy)
-    for cells, noise_counts, mu in _SWITCH_CASES:
-        signals = _kernel_signals(cells, mu)
-        span = _span(signals)
-        lengths = [min(span, CHUNK_SIZE - start) for start in range(0, CHUNK_SIZE, span)]
-        gathered = 0
-        for chunk in range(20):
-            gathers.clear()
-            _assert_kernel_matches_reference(signals, noise_counts, CHUNK_SIZE, [chunk],
-                                             seed=7)
-            sizes = Counter(size for size, _ in gathers)
-            assert not sizes - Counter(lengths), (cells, noise_counts, chunk)
-            assert all(found <= size * len(noise_counts) // 8 for size, found in gathers)
-            gathered += len(gathers)
-        assert 0 < gathered < 20 * len(lengths), (cells, noise_counts, gathered)
-
-
-@pytest.mark.parametrize("case", ["mc_sweep_grid", "shadow_pair_grid", "shadow_blocks_grid"])
-def test_noise_counts_run_on_their_own_candidates_or_the_whole_span(monkeypatch, case):
-    # Over 20 chunks of a sweep's grid, the counts that pair with the
-    # 1e-2 point run on all of a span's candidates (their log(v) is read
-    # in place, in the v row) and the rest invert only their own, gathered
-    # into the y row; every count equals the reference's.
-    signals, noise_counts, cells = _CHUNK_CELLS[case]
-    scratch = np.empty((_scratch_rows(signals), _span(signals)))
-    reference = np.empty((len(noise_counts) + 2, CHUNK_SIZE))
-    inverted = {"whole": set(), "own": set()}
-    invert = detector._max_noise_from_log
-
-    def spy(n_noise, log_u, out):
-        path = "whole" if np.shares_memory(log_u, scratch[1]) else "own"
-        assert path == "whole" or log_u is out and np.shares_memory(out, scratch[2])
-        inverted[path].add(n_noise)
-        return invert(n_noise, log_u, out)
-
-    monkeypatch.setattr(detector, "_max_noise_from_log", spy)
-    for chunk in range(20):
-        got = _chunk_error_count(chunk, CHUNK_SIZE, 7, signals, noise_counts, cells, scratch)
-        want = helpers.reference_chunk_error_count(chunk, CHUNK_SIZE, 7, signals,
-                                                   noise_counts, reference)
-        for got_part, want_part in zip(got, want):
-            assert _same_bits(got_part, [want_part[j, k] for j, k in cells]), chunk
-    wtfc_slots = [derive_scheme(_readme_inputs(duty)).noise_slot_count
-                  for duty in _README_DUTIES]
-    assert wtfc_slots[0] in inverted["whole"]
-    assert set(wtfc_slots[1:]) <= inverted["own"] - inverted["whole"]
+    wtfc = derive_scheme(_readme_inputs(1e-2))
+    signals = [signal_energy(p_r, wtfc, 1.0) + 1.0]
+    span = _span(signals)
+    lengths = [min(span, CHUNK_SIZE - start) for start in range(0, CHUNK_SIZE, span)]
+    for chunk in range(5):
+        gathers.clear()
+        _assert_kernel_matches_reference(signals, [wtfc.noise_slot_count], CHUNK_SIZE,
+                                         [chunk], seed=7)
+        assert [size for size, _ in gathers] == lengths, chunk
+        if p_r == 100.0:
+            assert all(found > 0.99 * size for size, found in gathers), chunk
+        else:
+            assert all(0 < found < size // 2 for size, found in gathers), chunk
 
 
 @pytest.mark.parametrize("cells", ["constant", "shadowed", "mixed"])
@@ -951,6 +941,13 @@ def test_nan_fails_at_its_field(field):
             estimate_pe(params, NO_FADING, math.nan, 1.0, 10, seed=0)
         else:
             estimate_pe(params, NO_FADING, 1.0, math.nan, 10, seed=0)
+
+
+@pytest.mark.parametrize("field", ["bandwidth_hz", "symbol_time_s", "doppler_spread_hz"])
+def test_inf_fails_at_its_field(field):
+    # Past the check, derive_scheme would round or ceil an infinite float.
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        _readme_inputs(1e-2).replace(**{field: math.inf})
 
 
 @pytest.mark.parametrize("call", [

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wtfc import (
@@ -234,6 +236,21 @@ def test_grid_validation():
         SweepSpec(base=base, axis="power", grid=(1.0,))
     with pytest.raises(ConfigError, match="variants"):
         SweepSpec(base=base, axis="bandwidth", grid=(1e6,), variants=("QAM",))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["duty_cycle", "bandwidth", "snr_db"])
+def test_non_finite_grid_value_fails_at_grid(axis, value):
+    # Not a skipped row naming the input it was put in, nor a crash past it.
+    base = make_base(p_r=None) if axis == "snr_db" else make_base()
+    with pytest.raises(ConfigError, match="^grid: must be finite$"):
+        SweepSpec(base=base, axis=axis, grid=(value,))
+
+
+def test_compare_shadowing_nan_sigma_fails_at_sigma_db():
+    spec = SweepSpec(base=make_base(), axis="duty_cycle", grid=(1e-2,))
+    with pytest.raises(ConfigError, match="^sigma_db: must be nonnegative$"):
+        compare_shadowing(spec, math.nan)
 
 
 def test_duplicate_variants_are_rejected():
