@@ -351,8 +351,9 @@ def _chunk_error_count(
             bound = max(b for b, low in zip(bounds, least) if g in low)
             candidates |= _shadowed(m2, energy, u, x_row[:length]) <= bound
 
-        e, log_v, *squares = live = _compact([u, v, *squares], candidates, gather_row)
+        live = _compact([u, v, *squares], candidates, gather_row)
         del candidates
+        e, log_v, *squares = live
         if not models:
             _unit_exponential(e, out=e)
         with np.errstate(divide="ignore"):

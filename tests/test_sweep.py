@@ -247,12 +247,6 @@ def test_non_finite_grid_value_fails_at_grid(axis, value):
         SweepSpec(base=base, axis=axis, grid=(value,))
 
 
-def test_compare_shadowing_nan_sigma_fails_at_sigma_db():
-    spec = SweepSpec(base=make_base(), axis="duty_cycle", grid=(1e-2,))
-    with pytest.raises(ConfigError, match="^sigma_db: must be nonnegative$"):
-        compare_shadowing(spec, math.nan)
-
-
 def test_duplicate_variants_are_rejected():
     with pytest.raises(ConfigError, match="^variants: duplicate variant 'WTFC'$"):
         SweepSpec(base=make_base(), axis="bandwidth", grid=(1e6,),
@@ -339,8 +333,9 @@ def test_compare_shadowing_orders_and_annotates():
         assert off.capacity_loss_pct is None
         assert on.capacity_loss_pct is not None
         assert on.p_e > off.p_e  # shadowing hurts in this low-error regime
-    with pytest.raises(ConfigError, match="sigma_db"):
-        compare_shadowing(spec, -1.0)
+    for sigma_db in (-1.0, math.nan):
+        with pytest.raises(ConfigError, match="^sigma_db: must be nonnegative$"):
+            compare_shadowing(spec, sigma_db)
 
 
 def test_compare_shadowing_given_p_t_equals_given_p_r_after_path_loss():
