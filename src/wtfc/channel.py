@@ -57,6 +57,20 @@ class LargeScaleModel(Record):
             raise ValueError("shadowing_std_db must be nonnegative")
         if self.block_len < 1:
             raise ValueError("block_len must be a positive integer")
+        # The power gain 10^(-L/10) must be a positive float whether or not
+        # the model is enabled, since enabling it (as compare_shadowing
+        # does) keeps the geometry. log10 fails on an underflowed
+        # 4 pi d0 / lambda and the power on a gain above the float range.
+        try:
+            gain = 10.0 ** (-self.deterministic_loss_db() / 10.0)
+        except (ValueError, OverflowError):
+            gain = math.inf
+        if not 0.0 < gain < math.inf:
+            # Only the wavelength term can raise the gain; the distance
+            # term lowers it unless distance_m is reference_distance_m.
+            far = gain == 0.0 and self.distance_m > self.reference_distance_m
+            raise ValueError(f"{'distance_m' if far else 'wavelength_m'} puts the path-loss "
+                             "power gain 10^(-L/10) outside the float range")
 
     def deterministic_loss_db(self) -> float:
         """Path loss, shadowing zeroed: 20 log10(4 pi d0/lambda) + 10 n log10(d/d0)."""

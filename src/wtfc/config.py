@@ -219,6 +219,12 @@ class RunConfig(Record):
                 raise ConfigError(key, reason)
         if self.p_r is not None and self.p_t is not None:
             raise ConfigError("p_r", "give exactly one of p_r and p_t, not both")
+        # The power derived through the path-loss gain must be a float too.
+        for key, derived, name in (("p_r", self.resolved_p_t, "transmit"),
+                                   ("p_t", self.resolved_p_r, "receive")):
+            if getattr(self, key) is not None and not 0 < derived() < math.inf:
+                raise ConfigError(key, f"the {name} power it gives at this path loss "
+                                       "lies outside the float range")
         if self.iterations < 1:
             raise ConfigError("iterations", "must be a positive integer")
         if self.seed < 0:

@@ -56,14 +56,15 @@ bit.
 The chunk kernel is allocation-free: each worker allocates its scratch
 once per ``estimate_pe`` call, and so once per sweep: ``_scratch_rows``
 rows of one span, ``_span`` floats (a third of a chunk, rounded up to
-whole shadowing blocks), for u (then E), v, the noise maxima, the
-gather, the signal statistics and each shadowing model's amplitudes,
-however many grid points the call carries. Every span draws, gathers
-and transforms in place there. Per span only the 1-byte candidate and
-comparison masks, the candidates' indices, the E, ln v and squared
-amplitudes of its iterations with E <= c_f and, for block shadowing,
-one amplitude per block are new memory; the chunk joins the kept values
-once and scores them in its scratch rows.
+whole shadowing blocks), for u (then E), v, the noise maxima (the
+gather buffer before them), the signal statistics and each shadowing
+model's amplitudes, however many grid points the call carries. Every
+span draws, gathers and transforms in place there. Per span only the
+1-byte candidate and comparison masks, the candidates' indices, the E,
+ln v and squared amplitudes of its iterations with E <= c_f and, for
+block shadowing, one amplitude per block are new memory; the chunk
+joins the kept values once and scores them one cell at a time in four
+of its scratch rows, with 1-byte masks over the kept values.
 """
 
 from __future__ import annotations
@@ -206,9 +207,9 @@ def _shadowing_models(signals: Sequence) -> dict:
 
 def _scratch_rows(signals: Sequence) -> int:
     """Rows of scratch the chunk kernel needs: one each for u (then E), v,
-    the noise maxima y, the gather and the signal statistics x, and one per
-    distinct shadowing model for its amplitudes."""
-    return 5 + len(_shadowing_models(signals))
+    the noise maxima y (first the gather buffer) and the signal statistics
+    x, and one per distinct shadowing model for its amplitudes."""
+    return 4 + len(_shadowing_models(signals))
 
 
 def _span(signals: Sequence) -> int:
@@ -286,24 +287,26 @@ def _chunk_error_count(
 
     The span's candidates are every cell's together, its union: u (or
     E), v and each model's squared amplitudes are compacted to it in
-    place. Each noise count then inverts its maximum over the whole union
-    and compares each of its cells there. Every ufunc acts element by
-    element, so a gathered element gets the value it has in a pass over
-    every iteration, and counting over any superset of a cell's
-    candidates gives that pass's count bit for bit. Ties count as errors
-    (measure zero, pinned for reproducibility).
+    place, through the row that then takes the noise maxima. Each noise
+    count then inverts its maximum over the whole union and compares each
+    of its cells there. Every ufunc acts element by element, so a
+    gathered element gets the value it has in a pass over every
+    iteration, and counting over any superset of a cell's candidates
+    gives that pass's count bit for bit. Ties count as errors (measure
+    zero, pinned for reproducibility).
 
     The span's union also keeps every iteration with E <= c_f: its test
     on u takes the larger of the largest cut and c_f. Each span keeps
     the E, ln v and squared amplitudes of those iterations, in order, and
-    ``_floor_scores`` scores them in every cell once the chunk is drawn.
+    ``_floor_scores`` scores them one cell at a time once the chunk is
+    drawn.
     """
     span = _span(signals)
     rows, columns = _scratch_rows(signals), min(n, span)
     if len(scratch) < rows or scratch.shape[1] < columns:
         raise ValueError(f"scratch has {len(scratch)} rows of {scratch.shape[1]} floats; "
                          f"the chunk needs {rows} of {columns}")
-    u_row, v_row, y_row, gather_row, x_row, *amplitude_rows = scratch[:rows]
+    u_row, v_row, y_row, x_row, *amplitude_rows = scratch[:rows]
 
     # Each noise count's cells as (cell, model index or None, mean or
     # energy), its smallest constant mean, None without one, and its
@@ -351,7 +354,8 @@ def _chunk_error_count(
             bound = max(b for b, low in zip(bounds, least) if g in low)
             candidates |= _shadowed(m2, energy, u, x_row[:length]) <= bound
 
-        live = _compact([u, v, *squares], candidates, gather_row)
+        # y_row is free until the counts below write the noise maxima.
+        live = _compact([u, v, *squares], candidates, y_row)
         del candidates
         e, log_v, *squares = live
         if not models:
@@ -373,7 +377,7 @@ def _chunk_error_count(
                 counts[c] += np.count_nonzero(x <= y)
     for i, parts in enumerate(below):
         below[i] = np.concatenate(parts)
-    sums, square_sums = _floor_scores(below, by_noise, noise_counts, counts, scratch[:5])
+    sums, square_sums = _floor_scores(below, by_noise, noise_counts, counts, scratch)
     return counts, sums, square_sums
 
 
@@ -397,56 +401,34 @@ def _floor_scores(
     and the same sum of their squares. Each is one sum over the chunk, so
     its bits do not depend on the span.
 
-    Every cell is scored, a block at a time in the rows of ``scratch``,
-    one row per cell and as many as a row holds, or in new rows when one
-    cell does not fit.
+    Each noise count inverts its maximum y once, and its cells are scored
+    one at a time, in four rows of ``scratch`` for y, mu, x and t, or in
+    four new rows when the floor set is wider than a row.
     """
     sums, square_sums = np.zeros(counts.size), np.zeros(counts.size)
     e, log_v, *squares = below
     size = e.size
-    if not size:
-        return sums, square_sums
-    # Blocks in the scratch rows, or in new rows when one cell does not fit.
-    rows = scratch if size <= scratch.shape[1] else np.empty((5, size))
-    # Cells of one noise count side by side, so a block inverts each once.
-    scored = [(c, k, g, value) for k, members in by_noise.items() for c, g, value in members]
-
-    per_block = rows.shape[1] // size
-    # The masks of a block, one byte per element, in the second row.
-    flags = rows[1].view(np.bool_)
-    for first in range(0, len(scored), per_block):
-        block = scored[first : first + per_block]
-        shape, elements = (len(block), size), len(block) * size
-        y, mu, x, t = (rows[r][:elements].reshape(shape) for r in (2, 0, 4, 3))
-        soft = flags[:elements].reshape(shape)
-        errors = flags[elements : 2 * elements].reshape(shape)
-        for i, (_, k, g, value) in enumerate(block):
-            if i and block[i - 1][1] == k:
-                y[i] = y[i - 1]
-            else:
-                row = y[i]
-                row[:] = log_v
-                _max_noise_from_log(noise_counts[k], row, out=row)
+    y, mu, x, t = scratch[:4, :size] if size <= scratch.shape[1] else np.empty((4, size))
+    for k, members in by_noise.items():
+        _max_noise_from_log(noise_counts[k], log_v, out=y)
+        for c, g, value in members:
             if g is None:
-                mu[i] = value
+                mu[:] = value
             else:
                 # (m * m) * energy + 1, as _shadowed forms it.
-                np.multiply(squares[g], value, out=mu[i])
-                mu[i] += 1.0
-        np.divide(y, mu, out=t)
-        np.less(t, _FLOOR_CUT, out=soft)
-        np.less_equal(np.multiply(mu, e, out=x), y, out=errors)
-        errors &= soft
-        index = [c for c, _, _, _ in block]
-        counts[index] -= np.count_nonzero(errors, axis=1)
-        # -expm1(-t) / P_f: the sign and the power-of-two scale are exact.
-        np.negative(t, out=t)
-        np.expm1(t, out=t)
-        t *= -1.0 / P_FLOOR
-        t *= soft
-        sums[index] = t.sum(axis=1)
-        t *= t
-        square_sums[index] = t.sum(axis=1)
+                np.multiply(squares[g], value, out=mu)
+                mu += 1.0
+            np.divide(y, mu, out=t)
+            soft = t < _FLOOR_CUT
+            counts[c] -= np.count_nonzero((np.multiply(mu, e, out=x) <= y) & soft)
+            # -expm1(-t) / P_f: the sign and the power-of-two scale are exact.
+            np.negative(t, out=t)
+            np.expm1(t, out=t)
+            t *= -1.0 / P_FLOOR
+            t *= soft
+            sums[c] = t.sum()
+            t *= t
+            square_sums[c] = t.sum()
     return sums, square_sums
 
 

@@ -30,6 +30,21 @@ def test_loss_at_reference_distance_is_reference_term():
     assert model.deterministic_loss_db() == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("key, geometry", [
+    ("distance_m", {"distance_m": 1e300}),
+    ("wavelength_m", {"wavelength_m": 1e300}),
+    ("wavelength_m", {"wavelength_m": 1e-300}),
+    # 4 pi d0 / lambda underflows to 0, whose log10 fails.
+    ("wavelength_m", {"reference_distance_m": 1e-300, "distance_m": 1e-300,
+                      "wavelength_m": 1e300}),
+])
+@pytest.mark.parametrize("enabled", [False, True])
+def test_gain_past_the_float_range_is_rejected_at_its_key(key, geometry, enabled):
+    # A disabled model attenuates nothing, but enabling it keeps the geometry.
+    with pytest.raises(ValueError, match=f"^{key} puts the path-loss power gain"):
+        LargeScaleModel(enabled=enabled, **geometry)
+
+
 def test_loss_decade_distance():
     model = TRIVIAL.replace(distance_m=10.0)
     assert model.deterministic_loss_db() == pytest.approx(20.0)

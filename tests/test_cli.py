@@ -193,6 +193,62 @@ def test_snr_db_past_the_float_range_is_a_p_r_skip(grid, capsys, tmp_path):
     assert rows[1].split(",")[-1] == "p_r: must be finite"
 
 
+# The README point with shadowing on, at a geometry whose path-loss power
+# gain 10^(-L/10) underflows to 0 (distance_m) or overflows (wavelength_m).
+GAIN_PAST_FLOATS = [
+    ("distance_m", ["distance_m=1e300", "p_r=1"]),
+    ("distance_m", ["distance_m=1e300", "p_t=1"]),
+    ("wavelength_m", ["wavelength_m=1e300", "p_r=1"]),
+]
+COMMAND_FLAGS = {
+    "derive": [],
+    "pe": ["--iters", "1000"],
+    "capacity": ["--iters", "1000"],
+    "sweep": ["--axis", "bandwidth", "--grid", "1e6,1e7", "--iters", "1000"],
+    "compare-shadowing": ["--axis", "bandwidth", "--grid", "1e6,1e7", "--sigma-db", "8",
+                          "--iters", "1000"],
+}
+
+
+def _geometry_argv(command, sets, tmp_path):
+    argv = [command, *BASE_SETS[:-2], "--set", "shadowing_enabled=true"]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    argv += COMMAND_FLAGS[command]
+    if command in ("sweep", "compare-shadowing"):
+        argv += ["--out", str(tmp_path / "out.csv")]
+    return argv
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+@pytest.mark.parametrize("key, sets", GAIN_PAST_FLOATS, ids=["far-p_r", "far-p_t", "wide"])
+def test_gain_past_the_float_range_exits_2_naming_its_key(command, key, sets, capsys,
+                                                          tmp_path):
+    # Not a ZeroDivisionError or OverflowError, nor p_r = 0 passed on to
+    # the capacity formula.
+    code, out, err = run_cli(_geometry_argv(command, sets, tmp_path), capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {key}: {key} puts the path-loss power gain")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["derive", "pe", "capacity"])
+@pytest.mark.parametrize("key, sets, power", [
+    # Gain 1e-300: p_r = 1e10 needs p_t = 1e310.
+    ("p_r", ["distance_m=1e150", "p_r=1e10"], "transmit"),
+    # Gain ~6e297: p_t = 1e20 gives p_r ~6e317.
+    ("p_t", ["wavelength_m=1e150", "p_t=1e20"], "receive"),
+], ids=["p_t-overflows", "p_r-overflows"])
+def test_resolved_power_past_the_float_range_exits_2_naming_the_given_key(
+    command, key, sets, power, capsys, tmp_path
+):
+    # Not p_t = inf printed, and then p_e = 0 sampled from it.
+    code, out, err = run_cli(_geometry_argv(command, sets, tmp_path), capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: {key}: the {power} power it gives at this path loss lies "
+                   "outside the float range\n")
+
+
 def test_unknown_key_exits_2(capsys):
     code, _, err = run_cli(["derive", "--set", "bandwdith=1"], capsys)
     assert code == 2

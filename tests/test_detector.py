@@ -476,15 +476,15 @@ def test_warm_chunk_allocates_less_than_one_chunk_array(case):
 
 @pytest.mark.parametrize("shadowing", [False, True], ids=["mc_sweep", "shadow_pair"])
 def test_scratch_rows_do_not_grow_with_the_grid(shadowing):
-    # The rule counts rows of one span per worker: at most six rows of a
-    # third of a chunk, 1.6 MB. The whole estimate stays within them plus
+    # The rule counts rows of one span per worker: at most five rows of a
+    # third of a chunk, 1.33 MB. The whole estimate stays within them plus
     # the warm chunk's less than one span array.
     four = _readme_point_cells(_README_DUTIES, shadowing)[0]
     twelve_duties = [1 / slots for slots in (100, 150, 200, 300, 500, 700, 1000, 2000,
                                              5000, 10_000, 50_000, 100_000)]
     twelve = _readme_point_cells(twelve_duties, shadowing)[0]
     scratch_bytes = _scratch_rows(twelve) * _span(twelve) * 8
-    assert scratch_bytes == _scratch_rows(four) * _span(four) * 8 <= 6 * 33_334 * 8
+    assert scratch_bytes == _scratch_rows(four) * _span(four) * 8 <= 5 * 33_334 * 8
     inputs = [PhysicalInputs(bandwidth_hz=100e6, symbol_time_s=101e-6, delay_spread_s=20e-6,
                              doppler_spread_hz=25e3, duty_cycle=duty)
               for duty in twelve_duties]
@@ -699,11 +699,11 @@ def test_every_span_gathers_its_union_once(monkeypatch, p_r):
 
 @pytest.mark.parametrize("cells", ["constant", "shadowed", "mixed"])
 def test_scratch_one_row_short_is_rejected(cells):
-    # Mixed cells have two shadowing models, so six rows are one short. A
+    # Mixed cells have two shadowing models, so five rows are one short. A
     # chunk needs min(n, span) columns: one span, not a chunk, when full.
     signals, noise_counts = _kernel_signals(cells, 150.0), [269_999, 2699]
     rows, span = _scratch_rows(signals), _span(signals)
-    assert rows == 5 + {"constant": 0, "shadowed": 1, "mixed": 2}[cells]
+    assert rows == 4 + {"constant": 0, "shadowed": 1, "mixed": 2}[cells]
     cell_list = _every_cell(signals, noise_counts)
     for n, columns in [(37, 37), (CHUNK_SIZE, span)]:
         args = (0, n, 11, signals, noise_counts, cell_list)
@@ -775,6 +775,24 @@ def test_floor_wider_than_a_span_is_scored_in_new_rows(monkeypatch):
     signals = [101.0, 1e6, (_PIN_SHADOWED, 1e6)]
     assert _span(signals) < CHUNK_SIZE
     _assert_kernel_matches_reference(signals, [15, 2699], CHUNK_SIZE, [0])
+
+
+def test_floor_wider_than_span_rows_is_scored_in_new_rows(monkeypatch):
+    # The reference comparison above hands the kernel rows a chunk long;
+    # estimate_pe's are one span long, which 100 000 kept iterations
+    # overflow, so here the floor pass must take its new rows.
+    u = np.random.default_rng(5).random(CHUNK_SIZE) / 100.0
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seq: _FixedUniforms(
+        default_rng(seq), {1: u}.get(seq.spawn_key[-1])))
+    signals, noise_counts = [101.0, 1e6, (_PIN_SHADOWED, 1e6)], [15, 2699]
+    scratch = np.empty((_scratch_rows(signals), _span(signals)))
+    got = _chunk_error_count(0, CHUNK_SIZE, 11, signals, noise_counts,
+                             _every_cell(signals, noise_counts), scratch)
+    want = helpers.reference_chunk_error_count(0, CHUNK_SIZE, 11, signals, noise_counts,
+                                               np.empty((4, CHUNK_SIZE)))
+    assert np.array_equal(got[0], want[0].ravel())
+    assert _same_bits(got[1], want[1].ravel()) and _same_bits(got[2], want[2].ravel())
 
 
 def _noise_uniforms(case):

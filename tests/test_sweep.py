@@ -217,6 +217,33 @@ def test_snr_db_past_the_float_range_becomes_skipped_row():
     assert low[0].skipped_reason == "p_r: must be positive"
 
 
+@pytest.mark.parametrize("key, model, power, text", [
+    # Gain 1e-300: p_r = 1e10 needs p_t = 1e310; p_t = 1e-30 gives p_r = 0.
+    ("p_r", LargeScaleModel(distance_m=1e150, enabled=True), 1e10, "transmit"),
+    ("p_t", LargeScaleModel(distance_m=1e150, enabled=True), 1e-30, "receive"),
+    # Gain ~6e297: p_t = 1e20 gives p_r ~6e317.
+    ("p_t", LargeScaleModel(wavelength_m=1e150, enabled=True), 1e20, "receive"),
+])
+def test_run_config_rejects_a_resolved_power_past_the_float_range(key, model, power, text):
+    overrides = {"p_r": None, key: power}
+    with pytest.raises(ConfigError, match=f"^{key}: the {text} power it gives") as info:
+        make_base(model=model, **overrides)
+    assert info.value.field == key
+    # Disabled, the model attenuates nothing and the power is its own.
+    make_base(model=model.replace(enabled=False), **overrides)
+
+
+def test_snr_db_point_whose_transmit_power_overflows_becomes_skipped_row():
+    # At gain 1e-300, -100 dB is p_r = 1e-2 and p_t = 1e298; 10 dB is
+    # p_r = 1e9, which needs p_t = 1e309.
+    model = LargeScaleModel(distance_m=1e150, enabled=True)
+    base = make_base(model=model, p_r=None, iterations=1000)
+    rows = run_sweep(SweepSpec(base=base, axis="snr_db", grid=(-100.0, 10.0))).rows
+    assert rows[0].skipped_reason is None and rows[0].p_e is not None
+    assert rows[1].skipped_reason == ("p_r: the transmit power it gives at this path loss "
+                                      "lies outside the float range")
+
+
 def test_invalid_duty_cycle_point_is_skipped_with_reason():
     base = make_base()
     spec = SweepSpec(base=base, axis="duty_cycle", grid=(0.4, 0.1, 0.01))
