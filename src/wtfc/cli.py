@@ -146,6 +146,12 @@ def cmd_derive(args) -> int:
     params = derive_scheme(config.inputs)
     config.require_power()
     p_t = config.resolved_p_t()
+    try:
+        tone = amplitude(p_t, params)
+    except ValueError as exc:
+        # p_t is positive here: only an amplitude past the float range fails.
+        raise ConfigError("p_r" if config.p_r is not None else "p_t",
+                          "the tone amplitude it gives lies outside the float range") from exc
     report = {
         "q": params.q,
         "delta_f_hz": params.delta_f_hz,
@@ -153,7 +159,7 @@ def cmd_derive(args) -> int:
         "slots_per_cycle": params.slots_per_cycle,
         "alphabet_size": params.alphabet_size,
         "bits_per_symbol": params.bits_per_symbol,
-        "amplitude": amplitude(p_t, params),
+        "amplitude": tone,
         "ceiling_bps": params.ceiling_bps(),
         "p_t": p_t,
         "p_r": config.resolved_p_r(),

@@ -25,18 +25,19 @@ Each chunk draws its uniforms, and each shadowing model its amplitudes,
 once for every cell, so the rows of a sweep share their draws (common
 random numbers) and each cell's scores equal its one-cell call's.
 
-An iteration is scored by its error indicator, unless its error is
-unlikely given its own noise maximum y and signal mean mu: where
-t = y / mu lies below c_f = -ln(1 - ``P_FLOOR``), the signal wins unless
-E = -ln(1 - u) <= t, and it scores 1{E <= c_f} (-expm1(-t)) / ``P_FLOOR``,
-its conditional error probability given (v, m) and whether E <= c_f.
-E is a unit exponential independent of (v, m), so the score's mean is
-still p_e (conditional Monte Carlo), and the scores of distinct
-iterations stay independent. Only the iterations with E <= c_f, about a
-64th of a chunk, can score a fraction; every span's union keeps them, the
-chunk collects them as it goes and scores them in every cell once it is
-drawn, in iteration order, so that the soft sums do not depend on the
-span, the other cells of the call or the threads.
+An iteration is an error when the signal statistic x = mu * E, with
+E = -ln(1 - u), does not beat its noise maximum y. The floor set F, the
+iterations with E <= c_f = -ln(1 - ``P_FLOOR``), is about a 64th of
+them and one set for every cell, since every cell shares u. Each scores
+q = -expm1(-min(t, c_f)) with t = y / mu: P_f times its error
+probability given (v, m) and E <= c_f. F is chosen by E alone, which is
+independent of (v, m), so q's mean over F estimates P(error, E <= c_f)
+whatever F's size f is (a ratio estimator, conditional Monte Carlo
+within F); p_e is the error fraction outside F plus that mean over
+pi_n = P(f >= 1) (``_estimate``). Every span's union keeps F; the chunk
+collects it as it goes and scores it in every cell once it is drawn, in
+iteration order, so that the sums do not depend on the span, the other
+cells of the call or the threads.
 
 Only iterations that can be errors are inverted. The noise maximum rises
 with its uniform v, so the one at a span's largest v, computed on one
@@ -64,7 +65,7 @@ span draws, gathers and transforms in place there. Per span only the
 ln v and squared amplitudes of its iterations with E <= c_f and, for
 block shadowing, one amplitude per block are new memory; the chunk
 joins the kept values once and scores them one cell at a time in four
-of its scratch rows, with 1-byte masks over the kept values.
+of its scratch rows, with a 1-byte mask over the kept values.
 """
 
 from __future__ import annotations
@@ -95,10 +96,10 @@ _NEPERS_PER_DB = math.log(10.0) / 20.0
 # Relative pad on the chunk's noise bound and on the signal cut derived from
 # it, far above the few-ulp error of the ufuncs that compute either side.
 _SLACK = 1e-6
-# The floor P_f: an iteration whose error probability given its own noise
-# maximum and amplitude is below it is scored by that probability. Part
-# of the determinism contract, as CHUNK_SIZE is: it decides which
-# iterations score a fraction, and so every such estimate's bits.
+# The floor P_f: the iterations with E <= c_f, a share P_f of them, are
+# scored by their error probability given their own noise maximum and
+# amplitude. Part of the determinism contract, as CHUNK_SIZE is: it
+# decides which iterations score a fraction, and so every estimate's bits.
 P_FLOOR = 1.0 / 64.0
 # c_f = -ln(1 - P_f): a unit exponential E lies at or below it with
 # probability P_f.
@@ -239,7 +240,7 @@ def _chunk_error_count(
     noise_counts: Sequence[int],
     cells: Sequence[tuple[int, int]],
     scratch: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Scores of every cell in one chunk of ``n`` iterations.
 
     A signal is its signal-slot mean: a float when it is the same for every
@@ -251,13 +252,13 @@ def _chunk_error_count(
     ``_scratch_rows(signals)`` rows of at least min(n, ``_span(signals)``)
     floats, else ``ValueError``; the chunk overwrites those rows.
 
-    An iteration's score is its error indicator, ``x <= y`` for signal
-    statistic x = mu * E and noise maximum y, unless it lies below the
-    floor: E <= c_f and t = y / mu < c_f, with c_f = -ln(1 - ``P_FLOOR``).
-    There it scores its conditional error probability given its own
-    (v, m) and E <= c_f: -expm1(-t) / ``P_FLOOR``. Returns, per cell, the
-    count of errors among the other iterations, and the sum and the sum of
-    squares of the soft values: ``_floor_scores`` gives both.
+    An iteration is an error when ``x <= y`` for signal statistic
+    x = mu * E and noise maximum y. The floor set F, one set for every
+    cell, holds the iterations with E <= c_f = -ln(1 - ``P_FLOOR``); each
+    scores q = -expm1(-min(t, c_f)) for t = y / mu, ``P_FLOOR`` times its
+    error probability given its own (v, m) and E <= c_f. Returns, per
+    cell, the count of errors outside F and the sum and the sum of squares
+    of q over F (from ``_floor_scores``); and F's size.
 
     The chunk runs a span of ``_span(signals)`` iterations at a time. Each
     span draws its own u, v and amplitudes from the chunk's three
@@ -378,7 +379,7 @@ def _chunk_error_count(
     for i, parts in enumerate(below):
         below[i] = np.concatenate(parts)
     sums, square_sums = _floor_scores(below, by_noise, noise_counts, counts, scratch)
-    return counts, sums, square_sums
+    return counts, sums, square_sums, below[0].size
 
 
 def _floor_scores(
@@ -388,18 +389,17 @@ def _floor_scores(
     counts: np.ndarray,
     scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score a chunk's iterations below the floor, in iteration order.
+    """Score a chunk's floor set in every cell, in iteration order.
 
     ``below`` holds the E, ln v and each model's squared amplitudes of the
     chunk's iterations with E <= c_f, in iteration order, and ``by_noise``
     each noise count's cells as (cell, model index or None, mean or
-    energy). In a cell, an iteration with E <= c_f and
-    t = y / mu < c_f is a soft member: its error, if ``counts`` holds one,
-    is taken back out, and it scores -expm1(-t) / ``P_FLOOR`` instead.
-    Returns per cell the ``np.sum`` of the soft values over the chunk's
-    iterations with E <= c_f, in iteration order with 0 where t >= c_f,
-    and the same sum of their squares. Each is one sum over the chunk, so
-    its bits do not depend on the span.
+    energy). In each cell, every such iteration's error, if ``counts``
+    holds one, is taken back out, and it scores
+    q = -expm1(-min(t, c_f)) for t = y / mu instead. Returns per cell the
+    ``np.sum`` of q over the chunk's iterations with E <= c_f, in
+    iteration order, and the same sum of q squared. Each is one sum over
+    the chunk, so its bits do not depend on the span.
 
     Each noise count inverts its maximum y once, and its cells are scored
     one at a time, in four rows of ``scratch`` for y, mu, x and t, or in
@@ -419,13 +419,12 @@ def _floor_scores(
                 np.multiply(squares[g], value, out=mu)
                 mu += 1.0
             np.divide(y, mu, out=t)
-            soft = t < _FLOOR_CUT
-            counts[c] -= np.count_nonzero((np.multiply(mu, e, out=x) <= y) & soft)
-            # -expm1(-t) / P_f: the sign and the power-of-two scale are exact.
+            counts[c] -= np.count_nonzero(np.multiply(mu, e, out=x) <= y)
+            # q = -expm1(-min(t, c_f)); the signs are exact.
+            np.minimum(t, _FLOOR_CUT, out=t)
             np.negative(t, out=t)
             np.expm1(t, out=t)
-            t *= -1.0 / P_FLOOR
-            t *= soft
+            np.negative(t, out=t)
             sums[c] = t.sum()
             t *= t
             square_sums[c] = t.sum()
@@ -447,12 +446,12 @@ def estimate_pe(
     Per iteration: draw the large-scale amplitude, compute the signal-slot
     mean, draw the signal statistic and the max of the ``S - 1`` noise
     statistics, and score the error indicator, 1 when the signal does not
-    win; below the floor, score the conditional error probability instead
-    (see the module docstring). ``p_e`` is the mean score and
-    ``half_width_95`` 1.96 times its iid standard error; without a score
-    below the floor they are the error count's fraction and binomial
-    half-width. Deterministic for fixed (seed, iterations); ``threads``
-    only changes wall time.
+    win; in the floor set, score the conditional error probability
+    instead (see the module docstring). ``p_e`` is the error fraction
+    outside the floor set plus the floor set's mean score, and
+    ``half_width_95`` 1.96 times the standard error (``_estimate``).
+    Deterministic for fixed (seed, iterations); ``threads`` only changes
+    wall time.
 
     ``params`` and ``model`` may each be a sequence, and then
     ``transmit_power`` holds one power per ``params`` entry: the call
@@ -518,18 +517,18 @@ def estimate_pe(
 
     def work(first: int) -> tuple[np.ndarray, list]:
         # Worker ``first`` runs chunks first, first + workers, ... in its
-        # own scratch; a chunk's draws depend on its index alone. Its soft
-        # sums are kept per chunk, for one exact sum over all chunks.
+        # own scratch; a chunk's draws depend on its index alone. Its floor
+        # sums and sizes are kept per chunk, for one exact sum over all chunks.
         scratch = np.empty(scratch_shape)
         errors = np.zeros(len(cell_list), dtype=np.int64)
-        soft = []
+        floor = []
         for i in range(first, n_chunks, workers):
             n = min(CHUNK_SIZE, iterations - i * CHUNK_SIZE)
-            chunk_errors, *chunk_soft = _chunk_error_count(
+            chunk_errors, *chunk_floor = _chunk_error_count(
                 i, n, seed, signal_list, noise_list, cell_list, scratch)
             errors += chunk_errors
-            soft.append(chunk_soft)
-        return errors, soft
+            floor.append(chunk_floor)
+        return errors, floor
 
     if workers == 1:
         results = [work(0)]
@@ -539,27 +538,38 @@ def estimate_pe(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, range(workers)))
     errors = sum(worker_errors for worker_errors, _ in results)
-    chunks = [chunk for _, soft in results for chunk in soft]
+    chunks = [chunk for _, floor in results for chunk in floor]
+    floor_size = sum(size for _, _, size in chunks)
     estimates = []
     for c in estimate_cells:
         # math.fsum rounds the exact total once, so the order in which the
         # workers ran their chunks cannot show.
-        soft_sum = math.fsum(sums[c] for sums, _ in chunks)
-        soft_square_sum = math.fsum(square_sums[c] for _, square_sums in chunks)
-        estimates.append(_estimate(int(errors[c]), soft_sum, soft_square_sum, iterations, seed))
+        estimates.append(_estimate(
+            int(errors[c]), floor_size, math.fsum(sums[c] for sums, _, _ in chunks),
+            math.fsum(squares[c] for _, squares, _ in chunks), iterations, seed))
     return estimates[0] if one_cell else tuple(estimates)
 
 
-def _estimate(errors: int, soft_sum: float, soft_square_sum: float, iterations: int,
-              seed: int) -> PeEstimate:
-    """The mean score and its 95 % half-width, 1.96 times the iid standard error.
+def _estimate(errors: int, floor_size: int, score_sum: float, square_sum: float,
+              iterations: int, seed: int) -> PeEstimate:
+    """p_e and its 95 % half-width from ``errors`` outside the floor set F
+    and the f = ``floor_size`` scores q over F, which sum to ``score_sum``
+    and their squares to ``square_sum``.
 
-    The scores are ``errors`` ones, soft values summing to ``soft_sum``
-    with squares summing to ``soft_square_sum``, and zeros. Their sample
-    variance is p(1 - p) + (soft_square_sum - soft_sum) / n; without soft
-    values it is the binomial p(1 - p), bit for bit.
+    With p_B = errors / n and pi_n = 1 - (1 - P_f)^n = P(f >= 1),
+    p_e = p_B + (sum q / f) / pi_n, the second term 0 when f = 0, and the
+    half-width is 1.96 sqrt(p_B (1 - p_B) / n + var_F(q) / (f pi_n^2)),
+    var_F(q) = sum q^2 / f - (sum q / f)^2. Dividing by pi_n keeps p_e
+    unbiased at any n; it is 1.0 in floats from about 2 300 iterations.
     """
-    p_e = (errors + soft_sum) / iterations
-    variance = p_e * (1.0 - p_e) + (soft_square_sum - soft_sum) / iterations
-    half_width = 1.96 * math.sqrt(max(variance, 0.0) / iterations)
+    p_b = errors / iterations
+    p_e, variance = p_b, p_b * (1.0 - p_b) / iterations
+    if floor_size:
+        reach = -math.expm1(iterations * math.log1p(-P_FLOOR))
+        mean = score_sum / floor_size
+        # An f below its mean can lift a p_e within its noise of 1 past 1.
+        p_e = min(p_e + mean / reach, 1.0)
+        spread = max(square_sum / floor_size - mean * mean, 0.0)
+        variance += spread / (floor_size * reach * reach)
+    half_width = 1.96 * math.sqrt(variance)
     return PeEstimate(p_e=p_e, iterations=iterations, half_width_95=half_width, seed=seed)

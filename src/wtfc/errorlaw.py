@@ -34,11 +34,10 @@ CHUNK_SIZE = 100_000
 class PeEstimate(Record):
     """Monte Carlo symbol error probability with its 95% half-width.
 
-    ``p_e`` is the mean score over ``iterations`` symbols and
-    ``half_width_95`` 1.96 times its standard error. A symbol scores its
-    error indicator, or below the sampler's floor its conditional error
-    probability (``wtfc.detector``); with no symbol below the floor these
-    are the error fraction and its binomial half-width.
+    ``p_e`` is the error fraction over ``iterations`` symbols outside the
+    sampler's floor set plus the mean of the floor set's conditional error
+    scores (``wtfc.detector``), and ``half_width_95`` 1.96 times its
+    standard error.
 
     For a p_e that was given rather than sampled (``capacity --pe``),
     ``iterations``, ``half_width_95`` and ``seed`` are None.

@@ -175,10 +175,15 @@ def amplitude(transmit_power: float, params: SchemeParams) -> float:
 
     The tone is on for ``window`` seconds out of every ``T_s / theta``,
     so the amplitude is boosted to sqrt(P_t * T_s / (theta * window)).
+    ``ValueError`` where the product inside the root overflows, as it can
+    for a finite P_t.
     """
     if not transmit_power > 0:
         raise ValueError("transmit_power must be positive")
     inputs = params.inputs
-    return math.sqrt(
+    value = math.sqrt(
         transmit_power * inputs.symbol_time_s / (inputs.duty_cycle * inputs.window_s)
     )
+    if value == math.inf:
+        raise ValueError("transmit_power gives a tone amplitude past the float range")
+    return value

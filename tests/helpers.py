@@ -16,7 +16,6 @@ from wtfc import LargeScaleModel, PhysicalInputs, analytic_pe_no_shadowing, deri
 from wtfc.channel import constant_amplitude
 from wtfc.detector import (
     _FLOOR_CUT,
-    P_FLOOR,
     _max_noise_from_log,
     _unit_exponential,
     draw_m_batch,
@@ -117,7 +116,8 @@ def header_to_config_text(line: str) -> str:
 
 # The chunk kernel without any filter: every iteration is inverted and
 # scored, in the order the estimator defines, as the reference whose
-# counts and soft sums the filtered kernel must equal bit for bit.
+# counts, floor sums and floor size the filtered kernel must equal bit for
+# bit.
 def reference_chunk_error_count(
     chunk_index: int,
     n: int,
@@ -125,7 +125,7 @@ def reference_chunk_error_count(
     signals: Sequence[float | tuple[LargeScaleModel, float]],
     noise_counts: Sequence[int],
     scratch: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Scores of every (signal, noise count) pair in one chunk of ``n`` iterations.
 
     A signal is its signal-slot mean: a float when it is the same for every
@@ -133,14 +133,14 @@ def reference_chunk_error_count(
     shadowing stream draws. The chunk is seeded by (seed, chunk). Its signal
     and noise uniforms are drawn once and turned once into E = -ln(1 - u)
     and ln(v); each signal statistic is then mu * E and each noise maximum
-    y is finished from ln(v). Every iteration with E <= c_f and
-    t = y / mu < c_f scores -expm1(-t) / P_FLOOR; every other one scores
-    its error indicator, x <= y (ties count as errors). ``scratch`` holds
-    at least ``len(noise_counts) + 2`` rows of at least ``n`` floats; the
-    chunk overwrites the first ``n`` entries of those it uses. Returns
-    the counts of the indicators, the np.sum over the iterations with
-    E <= c_f, in order, of the soft scores (0 where t >= c_f), and the same
-    sum of their squares, each shaped (signals, noise counts).
+    y is finished from ln(v). Every iteration of the floor set, those with
+    E <= c_f, scores q = -expm1(-min(t, c_f)) for t = y / mu; every other
+    one scores its error indicator, x <= y (ties count as errors).
+    ``scratch`` holds at least ``len(noise_counts) + 2`` rows of at least
+    ``n`` floats; the chunk overwrites the first ``n`` entries of those it
+    uses. Returns the counts of the indicators, the np.sum of q over the
+    floor set, in order, and the same sum of q squared, each shaped
+    (signals, noise counts), and the floor set's size.
     """
     shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
         [seed, chunk_index]
@@ -173,10 +173,8 @@ def reference_chunk_error_count(
             mu += 1.0
         x = np.multiply(mu, e, out=work)
         for k, y in enumerate(ys):
-            t = y / mu
-            below = t < _FLOOR_CUT
-            counts[j, k] = np.count_nonzero((x <= y) & ~(below & floor))
-            scores = np.where(below, -np.expm1(-t) / P_FLOOR, 0.0)[floor]
+            counts[j, k] = np.count_nonzero((x <= y) & ~floor)
+            scores = -np.expm1(-np.minimum(y / mu, _FLOOR_CUT))[floor]
             sums[j, k] = np.sum(scores)
             square_sums[j, k] = np.sum(scores * scores)
-    return counts, sums, square_sums
+    return counts, sums, square_sums, int(np.count_nonzero(floor))

@@ -13,7 +13,14 @@ import pytest
 
 import helpers
 from helpers import header_to_config_text
-from wtfc import LargeScaleModel, PhysicalInputs, cli, derive_scheme, signal_energy
+from wtfc import (
+    LargeScaleModel,
+    PhysicalInputs,
+    analytic_pe_no_shadowing,
+    cli,
+    derive_scheme,
+    signal_energy,
+)
 from wtfc.cli import CSV_COLUMNS, build_parser, main
 from wtfc.config import ConfigError
 
@@ -249,6 +256,29 @@ def test_resolved_power_past_the_float_range_exits_2_naming_the_given_key(
                    "outside the float range\n")
 
 
+@pytest.mark.parametrize("key", ["p_r", "p_t"])
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_amplitude_past_the_float_range_exits_2_naming_the_power_key(key, output, capsys,
+                                                                      tmp_path):
+    # Not amplitude = inf printed with exit 0; no --out file is written.
+    out_file = tmp_path / "derive.out"
+    code, out, err = run_cli(["derive", *BASE_SETS[:-2], "--set", f"{key}=1e307",
+                              "--format", output, "--out", str(out_file)], capsys)
+    assert code == 2 and out == "" and not out_file.exists()
+    assert err == f"error: {key}: the tone amplitude it gives lies outside the float range\n"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_capacity_where_nearly_every_symbol_errs_reads_a_probability(seed, capsys):
+    # At p_r = 1e-3 the error fraction outside the floor set plus the floor
+    # set's mean score lies within noise of 1: a floor set smaller than its
+    # mean lifted p_e past 1 in two of these seeds, and capacity failed.
+    code, out, _ = run_cli(["capacity", *BASE_SETS[:-2], "--set", "p_r=1e-3", "--iters",
+                            "20000", "--seed", str(seed), "--format", "json"], capsys)
+    assert code == 0
+    assert 0.99 < json.loads(out)["p_e"] <= 1.0
+
+
 def test_unknown_key_exits_2(capsys):
     code, _, err = run_cli(["derive", "--set", "bandwdith=1"], capsys)
     assert code == 2
@@ -288,9 +318,10 @@ SATURATED_SETS = [*BASE_SETS, "--set", "duty_cycle=1e-5", "--set", "p_r=1e5"]
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_saturated_pe_scores_below_the_floor(seed, capsys):
     # 20 000 iterations hold no error to count here: a 0/1 count read
-    # p_e = 0 +- 0. The ~310 iterations with E <= c_f lie below the floor
-    # and score their conditional error probabilities instead, so the
-    # estimate is positive, about 11 % wide, and covers the exact value.
+    # p_e = 0 +- 0. The ~310 iterations with E <= c_f score their
+    # conditional error probabilities instead, averaged over their actual
+    # number, so the estimate is positive, about 0.7 % wide, and covers the
+    # exact value.
     code, out, _ = run_cli(["pe", *SATURATED_SETS, "--iters", "20000", "--seed", str(seed),
                             "--format", "json"], capsys)
     assert code == 0
@@ -301,7 +332,7 @@ def test_saturated_pe_scores_below_the_floor(seed, capsys):
     exact = helpers.exact_pe(LargeScaleModel(), signal_energy(1e5, params, 1.0),
                              params.noise_slot_count)
     p_e, half_width = report["p_e"], report["ci_half_width_95"]
-    assert p_e > 0 and 0.08 < half_width / p_e < 0.14
+    assert p_e > 0 and 0.004 < half_width / p_e < 0.012
     assert abs(p_e - exact) <= 3 * half_width
 
 
@@ -635,13 +666,13 @@ def test_compare_shadowing_csv(sigma_db, capsys, tmp_path):
     assert data[0][-1] == "" and data[1][-1] != ""
 
 
-# sha256 of the result files at 250 000 iterations, captured when
-# iterations below the floor first scored their conditional error
-# probability; each row equals the one-cell estimate at its point
-# (tests/test_sweep.py) and lies near its exact value (below).
+# sha256 of the result files at 250 000 iterations, captured when the
+# floor set's scores were first averaged over its actual size; each row
+# equals the one-cell estimate at its point (tests/test_sweep.py) and
+# lies near its exact value (below).
 PINNED_CSV_SHA256 = {
-    "sweep": "d935c9418d6c130a5e455d94a0600d27a26cdcf8ee165475c03705e0f3a8df04",
-    "compare-shadowing": "d1315ab658d618da17ee9cd143361fdc0ef7b25df3311c0e6b33c620e844f567",
+    "sweep": "f662027d6947004dd89eee969285d1af6c2a6966bd8a633ab50251532b563299",
+    "compare-shadowing": "7286ded98f30b9ed5ca2a50c192c32c8d7bd8eeaf3cfccfcbd04247e77207808",
 }
 
 
@@ -682,20 +713,22 @@ def test_pinned_result_rows_lie_near_the_exact_value(command, capsys, tmp_path):
 
 
 # The one-point commands and the sha256 of their --out files at 20 000
-# iterations, captured while the capacity ceiling still had two formulas.
+# iterations, captured when the floor set's scores were first averaged
+# over its actual size (derive's when the capacity ceiling still had two
+# formulas); the sampled ones lie near the exact value (below).
 _ONE_POINT = [*BASE_SETS, "--iters", "20000", "--seed", "3"]
 _IFSK_JSON = ["--variant", "ifsk", "--format", "json"]
 PINNED_REPORTS = {
     "derive": (["derive", *BASE_SETS],
                "8cf3d8f504819bb5a064e1bdb54ccac60f3c29aacdb9a37780868b3636249957"),
     "pe": (["pe", *_ONE_POINT],
-           "ab8623907555bee0cce51f06a81aad70bffe08f86572e14b02271fd1e9bb27d5"),
+           "3da46511f03b8149ac7883e68ccc16f4ab8bc7cf3a40a7546d8a07c0ee1fb593"),
     "pe-ifsk-json": (["pe", *_ONE_POINT, *_IFSK_JSON],
-                     "c52b4dc4c9f7f20f4802821b20754680cda312c7d4c6cac0384d169350921d68"),
+                     "d2f280dee305511ac3e07362646517688825363cf44f11fed1b177846e55d6d1"),
     "capacity": (["capacity", *_ONE_POINT],
-                 "2acf2617d78474cb64fb8a0cd6369bb784ed1a7c2197ba1660357c82e4182cb7"),
+                 "45f3b50ed16cb05d2a66b4c27ba9bb8e14e7b98ea81ba6fc86a00c26d081f485"),
     "capacity-ifsk-json": (["capacity", *_ONE_POINT, *_IFSK_JSON],
-                           "a5110a2e5f42b448748bab1690b67477bb669604696a78231b4085f62d6e3948"),
+                           "7ba1906fb16e25e2cadda3b448e024ee9c2bf242ab6c1c3406fee962a03025dd"),
 }
 
 
@@ -706,6 +739,22 @@ def test_report_files_keep_their_bytes(case, capsys, tmp_path):
     code, _, _ = run_cli([*command, "--out", str(out_file)], capsys)
     assert code == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == pinned
+
+
+@pytest.mark.parametrize("variant", ["wtfc", "ifsk"])
+def test_pinned_reports_lie_near_the_exact_value(variant, capsys):
+    # The pinned pe and capacity reports of a variant sample the same p_e;
+    # the exact value lies within 3 of its half-widths.
+    code, out, _ = run_cli(["pe", *_ONE_POINT, "--variant", variant, "--format", "json"],
+                           capsys)
+    assert code == 0
+    report = json.loads(out)
+    params = derive_scheme(PhysicalInputs(bandwidth_hz=100e6, symbol_time_s=101e-6,
+                                          delay_spread_s=20e-6, doppler_spread_hz=25e3,
+                                          duty_cycle=1e-2), variant.upper())
+    exact = analytic_pe_no_shadowing(signal_energy(10e3, params, 1.0) + 1.0,
+                                     params.noise_slot_count)
+    assert abs(report["p_e"] - exact) <= 3 * report["ci_half_width_95"]
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

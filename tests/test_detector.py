@@ -257,29 +257,43 @@ class TestEstimatePe:
         est = estimate_pe(params, NO_FADING, 9.0, 1.0, 1_000_000, seed=11)
         assert abs(est.p_e - 1 / 11) <= 3 * est.half_width_95
 
+    @staticmethod
+    def _floor_estimate(mu, n_noise, n, seed):
+        """p_e, half-width and f from the reference scores of one chunk:
+        p_e = B / n + (G / f) / pi_n and half-width
+        1.96 sqrt(p_B (1 - p_B) / n + (Q / f - (G / f)^2) / (f pi_n^2)), for
+        B errors outside the floor set, f its size, G and Q the sums of its
+        scores and of their squares, and pi_n = 1 - (1 - P_f)^n."""
+        counts, sums, squares, f = helpers.reference_chunk_error_count(
+            0, n, seed, [mu], [n_noise], np.empty((3, n)))
+        p_b, mean = int(counts[0, 0]) / n, sums[0, 0] / f
+        reach = 1.0 - (1.0 - detector.P_FLOOR) ** n
+        variance = p_b * (1 - p_b) / n + (squares[0, 0] / f - mean * mean) / (f * reach**2)
+        return p_b + mean / reach, 1.96 * math.sqrt(variance), f
+
     def test_half_width_formula(self):
+        # Mean 4 against 3 noise slots: every iteration of the floor set
+        # scores P_f or close to it, and the floor set's share of the
+        # half-width is small.
         params = helpers.scheme_with_alphabet(4)
         est = estimate_pe(params, NO_FADING, 3.0, 1.0, 50_000, seed=2)
-        expected = 1.96 * math.sqrt(est.p_e * (1 - est.p_e) / est.iterations)
-        assert est.half_width_95 == pytest.approx(expected, rel=1e-12)
+        p_e, half_width, f = self._floor_estimate(4.0, 3, 50_000, 2)
+        assert 0 < f < 50_000
+        assert est.p_e == pytest.approx(p_e, rel=1e-12)
+        assert est.half_width_95 == pytest.approx(half_width, rel=1e-12)
         assert est.seed == 2
 
     def test_half_width_formula_below_the_floor(self):
-        # One chunk at mean 101 against 15 noise slots, where ~3 % of the
-        # iterations with E <= c_f lie below the floor: the half-width is
-        # 1.96 sqrt((p(1 - p) + (Q - G) / n) / n) for soft sums G and Q.
+        # One chunk at mean 101 against 15 noise slots, where the floor set
+        # holds most of the errors: the formula's half-width, narrower than
+        # the binomial one of p_e.
         params = helpers.scheme_with_alphabet(16)
         n = 50_000
         est = estimate_pe(params, NO_FADING, 100.0, 1.0, n, seed=2)
-        counts, sums, squares = helpers.reference_chunk_error_count(
-            0, n, 2, [101.0], [15], np.empty((3, n)))
-        errors, soft, soft_squares = int(counts[0, 0]), sums[0, 0], squares[0, 0]
-        assert soft > 0
-        p_e = (errors + soft) / n
-        assert est.p_e == p_e
-        expected = 1.96 * math.sqrt((p_e * (1 - p_e) + (soft_squares - soft) / n) / n)
-        assert est.half_width_95 == pytest.approx(expected, rel=1e-12)
-        assert est.half_width_95 < 1.96 * math.sqrt(p_e * (1 - p_e) / n)
+        p_e, half_width, _ = self._floor_estimate(101.0, 15, n, 2)
+        assert est.p_e == pytest.approx(p_e, rel=1e-12)
+        assert est.half_width_95 == pytest.approx(half_width, rel=1e-12)
+        assert est.half_width_95 < 1.96 * math.sqrt(est.p_e * (1 - est.p_e) / n)
 
     def test_deterministic_and_thread_invariant(self):
         params = helpers.scheme_with_alphabet(16)
@@ -352,18 +366,22 @@ _PIN_SHADOWED = _PIN_GEOMETRY.replace(shadowing_std_db=8.0)
 
 # Score totals, p_e times iterations, of estimate_pe(alphabet 16, P_t = 100,
 # N_0 = 1, seed 2024) at 250 000 iterations (two full chunks and a half
-# one) and at 37: (model, hold_mean_rx_power, total). The out-of-place
-# chunk kernel counted the integer ones; the others hold soft scores from
-# iterations below the floor, and test_pins_lie_near_the_exact_value
-# checks them.
+# one) and at 37: (model, hold_mean_rx_power, total), each a float whose
+# quotient by the iterations is p_e's bits. Every total holds floor-set
+# scores; at 37 iterations the one iteration of the floor set scores P_f,
+# over pi_37 = 0.441. test_pins_lie_near_the_exact_value checks the
+# 250 000-iteration ones.
 PINNED_ERRORS = {
-    "disabled": (NO_FADING, False, {250_000: 8096.836476397812, 37: 3}),
-    "zero_sigma": (_PIN_GEOMETRY, False, {250_000: 59142, 37: 11}),
-    "sigma_8db": (_PIN_SHADOWED, False, {250_000: 79929.94605731957, 37: 14}),
+    "disabled": (NO_FADING, False, {250_000: 8060.255766149873, 37: 1.3091441795638512}),
+    "zero_sigma": (_PIN_GEOMETRY, False, {250_000: 59105.25, 37: 9.309144179563852}),
+    "sigma_8db": (_PIN_SHADOWED, False, {250_000: 79894.04470870012, 37: 12.309144179563853}),
     "sigma_8db_blocks": (
-        _PIN_SHADOWED.replace(block_len=1000), False, {250_000: 68492.27150288099, 37: 10}
+        _PIN_SHADOWED.replace(block_len=1000), False,
+        {250_000: 68456.81449610167, 37: 8.309144179563852},
     ),
-    "hold_mean_rx_power": (_PIN_SHADOWED, True, {250_000: 144051.41441692645, 37: 23}),
+    "hold_mean_rx_power": (
+        _PIN_SHADOWED, True, {250_000: 144014.76307788966, 37: 21.30914417956385}
+    ),
 }
 
 
@@ -549,6 +567,7 @@ def _assert_kernel_matches_reference(signals, noise_counts, n, chunks, seed=11):
                                                    reference)
         assert np.array_equal(got[0], want[0].ravel()), chunk
         assert _same_bits(got[1], want[1].ravel()) and _same_bits(got[2], want[2].ravel()), chunk
+        assert got[3] == want[3], chunk
 
 
 @pytest.mark.parametrize("n", [CHUNK_SIZE, 37])
@@ -623,11 +642,12 @@ def test_tiny_iteration_counts_equal_the_all_iterations_kernel(cells, iterations
     errors = 0
     for seed in range(20):
         got = estimate_pe(variants, models, powers, 1.0, iterations, seed=seed)
-        counts, sums, _ = helpers.reference_chunk_error_count(0, iterations, seed, signals,
-                                                              noise_counts, reference)
+        counts, sums, squares, f = helpers.reference_chunk_error_count(
+            0, iterations, seed, signals, noise_counts, reference)
         cells = [(j, j % len(variants)) for j in range(len(signals))]
-        assert [est.p_e for est in got] == [
-            (int(counts[cell]) + sums[cell]) / iterations for cell in cells
+        assert list(got) == [
+            detector._estimate(int(counts[cell]), f, sums[cell], squares[cell], iterations, seed)
+            for cell in cells
         ], seed
         errors += int(counts.sum())
     assert errors > 0
@@ -665,8 +685,9 @@ def test_sweep_grid_counts_equal_the_reference(case):
         got = _chunk_error_count(chunk, CHUNK_SIZE, 7, signals, noise_counts, cells, scratch)
         want = helpers.reference_chunk_error_count(chunk, CHUNK_SIZE, 7, signals,
                                                    noise_counts, reference)
-        for got_part, want_part in zip(got, want):
+        for got_part, want_part in zip(got[:3], want[:3]):
             assert _same_bits(got_part, [want_part[j, k] for j, k in cells]), chunk
+        assert got[3] == want[3], chunk
 
 
 @pytest.mark.parametrize("p_r", [1e4, 100.0], ids=["pe", "pe_low_snr"])
@@ -733,8 +754,8 @@ class _FixedUniforms:
 
 @pytest.mark.parametrize("noise", ["edges", "zero"])
 def test_edge_uniforms_count_as_in_the_all_iterations_kernel(monkeypatch, noise):
-    # u = 0 gives x = 0, a tie with every noise maximum, which counts as an
-    # error unless it lies below the floor. v = 0 gives the maximum 0;
+    # u = 0 gives x = 0, a tie with every noise maximum, in the floor set,
+    # whose errors do not count. v = 0 gives the maximum 0;
     # v = nextafter(1, 0) the largest one.
     n = 1000
     rng = np.random.default_rng(5)
@@ -751,8 +772,8 @@ def test_edge_uniforms_count_as_in_the_all_iterations_kernel(monkeypatch, noise)
     signals, noise_counts = [1e6, (_PIN_SHADOWED, 1e6)], [1, 10**9]
     _assert_kernel_matches_reference(signals, noise_counts, n, [0])
     scratch = np.empty((_scratch_rows(signals), n))
-    counts, sums, _ = _chunk_error_count(0, n, 11, signals, noise_counts,
-                                         _every_cell(signals, noise_counts), scratch)
+    counts, sums, _, _ = _chunk_error_count(0, n, 11, signals, noise_counts,
+                                            _every_cell(signals, noise_counts), scratch)
     if noise == "zero":
         # Every maximum is 0, so t = 0: every iteration with E <= c_f, each
         # u = 0 tie among them, scores -expm1(-0) = 0, and x > 0 elsewhere.
@@ -764,10 +785,11 @@ def test_edge_uniforms_count_as_in_the_all_iterations_kernel(monkeypatch, noise)
         assert (counts[:2] == 0).all() and (sums[:2] > 0).all()
 
 
-def test_floor_wider_than_a_span_is_scored_in_new_rows(monkeypatch):
-    # Every u of the chunk below the floor: 100 000 kept iterations do not
-    # fit a scratch row of one span, so each cell is scored alone in new
-    # rows; the scores still equal the reference's.
+def test_all_floor_chunk_in_chunk_wide_rows_equals_the_reference(monkeypatch):
+    # Every u of the chunk in the floor set, so all 100 000 iterations are
+    # kept. The reference comparison hands the kernel rows a chunk long,
+    # which the floor set fits, so the floor pass scores it in scratch;
+    # the next test gives rows a span long, which it overflows.
     u = np.random.default_rng(5).random(CHUNK_SIZE) / 100.0
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seq: _FixedUniforms(
@@ -793,6 +815,7 @@ def test_floor_wider_than_span_rows_is_scored_in_new_rows(monkeypatch):
                                                np.empty((4, CHUNK_SIZE)))
     assert np.array_equal(got[0], want[0].ravel())
     assert _same_bits(got[1], want[1].ravel()) and _same_bits(got[2], want[2].ravel())
+    assert got[3] == want[3] == CHUNK_SIZE
 
 
 def _noise_uniforms(case):
@@ -924,7 +947,44 @@ def test_intervals_cover_the_exact_value_below_the_floor():
     assert min(covered) >= 17, covered
 
 
-@pytest.mark.parametrize("powers", [100.0, (100.0,), (100.0, 100.0, 100.0)])
+def test_intervals_cover_the_exact_value_on_both_sides_of_the_floor():
+    # mc-sweep's duty 1e-3 WTFC row: about 2 % of its errors lie outside
+    # the floor set and the rest inside it. Over 20 fixed seeds each 95 %
+    # interval must hold the closed form in at least 17.
+    params = derive_scheme(_readme_inputs(1e-3))
+    exact = analytic_pe_no_shadowing(signal_energy(10e3, params, 1.0) + 1.0,
+                                     params.noise_slot_count)
+    covered = sum(abs(est.p_e - exact) <= est.half_width_95
+                  for est in (estimate_pe(params, NO_FADING, 10e3, 1.0, 50_000, seed=seed)
+                              for seed in range(20)))
+    assert covered >= 17, covered
+
+
+@pytest.mark.parametrize("duty_cycle, bound", [(1e-3, 4e-3), (1e-5, 2e-3)],
+                         ids=["both_sides", "below_the_floor"])
+def test_floor_set_mean_gives_narrow_intervals(duty_cycle, bound):
+    # At 1M iterations the floor set holds ~15 600 iterations; averaged
+    # over their actual number, their scores' spread alone sets the width.
+    # Divided by the expected number, the spread of that number read
+    # relative half-widths of 1.55e-2 and 1.57e-2 here.
+    params = derive_scheme(_readme_inputs(duty_cycle))
+    est = estimate_pe(params, NO_FADING, 10e3, 1.0, 1_000_000, seed=1)
+    assert est.half_width_95 < bound * est.p_e
+
+
+def test_floor_estimate_is_unbiased_at_small_n():
+    # Alphabet 16 at P_t = 1e4: every error lies in the floor set, which
+    # at n = 50 is empty in 45 % of the draws. Over 2000 seeds the mean
+    # p_e lies within 4 standard errors of the closed form; without the
+    # division by pi_50 = P(f >= 1) it read 35 standard errors low.
+    params = helpers.scheme_with_alphabet(16)
+    exact = analytic_pe_no_shadowing(1e4 + 1.0, 15)
+    p_e = np.array([estimate_pe(params, NO_FADING, 1e4, 1.0, 50, seed=seed).p_e
+                    for seed in range(2000)])
+    assert abs(p_e.mean() - exact) <= 4 * p_e.std(ddof=1) / math.sqrt(p_e.size)
+
+
+@pytest.mark.parametrize("powers",[100.0, (100.0,), (100.0, 100.0, 100.0)])
 def test_rejects_powers_not_one_per_params_entry(powers):
     variants = (helpers.scheme_with_alphabet(16), helpers.scheme_with_alphabet(4))
     with pytest.raises((ValueError, TypeError)):

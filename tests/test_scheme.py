@@ -138,3 +138,12 @@ def test_amplitude_rejects_nonpositive_power():
     params = derive_scheme(PhysicalInputs(2.0, 1.0, 0.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         amplitude(0.0, params)
+
+
+def test_amplitude_past_the_float_range_is_rejected():
+    # P_t T_s / (theta window) overflows at the README point's duty 1e-2
+    # although P_t = 1e307 is finite; 1e306 still fits.
+    params = derive_scheme(PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1e-2))
+    assert amplitude(1e306, params) < math.inf
+    with pytest.raises(ValueError, match="^transmit_power gives a tone amplitude past"):
+        amplitude(1e307, params)

@@ -142,12 +142,18 @@ CALLS = [
     ("compare-span-blocks-50000", [*SPAN_EDGES, "--set", "shadow_block_len=50000"], {}),
     ("compare-span-threads-2", [*SPAN_EDGES, "--threads", "2"], {}),
     # Duty 1e-5 at p_r = 1e5, p_e ~2e-5: 20 000 iterations hold no error, and
-    # the iterations below the floor give the estimate.
+    # the floor set's scores give the estimate.
     ("pe-saturated", ["pe", *POINT, "--set", "duty_cycle=1e-5", "--set", "p_r=1e5", *ITERS,
                       *OUT], {}),
     # p_r = 100, mu ~2.01: every iteration is a candidate, every span and
-    # every count run whole, and no iteration with E <= c_f has t < c_f.
+    # every count run whole, and every iteration with E <= c_f has
+    # t >= c_f and scores P_f.
     ("pe-low-snr", ["pe", *POINT, "--set", "p_r=100", *ITERS, *OUT], {}),
+    # 50 iterations at duty 1e-4, where every error lies in the floor set:
+    # pi_50 = P(f >= 1) = 0.545 divides the floor set's mean score, and
+    # seed 6 draws f >= 2, so its scores' spread gives the half-width.
+    ("pe-iters-50", ["pe", *POINT, "--set", "duty_cycle=1e-4", *PR, "--iters", "50",
+                     "--seed", "6", *OUT], {}),
 ]
 
 
