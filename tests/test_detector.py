@@ -273,8 +273,8 @@ class TestEstimatePe:
 
     def test_half_width_formula(self):
         # Mean 4 against 3 noise slots: every iteration of the floor set
-        # scores P_f or close to it, and the floor set's share of the
-        # half-width is small.
+        # has t >= c_f and scores P_f, so the half-width is the binomial
+        # one of the errors outside it.
         params = helpers.scheme_with_alphabet(4)
         est = estimate_pe(params, NO_FADING, 3.0, 1.0, 50_000, seed=2)
         p_e, half_width, f = self._floor_estimate(4.0, 3, 50_000, 2)
@@ -284,8 +284,8 @@ class TestEstimatePe:
         assert est.seed == 2
 
     def test_half_width_formula_below_the_floor(self):
-        # One chunk at mean 101 against 15 noise slots, where the floor set
-        # holds most of the errors: the formula's half-width, narrower than
+        # One chunk at mean 101 against 15 noise slots, where about half of
+        # p_e lies in the floor set: the formula's half-width, narrower than
         # the binomial one of p_e.
         params = helpers.scheme_with_alphabet(16)
         n = 50_000
@@ -984,7 +984,7 @@ def test_floor_estimate_is_unbiased_at_small_n():
     assert abs(p_e.mean() - exact) <= 4 * p_e.std(ddof=1) / math.sqrt(p_e.size)
 
 
-@pytest.mark.parametrize("powers",[100.0, (100.0,), (100.0, 100.0, 100.0)])
+@pytest.mark.parametrize("powers", [100.0, (100.0,), (100.0, 100.0, 100.0)])
 def test_rejects_powers_not_one_per_params_entry(powers):
     variants = (helpers.scheme_with_alphabet(16), helpers.scheme_with_alphabet(4))
     with pytest.raises((ValueError, TypeError)):
