@@ -225,6 +225,12 @@ class RunConfig(Record):
             if getattr(self, key) is not None and not 0 < derived() < math.inf:
                 raise ConfigError(key, f"the {name} power it gives at this path loss "
                                        "lies outside the float range")
+        # So must the signal energy P_t T_s / (theta N_0), as
+        # errorlaw.signal_energy forms it.
+        p_t, inputs = self.resolved_p_t(), self.inputs
+        scale = inputs.duty_cycle * self.n_0
+        if p_t is not None and not (scale > 0 and p_t * inputs.symbol_time_s / scale < math.inf):
+            raise ConfigError("n_0", "the signal energy it gives lies outside the float range")
         if self.iterations < 1:
             raise ConfigError("iterations", "must be a positive integer")
         if self.seed < 0:

@@ -25,47 +25,63 @@ Each chunk draws its uniforms, and each shadowing model its amplitudes,
 once for every cell, so the rows of a sweep share their draws (common
 random numbers) and each cell's scores equal its one-cell call's.
 
-An iteration is an error when the signal statistic x = mu * E, with
-E = -ln(1 - u), does not beat its noise maximum y. The floor set F, the
-iterations with E <= c_f = -ln(1 - ``P_FLOOR``), is about a 64th of
-them and one set for every cell, since every cell shares u. Each scores
+The scores rest on one fact. The noise maximum y comes from the noise
+uniform v; given y and the amplitude m, the signal output is exponential
+with mean mu = m * m * energy + 1, so P(error | y, m) = -expm1(-y / mu).
+Its mean is p_e and its variance is at most the error indicator's
+(conditional Monte Carlo; Asmussen & Glynn, *Stochastic Simulation*,
+ch. V).
+
+A cell whose amplitudes are drawn (log-normal shadowing with sigma > 0)
+scores every iteration so, s = -expm1(-y / mu), and draws no signal
+uniform: p_e is the mean score and the half-width comes from the scores'
+sample variance (``_estimate``). Its scores are summed in pieces of
+``_PIECE`` iterations aligned to the chunk, and the chunk's total is the
+``math.fsum`` of its pieces, so the sums do not depend on the span, the
+other cells of the call or the threads.
+
+A cell with a constant mean (shadowing disabled, or sigma = 0) counts
+errors instead: an iteration errs when the signal statistic x = mu * E,
+with E = -ln(1 - u), does not beat y. The floor set F, the iterations
+with E <= c_f = -ln(1 - ``P_FLOOR``), is about a 64th of them and one set
+for every constant cell, since they share u. Each scores
 q = -expm1(-min(t, c_f)) with t = y / mu: P_f times its error
-probability given (v, m) and E <= c_f. F is chosen by E alone, which is
-independent of (v, m), so q's mean over F estimates P(error, E <= c_f)
+probability given v and E <= c_f. F is chosen by E alone, which is
+independent of v, so q's mean over F estimates P(error, E <= c_f)
 whatever F's size f is (a ratio estimator, conditional Monte Carlo
 within F); p_e is the error fraction outside F plus that mean over
 pi_n = P(f >= 1) (``_estimate``). Every span's union keeps F; the chunk
-collects it as it goes and scores it in every cell once it is drawn, in
-iteration order, so that the sums do not depend on the span, the other
-cells of the call or the threads.
+collects it as it goes and scores it in every constant cell once it is
+drawn, in iteration order, so that the sums do not depend on the span,
+the other cells of the call or the threads.
 
-Only iterations that can be errors are inverted. The noise maximum rises
-with its uniform v, so the one at a span's largest v, computed on one
-float with ``math`` and padded by a relative 1e-6 (``_SLACK``) against
-the few-ulp error of either computation, bounds every maximum of the
-span at that noise count, and an iteration whose signal statistic lies
-above the bound is correct in that cell. Each noise count has one cut
-on E for its constant means, from which the span's test on u is
-derived, and a shadowed statistic is formed by ``_shadowed`` alone,
-wherever it is tested or counted. Each span gathers the candidates of
-all its cells, its union, once; each noise count then inverts its
-maximum, and counts its cells, over that whole union. E, the noise
-maxima and every comparison go through the same element-wise ufuncs as
-a pass over every iteration, so each count equals that pass's bit for
-bit.
+Constant cells invert only iterations that can be errors. The noise
+maximum rises with its uniform v, so the one at a span's largest v,
+computed on one float with ``math`` and padded by a relative 1e-6
+(``_SLACK``) against the few-ulp error of either computation, bounds
+every maximum of the span at that noise count, and an iteration whose
+signal statistic lies above the bound is correct in that cell. Each
+noise count has one cut on E at its smallest constant mean, from which
+the span's test on u is derived. Each span gathers the candidates of all
+its constant cells, its union, once; each noise count then inverts its
+maximum, and counts its constant cells, over that whole union. E, the
+noise maxima and every comparison go through the same element-wise
+ufuncs as a pass over every iteration, so each count equals that pass's
+bit for bit.
 
 The chunk kernel is allocation-free: each worker allocates its scratch
 once per ``estimate_pe`` call, and so once per sweep: ``_scratch_rows``
 rows of one span, ``_span`` floats (a third of a chunk, rounded up to
-whole shadowing blocks), for u (then E), v, the noise maxima (the
-gather buffer before them), the signal statistics and each shadowing
-model's amplitudes, however many grid points the call carries. Every
-span draws, gathers and transforms in place there. Per span only the
-1-byte candidate and comparison masks, the candidates' indices, the E,
-ln v and squared amplitudes of its iterations with E <= c_f and, for
-block shadowing, one amplitude per block are new memory; the chunk
-joins the kept values once and scores them one cell at a time in four
-of its scratch rows, with a 1-byte mask over the kept values.
+whole pieces and whole shadowing blocks), for u (then E), v (then ln v),
+the noise maxima (the gather buffer before them, or -y for the drawn
+cells), the signal statistics (or a drawn cell's scores) and each
+shadowing model's amplitudes, however many grid points the call carries.
+Every span draws, scores, gathers and transforms in place there. Per
+span only the 1-byte candidate and comparison masks, the candidates'
+indices, the E and ln v of its iterations with E <= c_f and, for block
+shadowing, one amplitude per block are new memory; per chunk, the drawn
+cells' piece sums, and the kept values joined once and scored one cell
+at a time in three of the scratch rows, with a 1-byte mask over them.
 """
 
 from __future__ import annotations
@@ -104,6 +120,10 @@ P_FLOOR = 1.0 / 64.0
 # c_f = -ln(1 - P_f): a unit exponential E lies at or below it with
 # probability P_f.
 _FLOOR_CUT = -math.log1p(-P_FLOOR)
+# Iterations per piece of a drawn cell's score sums. Pieces are aligned to
+# the chunk and every span is whole pieces, so the sums do not depend on
+# the span; it divides CHUNK_SIZE.
+_PIECE = 1000
 
 
 def draw_m_batch(
@@ -153,13 +173,17 @@ def signal_power_from_uniform(mu, u):
     return np.multiply(mu, _unit_exponential(out, out), out=out)
 
 
-def _max_noise_from_log(n_noise: int, log_u, out):
-    """-ln(-expm1(ln(u)/N)) from ln(u) into ``out``: the max-of-noise inversion."""
+def _negative_max_noise_from_log(n_noise: int, log_u, out):
+    """ln(-expm1(ln(u)/N)) from ln(u) into ``out``: minus the max-of-noise inversion."""
     np.divide(log_u, n_noise, out=out)
     np.expm1(out, out=out)
     np.negative(out, out=out)
-    np.log(out, out=out)
-    return np.negative(out, out=out)
+    return np.log(out, out=out)
+
+
+def _max_noise_from_log(n_noise: int, log_u, out):
+    """-ln(-expm1(ln(u)/N)) from ln(u) into ``out``: the max-of-noise inversion."""
+    return np.negative(_negative_max_noise_from_log(n_noise, log_u, out), out=out)
 
 
 def max_noise_from_uniform(n_noise: int, u):
@@ -192,14 +216,6 @@ def _noise_bound(top: float, n_noise: int) -> float:
     return top + _SLACK * max(top, 1.0)
 
 
-def _shadowed(m2, energy: float, e, out):
-    """(m * m * energy + 1) * E into ``out``, from m * m: the shadowed signal
-    statistic, formed in this one order wherever it is tested or counted."""
-    np.multiply(m2, energy, out=out)
-    out += 1.0
-    return np.multiply(out, e, out=out)
-
-
 def _shadowing_models(signals: Sequence) -> dict:
     """Each distinct shadowing model of the signals and its index, in first-seen order."""
     models = dict.fromkeys(signal[0] for signal in signals if not isinstance(signal, float))
@@ -207,18 +223,30 @@ def _shadowing_models(signals: Sequence) -> dict:
 
 
 def _scratch_rows(signals: Sequence) -> int:
-    """Rows of scratch the chunk kernel needs: one each for u (then E), v,
-    the noise maxima y (first the gather buffer) and the signal statistics
-    x, and one per distinct shadowing model for its amplitudes."""
+    """Rows of scratch the chunk kernel needs: one each for u (then E), v
+    (then ln v), the noise maxima y (first the gather buffer, or -y for
+    drawn cells) and the signal statistics x (or a drawn cell's scores),
+    and one per distinct shadowing model for its amplitudes."""
     return 4 + len(_shadowing_models(signals))
 
 
 def _span(signals: Sequence) -> int:
     """Iterations per span of the chunk kernel: a third of a chunk, rounded
-    up to whole shadowing blocks of every model, so that no span cuts a block."""
-    block = math.lcm(*(model.block_len for model in _shadowing_models(signals)))
+    up to whole pieces and whole shadowing blocks of every model, so that
+    no span cuts a piece or a block."""
+    block = math.lcm(_PIECE, *(model.block_len for model in _shadowing_models(signals)))
     third = -(-CHUNK_SIZE // 3)
     return -(-third // block) * block
+
+
+def _piece_sums(t, out) -> None:
+    """``np.sum`` of each ``_PIECE``-long piece of ``t`` into ``out``, the
+    last one short when ``t`` is: the same bits, piece by piece, however
+    ``t`` is cut at piece boundaries."""
+    whole = t.size // _PIECE
+    t[: whole * _PIECE].reshape(whole, _PIECE).sum(axis=1, out=out[:whole])
+    if whole < out.size:
+        out[whole] = t[whole * _PIECE :].sum()
 
 
 def _compact(rows, mask, buffer):
@@ -252,55 +280,54 @@ def _chunk_error_count(
     ``_scratch_rows(signals)`` rows of at least min(n, ``_span(signals)``)
     floats, else ``ValueError``; the chunk overwrites those rows.
 
-    An iteration is an error when ``x <= y`` for signal statistic
-    x = mu * E and noise maximum y. The floor set F, one set for every
+    A cell whose amplitudes are drawn scores every iteration by its error
+    probability given its noise maximum y and amplitude m,
+    s = -expm1(-y / mu) with mu = m * m * energy + 1; it draws no u. Its
+    count is 0, and its sum and sum of squares are of s over the chunk.
+
+    A cell with a constant mean mu counts an error when ``x <= y`` for
+    signal statistic x = mu * E. The floor set F, one set for every such
     cell, holds the iterations with E <= c_f = -ln(1 - ``P_FLOOR``); each
     scores q = -expm1(-min(t, c_f)) for t = y / mu, ``P_FLOOR`` times its
-    error probability given its own (v, m) and E <= c_f. Returns, per
-    cell, the count of errors outside F and the sum and the sum of squares
-    of q over F (from ``_floor_scores``); and F's size.
+    error probability given its own v and E <= c_f. Its count is of the
+    errors outside F, its sums are of q over F (from ``_floor_scores``),
+    and F's size is returned last; it is 0 when no cell has a constant
+    mean, since then no u is drawn.
 
     The chunk runs a span of ``_span(signals)`` iterations at a time. Each
     span draws its own u, v and amplitudes from the chunk's three
     generators, which carry on from span to span, so every value equals
-    the one a whole-chunk draw gives it; a span is whole shadowing blocks,
-    but for a short chunk's last one. Only iterations that can be errors
-    are inverted, and the counts stay exact:
+    the one a whole-chunk draw gives it; a span is whole pieces and whole
+    shadowing blocks, but for a short chunk's last one. A drawn cell's
+    scores are summed in pieces of ``_PIECE`` iterations aligned to the
+    chunk and the chunk's total is the ``math.fsum`` of the pieces, so its
+    bits do not depend on the span.
+
+    For the constant cells, only iterations that can be errors are
+    inverted, and the counts stay exact:
 
     - No noise maximum of the span at noise count N exceeds
       ``bound[N] = _noise_bound(max v, N)``, over the span's v: each
       maximum increases with v, and the pad exceeds the few-ulp error of
       any computed one.
-    - So an iteration whose signal statistic x lies above the bound of its
-      cell's noise count is correct in that cell: a cell's errors are
-      among its candidates, the iterations with x <= bound, and a noise
-      count's candidates are its cells' together.
     - A constant mean mu gives x = mu * E, within an ulp of the product,
-      so each noise count with a constant mean has one cut on E,
-      bound * pad / mu * pad at its smallest mean with
-      pad = 1 + ``_SLACK``. E = -ln(1 - u) rises with u, within a few ulp,
-      so the span tests u at or below -expm1(-cut) * pad for the largest
-      cut, which keeps every u of every count's E cut.
-    - A shadowed signal's x is ``_shadowed``'s (m * m * energy + 1) * E,
-      formed alike wherever it is tested or counted. The span tests a
-      model's x at the smallest of its counts' energies against the
-      largest of their bounds.
+      so each noise count has one cut on E, bound * pad / mu * pad at its
+      smallest mean with pad = 1 + ``_SLACK``: above it, x lies above the
+      bound and the iteration is correct in every cell of the count.
+      E = -ln(1 - u) rises with u, within a few ulp, so the span tests u at
+      or below -expm1(-cut) * pad for the largest cut and c_f, which keeps
+      every u of every count's E cut and the floor set.
 
-    The span's candidates are every cell's together, its union: u (or
-    E), v and each model's squared amplitudes are compacted to it in
-    place, through the row that then takes the noise maxima. Each noise
-    count then inverts its maximum over the whole union and compares each
-    of its cells there. Every ufunc acts element by element, so a
-    gathered element gets the value it has in a pass over every
-    iteration, and counting over any superset of a cell's candidates
-    gives that pass's count bit for bit. Ties count as errors (measure
-    zero, pinned for reproducibility).
-
-    The span's union also keeps every iteration with E <= c_f: its test
-    on u takes the larger of the largest cut and c_f. Each span keeps
-    the E, ln v and squared amplitudes of those iterations, in order, and
-    ``_floor_scores`` scores them one cell at a time once the chunk is
-    drawn.
+    The span's candidates, its union, are gathered once: u and ln v are
+    compacted to it in place, through the row that then takes the noise
+    maxima. Each noise count inverts its maximum over the whole union and
+    compares each of its cells there. Every ufunc acts element by element,
+    so a gathered element gets the value it has in a pass over every
+    iteration, and counting over any superset of a cell's candidates gives
+    that pass's count bit for bit. Ties count as errors (measure zero,
+    pinned for reproducibility). Each span keeps the E and ln v of its
+    floor set, in order, and ``_floor_scores`` scores them one cell at a
+    time once the chunk is drawn.
     """
     span = _span(signals)
     rows, columns = _scratch_rows(signals), min(n, span)
@@ -309,18 +336,17 @@ def _chunk_error_count(
                          f"the chunk needs {rows} of {columns}")
     u_row, v_row, y_row, x_row, *amplitude_rows = scratch[:rows]
 
-    # Each noise count's cells as (cell, model index or None, mean or
-    # energy), its smallest constant mean, None without one, and its
-    # smallest energy per model index.
+    # Each noise count's constant cells as (cell, mean) and drawn cells as
+    # (cell, model index, energy), and its smallest constant mean.
     models = _shadowing_models(signals)
-    by_noise: dict = {}
-    least: list = [{} for _ in noise_counts]
+    constant: dict = {}
+    drawn: dict = {}
     for c, (j, k) in enumerate(cells):
-        g, value = ((None, signals[j]) if isinstance(signals[j], float)
-                    else (models[signals[j][0]], signals[j][1]))
-        by_noise.setdefault(k, []).append((c, g, value))
-        least[k][g] = min(least[k].get(g, math.inf), value)
-    means = [low.pop(None, None) for low in least]
+        if isinstance(signals[j], float):
+            constant.setdefault(k, []).append((c, signals[j]))
+        else:
+            drawn.setdefault(k, []).append((c, models[signals[j][0]], signals[j][1]))
+    means = {k: min(mean for _, mean in members) for k, members in constant.items()}
 
     shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
         [seed, chunk_index]
@@ -329,97 +355,108 @@ def _chunk_error_count(
     # Every model draws its amplitudes from the start of the shadowing stream.
     shadow_rngs = [np.random.default_rng(shadow_seed) for _ in models]
     pad = 1.0 + _SLACK
-    # The E, ln v and each model's squared amplitudes of every span's
-    # iterations with E <= c_f, in iteration order.
-    below: list = [[] for _ in range(2 + len(models))]
     counts = np.zeros(len(cells), dtype=np.int64)
+    sums, square_sums = np.zeros(len(cells)), np.zeros(len(cells))
+    # Each drawn cell's piece sums of -s and of s * s, in iteration order.
+    pieces = np.empty((len(cells), 2, -(-n // _PIECE))) if drawn else None
+    # The E and ln v of every span's iterations with E <= c_f, in order.
+    below: tuple = ([], [])
     for start in range(0, n, span):
         length = min(span, n - start)
-        u = signal_rng.random(length, out=u_row[:length])
         v = noise_rng.random(length, out=v_row[:length])
-        top = float(v.max())
-        bounds = [_noise_bound(top, n_noise) for n_noise in noise_counts]
-        # Each count's one cut on E is at its smallest constant mean; the
-        # union keeps every E at or below the largest of them and c_f.
-        cut = max([_FLOOR_CUT] + [bound * pad / mean * pad
-                                  for bound, mean in zip(bounds, means) if mean is not None])
-        candidates = u <= -math.expm1(-cut) * pad
-        if models:
-            _unit_exponential(u, out=u)
         squares = []
-        for (model, g), rng, row in zip(models.items(), shadow_rngs, amplitude_rows):
+        for model, rng, row in zip(models, shadow_rngs, amplitude_rows):
             m2 = draw_m_batch(model, rng, length, out=row[:length])
             m2 *= m2
             squares.append(m2)
-            energy = min(low[g] for low in least if g in low)
-            bound = max(b for b, low in zip(bounds, least) if g in low)
-            candidates |= _shadowed(m2, energy, u, x_row[:length]) <= bound
+        if constant:
+            top = float(v.max())
+        if drawn:
+            with np.errstate(divide="ignore"):
+                np.log(v, out=v)
+            neg_y, t = y_row[:length], x_row[:length]
+            at = slice(start // _PIECE, -(-(start + length) // _PIECE))
+            for k, members in drawn.items():
+                _negative_max_noise_from_log(noise_counts[k], v, out=neg_y)
+                for c, g, energy in members:
+                    # mu = (m * m) * energy + 1, then t = -y / mu and -s = expm1(t).
+                    np.multiply(squares[g], energy, out=t)
+                    t += 1.0
+                    np.divide(neg_y, t, out=t)
+                    np.expm1(t, out=t)
+                    _piece_sums(t, pieces[c, 0, at])
+                    t *= t
+                    _piece_sums(t, pieces[c, 1, at])
+        if not constant:
+            continue
 
+        u = signal_rng.random(length, out=u_row[:length])
+        bounds = {k: _noise_bound(top, noise_counts[k]) for k in constant}
+        # Each count's one cut on E is at its smallest mean; the union
+        # keeps every E at or below the largest of them and c_f.
+        cut = max(_FLOOR_CUT, *(bounds[k] * pad / means[k] * pad for k in constant))
+        candidates = u <= -math.expm1(-cut) * pad
         # y_row is free until the counts below write the noise maxima.
-        live = _compact([u, v, *squares], candidates, y_row)
+        e, log_v = _compact([u, v], candidates, y_row)
         del candidates
-        e, log_v, *squares = live
-        if not models:
-            _unit_exponential(e, out=e)
-        with np.errstate(divide="ignore"):
-            np.log(log_v, out=log_v)
+        _unit_exponential(e, out=e)
+        if not drawn:
+            with np.errstate(divide="ignore"):
+                np.log(log_v, out=log_v)
         floor = np.flatnonzero(e <= _FLOOR_CUT)
-        for kept, row in zip(below, live):
+        for kept, row in zip(below, (e, log_v)):
             kept.append(np.take(row, floor))
         del floor
         y, x = y_row[: e.size], x_row[: e.size]
-        for k, members in by_noise.items():
+        for k, members in constant.items():
             _max_noise_from_log(noise_counts[k], log_v, out=y)
-            for c, g, value in members:
-                if g is None:
-                    np.multiply(value, e, out=x)
-                else:
-                    _shadowed(squares[g], value, e, x)
-                counts[c] += np.count_nonzero(x <= y)
-    for i, parts in enumerate(below):
-        below[i] = np.concatenate(parts)
-    sums, square_sums = _floor_scores(below, by_noise, noise_counts, counts, scratch)
-    return counts, sums, square_sums, below[0].size
+            for c, mean in members:
+                counts[c] += np.count_nonzero(np.multiply(mean, e, out=x) <= y)
+    for members in drawn.values():
+        for c, _, _ in members:
+            # 0.0 - total is -total, but +0 where every score is 0.
+            sums[c] = 0.0 - math.fsum(pieces[c, 0])
+            square_sums[c] = math.fsum(pieces[c, 1])
+    if not constant:
+        return counts, sums, square_sums, 0
+    e, log_v = (np.concatenate(parts) for parts in below)
+    _floor_scores(e, log_v, constant, noise_counts, counts, sums, square_sums, scratch)
+    return counts, sums, square_sums, e.size
 
 
 def _floor_scores(
-    below: Sequence[np.ndarray],
-    by_noise: dict,
+    e: np.ndarray,
+    log_v: np.ndarray,
+    constant: dict,
     noise_counts: Sequence[int],
     counts: np.ndarray,
+    sums: np.ndarray,
+    square_sums: np.ndarray,
     scratch: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score a chunk's floor set in every cell, in iteration order.
+) -> None:
+    """Score a chunk's floor set in every constant cell, in iteration order.
 
-    ``below`` holds the E, ln v and each model's squared amplitudes of the
-    chunk's iterations with E <= c_f, in iteration order, and ``by_noise``
-    each noise count's cells as (cell, model index or None, mean or
-    energy). In each cell, every such iteration's error, if ``counts``
-    holds one, is taken back out, and it scores
-    q = -expm1(-min(t, c_f)) for t = y / mu instead. Returns per cell the
+    ``e`` and ``log_v`` hold the E and ln v of the chunk's iterations with
+    E <= c_f, in iteration order, and ``constant`` each noise count's
+    cells as (cell, mean). In each cell, every such iteration's error, if
+    ``counts`` holds one, is taken back out, and it scores
+    q = -expm1(-min(t, c_f)) for t = y / mu instead. Writes per cell the
     ``np.sum`` of q over the chunk's iterations with E <= c_f, in
-    iteration order, and the same sum of q squared. Each is one sum over
-    the chunk, so its bits do not depend on the span.
+    iteration order, into ``sums``, and the same sum of q squared into
+    ``square_sums``. Each is one sum over the chunk, so its bits do not
+    depend on the span.
 
     Each noise count inverts its maximum y once, and its cells are scored
-    one at a time, in four rows of ``scratch`` for y, mu, x and t, or in
-    four new rows when the floor set is wider than a row.
+    one at a time, in three rows of ``scratch`` for y, x and t, or in
+    three new rows when the floor set is wider than a row.
     """
-    sums, square_sums = np.zeros(counts.size), np.zeros(counts.size)
-    e, log_v, *squares = below
     size = e.size
-    y, mu, x, t = scratch[:4, :size] if size <= scratch.shape[1] else np.empty((4, size))
-    for k, members in by_noise.items():
+    y, x, t = scratch[:3, :size] if size <= scratch.shape[1] else np.empty((3, size))
+    for k, members in constant.items():
         _max_noise_from_log(noise_counts[k], log_v, out=y)
-        for c, g, value in members:
-            if g is None:
-                mu[:] = value
-            else:
-                # (m * m) * energy + 1, as _shadowed forms it.
-                np.multiply(squares[g], value, out=mu)
-                mu += 1.0
-            np.divide(y, mu, out=t)
-            counts[c] -= np.count_nonzero(np.multiply(mu, e, out=x) <= y)
+        for c, mean in members:
+            np.divide(y, mean, out=t)
+            counts[c] -= np.count_nonzero(np.multiply(mean, e, out=x) <= y)
             # q = -expm1(-min(t, c_f)); the signs are exact.
             np.minimum(t, _FLOOR_CUT, out=t)
             np.negative(t, out=t)
@@ -428,7 +465,6 @@ def _floor_scores(
             sums[c] = t.sum()
             t *= t
             square_sums[c] = t.sum()
-    return sums, square_sums
 
 
 def estimate_pe(
@@ -443,15 +479,16 @@ def estimate_pe(
 ) -> PeEstimate | tuple[PeEstimate, ...]:
     """Monte Carlo symbol error probability of the square-law receiver.
 
-    Per iteration: draw the large-scale amplitude, compute the signal-slot
-    mean, draw the signal statistic and the max of the ``S - 1`` noise
-    statistics, and score the error indicator, 1 when the signal does not
-    win; in the floor set, score the conditional error probability
-    instead (see the module docstring). ``p_e`` is the error fraction
-    outside the floor set plus the floor set's mean score, and
-    ``half_width_95`` 1.96 times the standard error (``_estimate``).
-    Deterministic for fixed (seed, iterations); ``threads`` only changes
-    wall time.
+    Per iteration: draw the max of the ``S - 1`` noise statistics and,
+    under shadowing with sigma > 0, the large-scale amplitude, and score
+    the error probability given both, -expm1(-y / mu); ``p_e`` is the mean
+    score. With a constant signal-slot mean, draw the signal statistic
+    and score the error indicator, 1 when the signal does not win, or in
+    the floor set the conditional error probability (see the module
+    docstring); ``p_e`` is the error fraction outside the floor set plus
+    the floor set's mean score. ``half_width_95`` is 1.96 times the
+    standard error (``_estimate``). Deterministic for fixed (seed,
+    iterations); ``threads`` only changes wall time.
 
     ``params`` and ``model`` may each be a sequence, and then
     ``transmit_power`` holds one power per ``params`` entry: the call
@@ -546,30 +583,49 @@ def estimate_pe(
         # workers ran their chunks cannot show.
         estimates.append(_estimate(
             int(errors[c]), floor_size, math.fsum(sums[c] for sums, _, _ in chunks),
-            math.fsum(squares[c] for _, squares, _ in chunks), iterations, seed))
+            math.fsum(squares[c] for _, squares, _ in chunks), iterations, seed,
+            drawn=not isinstance(signal_list[cell_list[c][0]], float)))
     return estimates[0] if one_cell else tuple(estimates)
 
 
 def _estimate(errors: int, floor_size: int, score_sum: float, square_sum: float,
-              iterations: int, seed: int) -> PeEstimate:
-    """p_e and its 95 % half-width from ``errors`` outside the floor set F
-    and the f = ``floor_size`` scores q over F, which sum to ``score_sum``
-    and their squares to ``square_sum``.
+              iterations: int, seed: int, drawn: bool = False) -> PeEstimate:
+    """p_e and its 95 % half-width from a cell's scores.
 
-    With p_B = errors / n and pi_n = 1 - (1 - P_f)^n = P(f >= 1),
-    p_e = p_B + (sum q / f) / pi_n, the second term 0 when f = 0, and the
-    half-width is 1.96 sqrt(p_B (1 - p_B) / n + var_F(q) / (f pi_n^2)),
-    var_F(q) = sum q^2 / f - (sum q / f)^2. Dividing by pi_n keeps p_e
-    unbiased at any n; it is 1.0 in floats from about 2 300 iterations.
+    A ``drawn`` cell scores every iteration: its n scores s lie in [0, 1]
+    and sum to ``score_sum``, their squares to ``square_sum``. Then
+    p_e = sum s / n and the half-width is 1.96 sqrt(var(s) / n), with the
+    sample variance var(s) = (sum s^2 - (sum s)^2 / n) / (n - 1), or 1/4,
+    the largest variance of a score in [0, 1], at n = 1.
+
+    A constant cell has ``errors`` outside the floor set F and the
+    f = ``floor_size`` scores q over F, which lie in [0, P_f] and sum to
+    ``score_sum``, their squares to ``square_sum``. With p_B = errors / n
+    and pi_n = 1 - (1 - P_f)^n = P(f >= 1), p_e = p_B + (sum q / f) / pi_n,
+    the second term 0 when f = 0, and the half-width is
+    1.96 sqrt(p_B (1 - p_B) / n + var_F(q) / (max(f, 1) pi_n^2)), with
+    var_F(q) = sum q^2 / f - (sum q / f)^2 from two scores on and
+    (P_f / 2)^2, the largest variance of a score in [0, P_f], below them.
+    Dividing by pi_n keeps p_e unbiased at any n; it is 1.0 in floats from
+    about 2 300 iterations.
     """
+    if drawn:
+        p_e = score_sum / iterations
+        variance = 0.25
+        if iterations > 1:
+            variance = max(square_sum - score_sum * score_sum / iterations, 0.0) / (iterations - 1)
+        half_width = 1.96 * math.sqrt(variance / iterations)
+        return PeEstimate(p_e=p_e, iterations=iterations, half_width_95=half_width, seed=seed)
     p_b = errors / iterations
     p_e, variance = p_b, p_b * (1.0 - p_b) / iterations
+    reach = -math.expm1(iterations * math.log1p(-P_FLOOR))
+    spread = (P_FLOOR / 2.0) ** 2
     if floor_size:
-        reach = -math.expm1(iterations * math.log1p(-P_FLOOR))
         mean = score_sum / floor_size
         # An f below its mean can lift a p_e within its noise of 1 past 1.
         p_e = min(p_e + mean / reach, 1.0)
-        spread = max(square_sum / floor_size - mean * mean, 0.0)
-        variance += spread / (floor_size * reach * reach)
+        if floor_size > 1:
+            spread = max(square_sum / floor_size - mean * mean, 0.0)
+    variance += spread / (max(floor_size, 1) * reach * reach)
     half_width = 1.96 * math.sqrt(variance)
     return PeEstimate(p_e=p_e, iterations=iterations, half_width_95=half_width, seed=seed)

@@ -56,13 +56,17 @@ def signal_energy(
 
     The transmitted slot's squared output is exponential with mean
     ``mu = m^2 * signal_energy + 1``; zero power is the pure-noise limit.
+    An energy past the float range raises ``ValueError``.
     """
     if not transmit_power >= 0:
         raise ValueError("transmit_power must be nonnegative")
     if not noise_density > 0:
         raise ValueError("noise_density must be positive")
     inputs = params.inputs
-    return transmit_power * inputs.symbol_time_s / (inputs.duty_cycle * noise_density)
+    scale = inputs.duty_cycle * noise_density
+    if not (scale > 0 and transmit_power * inputs.symbol_time_s / scale < math.inf):
+        raise ValueError("noise_density gives a signal energy outside the float range")
+    return transmit_power * inputs.symbol_time_s / scale
 
 
 # Below this argument lnGamma differences are summed term by term; from it

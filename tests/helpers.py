@@ -116,7 +116,7 @@ def header_to_config_text(line: str) -> str:
 
 # The chunk kernel without any filter: every iteration is inverted and
 # scored, in the order the estimator defines, as the reference whose
-# counts, floor sums and floor size the filtered kernel must equal bit for
+# counts, score sums and floor size the filtered kernel must equal bit for
 # bit.
 def reference_chunk_error_count(
     chunk_index: int,
@@ -132,15 +132,21 @@ def reference_chunk_error_count(
     iteration, else the (model, signal energy) whose amplitudes the
     shadowing stream draws. The chunk is seeded by (seed, chunk). Its signal
     and noise uniforms are drawn once and turned once into E = -ln(1 - u)
-    and ln(v); each signal statistic is then mu * E and each noise maximum
-    y is finished from ln(v). Every iteration of the floor set, those with
+    and ln(v); each noise maximum y is finished from ln(v).
+
+    A drawn signal scores every iteration s = -expm1(-y / mu) and counts
+    nothing; its sums are the ``math.fsum`` of the np.sum of each
+    1000-iteration slice of s, and of s squared. A constant signal's
+    statistic is mu * E. Every iteration of the floor set, those with
     E <= c_f, scores q = -expm1(-min(t, c_f)) for t = y / mu; every other
-    one scores its error indicator, x <= y (ties count as errors).
+    one scores its error indicator, x <= y (ties count as errors), and the
+    sums are the np.sum of q over the floor set, in order, and of q squared.
+
     ``scratch`` holds at least ``len(noise_counts) + 2`` rows of at least
     ``n`` floats; the chunk overwrites the first ``n`` entries of those it
-    uses. Returns the counts of the indicators, the np.sum of q over the
-    floor set, in order, and the same sum of q squared, each shaped
-    (signals, noise counts), and the floor set's size.
+    uses. Returns the counts of the indicators and the two sums, each
+    shaped (signals, noise counts), and the floor set's size, 0 when no
+    signal is constant.
     """
     shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
         [seed, chunk_index]
@@ -160,21 +166,27 @@ def reference_chunk_error_count(
     ]
     work = spare[last]
     shape = (len(signals), len(noise_counts))
-    counts = np.empty(shape, dtype=np.int64)
+    counts = np.zeros(shape, dtype=np.int64)
     sums, square_sums = np.empty(shape), np.empty(shape)
     for j, signal in enumerate(signals):
-        mu = signal
-        if not isinstance(signal, float):
-            model, energy_factor = signal
-            mu = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=np.empty(n))
-            # mu = (m * m) * energy_factor + 1, evaluated in that order.
-            mu *= mu
-            mu *= energy_factor
-            mu += 1.0
-        x = np.multiply(mu, e, out=work)
+        if isinstance(signal, float):
+            x = np.multiply(signal, e, out=work)
+            for k, y in enumerate(ys):
+                counts[j, k] = np.count_nonzero((x <= y) & ~floor)
+                scores = -np.expm1(-np.minimum(y / signal, _FLOOR_CUT))[floor]
+                sums[j, k] = np.sum(scores)
+                square_sums[j, k] = np.sum(scores * scores)
+            continue
+        model, energy_factor = signal
+        mu = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=np.empty(n))
+        # mu = (m * m) * energy_factor + 1, evaluated in that order.
+        mu *= mu
+        mu *= energy_factor
+        mu += 1.0
         for k, y in enumerate(ys):
-            counts[j, k] = np.count_nonzero((x <= y) & ~floor)
-            scores = -np.expm1(-np.minimum(y / mu, _FLOOR_CUT))[floor]
-            sums[j, k] = np.sum(scores)
-            square_sums[j, k] = np.sum(scores * scores)
-    return counts, sums, square_sums, int(np.count_nonzero(floor))
+            scores = -np.expm1(-(y / mu))
+            sums[j, k] = math.fsum(np.sum(scores[i : i + 1000]) for i in range(0, n, 1000))
+            square_sums[j, k] = math.fsum(
+                np.sum(scores[i : i + 1000] ** 2) for i in range(0, n, 1000))
+    constant = any(isinstance(signal, float) for signal in signals)
+    return counts, sums, square_sums, int(np.count_nonzero(floor)) if constant else 0

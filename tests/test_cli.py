@@ -165,6 +165,16 @@ def test_non_finite_value_exits_2_naming_its_key(
     assert f"{key}: invalid value {text!r} (must be finite)" in err
 
 
+@pytest.mark.parametrize("command", ["pe", "capacity", "derive"])
+def test_signal_energy_past_the_float_range_exits_2_naming_n_0(command, capsys):
+    # p_r T_s / (theta n_0) = 1.01 / 1e-322 overflows: pe read p_e = 0 +- 0
+    # and capacity awgn_bps = inf, both with exit 0.
+    code, out, err = run_cli([command, *BASE_SETS, "--set", "n_0=1e-320", "--iters", "1000"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err == "error: n_0: the signal energy it gives lies outside the float range\n"
+
+
 @pytest.mark.parametrize("flag, key, value", [
     ("--sigma-db", "sigma_db", "nan"),
     ("--grid", "grid", "1e-3,nan"),
@@ -667,12 +677,14 @@ def test_compare_shadowing_csv(sigma_db, capsys, tmp_path):
 
 
 # sha256 of the result files at 250 000 iterations, captured when the
-# floor set's scores were first averaged over its actual size; each row
-# equals the one-cell estimate at its point (tests/test_sweep.py) and
-# lies near its exact value (below).
+# floor set's scores were first averaged over its actual size (the
+# compare-shadowing on rows' when every shadowed iteration was first scored
+# by its conditional error probability); each row equals the one-cell
+# estimate at its point (tests/test_sweep.py) and lies near its exact
+# value (below).
 PINNED_CSV_SHA256 = {
     "sweep": "f662027d6947004dd89eee969285d1af6c2a6966bd8a633ab50251532b563299",
-    "compare-shadowing": "7286ded98f30b9ed5ca2a50c192c32c8d7bd8eeaf3cfccfcbd04247e77207808",
+    "compare-shadowing": "4f262a0b43fc6eb7686de2f695d12a8d85a2f4c430738e0307ebf6ff7a854361",
 }
 
 

@@ -25,7 +25,6 @@ from wtfc.detector import (
     _max_noise_from_log,
     _noise_bound,
     _scratch_rows,
-    _shadowed,
     _span,
     _unit_exponential,
     draw_m_batch,
@@ -367,20 +366,21 @@ _PIN_SHADOWED = _PIN_GEOMETRY.replace(shadowing_std_db=8.0)
 # Score totals, p_e times iterations, of estimate_pe(alphabet 16, P_t = 100,
 # N_0 = 1, seed 2024) at 250 000 iterations (two full chunks and a half
 # one) and at 37: (model, hold_mean_rx_power, total), each a float whose
-# quotient by the iterations is p_e's bits. Every total holds floor-set
-# scores; at 37 iterations the one iteration of the floor set scores P_f,
-# over pi_37 = 0.441. test_pins_lie_near_the_exact_value checks the
-# 250 000-iteration ones.
+# quotient by the iterations is p_e's bits. The constant-mean totals hold
+# floor-set scores; at 37 iterations the floor set's scores are P_f, over
+# pi_37 = 0.441. The shadowed totals are sums of every iteration's
+# conditional error probability. test_pins_lie_near_the_exact_value
+# checks the 250 000-iteration ones.
 PINNED_ERRORS = {
     "disabled": (NO_FADING, False, {250_000: 8060.255766149873, 37: 1.3091441795638512}),
     "zero_sigma": (_PIN_GEOMETRY, False, {250_000: 59105.25, 37: 9.309144179563852}),
-    "sigma_8db": (_PIN_SHADOWED, False, {250_000: 79894.04470870012, 37: 12.309144179563853}),
+    "sigma_8db": (_PIN_SHADOWED, False, {250_000: 79990.58249003901, 37: 9.722779879621841}),
     "sigma_8db_blocks": (
         _PIN_SHADOWED.replace(block_len=1000), False,
-        {250_000: 68456.81449610167, 37: 8.309144179563852},
+        {250_000: 68226.3591054916, 37: 6.196873095479254},
     ),
     "hold_mean_rx_power": (
-        _PIN_SHADOWED, True, {250_000: 144014.76307788966, 37: 21.30914417956385}
+        _PIN_SHADOWED, True, {250_000: 143974.1386110798, 37: 20.400416554834475}
     ),
 }
 
@@ -502,7 +502,7 @@ def test_scratch_rows_do_not_grow_with_the_grid(shadowing):
                                              5000, 10_000, 50_000, 100_000)]
     twelve = _readme_point_cells(twelve_duties, shadowing)[0]
     scratch_bytes = _scratch_rows(twelve) * _span(twelve) * 8
-    assert scratch_bytes == _scratch_rows(four) * _span(four) * 8 <= 5 * 33_334 * 8
+    assert scratch_bytes == _scratch_rows(four) * _span(four) * 8 <= 5 * 34_000 * 8
     inputs = [PhysicalInputs(bandwidth_hz=100e6, symbol_time_s=101e-6, delay_spread_s=20e-6,
                              doppler_spread_hz=25e3, duty_cycle=duty)
               for duty in twelve_duties]
@@ -579,7 +579,7 @@ def test_chunk_counts_equal_the_all_iterations_kernel(cells, mu, n):
 
 
 # Block lengths that divide a chunk but not a third of it, and the spans
-# they give: whole blocks, where a block length of 1 gives 33 334.
+# they give: whole blocks, where a block length of 1 gives 34 000.
 _LONG_BLOCKS = {20_000: 40_000, 50_000: 50_000, 100_000: 100_000}
 
 
@@ -625,7 +625,7 @@ def test_span_draws_equal_slices_of_one_whole_chunk_draw(block_len, n):
 def test_tiny_iteration_counts_equal_the_all_iterations_kernel(cells, iterations):
     # A chunk of one to three iterations, in scratch as wide as the
     # iterations: each cell, formed as estimate_pe forms it, equals the
-    # reference's count.
+    # reference's estimate, and some cell scores more than 0.
     models = {"constant": (NO_FADING, _PIN_GEOMETRY), "shadowed": (_PIN_SHADOWED, _BLOCKS),
               "mixed": (NO_FADING, _PIN_SHADOWED)}[cells]
     variants = tuple(helpers.scheme_with_alphabet(s) for s in (16, 4, 2))
@@ -639,18 +639,19 @@ def test_tiny_iteration_counts_equal_the_all_iterations_kernel(cells, iterations
                            else amplitude * amplitude * energy + 1.0)
     noise_counts = [params.noise_slot_count for params in variants]
     reference = np.empty((len(noise_counts) + 2, iterations))
-    errors = 0
+    scored = 0.0
     for seed in range(20):
         got = estimate_pe(variants, models, powers, 1.0, iterations, seed=seed)
         counts, sums, squares, f = helpers.reference_chunk_error_count(
             0, iterations, seed, signals, noise_counts, reference)
         cells = [(j, j % len(variants)) for j in range(len(signals))]
         assert list(got) == [
-            detector._estimate(int(counts[cell]), f, sums[cell], squares[cell], iterations, seed)
+            detector._estimate(int(counts[cell]), f, sums[cell], squares[cell], iterations, seed,
+                               drawn=not isinstance(signals[cell[0]], float))
             for cell in cells
         ], seed
-        errors += int(counts.sum())
-    assert errors > 0
+        scored += counts.sum() + sums.sum()
+    assert scored > 0
 
 
 # Means at which a span's union holds 8-30 % of it, at the noise counts of
@@ -854,20 +855,25 @@ def test_noise_bound_covers_the_largest_maximum_at_the_edges(top, n_noise):
 
 
 @pytest.mark.parametrize("energy", [0.0, 1e-300, 100.0, 1e12])
-def test_shadowed_statistic_matches_the_reference_order_bit_for_bit(energy):
-    # The reference forms mu = m * m; mu *= energy; mu += 1 and then mu * E.
-    # A reordering rarely flips a count, so compare bits at the edges.
-    m = np.repeat([0.0, 5e-324, 1.0, 1e150], 4)
-    e = np.tile([0.0, 5e-324, 1.0, 745.0], 4)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = m * m
-        mu *= energy
-        mu += 1.0
-        want = np.multiply(mu, e).tobytes()
-        assert _shadowed(m * m, energy, e, np.empty_like(e)).tobytes() == want
-        # In place over m * m, as a count forms it from gathered amplitudes.
-        m2 = m * m
-        assert _shadowed(m2, energy, e, m2).tobytes() == want
+def test_drawn_scores_match_the_reference_order_bit_for_bit(monkeypatch, energy):
+    # The kernel forms mu = m * m; mu *= energy; mu += 1, then t = -y / mu
+    # from -y and -s = expm1(t); the reference forms s = -expm1(-(y / mu)).
+    # Amplitudes and uniforms at the edges, where a reordering would show.
+    n = 1000
+    m = np.repeat([0.0, 5e-324, 1.0, 1e150], n // 4)
+    v = np.tile([0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0)], n // 4)
+
+    def amplitudes(model, rng, k, out):
+        out[:] = m[:k]
+        return out
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seq: _FixedUniforms(
+        default_rng(seq), {2: v}.get(seq.spawn_key[-1])))
+    monkeypatch.setattr(detector, "draw_m_batch", amplitudes)
+    monkeypatch.setattr(helpers, "draw_m_batch", amplitudes)
+    with np.errstate(over="ignore"):
+        _assert_kernel_matches_reference([(_PIN_SHADOWED, energy)], [1, 2699, 10**9], n, [0])
 
 
 def test_uniform_cut_keeps_every_uniform_within_the_e_cut():
@@ -984,6 +990,63 @@ def test_floor_estimate_is_unbiased_at_small_n():
     assert abs(p_e.mean() - exact) <= 4 * p_e.std(ddof=1) / math.sqrt(p_e.size)
 
 
+def _deep_fade_cell():
+    """The README point at duty 1e-4 under 8 dB shadowing, one symbol per
+    realization, and its exact p_e: 0.0087, of which the 0.0017 without
+    shadowing is a fifth, so most errors come from deep fades."""
+    params = derive_scheme(_readme_inputs(1e-4))
+    model = LargeScaleModel(enabled=True, shadowing_std_db=8.0)
+    exact = helpers.exact_pe(model, signal_energy(10e3, params, 1.0), params.noise_slot_count)
+    return params, model, exact
+
+
+def test_drawn_intervals_cover_the_exact_value():
+    # Over 20 fixed seeds, each 95 % interval of the conditional score's
+    # mean must hold the Gauss-Hermite average in at least 17.
+    params, model, exact = _deep_fade_cell()
+    covered = sum(abs(est.p_e - exact) <= est.half_width_95
+                  for est in (estimate_pe(params, model, 10e3, 1.0, 50_000, seed=seed)
+                              for seed in range(20)))
+    assert covered >= 17, covered
+
+
+def test_drawn_estimate_is_unbiased_at_small_n():
+    # The mean score is unbiased at any n: over 1000 seeds of 50 iterations
+    # the mean p_e lies within 4 standard errors of the exact value, and no
+    # half-width is 0.
+    params, model, exact = _deep_fade_cell()
+    estimates = [estimate_pe(params, model, 10e3, 1.0, 50, seed=seed) for seed in range(1000)]
+    p_e = np.array([est.p_e for est in estimates])
+    assert abs(p_e.mean() - exact) <= 4 * p_e.std(ddof=1) / math.sqrt(p_e.size)
+    assert min(est.half_width_95 for est in estimates) > 0
+
+
+def test_drawn_half_width_at_one_iteration_is_the_widest():
+    # One score has no sample variance; the half-width takes 1/4, the
+    # largest variance of a score in [0, 1]: 1.96 * sqrt(1/4) = 0.98.
+    params, model, _ = _deep_fade_cell()
+    for seed in range(5):
+        est = estimate_pe(params, model, 10e3, 1.0, 1, seed=seed)
+        assert 0 < est.p_e < 1 and est.half_width_95 == 0.98
+
+
+@pytest.mark.parametrize("seed, floor_size", [(1, 1), (3, 0)])
+def test_floor_spread_below_two_scores_is_the_widest(seed, floor_size):
+    # README point at duty 1e-4, 50 iterations, no error outside the floor
+    # set. Below two scores q in [0, P_f] the spread is (P_f / 2)^2, over
+    # max(f, 1): seed 1 draws f = 1 (it read 0.00305 +- 0 with the one
+    # score's spread of 0), seed 3 draws f = 0 (0 +- 0).
+    params = derive_scheme(_readme_inputs(1e-4))
+    mu = signal_energy(10e3, params, 1.0) + 1.0
+    counts, sums, _, f = helpers.reference_chunk_error_count(
+        0, 50, seed, [mu], [params.noise_slot_count], np.empty((3, 50)))
+    assert (f, counts[0, 0]) == (floor_size, 0)
+    est = estimate_pe(params, NO_FADING, 10e3, 1.0, 50, seed=seed)
+    reach = -math.expm1(50 * math.log1p(-detector.P_FLOOR))
+    assert est.p_e == (sums[0, 0] / f / reach if f else 0.0)
+    assert est.half_width_95 == 1.96 * math.sqrt((detector.P_FLOOR / 2) ** 2 / (reach * reach))
+
+
 @pytest.mark.parametrize("powers", [100.0, (100.0,), (100.0, 100.0, 100.0)])
 def test_rejects_powers_not_one_per_params_entry(powers):
     variants = (helpers.scheme_with_alphabet(16), helpers.scheme_with_alphabet(4))
@@ -1019,6 +1082,17 @@ def test_nan_fails_at_its_field(field):
             estimate_pe(params, NO_FADING, math.nan, 1.0, 10, seed=0)
         else:
             estimate_pe(params, NO_FADING, 1.0, math.nan, 10, seed=0)
+
+
+@pytest.mark.parametrize("noise_density", [1e-300, 5e-324])
+def test_signal_energy_past_the_float_range_fails(noise_density):
+    # Duty 1 and T_s = 1: the energy is P_t / N_0, past the float range at
+    # either N_0. An infinite mu read p_e = 0 +- 0.
+    params = helpers.scheme_with_alphabet(4)
+    with pytest.raises(ValueError, match="^noise_density gives a signal energy outside"):
+        signal_energy(1e10, params, noise_density)
+    with pytest.raises(ValueError, match="^noise_density gives a signal energy outside"):
+        estimate_pe(params, NO_FADING, 1e10, noise_density, 10, seed=0)
 
 
 @pytest.mark.parametrize("field", ["bandwidth_hz", "symbol_time_s", "doppler_spread_hz"])

@@ -244,6 +244,17 @@ def test_snr_db_point_whose_transmit_power_overflows_becomes_skipped_row():
                                       "lies outside the float range")
 
 
+def test_point_whose_signal_energy_overflows_becomes_skipped_row():
+    # At n_0 = 1e-305 the base point's energy is finite; a thousandth of
+    # its duty cycle puts it past the float range.
+    base = make_base(n_0=1e-305, iterations=1000)
+    duty = base.inputs.duty_cycle
+    rows = run_sweep(SweepSpec(base=base, axis="duty_cycle", grid=(duty, duty / 1000))).rows
+    assert rows[0].skipped_reason is None and rows[0].p_e is not None
+    assert rows[1].skipped_reason == ("n_0: the signal energy it gives lies outside the "
+                                      "float range")
+
+
 def test_invalid_duty_cycle_point_is_skipped_with_reason():
     base = make_base()
     spec = SweepSpec(base=base, axis="duty_cycle", grid=(0.4, 0.1, 0.01))

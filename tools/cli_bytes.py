@@ -154,6 +154,9 @@ CALLS = [
     # seed 6 draws f >= 2, so its scores' spread gives the half-width.
     ("pe-iters-50", ["pe", *POINT, "--set", "duty_cycle=1e-4", *PR, "--iters", "50",
                      "--seed", "6", *OUT], {}),
+    # One shadowed iteration: one score, whose half-width is the widest.
+    ("pe-shadowed-iters-1", ["pe", *POINT, *PR, "--iters", "1", "--seed", "3", *OUT],
+     SHADOWED),
 ]
 
 
