@@ -522,8 +522,7 @@ def test_scratch_rows_do_not_grow_with_the_grid(shadowing):
 def test_two_workers_hold_two_scratches_and_their_chunks(shadowing):
     # Each worker holds its own scratch, rows of one span, and its chunk's
     # temporaries, less than one span array (the warm-chunk test above).
-    # Both may hold their temporaries at once: on shadow-pair's grid each
-    # worker's gather index alone is ~0.45 of a span.
+    # Both may hold their temporaries at once.
     variants = [derive_scheme(_readme_inputs(duty), v)
                 for duty in _README_DUTIES for v in ("WTFC", "IFSK")]
     on = LargeScaleModel(enabled=True, shadowing_std_db=8.0)
@@ -655,14 +654,14 @@ def test_tiny_iteration_counts_equal_the_all_iterations_kernel(cells, iterations
 
 
 # Means at which a span's union holds 8-30 % of it, at the noise counts of
-# shadow-pair ([2699]) and mc-sweep ([269_999, 2699]): (cells, noise counts, mu).
+# shadow-pair ([2699]) and mc-sweep ([269_999, 2699]): (cells, noise counts,
+# mu). Only constant means enter the union; the mixed cells score their
+# drawn signals over every iteration beside it.
 _UNION_CASES = [
     ("constant", [2699], 150.0),
     ("constant", [269_999, 2699], 90.0),
-    ("shadowed", [2699], 4200.0),
-    ("shadowed", [269_999, 2699], 1700.0),
-    ("mixed", [2699], 9000.0),
-    ("mixed", [269_999, 2699], 3900.0),
+    ("mixed", [2699], 150.0),
+    ("mixed", [269_999, 2699], 90.0),
 ]
 
 
