@@ -61,5 +61,9 @@ def awgn_capacity(receive_power: float, noise_density: float, bandwidth_hz: floa
     """Shannon capacity B log2(1 + P_r / (N_0 B)), the upper-bound baseline."""
     if not (receive_power > 0 and noise_density > 0 and bandwidth_hz > 0):
         raise ValueError("receive_power, noise_density and bandwidth_hz must be positive")
-    return bandwidth_hz * math.log2(1.0 + receive_power / (noise_density * bandwidth_hz))
+    band = noise_density * bandwidth_hz
+    if not (band > 0 and receive_power / band < math.inf):
+        raise ValueError("the SNR receive_power / (noise_density * bandwidth_hz) "
+                         "lies outside the float range")
+    return bandwidth_hz * math.log2(1.0 + receive_power / band)
 

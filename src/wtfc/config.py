@@ -231,6 +231,11 @@ class RunConfig(Record):
         scale = inputs.duty_cycle * self.n_0
         if p_t is not None and not (scale > 0 and p_t * inputs.symbol_time_s / scale < math.inf):
             raise ConfigError("n_0", "the signal energy it gives lies outside the float range")
+        # And the AWGN SNR P / (N_0 B) at either power, as capacity.awgn_capacity
+        # forms it.
+        band = self.n_0 * inputs.bandwidth_hz
+        if p_t is not None and not (band > 0 and max(p_t, self.resolved_p_r()) / band < math.inf):
+            raise ConfigError("n_0", "the AWGN SNR it gives lies outside the float range")
         if self.iterations < 1:
             raise ConfigError("iterations", "must be a positive integer")
         if self.seed < 0:

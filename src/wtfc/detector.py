@@ -51,9 +51,15 @@ independent of v, so q's mean over F estimates P(error, E <= c_f)
 whatever F's size f is (a ratio estimator, conditional Monte Carlo
 within F); p_e is the error fraction outside F plus that mean over
 pi_n = P(f >= 1) (``_estimate``). Every span's union keeps F; the chunk
-collects it as it goes and scores it in every constant cell once it is
-drawn, in iteration order, so that the sums do not depend on the span,
+collects its ln v as it goes and scores it in every constant cell once it
+is drawn, in iteration order, so that the sums do not depend on the span,
 the other cells of the call or the threads.
+
+The kernel holds every statistic in one sign, L = ln(1 - u) = -E and
+w = ln(-expm1(ln v / N)) = -y: a constant cell errs when mu * L >= w, F
+is L >= -c_f, and -q = expm1(max(w / mu, -c_f)), as -s = expm1(w / mu).
+IEEE negation, products, quotients, min and max are exact under a change
+of sign, so every count, score and floor set is the E/y form's bit for bit.
 
 Constant cells invert only iterations that can be errors. The noise
 maximum rises with its uniform v, so the one at a span's largest v,
@@ -64,24 +70,23 @@ signal statistic lies above the bound is correct in that cell. Each
 noise count has one cut on E at its smallest constant mean, from which
 the span's test on u is derived. Each span gathers the candidates of all
 its constant cells, its union, once; each noise count then inverts its
-maximum, and counts its constant cells, over that whole union. E, the
-noise maxima and every comparison go through the same element-wise
-ufuncs as a pass over every iteration, so each count equals that pass's
-bit for bit.
+maximum, and counts its constant cells, over that whole union, where
+F's L is -inf, so no count sees F. L, w and every comparison go through
+the same element-wise ufuncs as a pass over every iteration, so each
+count equals that pass's bit for bit.
 
 The chunk kernel is allocation-free: each worker allocates its scratch
 once per ``estimate_pe`` call, and so once per sweep: ``_scratch_rows``
 rows of one span, ``_span`` floats (a third of a chunk, rounded up to
-whole pieces and whole shadowing blocks), for u (then E), v (then ln v),
-the noise maxima (the gather buffer before them, or -y for the drawn
-cells), the signal statistics (or a drawn cell's scores) and each
-shadowing model's amplitudes, however many grid points the call carries.
-Every span draws, scores, gathers and transforms in place there. Per
-span only the 1-byte candidate and comparison masks, the candidates'
-indices, the E and ln v of its iterations with E <= c_f and, for block
-shadowing, one amplitude per block are new memory; per chunk, the drawn
-cells' piece sums, and the kept values joined once and scored one cell
-at a time in three of the scratch rows, with a 1-byte mask over them.
+whole pieces and whole shadowing blocks), for u (then L), v (then ln v),
+w (the gather buffer before it), the signal statistics (or a drawn
+cell's scores) and each shadowing model's amplitudes, however many grid
+points the call carries. Every span draws, scores, gathers and
+transforms in place there. Per span only the 1-byte candidate and
+comparison masks, the candidates' indices, F's indices and ln v and, for
+block shadowing, one amplitude per block are new memory; per chunk, the
+drawn cells' piece sums, and F's ln v joined once and scored one cell at
+a time in two of the scratch rows.
 """
 
 from __future__ import annotations
@@ -160,17 +165,17 @@ def draw_m_batch(
     return out
 
 
-def _unit_exponential(u, out):
-    """-ln(1 - u) into ``out``: a unit-mean exponential by inversion."""
+def _log_survival(u, out):
+    """ln(1 - u) into ``out``: minus a unit-mean exponential by inversion."""
     np.negative(u, out=out)
-    np.log1p(out, out=out)
-    return np.negative(out, out=out)
+    return np.log1p(out, out=out)
 
 
 def signal_power_from_uniform(mu, u):
     """Invert the signal-slot CDF: -mu * ln(1 - u). Accepts arrays."""
     out = np.array(u, dtype=float)
-    return np.multiply(mu, _unit_exponential(out, out), out=out)
+    np.multiply(mu, _log_survival(out, out), out=out)
+    return np.negative(out, out=out)
 
 
 def _negative_max_noise_from_log(n_noise: int, log_u, out):
@@ -179,11 +184,6 @@ def _negative_max_noise_from_log(n_noise: int, log_u, out):
     np.expm1(out, out=out)
     np.negative(out, out=out)
     return np.log(out, out=out)
-
-
-def _max_noise_from_log(n_noise: int, log_u, out):
-    """-ln(-expm1(ln(u)/N)) from ln(u) into ``out``: the max-of-noise inversion."""
-    return np.negative(_negative_max_noise_from_log(n_noise, log_u, out), out=out)
 
 
 def max_noise_from_uniform(n_noise: int, u):
@@ -200,7 +200,8 @@ def max_noise_from_uniform(n_noise: int, u):
         )
     out = np.array(u, dtype=float)
     with np.errstate(divide="ignore"):
-        return _max_noise_from_log(n_noise, np.log(out, out=out), out)
+        _negative_max_noise_from_log(n_noise, np.log(out, out=out), out)
+    return np.negative(out, out=out)
 
 
 def _noise_bound(top: float, n_noise: int) -> float:
@@ -223,10 +224,10 @@ def _shadowing_models(signals: Sequence) -> dict:
 
 
 def _scratch_rows(signals: Sequence) -> int:
-    """Rows of scratch the chunk kernel needs: one each for u (then E), v
-    (then ln v), the noise maxima y (first the gather buffer, or -y for
-    drawn cells) and the signal statistics x (or a drawn cell's scores),
-    and one per distinct shadowing model for its amplitudes."""
+    """Rows of scratch the chunk kernel needs: one each for u (then L), v
+    (then ln v), the negated noise maxima w (first the gather buffer) and
+    the signal statistics (or a drawn cell's scores), and one per distinct
+    shadowing model for its amplitudes."""
     return 4 + len(_shadowing_models(signals))
 
 
@@ -283,16 +284,17 @@ def _chunk_error_count(
     A cell whose amplitudes are drawn scores every iteration by its error
     probability given its noise maximum y and amplitude m,
     s = -expm1(-y / mu) with mu = m * m * energy + 1; it draws no u. Its
-    count is 0, and its sum and sum of squares are of s over the chunk.
+    count is 0, and its sums are of s and s squared over the chunk.
 
-    A cell with a constant mean mu counts an error when ``x <= y`` for
-    signal statistic x = mu * E. The floor set F, one set for every such
-    cell, holds the iterations with E <= c_f = -ln(1 - ``P_FLOOR``); each
-    scores q = -expm1(-min(t, c_f)) for t = y / mu, ``P_FLOOR`` times its
-    error probability given its own v and E <= c_f. Its count is of the
-    errors outside F, its sums are of q over F (from ``_floor_scores``),
-    and F's size is returned last; it is 0 when no cell has a constant
-    mean, since then no u is drawn.
+    A cell with a constant mean mu counts an error when x = mu * E does not
+    beat y. The floor set F, one set for every such cell, holds the
+    iterations with E <= c_f = -ln(1 - ``P_FLOOR``); each scores
+    q = -expm1(-min(y / mu, c_f)), ``P_FLOOR`` times its error probability
+    given its own v and E <= c_f. Its count is of the errors outside F, its
+    sums are of q over F (from ``_floor_scores``), and F's size is returned
+    last; it is 0 when no cell has a constant mean, since then no u is
+    drawn. The statistics are held negated, L = -E and w = -y (see the
+    module docstring): an error is ``mu * L >= w`` and F is L >= -c_f.
 
     The chunk runs a span of ``_span(signals)`` iterations at a time. Each
     span draws its own u, v and amplitudes from the chunk's three
@@ -314,27 +316,27 @@ def _chunk_error_count(
       so each noise count has one cut on E, bound * pad / mu * pad at its
       smallest mean with pad = 1 + ``_SLACK``: above it, x lies above the
       bound and the iteration is correct in every cell of the count.
-      E = -ln(1 - u) rises with u, within a few ulp, so the span tests u at
-      or below -expm1(-cut) * pad for the largest cut and c_f, which keeps
+      E = -L rises with u, within a few ulp, so the span tests u at or
+      below -expm1(-cut) * pad for the largest cut and c_f, which keeps
       every u of every count's E cut and the floor set.
 
     The span's candidates, its union, are gathered once: u and ln v are
-    compacted to it in place, through the row that then takes the noise
-    maxima. Each noise count inverts its maximum over the whole union and
-    compares each of its cells there. Every ufunc acts element by element,
-    so a gathered element gets the value it has in a pass over every
-    iteration, and counting over any superset of a cell's candidates gives
-    that pass's count bit for bit. Ties count as errors (measure zero,
-    pinned for reproducibility). Each span keeps the E and ln v of its
-    floor set, in order, and ``_floor_scores`` scores them one cell at a
-    time once the chunk is drawn.
+    compacted to it in place, through the row that then takes w. Each span
+    keeps the ln v of its floor set, in order, for ``_floor_scores`` to
+    score one cell at a time once the chunk is drawn, and then sets the
+    floor set's L to -inf, where no count sees it. Each noise count
+    inverts its w over the whole union and compares each of its cells
+    there. Every ufunc acts element by element, so a gathered element gets
+    the value it has in a pass over every iteration, and counting over any
+    superset of a cell's candidates gives that pass's count bit for bit.
+    Ties count as errors (measure zero, pinned for reproducibility).
     """
     span = _span(signals)
     rows, columns = _scratch_rows(signals), min(n, span)
     if len(scratch) < rows or scratch.shape[1] < columns:
         raise ValueError(f"scratch has {len(scratch)} rows of {scratch.shape[1]} floats; "
                          f"the chunk needs {rows} of {columns}")
-    u_row, v_row, y_row, x_row, *amplitude_rows = scratch[:rows]
+    u_row, v_row, w_row, x_row, *amplitude_rows = scratch[:rows]
 
     # Each noise count's constant cells as (cell, mean) and drawn cells as
     # (cell, model index, energy), and its smallest constant mean.
@@ -359,8 +361,8 @@ def _chunk_error_count(
     sums, square_sums = np.zeros(len(cells)), np.zeros(len(cells))
     # Each drawn cell's piece sums of -s and of s * s, in iteration order.
     pieces = np.empty((len(cells), 2, -(-n // _PIECE))) if drawn else None
-    # The E and ln v of every span's iterations with E <= c_f, in order.
-    below: tuple = ([], [])
+    # The ln v of every span's iterations with L >= -c_f, in order.
+    below = []
     for start in range(0, n, span):
         length = min(span, n - start)
         v = noise_rng.random(length, out=v_row[:length])
@@ -374,15 +376,15 @@ def _chunk_error_count(
         if drawn:
             with np.errstate(divide="ignore"):
                 np.log(v, out=v)
-            neg_y, t = y_row[:length], x_row[:length]
+            w, t = w_row[:length], x_row[:length]
             at = slice(start // _PIECE, -(-(start + length) // _PIECE))
             for k, members in drawn.items():
-                _negative_max_noise_from_log(noise_counts[k], v, out=neg_y)
+                _negative_max_noise_from_log(noise_counts[k], v, out=w)
                 for c, g, energy in members:
-                    # mu = (m * m) * energy + 1, then t = -y / mu and -s = expm1(t).
+                    # mu = (m * m) * energy + 1, then t = w / mu and -s = expm1(t).
                     np.multiply(squares[g], energy, out=t)
                     t += 1.0
-                    np.divide(neg_y, t, out=t)
+                    np.divide(w, t, out=t)
                     np.expm1(t, out=t)
                     _piece_sums(t, pieces[c, 0, at])
                     t *= t
@@ -396,22 +398,23 @@ def _chunk_error_count(
         # keeps every E at or below the largest of them and c_f.
         cut = max(_FLOOR_CUT, *(bounds[k] * pad / means[k] * pad for k in constant))
         candidates = u <= -math.expm1(-cut) * pad
-        # y_row is free until the counts below write the noise maxima.
-        e, log_v = _compact([u, v], candidates, y_row)
+        # w_row is free until the counts below write w.
+        ell, log_v = _compact([u, v], candidates, w_row)
         del candidates
-        _unit_exponential(e, out=e)
+        _log_survival(ell, out=ell)
         if not drawn:
             with np.errstate(divide="ignore"):
                 np.log(log_v, out=log_v)
-        floor = np.flatnonzero(e <= _FLOOR_CUT)
-        for kept, row in zip(below, (e, log_v)):
-            kept.append(np.take(row, floor))
+        # The floor set is scored by _floor_scores; at L = -inf no count sees it.
+        floor = np.flatnonzero(ell >= -_FLOOR_CUT)
+        below.append(np.take(log_v, floor))
+        ell[floor] = -math.inf
         del floor
-        y, x = y_row[: e.size], x_row[: e.size]
+        w, x = w_row[: ell.size], x_row[: ell.size]
         for k, members in constant.items():
-            _max_noise_from_log(noise_counts[k], log_v, out=y)
+            _negative_max_noise_from_log(noise_counts[k], log_v, out=w)
             for c, mean in members:
-                counts[c] += np.count_nonzero(np.multiply(mean, e, out=x) <= y)
+                counts[c] += np.count_nonzero(np.multiply(mean, ell, out=x) >= w)
     for members in drawn.values():
         for c, _, _ in members:
             # 0.0 - total is -total, but +0 where every score is 0.
@@ -419,50 +422,44 @@ def _chunk_error_count(
             square_sums[c] = math.fsum(pieces[c, 1])
     if not constant:
         return counts, sums, square_sums, 0
-    e, log_v = (np.concatenate(parts) for parts in below)
-    _floor_scores(e, log_v, constant, noise_counts, counts, sums, square_sums, scratch)
-    return counts, sums, square_sums, e.size
+    log_v = np.concatenate(below)
+    _floor_scores(log_v, constant, noise_counts, sums, square_sums, scratch)
+    return counts, sums, square_sums, log_v.size
 
 
 def _floor_scores(
-    e: np.ndarray,
     log_v: np.ndarray,
     constant: dict,
     noise_counts: Sequence[int],
-    counts: np.ndarray,
     sums: np.ndarray,
     square_sums: np.ndarray,
     scratch: np.ndarray,
 ) -> None:
     """Score a chunk's floor set in every constant cell, in iteration order.
 
-    ``e`` and ``log_v`` hold the E and ln v of the chunk's iterations with
-    E <= c_f, in iteration order, and ``constant`` each noise count's
-    cells as (cell, mean). In each cell, every such iteration's error, if
-    ``counts`` holds one, is taken back out, and it scores
-    q = -expm1(-min(t, c_f)) for t = y / mu instead. Writes per cell the
-    ``np.sum`` of q over the chunk's iterations with E <= c_f, in
-    iteration order, into ``sums``, and the same sum of q squared into
-    ``square_sums``. Each is one sum over the chunk, so its bits do not
-    depend on the span.
+    ``log_v`` holds the ln v of the chunk's iterations with L >= -c_f, in
+    iteration order, and ``constant`` each noise count's cells as (cell,
+    mean). In each cell every such iteration scores q, with
+    -q = expm1(max(w / mu, -c_f)) for w = -y. Writes per cell the
+    ``np.sum`` of q over those iterations, in iteration order, into
+    ``sums``, and the same sum of q squared into ``square_sums``. Each is
+    one sum over the chunk, so its bits do not depend on the span.
 
-    Each noise count inverts its maximum y once, and its cells are scored
-    one at a time, in three rows of ``scratch`` for y, x and t, or in
-    three new rows when the floor set is wider than a row.
+    Each noise count inverts its w once, and its cells are scored one at a
+    time, in two rows of ``scratch`` for w and -q, or in two new rows when
+    the floor set is wider than a row.
     """
-    size = e.size
-    y, x, t = scratch[:3, :size] if size <= scratch.shape[1] else np.empty((3, size))
+    size = log_v.size
+    w, t = scratch[:2, :size] if size <= scratch.shape[1] else np.empty((2, size))
     for k, members in constant.items():
-        _max_noise_from_log(noise_counts[k], log_v, out=y)
+        _negative_max_noise_from_log(noise_counts[k], log_v, out=w)
         for c, mean in members:
-            np.divide(y, mean, out=t)
-            counts[c] -= np.count_nonzero(np.multiply(mean, e, out=x) <= y)
-            # q = -expm1(-min(t, c_f)); the signs are exact.
-            np.minimum(t, _FLOOR_CUT, out=t)
-            np.negative(t, out=t)
+            np.divide(w, mean, out=t)
+            np.maximum(t, -_FLOOR_CUT, out=t)
             np.expm1(t, out=t)
-            np.negative(t, out=t)
-            sums[c] = t.sum()
+            # Summed as q, not as -q negated after: np.sum has no sign
+            # symmetry at zero, and an all-zero set's sum must keep its bits.
+            sums[c] = np.negative(t, out=t).sum()
             t *= t
             square_sums[c] = t.sum()
 

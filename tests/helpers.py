@@ -14,12 +14,7 @@ import numpy as np
 
 from wtfc import LargeScaleModel, PhysicalInputs, analytic_pe_no_shadowing, derive_scheme
 from wtfc.channel import constant_amplitude
-from wtfc.detector import (
-    _FLOOR_CUT,
-    _max_noise_from_log,
-    _unit_exponential,
-    draw_m_batch,
-)
+from wtfc.detector import _FLOOR_CUT, draw_m_batch
 
 
 def scheme_with_alphabet(alphabet_size: int):
@@ -114,6 +109,15 @@ def header_to_config_text(line: str) -> str:
     return "\n".join(line[len(prefix):].split(" ")) + "\n"
 
 
+def _max_noise_from_log(n_noise: int, log_v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """y = -ln(-expm1(ln(v) / N)) from ln(v) into ``out``, one ufunc at a time."""
+    np.divide(log_v, n_noise, out=out)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    np.log(out, out=out)
+    return np.negative(out, out=out)
+
+
 # The chunk kernel without any filter: every iteration is inverted and
 # scored, in the order the estimator defines, as the reference whose
 # counts, score sums and floor size the filtered kernel must equal bit for
@@ -152,7 +156,8 @@ def reference_chunk_error_count(
         [seed, chunk_index]
     ).spawn(3)
     e, log_v, *spare = (row[:n] for row in scratch)
-    _unit_exponential(np.random.default_rng(signal_seed).random(n, out=e), out=e)
+    np.random.default_rng(signal_seed).random(n, out=e)
+    np.negative(np.log1p(np.negative(e, out=e), out=e), out=e)
     with np.errstate(divide="ignore"):
         np.log(np.random.default_rng(noise_seed).random(n, out=log_v), out=log_v)
     floor = e <= _FLOOR_CUT
@@ -161,7 +166,7 @@ def reference_chunk_error_count(
     # statistics pass through one work row, the last one through E's.
     last = len(noise_counts) - 1
     ys = [
-        _max_noise_from_log(n_noise, log_v, out=log_v if k == last else spare[k])
+        _max_noise_from_log(n_noise, log_v, log_v if k == last else spare[k])
         for k, n_noise in enumerate(noise_counts)
     ]
     work = spare[last]

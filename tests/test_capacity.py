@@ -94,6 +94,13 @@ class TestAwgnCapacity:
         with pytest.raises(ValueError):
             awgn_capacity(0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("args", [(1e300, 1e-100, 1.0), (1.0, 1e-200, 1e-200)],
+                             ids=["snr-overflows", "n0-b-underflows"])
+    def test_rejects_an_snr_past_the_float_range(self, args):
+        # It returned inf, or divided by an N_0 B that underflows to 0.
+        with pytest.raises(ValueError, match="SNR"):
+            awgn_capacity(*args)
+
 
 class TestIfskVariant:
     def test_alphabet_shrinks_to_tone_count(self):

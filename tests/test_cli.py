@@ -175,6 +175,18 @@ def test_signal_energy_past_the_float_range_exits_2_naming_n_0(command, capsys):
     assert err == "error: n_0: the signal energy it gives lies outside the float range\n"
 
 
+@pytest.mark.parametrize("command", ["pe", "capacity", "derive"])
+def test_awgn_snr_past_the_float_range_exits_2_naming_n_0(command, capsys):
+    # Path-loss gain ~6e297: p_t = 1 gives a finite energy but
+    # p_r / (n_0 B) ~6e289 / 1e-100 overflows; capacity read awgn_bps = inf
+    # with exit 0.
+    code, out, err = run_cli([command, *BASE_SETS[:-2], "--set", "p_t=1",
+                              "--set", "shadowing_enabled=true", "--set", "wavelength_m=1e150",
+                              "--set", "n_0=1e-100", "--iters", "1000"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: n_0: the AWGN SNR it gives lies outside the float range\n"
+
+
 @pytest.mark.parametrize("flag, key, value", [
     ("--sigma-db", "sigma_db", "nan"),
     ("--grid", "grid", "1e-3,nan"),

@@ -22,11 +22,11 @@ from wtfc.capacity import awgn_capacity, dmc_capacity
 from wtfc.detector import (
     CHUNK_SIZE,
     _chunk_error_count,
-    _max_noise_from_log,
+    _log_survival,
+    _negative_max_noise_from_log,
     _noise_bound,
     _scratch_rows,
     _span,
-    _unit_exponential,
     draw_m_batch,
     max_noise_from_uniform,
     signal_power_from_uniform,
@@ -135,11 +135,11 @@ class TestInPlaceTransforms:
         want = signal_power_from_uniform(mu, u)
         assert _same_bits(want, mu * -np.log1p(-u))
         out = np.full_like(u, np.nan)
-        assert _unit_exponential(u, out) is out
+        assert _log_survival(u, out) is out
         assert np.multiply(mu, out, out=out) is out
-        assert _same_bits(out, want)
-        assert _unit_exponential(u, u) is u
-        assert _same_bits(np.multiply(mu, u, out=u), want)
+        assert _same_bits(-out, want)
+        assert _log_survival(u, u) is u
+        assert _same_bits(-np.multiply(mu, u, out=u), want)
 
     @pytest.mark.parametrize("n_noise", [1, 15, 269_999, 10**9])
     def test_max_noise_same_bits_with_out(self, n_noise):
@@ -149,10 +149,10 @@ class TestInPlaceTransforms:
             log_u = np.log(u)
         assert _same_bits(want, -np.log(-np.expm1(log_u / n_noise)))
         out = np.full_like(u, np.nan)
-        assert _max_noise_from_log(n_noise, log_u, out) is out
-        assert _same_bits(out, want)
-        assert _max_noise_from_log(n_noise, log_u, log_u) is log_u
-        assert _same_bits(log_u, want)
+        assert _negative_max_noise_from_log(n_noise, log_u, out) is out
+        assert _same_bits(-out, want)
+        assert _negative_max_noise_from_log(n_noise, log_u, log_u) is log_u
+        assert _same_bits(-log_u, want)
         assert log_u[0] == 0.0
 
     def test_scalars_stay_scalars_without_out(self):
@@ -877,7 +877,8 @@ def test_drawn_scores_match_the_reference_order_bit_for_bit(monkeypatch, energy)
 
 def test_uniform_cut_keeps_every_uniform_within_the_e_cut():
     # The chunk tests u against -expm1(-cut) * pad, derived from a count's
-    # cut on E: every u whose E = -ln(1 - u) is at or below the cut passes.
+    # cut on E: every u whose E = -ln(1 - u) is at or below the cut, that
+    # is whose L = ln(1 - u) is at or above -cut, passes.
     # 64 ulp either side of -expm1(-cut) for 2001 cuts; without the pad a
     # few of these u would be lost.
     cuts = np.geomspace(1e-12, 50.0, 2001)
@@ -890,7 +891,7 @@ def test_uniform_cut_keeps_every_uniform_within_the_e_cut():
             steps.append(u)
     u = np.stack(steps, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kept = _unit_exponential(u, np.empty_like(u)) <= cuts[:, None]
+        kept = _log_survival(u, np.empty_like(u)) >= -cuts[:, None]
     kept &= u < 1.0
     assert kept.any(axis=1).all()
     assert (u <= u_cuts[:, None] * (1.0 + detector._SLACK))[kept].all()

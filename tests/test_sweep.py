@@ -255,6 +255,18 @@ def test_point_whose_signal_energy_overflows_becomes_skipped_row():
                                       "float range")
 
 
+def test_point_whose_awgn_snr_overflows_becomes_skipped_row():
+    # Path-loss gain ~6e297 makes p_r ~6e297 from p_t = 1, and the energy
+    # stays 1e16; a tenth of the bandwidth puts p_r / (n_0 B) past the
+    # float range, where the row read awgn_bps = inf.
+    model = LargeScaleModel(wavelength_m=1e150, enabled=True)
+    base = make_base(model=model, p_r=None, p_t=1.0, n_0=1e-18, iterations=1000)
+    band = base.inputs.bandwidth_hz
+    rows = run_sweep(SweepSpec(base=base, axis="bandwidth", grid=(band, band / 10))).rows
+    assert rows[0].skipped_reason is None and math.isfinite(rows[0].awgn_bps)
+    assert rows[1].skipped_reason == "n_0: the AWGN SNR it gives lies outside the float range"
+
+
 def test_invalid_duty_cycle_point_is_skipped_with_reason():
     base = make_base()
     spec = SweepSpec(base=base, axis="duty_cycle", grid=(0.4, 0.1, 0.01))
