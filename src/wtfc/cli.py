@@ -20,9 +20,10 @@ import gc
 import sys
 
 from . import __version__
-# Unused here since ``cell_row`` computes capacities, but ``bench/run.py
-# --trace 1`` wraps both names in this module.
+# Unused here since ``wtfc.sweep`` estimates and computes capacities, but
+# ``bench/run.py --trace 1`` wraps these names in this module.
 from .capacity import awgn_capacity, dmc_capacity  # noqa: F401
+from .sweep import estimate_pe  # noqa: F401
 from .config import (
     ConfigError,
     build_run_config,
@@ -35,7 +36,7 @@ from .config import (
 from .errorlaw import PeEstimate
 from .scheme import amplitude, derive_scheme
 from .sweep import (COLUMNS, SweepResult, SweepSpec, cell_row, compare_shadowing,
-                    estimate_pe, run_sweep)
+                    estimate_cells, run_sweep)
 
 CSV_COLUMNS = [name for name, key in COLUMNS.items() if key is None]
 
@@ -177,16 +178,7 @@ def cmd_estimate(args) -> int:
     if args.command == "capacity" and "p_e" in values:
         estimate = PeEstimate(values["p_e"], None, None, None)
     else:
-        estimate = estimate_pe(
-            params,
-            config.model,
-            config.resolved_p_t(),
-            config.n_0,
-            config.iterations,
-            config.seed,
-            threads=args.threads,
-            hold_mean_rx_power=config.hold_mean_rx_power,
-        )
+        estimate, = estimate_cells(config, [(config, params)], (config.model,), args.threads)
     if args.command == "pe":
         header = header_line(values, ("variant",))
         report = {"variant": params.variant, "p_e": estimate.p_e,

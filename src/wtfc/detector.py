@@ -96,7 +96,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import LargeScaleModel, constant_amplitude, shadowing_mean_power_gain
+from .channel import (LargeScaleModel, constant_amplitude, deterministic_power_gain,
+                      shadowing_mean_power_gain)
 from .errorlaw import CHUNK_SIZE, PeEstimate, analytic_pe_no_shadowing, signal_energy
 from .scheme import SchemeParams
 
@@ -129,6 +130,9 @@ _FLOOR_CUT = -math.log1p(-P_FLOOR)
 # the chunk and every span is whole pieces, so the sums do not depend on
 # the span; it divides CHUNK_SIZE.
 _PIECE = 1000
+# Binary exponent of the typical signal-slot mean above which a cell's
+# scores are scaled before they are squared (``_square_scale``).
+_SQUARE_EXPONENT = 400
 
 
 def draw_m_batch(
@@ -217,6 +221,24 @@ def _noise_bound(top: float, n_noise: int) -> float:
     return top + _SLACK * max(top, 1.0)
 
 
+def _square_scale(signal) -> float:
+    """2^k by which a cell's scores are scaled before they are squared.
+
+    A score is about y / mu, so at a mean mu near the top of the float
+    range its square underflows to 0. The typical mean is the float mean of
+    a constant signal, or the energy times the deterministic power gain of a
+    drawn one; from 2^``_SQUARE_EXPONENT`` on, k is its binary exponent
+    less ``_SQUARE_EXPONENT``, so the scaled scores are about y 2^-400.
+    Below it k = 0. A power of two scales exactly away from the ends of the
+    float range, so a scaled square sum is the unscaled one times 4^k
+    wherever that one does not underflow.
+    """
+    mean = signal if isinstance(signal, float) else signal[1] * deterministic_power_gain(signal[0])
+    if mean < 2.0 ** _SQUARE_EXPONENT:
+        return 1.0
+    return math.ldexp(1.0, math.frexp(mean)[1] - _SQUARE_EXPONENT)
+
+
 def _shadowing_models(signals: Sequence) -> dict:
     """Each distinct shadowing model of the signals and its index, in first-seen order."""
     models = dict.fromkeys(signal[0] for signal in signals if not isinstance(signal, float))
@@ -284,7 +306,8 @@ def _chunk_error_count(
     A cell whose amplitudes are drawn scores every iteration by its error
     probability given its noise maximum y and amplitude m,
     s = -expm1(-y / mu) with mu = m * m * energy + 1; it draws no u. Its
-    count is 0, and its sums are of s and s squared over the chunk.
+    count is 0, and its sums are of s and of (2^k s) squared over the
+    chunk, 2^k = ``_square_scale`` of its signal.
 
     A cell with a constant mean mu counts an error when x = mu * E does not
     beat y. The floor set F, one set for every such cell, holds the
@@ -339,7 +362,7 @@ def _chunk_error_count(
     u_row, v_row, w_row, x_row, *amplitude_rows = scratch[:rows]
 
     # Each noise count's constant cells as (cell, mean) and drawn cells as
-    # (cell, model index, energy), and its smallest constant mean.
+    # (cell, model index, energy, square scale), and its smallest constant mean.
     models = _shadowing_models(signals)
     constant: dict = {}
     drawn: dict = {}
@@ -347,7 +370,8 @@ def _chunk_error_count(
         if isinstance(signals[j], float):
             constant.setdefault(k, []).append((c, signals[j]))
         else:
-            drawn.setdefault(k, []).append((c, models[signals[j][0]], signals[j][1]))
+            drawn.setdefault(k, []).append(
+                (c, models[signals[j][0]], signals[j][1], _square_scale(signals[j])))
     means = {k: min(mean for _, mean in members) for k, members in constant.items()}
 
     shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
@@ -380,13 +404,15 @@ def _chunk_error_count(
             at = slice(start // _PIECE, -(-(start + length) // _PIECE))
             for k, members in drawn.items():
                 _negative_max_noise_from_log(noise_counts[k], v, out=w)
-                for c, g, energy in members:
+                for c, g, energy, scale in members:
                     # mu = (m * m) * energy + 1, then t = w / mu and -s = expm1(t).
                     np.multiply(squares[g], energy, out=t)
                     t += 1.0
                     np.divide(w, t, out=t)
                     np.expm1(t, out=t)
                     _piece_sums(t, pieces[c, 0, at])
+                    if scale != 1.0:
+                        t *= scale
                     t *= t
                     _piece_sums(t, pieces[c, 1, at])
         if not constant:
@@ -416,7 +442,7 @@ def _chunk_error_count(
             for c, mean in members:
                 counts[c] += np.count_nonzero(np.multiply(mean, ell, out=x) >= w)
     for members in drawn.values():
-        for c, _, _ in members:
+        for c, *_ in members:
             # 0.0 - total is -total, but +0 where every score is 0.
             sums[c] = 0.0 - math.fsum(pieces[c, 0])
             square_sums[c] = math.fsum(pieces[c, 1])
@@ -442,8 +468,9 @@ def _floor_scores(
     mean). In each cell every such iteration scores q, with
     -q = expm1(max(w / mu, -c_f)) for w = -y. Writes per cell the
     ``np.sum`` of q over those iterations, in iteration order, into
-    ``sums``, and the same sum of q squared into ``square_sums``. Each is
-    one sum over the chunk, so its bits do not depend on the span.
+    ``sums``, and the same sum of (2^k q) squared, 2^k = ``_square_scale``
+    of the mean, into ``square_sums``. Each is one sum over the chunk, so
+    its bits do not depend on the span.
 
     Each noise count inverts its w once, and its cells are scored one at a
     time, in two rows of ``scratch`` for w and -q, or in two new rows when
@@ -460,6 +487,9 @@ def _floor_scores(
             # Summed as q, not as -q negated after: np.sum has no sign
             # symmetry at zero, and an all-zero set's sum must keep its bits.
             sums[c] = np.negative(t, out=t).sum()
+            scale = _square_scale(mean)
+            if scale != 1.0:
+                t *= scale
             t *= t
             square_sums[c] = t.sum()
 
@@ -549,20 +579,13 @@ def estimate_pe(
 
     scratch_shape = (_scratch_rows(signal_list), min(_span(signal_list), iterations))
 
-    def work(first: int) -> tuple[np.ndarray, list]:
+    def work(first: int) -> list:
         # Worker ``first`` runs chunks first, first + workers, ... in its
-        # own scratch; a chunk's draws depend on its index alone. Its floor
-        # sums and sizes are kept per chunk, for one exact sum over all chunks.
+        # own scratch; a chunk's draws depend on its index alone.
         scratch = np.empty(scratch_shape)
-        errors = np.zeros(len(cell_list), dtype=np.int64)
-        floor = []
-        for i in range(first, n_chunks, workers):
-            n = min(CHUNK_SIZE, iterations - i * CHUNK_SIZE)
-            chunk_errors, *chunk_floor = _chunk_error_count(
-                i, n, seed, signal_list, noise_list, cell_list, scratch)
-            errors += chunk_errors
-            floor.append(chunk_floor)
-        return errors, floor
+        return [_chunk_error_count(i, min(CHUNK_SIZE, iterations - i * CHUNK_SIZE), seed,
+                                   signal_list, noise_list, cell_list, scratch)
+                for i in range(first, n_chunks, workers)]
 
     if workers == 1:
         results = [work(0)]
@@ -571,22 +594,24 @@ def estimate_pe(
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, range(workers)))
-    errors = sum(worker_errors for worker_errors, _ in results)
-    chunks = [chunk for _, floor in results for chunk in floor]
-    floor_size = sum(size for _, _, size in chunks)
+    # One (counts, sums, square sums, floor size) per chunk. math.fsum
+    # rounds each exact total once, so the order in which the workers ran
+    # their chunks cannot show.
+    chunks = [chunk for worker in results for chunk in worker]
+    errors = sum(counts for counts, _, _, _ in chunks)
+    floor_size = sum(size for _, _, _, size in chunks)
     estimates = []
     for c in estimate_cells:
-        # math.fsum rounds the exact total once, so the order in which the
-        # workers ran their chunks cannot show.
+        signal = signal_list[cell_list[c][0]]
         estimates.append(_estimate(
-            int(errors[c]), floor_size, math.fsum(sums[c] for sums, _, _ in chunks),
-            math.fsum(squares[c] for _, squares, _ in chunks), iterations, seed,
-            drawn=not isinstance(signal_list[cell_list[c][0]], float)))
+            int(errors[c]), floor_size, math.fsum(sums[c] for _, sums, _, _ in chunks),
+            math.fsum(squares[c] for _, _, squares, _ in chunks), iterations, seed,
+            drawn=not isinstance(signal, float), scale=_square_scale(signal)))
     return estimates[0] if one_cell else tuple(estimates)
 
 
 def _estimate(errors: int, floor_size: int, score_sum: float, square_sum: float,
-              iterations: int, seed: int, drawn: bool = False) -> PeEstimate:
+              iterations: int, seed: int, drawn: bool = False, scale: float = 1.0) -> PeEstimate:
     """p_e and its 95 % half-width from a cell's scores.
 
     A ``drawn`` cell scores every iteration: its n scores s lie in [0, 1]
@@ -601,28 +626,37 @@ def _estimate(errors: int, floor_size: int, score_sum: float, square_sum: float,
     and pi_n = 1 - (1 - P_f)^n = P(f >= 1), p_e = p_B + (sum q / f) / pi_n,
     the second term 0 when f = 0, and the half-width is
     1.96 sqrt(p_B (1 - p_B) / n + var_F(q) / (max(f, 1) pi_n^2)), with
-    var_F(q) = sum q^2 / f - (sum q / f)^2 from two scores on and
-    (P_f / 2)^2, the largest variance of a score in [0, P_f], below them.
-    Dividing by pi_n keeps p_e unbiased at any n; it is 1.0 in floats from
-    about 2 300 iterations.
+    var_F(q) = sum q^2 / f - (sum q / f)^2 where that is positive and
+    (P_f / 2)^2, the largest variance of a score in [0, P_f], where it is
+    not: below two scores, or where the scores are equal. Dividing by pi_n
+    keeps p_e unbiased at any n; it is 1.0 in floats from about 2 300
+    iterations.
+
+    ``square_sum`` is of the scores times ``scale``, a power of two
+    (``_square_scale``), so the variance is formed in those units and the
+    half-width divided by ``scale``; at 1.0 nothing changes.
     """
     if drawn:
         p_e = score_sum / iterations
-        variance = 0.25
+        variance, units = 0.25, 1.0
         if iterations > 1:
-            variance = max(square_sum - score_sum * score_sum / iterations, 0.0) / (iterations - 1)
-        half_width = 1.96 * math.sqrt(variance / iterations)
+            scaled = score_sum * scale
+            variance = max(square_sum - scaled * scaled / iterations, 0.0) / (iterations - 1)
+            units = scale
+        half_width = 1.96 * math.sqrt(variance / iterations) / units
         return PeEstimate(p_e=p_e, iterations=iterations, half_width_95=half_width, seed=seed)
     p_b = errors / iterations
     p_e, variance = p_b, p_b * (1.0 - p_b) / iterations
     reach = -math.expm1(iterations * math.log1p(-P_FLOOR))
-    spread = (P_FLOOR / 2.0) ** 2
+    spread, units = (P_FLOOR / 2.0) ** 2, 1.0
     if floor_size:
         mean = score_sum / floor_size
         # An f below its mean can lift a p_e within its noise of 1 past 1.
         p_e = min(p_e + mean / reach, 1.0)
-        if floor_size > 1:
-            spread = max(square_sum / floor_size - mean * mean, 0.0)
-    variance += spread / (max(floor_size, 1) * reach * reach)
-    half_width = 1.96 * math.sqrt(variance)
+        scaled = mean * scale
+        sample = square_sum / floor_size - scaled * scaled
+        if floor_size > 1 and sample > 0.0:
+            spread, units = sample, scale
+    variance = (variance * units) * units + spread / (max(floor_size, 1) * reach * reach)
+    half_width = 1.96 * math.sqrt(variance) / units
     return PeEstimate(p_e=p_e, iterations=iterations, half_width_95=half_width, seed=seed)

@@ -13,6 +13,7 @@ the spacing clears the Doppler spread.
 from __future__ import annotations
 
 import math
+import sys
 
 from .record import Record
 
@@ -68,20 +69,33 @@ class PhysicalInputs(Record):
             )
         if not 0 < self.duty_cycle <= 1:
             raise ValueError("duty_cycle must lie in (0, 1]")
-        slots = round(1.0 / self.duty_cycle)
-        if slots < 1 or abs(slots * self.duty_cycle - 1.0) > 1e-9:
+        inverse = 1.0 / self.duty_cycle
+        if inverse == math.inf or abs(round(inverse) * self.duty_cycle - 1.0) > 1e-9:
             raise ValueError(
                 f"duty_cycle {self.duty_cycle} is invalid: its inverse "
-                f"{1.0 / self.duty_cycle:g} is not a whole number of time slots"
+                f"{inverse:g} is not a whole number of time slots"
             )
         if self.q_override is not None and self.q_override < 1:
             raise ValueError("q_override must be a positive integer")
+        # derive_scheme divides it by the window as a float.
+        if self.q_override is not None and self.q_override > sys.float_info.max:
+            raise ValueError("q_override must not exceed the float range")
         guard = self.guard_time_s
         if guard is not None:
             if not guard >= self.delay_spread_s:
                 raise ValueError("guard_time_s must be at least the delay spread")
             if guard >= self.symbol_time_s:
                 raise ValueError("guard_time_s must be smaller than symbol_time_s")
+        # derive_scheme rounds the bandwidth and the Doppler spread times
+        # the window to whole numbers; each product must be a float. The
+        # larger factor is named, the symbol time for the window.
+        window = self.window_s
+        for field in ("bandwidth_hz", "doppler_spread_hz"):
+            rate = getattr(self, field)
+            if rate * window == math.inf:
+                raise ValueError(f"{field if rate >= window else 'symbol_time_s'} is too "
+                                 f"large: {field} times the transmission window lies "
+                                 "outside the float range")
 
     @property
     def slots_per_cycle(self) -> int:

@@ -5,14 +5,15 @@ probability and converts it into capacity, optionally alongside the Shannon
 baseline. A sweep is a pure function of its spec: re-running reproduces
 every row exactly, regardless of thread count.
 
-``run_sweep`` and ``compare_shadowing`` share one loop. It makes one
-``estimate_pe`` call, on the run seed, for every cell of every grid point
-that is not skipped (every variant, and for a comparison the shadowing-off
-and -on models), each at its point's transmit power. So the rows share
-one set of draws, and the worker scratch is allocated once per sweep:
-rows at different points are positively correlated (common random
-numbers), each row's interval stays valid on its own, and each row equals
-``wtfc pe`` at its point with the same seed.
+``estimate_cells`` makes the package's only ``estimate_pe`` call, so each
+sweep row equals ``wtfc pe`` at its point with the same seed by
+construction. ``run_sweep`` and ``compare_shadowing`` share one loop that
+calls it once, on the run seed, for every cell of every grid point that is
+not skipped (every variant, and for a comparison the shadowing-off and -on
+models). So the rows share one set of draws, and the worker scratch is
+allocated once per sweep: rows at different points are positively
+correlated (common random numbers) and each row's interval stays valid on
+its own.
 
 ``COLUMNS`` names the result columns, which a ``SweepRow`` carries: a new
 column is one entry there, one field and its value in ``cell_row``.
@@ -34,8 +35,8 @@ from .errorlaw import PeEstimate
 from .record import Record
 from .scheme import VARIANTS, SchemeParams, derive_scheme
 
-__all__ = ["AXES", "COLUMNS", "SweepSpec", "SweepRow", "SweepResult", "cell_row", "run_sweep",
-           "compare_shadowing"]
+__all__ = ["AXES", "COLUMNS", "SweepSpec", "SweepRow", "SweepResult", "cell_row",
+           "estimate_cells", "run_sweep", "compare_shadowing"]
 
 # Each axis and the ``PhysicalInputs`` field its grid value replaces; an
 # ``snr_db`` value sets the receive power instead.
@@ -144,6 +145,22 @@ def estimate_pe(*args, **kwargs):
     return detector.estimate_pe(*args, **kwargs)
 
 
+def estimate_cells(base: RunConfig, cells, models: tuple[LargeScaleModel, ...],
+                   threads: int = 1) -> tuple[PeEstimate, ...]:
+    """One estimate per (model, cell), model-major, from one ``estimate_pe`` call.
+
+    A cell is a (point configuration, params) pair at its point's transmit
+    power; ``base`` gives the noise density, iterations, seed and power
+    hold. No cells sample nothing.
+    """
+    if not cells:
+        return ()
+    return estimate_pe([params for _, params in cells], models,
+                       [point.resolved_p_t() for point, _ in cells], base.n_0,
+                       base.iterations, base.seed, threads=threads,
+                       hold_mean_rx_power=base.hold_mean_rx_power)
+
+
 def _point_config(base: RunConfig, axis: str, value: float) -> RunConfig:
     """Base configuration with one axis value applied."""
     field = AXES[axis]
@@ -188,13 +205,12 @@ def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: i
     """Every cell's row, in grid, variant, then model order.
 
     All (model, variant) cells of every grid point come from one
-    ``estimate_pe`` call on the run seed, each variant at its point's
-    transmit power, so they share one set of draws. Each row takes its
-    path loss, powers and ``shadowing_enabled`` from its point, the base
-    configuration with the grid value applied. Grid points that fail
-    scheme validation become explicit skipped rows rather than silently
-    vanishing from the output; a sweep whose every point is skipped
-    samples nothing.
+    ``estimate_cells`` call on the run seed, so they share one set of
+    draws. Each row takes its path loss, powers and ``shadowing_enabled``
+    from its point, the base configuration with the grid value applied.
+    Grid points that fail scheme validation become explicit skipped rows
+    rather than silently vanishing from the output; a sweep whose every
+    point is skipped samples nothing.
     """
     base = spec.base
     # (grid value, point configuration, its variants' params, skip reason)
@@ -203,23 +219,12 @@ def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: i
         try:
             point = _point_config(base, spec.axis, value)
             variants = [derive_scheme(point.inputs, v) for v in spec.variants]
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             points.append((value, None, [], str(exc)))
             continue
         points.append((value, point, variants, None))
     cells = [(point, params) for _, point, variants, _ in points for params in variants]
-    estimates = ()
-    if cells:
-        estimates = estimate_pe(
-            [params for _, params in cells],
-            models,
-            [point.resolved_p_t() for point, _ in cells],
-            base.n_0,
-            base.iterations,
-            base.seed,
-            threads=threads,
-            hold_mean_rx_power=base.hold_mean_rx_power,
-        )
+    estimates = estimate_cells(base, cells, models, threads)
     awgn_power = spec.awgn_power if spec.include_awgn else None
     # Estimates come model-major, so a cell's are len(cells) apart.
     cell = 0

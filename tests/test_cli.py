@@ -900,3 +900,37 @@ def test_module_and_script_entry_points_run_through_run(tmp_path):
     lines = (tmp_path / "pe.csv").read_text().splitlines()
     assert lines[0].startswith("# config: ") and len(lines) == 3
     assert f"p_e = {lines[2].split(',')[1]}" in result.stdout.splitlines()
+
+
+@pytest.mark.parametrize("argv", [["pe"], ["capacity"], ["capacity", "--pe", "0.1"]])
+def test_pe_and_capacity_sample_through_the_sweep_mapping(argv, capsys, monkeypatch):
+    # ``wtfc.sweep.estimate_cells`` is the one mapping of a configuration
+    # onto the sampler: pe and capacity make one call through it, at the
+    # resolved transmit power, and capacity --pe none.
+    from wtfc import sweep
+
+    calls = []
+    original = sweep.estimate_pe
+    monkeypatch.setattr(sweep, "estimate_pe",
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    code, _, _ = run_cli([*argv, *BASE_SETS, "--iters", "1000", "--threads", "2"], capsys)
+    assert code == 0
+    assert len(calls) == (0 if "--pe" in argv else 1)
+    for params, models, powers, n_0, iterations, seed in calls:
+        assert [p.variant for p in params] == ["WTFC"] and powers == [10e3]
+        assert (models, n_0, iterations, seed) == ((LargeScaleModel(),), 1.0, 1000, 0)
+
+
+def test_pe_where_every_symbol_errs_prints_nothing_on_stderr(tmp_path):
+    # At p_r = 1e-9 the estimate is p_e = 1, past 1 - 1/S: pe reports it
+    # as it is, and only a capacity clamps it, with a warning.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    for key in [key for key in env if key.startswith("WTFC_")]:
+        del env[key]
+    sets = [item.replace("p_r=10e3", "p_r=1e-9") for item in BASE_SETS]
+    result = subprocess.run(
+        [sys.executable, "-m", "wtfc.cli", "pe", *sets, "--iters", "1000", "--seed", "0"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "p_e = 1\n" in result.stdout

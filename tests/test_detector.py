@@ -1125,3 +1125,37 @@ def test_oracle_agreement_smoke():
             params, NO_FADING, helpers.power_for_mu(mu), 1.0, 100_000, seed=17
         )
         assert abs(est.p_e - analytic_pe_no_shadowing(mu, n)) <= 3 * est.half_width_95
+
+
+def test_equal_floor_scores_get_the_spread_bound():
+    # Mean 101 against 15 noise slots at 37 iterations: every score of the
+    # floor set is the same and no error lies outside it, so the sample
+    # spread is 0 and the row read 0.0354 +- 0.0. The spread is bounded by
+    # (P_f / 2)^2, as below two scores.
+    params = helpers.scheme_with_alphabet(16)
+    est = estimate_pe(params, NO_FADING, 100.0, 1.0, 37, seed=2024)
+    counts, sums, squares, f = helpers.reference_chunk_error_count(
+        0, 37, 2024, [101.0], [15], np.empty((3, 37)))
+    assert counts[0, 0] == 0 and f >= 2
+    assert squares[0, 0] / f - (sums[0, 0] / f) ** 2 <= 0.0
+    reach = -math.expm1(37 * math.log1p(-detector.P_FLOOR))
+    assert est.p_e == pytest.approx(0.0354, abs=1e-4)
+    assert est.half_width_95 == pytest.approx(
+        1.96 * (detector.P_FLOOR / 2) / (math.sqrt(f) * reach), rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma_db", [0.0, 8.0])
+def test_half_width_at_a_huge_signal_energy_scales_with_it(sigma_db):
+    # Scores are about y / mu, so at n_0 = 1e-300 (mu ~ 1e302) their squares
+    # underflowed and the row read p_e +- 0. Scaled by a power of two before
+    # squaring, p_e and its half-width times n_0 match the unscaled ones at
+    # n_0 = 1e-100, where mu ~ 1e102 lies below the scaling's threshold.
+    params = derive_scheme(PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1 / 100))
+    model = LargeScaleModel(enabled=sigma_db > 0, shadowing_std_db=sigma_db)
+    scaled = estimate_pe(params, model, 1e4, 1e-300, 1000, seed=0)
+    plain = estimate_pe(params, model, 1e4, 1e-100, 1000, seed=0)
+    assert detector._square_scale(signal_energy(1e4, params, 1e-100)) == 1.0
+    assert detector._square_scale(signal_energy(1e4, params, 1e-300)) > 1.0
+    assert scaled.half_width_95 > 0.0
+    assert scaled.p_e * 1e300 == pytest.approx(plain.p_e * 1e100, rel=1e-9)
+    assert scaled.half_width_95 * 1e300 == pytest.approx(plain.half_width_95 * 1e100, rel=1e-9)

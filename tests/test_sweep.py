@@ -11,9 +11,11 @@ from wtfc import (
     compare_shadowing,
     derive_scheme,
     deterministic_power_gain,
+    analytic_pe_no_shadowing,
     dmc_capacity,
     estimate_pe,
     run_sweep,
+    signal_energy,
 )
 from wtfc.sweep import COLUMNS, SweepRow, _point_config, cell_row
 
@@ -428,3 +430,21 @@ def test_threads_do_not_change_rows():
 
 def test_every_column_is_a_row_field():
     assert sorted(COLUMNS) == sorted(SweepRow.__annotations__)
+
+
+def test_rows_at_a_huge_signal_energy_have_a_half_width():
+    # The README point at n_0 = 1e-300: the three rows read p_e +- 0, as
+    # the squares of their floor scores underflowed.
+    base = make_base(inputs=PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1 / 100), p_r=1e4,
+                     n_0=1e-300, iterations=1000, seed=0)
+    spec = SweepSpec(base=base, axis="duty_cycle", grid=(1e-2, 1e-5, 1e-7))
+    rows = run_sweep(spec).rows
+    assert len(rows) == 3
+    for row in rows:
+        point = _point_config(base, "duty_cycle", row.axis_value)
+        params = derive_scheme(point.inputs)
+        exact = analytic_pe_no_shadowing(
+            signal_energy(point.resolved_p_t(), params, point.n_0) + 1.0,
+            params.noise_slot_count)
+        assert row.ci_half_width_95 > 0.0
+        assert abs(row.p_e - exact) <= 3 * row.ci_half_width_95
