@@ -5,9 +5,9 @@ itself (signal energy, the exact closed form without shadowing, the
 estimate record and the chunk size) lives in ``wtfc.errorlaw``, needs the
 standard library alone, and is re-exported here. Commands that never
 sample (``--version``, ``derive``, ``capacity --pe``) never import this
-module, so they start without numpy; ``wtfc.sweep`` and ``wtfc.cli``
-import it on their first estimate, and ``wtfc`` on first access to a
-sampler name.
+module, so they start without numpy; ``wtfc.sweep``, through which every
+command samples, imports it on its first estimate, and ``wtfc`` on first
+access to a sampler name.
 
 Monte Carlo estimation draws the signal statistic and the max-of-noise
 statistic by inverse transform sampling, two uniforms per iteration instead

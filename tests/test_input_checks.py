@@ -11,11 +11,10 @@ import re
 
 import pytest
 
-from wtfc import LargeScaleModel, PhysicalInputs, SweepSpec, derive_scheme, estimate_pe
+from wtfc import (LargeScaleModel, PhysicalInputs, RunConfig, SweepSpec, derive_scheme,
+                  estimate_pe)
 from wtfc.cli import main
 from wtfc.config import ConfigError
-
-from test_sweep import make_base
 
 POINT = [
     "--set", "bandwidth_hz=100e6",
@@ -127,7 +126,10 @@ def test_physical_inputs_reject(changes, message):
     ({"awgn_power": "both"}, "awgn_power", "must be 'pr' or 'pt'"),
 ])
 def test_sweep_spec_rejects(changes, key, message):
-    spec = dict(base=make_base(), axis="duty_cycle", grid=(1e-2,))
+    base = RunConfig(inputs=PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1 / 100),
+                     model=LargeScaleModel(), p_r=1e4, p_t=None, n_0=1.0, iterations=1000,
+                     seed=0)
+    spec = dict(base=base, axis="duty_cycle", grid=(1e-2,))
     with pytest.raises(ConfigError) as info:
         SweepSpec(**{**spec, **changes})
     assert (info.value.field, str(info.value)) == (key, f"{key}: {message}")
