@@ -145,8 +145,9 @@ def estimate_pe(*args, **kwargs):
     return detector.estimate_pe(*args, **kwargs)
 
 
-def estimate_cells(base: RunConfig, cells, models: tuple[LargeScaleModel, ...],
-                   threads: int = 1) -> tuple[PeEstimate, ...]:
+def estimate_cells(base: RunConfig, cells: list[tuple[RunConfig, SchemeParams]],
+                   models: tuple[LargeScaleModel, ...], threads: int = 1
+                   ) -> tuple[PeEstimate, ...]:
     """One estimate per (model, cell), model-major, from one ``estimate_pe`` call.
 
     A cell is a (point configuration, params) pair at its point's transmit
