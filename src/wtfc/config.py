@@ -232,9 +232,10 @@ class RunConfig(Record):
         if p_t is not None and not (scale > 0 and p_t * inputs.symbol_time_s / scale < math.inf):
             raise ConfigError("n_0", "the signal energy it gives lies outside the float range")
         # And the AWGN SNR P / (N_0 B) at either power, as capacity.awgn_capacity
-        # forms it.
+        # forms it: a positive float, so that its capacity and its dB are finite.
         band = self.n_0 * inputs.bandwidth_hz
-        if p_t is not None and not (band > 0 and max(p_t, self.resolved_p_r()) / band < math.inf):
+        if p_t is not None and not (band > 0 and all(
+                0 < power / band < math.inf for power in (p_t, self.resolved_p_r()))):
             raise ConfigError("n_0", "the AWGN SNR it gives lies outside the float range")
         if self.iterations < 1:
             raise ConfigError("iterations", "must be a positive integer")

@@ -21,9 +21,14 @@ span, so every draw equals the one a whole-chunk draw gives.
 The unit of work is a whole sweep: one ``estimate_pe`` call may carry
 every (model, variant) cell of every grid point, such as WTFC and I-FSK,
 or shadowing off and on, each variant at its own point's transmit power.
-Each chunk draws its uniforms, and each shadowing model its amplitudes,
-once for every cell, so the rows of a sweep share their draws (common
-random numbers) and each cell's scores equal its one-cell call's.
+A cell is a plain (signal, noise-slot count) pair, one per estimate: the
+signal is the cell's signal-slot mean, or the model and energy whose
+amplitudes are drawn, and the count is its alphabet's S - 1. Each chunk
+draws its uniforms, and each shadowing model its amplitudes, once for
+every cell, and inverts each noise count's maximum once for the cells
+that share it, so the rows of a sweep share their draws (common random
+numbers) and each cell's scores equal its one-cell call's. Two equal
+cells are scored twice, to the same bits.
 
 The scores rest on one fact. The noise maximum y comes from the noise
 uniform v; given y and the amplitude m, the signal output is exponential
@@ -287,21 +292,21 @@ def _chunk_error_count(
     chunk_index: int,
     n: int,
     seed: int,
-    signals: Sequence[float | tuple[LargeScaleModel, float]],
-    noise_counts: Sequence[int],
-    cells: Sequence[tuple[int, int]],
+    cells: Sequence[tuple[float | tuple[LargeScaleModel, float], int]],
     scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Scores of every cell in one chunk of ``n`` iterations.
 
-    A signal is its signal-slot mean: a float when it is the same for every
-    iteration, else the (model, signal energy) whose amplitudes the
-    shadowing stream draws. A cell is a (signal, noise count) pair of
-    indices. The chunk is seeded by (seed, chunk); its signal uniforms u,
-    its noise uniforms v and each distinct model's amplitudes are drawn
-    once for every cell. ``scratch`` holds at least
-    ``_scratch_rows(signals)`` rows of at least min(n, ``_span(signals)``)
-    floats, else ``ValueError``; the chunk overwrites those rows.
+    A cell is a (signal, noise-slot count) pair. A signal is its
+    signal-slot mean: a float when it is the same for every iteration,
+    else the (model, signal energy) whose amplitudes the shadowing stream
+    draws. The chunk is seeded by (seed, chunk); its signal uniforms u, its
+    noise uniforms v and each distinct model's amplitudes are drawn once
+    for every cell, and the cells that share a noise count share its
+    maximum. ``scratch`` holds at least ``_scratch_rows(signals)`` rows of
+    at least min(n, ``_span(signals)``) floats, over the cells' signals,
+    else ``ValueError``; the chunk overwrites those rows. Returns each
+    cell's count and two sums, in cell order, and F's size.
 
     A cell whose amplitudes are drawn scores every iteration by its error
     probability given its noise maximum y and amplitude m,
@@ -354,6 +359,7 @@ def _chunk_error_count(
     superset of a cell's candidates gives that pass's count bit for bit.
     Ties count as errors (measure zero, pinned for reproducibility).
     """
+    signals = [signal for signal, _ in cells]
     span = _span(signals)
     rows, columns = _scratch_rows(signals), min(n, span)
     if len(scratch) < rows or scratch.shape[1] < columns:
@@ -366,17 +372,15 @@ def _chunk_error_count(
     models = _shadowing_models(signals)
     constant: dict = {}
     drawn: dict = {}
-    for c, (j, k) in enumerate(cells):
-        if isinstance(signals[j], float):
-            constant.setdefault(k, []).append((c, signals[j]))
+    for c, (signal, n_noise) in enumerate(cells):
+        if isinstance(signal, float):
+            constant.setdefault(n_noise, []).append((c, signal))
         else:
-            drawn.setdefault(k, []).append(
-                (c, models[signals[j][0]], signals[j][1], _square_scale(signals[j])))
+            drawn.setdefault(n_noise, []).append(
+                (c, models[signal[0]], signal[1], _square_scale(signal)))
     means = {k: min(mean for _, mean in members) for k, members in constant.items()}
 
-    shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
-        [seed, chunk_index]
-    ).spawn(3)
+    shadow_seed, signal_seed, noise_seed = np.random.SeedSequence([seed, chunk_index]).spawn(3)
     signal_rng, noise_rng = np.random.default_rng(signal_seed), np.random.default_rng(noise_seed)
     # Every model draws its amplitudes from the start of the shadowing stream.
     shadow_rngs = [np.random.default_rng(shadow_seed) for _ in models]
@@ -402,8 +406,8 @@ def _chunk_error_count(
                 np.log(v, out=v)
             w, t = w_row[:length], x_row[:length]
             at = slice(start // _PIECE, -(-(start + length) // _PIECE))
-            for k, members in drawn.items():
-                _negative_max_noise_from_log(noise_counts[k], v, out=w)
+            for n_noise, members in drawn.items():
+                _negative_max_noise_from_log(n_noise, v, out=w)
                 for c, g, energy, scale in members:
                     # mu = (m * m) * energy + 1, then t = w / mu and -s = expm1(t).
                     np.multiply(squares[g], energy, out=t)
@@ -419,10 +423,9 @@ def _chunk_error_count(
             continue
 
         u = signal_rng.random(length, out=u_row[:length])
-        bounds = {k: _noise_bound(top, noise_counts[k]) for k in constant}
         # Each count's one cut on E is at its smallest mean; the union
         # keeps every E at or below the largest of them and c_f.
-        cut = max(_FLOOR_CUT, *(bounds[k] * pad / means[k] * pad for k in constant))
+        cut = max(_FLOOR_CUT, *(_noise_bound(top, k) * pad / means[k] * pad for k in constant))
         candidates = u <= -math.expm1(-cut) * pad
         # w_row is free until the counts below write w.
         ell, log_v = _compact([u, v], candidates, w_row)
@@ -437,8 +440,8 @@ def _chunk_error_count(
         ell[floor] = -math.inf
         del floor
         w, x = w_row[: ell.size], x_row[: ell.size]
-        for k, members in constant.items():
-            _negative_max_noise_from_log(noise_counts[k], log_v, out=w)
+        for n_noise, members in constant.items():
+            _negative_max_noise_from_log(n_noise, log_v, out=w)
             for c, mean in members:
                 counts[c] += np.count_nonzero(np.multiply(mean, ell, out=x) >= w)
     for members in drawn.values():
@@ -449,14 +452,13 @@ def _chunk_error_count(
     if not constant:
         return counts, sums, square_sums, 0
     log_v = np.concatenate(below)
-    _floor_scores(log_v, constant, noise_counts, sums, square_sums, scratch)
+    _floor_scores(log_v, constant, sums, square_sums, scratch)
     return counts, sums, square_sums, log_v.size
 
 
 def _floor_scores(
     log_v: np.ndarray,
     constant: dict,
-    noise_counts: Sequence[int],
     sums: np.ndarray,
     square_sums: np.ndarray,
     scratch: np.ndarray,
@@ -464,22 +466,22 @@ def _floor_scores(
     """Score a chunk's floor set in every constant cell, in iteration order.
 
     ``log_v`` holds the ln v of the chunk's iterations with L >= -c_f, in
-    iteration order, and ``constant`` each noise count's cells as (cell,
-    mean). In each cell every such iteration scores q, with
-    -q = expm1(max(w / mu, -c_f)) for w = -y. Writes per cell the
-    ``np.sum`` of q over those iterations, in iteration order, into
-    ``sums``, and the same sum of (2^k q) squared, 2^k = ``_square_scale``
-    of the mean, into ``square_sums``. Each is one sum over the chunk, so
-    its bits do not depend on the span.
+    iteration order, and ``constant`` maps each noise-slot count to its
+    constant cells as (cell index, mean). In each cell every such
+    iteration scores q, with -q = expm1(max(w / mu, -c_f)) for w = -y.
+    Writes at each cell's index the ``np.sum`` of q over those iterations,
+    in iteration order, into ``sums``, and the same sum of (2^k q)
+    squared, 2^k = ``_square_scale`` of the mean, into ``square_sums``.
+    Each is one sum over the chunk, so its bits do not depend on the span.
 
-    Each noise count inverts its w once, and its cells are scored one at a
-    time, in two rows of ``scratch`` for w and -q, or in two new rows when
+    Each noise count inverts its w once for all its cells, which are
+    scored one at a time, in two rows of ``scratch`` for w and -q, or in two new rows when
     the floor set is wider than a row.
     """
     size = log_v.size
     w, t = scratch[:2, :size] if size <= scratch.shape[1] else np.empty((2, size))
-    for k, members in constant.items():
-        _negative_max_noise_from_log(noise_counts[k], log_v, out=w)
+    for n_noise, members in constant.items():
+        _negative_max_noise_from_log(n_noise, log_v, out=w)
         for c, mean in members:
             np.divide(w, mean, out=t)
             np.maximum(t, -_FLOOR_CUT, out=t)
@@ -552,12 +554,8 @@ def estimate_pe(
                 "at chunk boundaries"
             )
 
-    # Estimates map to distinct cells, cells to distinct signal means and
-    # noise-slot counts; equal ones share their counts and arrays.
-    signals: dict = {}
-    noise_counts: dict = {}
-    cells: dict = {}
-    estimate_cells = []
+    # One (signal, noise-slot count) cell per estimate, model-major.
+    cells = []
     for m in models:
         amplitude = constant_amplitude(m)
         for p, p_t in zip(variants, powers):
@@ -569,22 +567,20 @@ def estimate_pe(
             else:
                 # (m * m) * energy_factor + 1, as a drawn mu array is formed.
                 signal = amplitude * amplitude * energy_factor + 1.0
-            cell = (signals.setdefault(signal, len(signals)),
-                    noise_counts.setdefault(p.noise_slot_count, len(noise_counts)))
-            estimate_cells.append(cells.setdefault(cell, len(cells)))
-    signal_list, noise_list, cell_list = list(signals), list(noise_counts), list(cells)
+            cells.append((signal, p.noise_slot_count))
+    signals = [signal for signal, _ in cells]
 
     n_chunks = -(-iterations // CHUNK_SIZE)
     workers = min(threads, n_chunks)
 
-    scratch_shape = (_scratch_rows(signal_list), min(_span(signal_list), iterations))
+    scratch_shape = (_scratch_rows(signals), min(_span(signals), iterations))
 
     def work(first: int) -> list:
         # Worker ``first`` runs chunks first, first + workers, ... in its
         # own scratch; a chunk's draws depend on its index alone.
         scratch = np.empty(scratch_shape)
         return [_chunk_error_count(i, min(CHUNK_SIZE, iterations - i * CHUNK_SIZE), seed,
-                                   signal_list, noise_list, cell_list, scratch)
+                                   cells, scratch)
                 for i in range(first, n_chunks, workers)]
 
     if workers == 1:
@@ -600,13 +596,12 @@ def estimate_pe(
     chunks = [chunk for worker in results for chunk in worker]
     errors = sum(counts for counts, _, _, _ in chunks)
     floor_size = sum(size for _, _, _, size in chunks)
-    estimates = []
-    for c in estimate_cells:
-        signal = signal_list[cell_list[c][0]]
-        estimates.append(_estimate(
-            int(errors[c]), floor_size, math.fsum(sums[c] for _, sums, _, _ in chunks),
-            math.fsum(squares[c] for _, _, squares, _ in chunks), iterations, seed,
-            drawn=not isinstance(signal, float), scale=_square_scale(signal)))
+    estimates = [
+        _estimate(int(errors[c]), floor_size, math.fsum(sums[c] for _, sums, _, _ in chunks),
+                  math.fsum(squares[c] for _, _, squares, _ in chunks), iterations, seed,
+                  drawn=not isinstance(signal, float), scale=_square_scale(signal))
+        for c, signal in enumerate(signals)
+    ]
     return estimates[0] if one_cell else tuple(estimates)
 
 

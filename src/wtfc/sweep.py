@@ -198,8 +198,17 @@ def cell_row(point: RunConfig, params: SchemeParams, estimate: PeEstimate,
         ceiling_bps=params.ceiling_bps(),
         awgn_bps=awgn_bps,
         snr_db_bw=10.0 * math.log10(p_r / (point.n_0 * inputs.bandwidth_hz)),
-        snr_db_n0=10.0 * math.log10(p_r / point.n_0),
+        snr_db_n0=_decibels(p_r, point.n_0),
     )
+
+
+def _decibels(power: float, density: float) -> float:
+    """10 log10(power / density) for positive floats, finite wherever the
+    quotient lies outside the float range: then from the two logarithms."""
+    ratio = power / density
+    if 0 < ratio < math.inf:
+        return 10.0 * math.log10(ratio)
+    return 10.0 * (math.log10(power) - math.log10(density))
 
 
 def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: int):

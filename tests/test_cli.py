@@ -187,6 +187,31 @@ def test_awgn_snr_past_the_float_range_exits_2_naming_n_0(command, capsys):
     assert err == "error: n_0: the AWGN SNR it gives lies outside the float range\n"
 
 
+@pytest.mark.parametrize("command", [["pe"], ["capacity"], ["capacity", "--pe", "0.5"]],
+                         ids=["pe", "capacity", "capacity-pe"])
+def test_awgn_snr_that_rounds_to_0_exits_2_naming_n_0(command, capsys):
+    # p_r / (n_0 B) = 1e-338 rounds to 0: capacity --pe read
+    # "error: math domain error", naming no field, and pe exited 0.
+    code, out, err = run_cli([*command, *BASE_SETS[:-2], "--set", "p_r=1e-320",
+                              "--set", "n_0=1e10", "--iters", "1000"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: n_0: the AWGN SNR it gives lies outside the float range\n"
+
+
+def test_snr_db_n0_past_the_float_range_reads_finite(capsys, tmp_path):
+    # p_r / n_0 = 1e309 is inf, where the column read inf; p_r / (n_0 B)
+    # = 1e301 stays a float, so the row is sampled.
+    out = tmp_path / "snr.csv"
+    sets = [item.replace("p_r=10e3", "p_r=1e300") for item in BASE_SETS]
+    code, _, _ = run_cli(["sweep", *sets, "--set", "n_0=1e-9", "--iters", "1000",
+                          "--axis", "duty_cycle", "--grid", "1e-2",
+                          "--set", "snr_columns=true", "--out", str(out)], capsys)
+    assert code == 0
+    (row,) = csv.DictReader(out.read_text().splitlines()[1:])
+    assert float(row["snr_db_n0"]) == pytest.approx(3090.0)
+    assert all(cell.lower() not in ("inf", "-inf", "nan") for cell in row.values())
+
+
 @pytest.mark.parametrize("flag, key, value", [
     ("--sigma-db", "sigma_db", "nan"),
     ("--grid", "grid", "1e-3,nan"),
@@ -919,6 +944,27 @@ def test_pe_and_capacity_sample_through_the_sweep_mapping(argv, capsys, monkeypa
     for params, models, powers, n_0, iterations, seed in calls:
         assert [p.variant for p in params] == ["WTFC"] and powers == [10e3]
         assert (models, n_0, iterations, seed) == ((LargeScaleModel(),), 1.0, 1000, 0)
+
+
+def test_duty_1_variant_rows_are_equal_and_each_equals_pe(capsys, tmp_path):
+    # At duty cycle 1 WTFC and I-FSK have one alphabet, so the sweep's two
+    # cells are the same (signal, noise count) pair, each scored in its
+    # own right: the rows differ only in their variant, and each reads what
+    # pe reads for its variant at that point.
+    sets = [*BASE_SETS, "--set", "duty_cycle=1", "--iters", "20000", "--seed", "3"]
+    out = tmp_path / "duty1.csv"
+    code, _, _ = run_cli(["sweep", *sets, "--axis", "duty_cycle", "--grid", "1",
+                          "--variants", "wtfc,ifsk", "--out", str(out)], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert [row.pop("variant") for row in rows] == ["WTFC", "IFSK"]
+    assert rows[0] == rows[1]
+    for variant in ("wtfc", "ifsk"):
+        code, text, _ = run_cli(["pe", *sets, "--variant", variant], capsys)
+        assert code == 0
+        report = dict(line.split(" = ", 1) for line in text.splitlines())
+        assert (report["p_e"], report["ci_half_width_95"]) == (
+            rows[0]["p_e"], rows[0]["ci_half_width_95"]), variant
 
 
 def test_pe_where_every_symbol_errs_prints_nothing_on_stderr(tmp_path):

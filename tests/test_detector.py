@@ -413,18 +413,17 @@ def test_pins_lie_near_the_exact_value(case):
 
 
 def _chunk_args(point_cells):
-    """Chunk arguments from (signal, noise count) cells, deduplicated in
-    first-seen order as ``estimate_pe`` does: (signals, noise counts, cells)."""
-    signals, noise_counts, cells = {}, {}, {}
-    for signal, n_noise in point_cells:
-        cells.setdefault((signals.setdefault(signal, len(signals)),
-                          noise_counts.setdefault(n_noise, len(noise_counts))), None)
-    return list(signals), list(noise_counts), list(cells)
+    """(signals, noise counts, cells) from (signal, noise count) cells: the
+    distinct signals and noise counts in first-seen order, as the reference
+    takes them, and every cell, as ``estimate_pe`` hands them to the kernel."""
+    signals = list(dict.fromkeys(signal for signal, _ in point_cells))
+    noise_counts = list(dict.fromkeys(n_noise for _, n_noise in point_cells))
+    return signals, noise_counts, list(point_cells)
 
 
 def _every_cell(signals, noise_counts):
     """Every (signal, noise count) pair, signal-major, as the reference counts them."""
-    return [(j, k) for j in range(len(signals)) for k in range(len(noise_counts))]
+    return [(signal, n_noise) for signal in signals for n_noise in noise_counts]
 
 
 # Chunk arguments: the signal-slot means and noise-slot counts of a point.
@@ -481,7 +480,7 @@ def test_warm_chunk_allocates_less_than_one_chunk_array(case):
     # kernel writes into the scratch rows, one span long, instead.
     signals, noise_counts, cells = _CHUNK_CELLS[case]
     scratch = np.empty((_scratch_rows(signals), _span(signals)))
-    args = (0, CHUNK_SIZE, 1, signals, noise_counts, cells, scratch)
+    args = (0, CHUNK_SIZE, 1, cells, scratch)
     _chunk_error_count(*args)
     tracemalloc.start()
     try:
@@ -561,7 +560,7 @@ def _assert_kernel_matches_reference(signals, noise_counts, n, chunks, seed=11):
     reference = np.empty((len(noise_counts) + 2, n))
     cells = _every_cell(signals, noise_counts)
     for chunk in chunks:
-        got = _chunk_error_count(chunk, n, seed, signals, noise_counts, cells, scratch)
+        got = _chunk_error_count(chunk, n, seed, cells, scratch)
         want = helpers.reference_chunk_error_count(chunk, n, seed, signals, noise_counts,
                                                    reference)
         assert np.array_equal(got[0], want[0].ravel()), chunk
@@ -682,11 +681,13 @@ def test_sweep_grid_counts_equal_the_reference(case):
     scratch = np.empty((_scratch_rows(signals), _span(signals)))
     reference = np.empty((len(noise_counts) + 2, CHUNK_SIZE))
     for chunk in range(20):
-        got = _chunk_error_count(chunk, CHUNK_SIZE, 7, signals, noise_counts, cells, scratch)
+        got = _chunk_error_count(chunk, CHUNK_SIZE, 7, cells, scratch)
         want = helpers.reference_chunk_error_count(chunk, CHUNK_SIZE, 7, signals,
                                                    noise_counts, reference)
         for got_part, want_part in zip(got[:3], want[:3]):
-            assert _same_bits(got_part, [want_part[j, k] for j, k in cells]), chunk
+            assert _same_bits(got_part, [want_part[signals.index(signal),
+                                                   noise_counts.index(n_noise)]
+                                         for signal, n_noise in cells]), chunk
         assert got[3] == want[3], chunk
 
 
@@ -727,7 +728,7 @@ def test_scratch_one_row_short_is_rejected(cells):
     assert rows == 4 + {"constant": 0, "shadowed": 1, "mixed": 2}[cells]
     cell_list = _every_cell(signals, noise_counts)
     for n, columns in [(37, 37), (CHUNK_SIZE, span)]:
-        args = (0, n, 11, signals, noise_counts, cell_list)
+        args = (0, n, 11, cell_list)
         for shape in [(rows - 1, columns), (rows, columns - 1)]:
             with pytest.raises(ValueError, match="^scratch has"):
                 _chunk_error_count(*args, np.empty(shape))
@@ -772,8 +773,8 @@ def test_edge_uniforms_count_as_in_the_all_iterations_kernel(monkeypatch, noise)
     signals, noise_counts = [1e6, (_PIN_SHADOWED, 1e6)], [1, 10**9]
     _assert_kernel_matches_reference(signals, noise_counts, n, [0])
     scratch = np.empty((_scratch_rows(signals), n))
-    counts, sums, _, _ = _chunk_error_count(0, n, 11, signals, noise_counts,
-                                            _every_cell(signals, noise_counts), scratch)
+    counts, sums, _, _ = _chunk_error_count(0, n, 11, _every_cell(signals, noise_counts),
+                                            scratch)
     if noise == "zero":
         # Every maximum is 0, so t = 0: every iteration with E <= c_f, each
         # u = 0 tie among them, scores -expm1(-0) = 0, and x > 0 elsewhere.
@@ -809,8 +810,7 @@ def test_floor_wider_than_span_rows_is_scored_in_new_rows(monkeypatch):
         default_rng(seq), {1: u}.get(seq.spawn_key[-1])))
     signals, noise_counts = [101.0, 1e6, (_PIN_SHADOWED, 1e6)], [15, 2699]
     scratch = np.empty((_scratch_rows(signals), _span(signals)))
-    got = _chunk_error_count(0, CHUNK_SIZE, 11, signals, noise_counts,
-                             _every_cell(signals, noise_counts), scratch)
+    got = _chunk_error_count(0, CHUNK_SIZE, 11, _every_cell(signals, noise_counts), scratch)
     want = helpers.reference_chunk_error_count(0, CHUNK_SIZE, 11, signals, noise_counts,
                                                np.empty((4, CHUNK_SIZE)))
     assert np.array_equal(got[0], want[0].ravel())
@@ -934,6 +934,19 @@ def test_every_cell_of_a_shared_pass_equals_its_one_cell_call(iterations, thread
                         threads=threads, hold_mean_rx_power=hold)
             for params in variants
         ), (hold, iterations, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("model", [NO_FADING, _PIN_SHADOWED], ids=["constant", "shadowed"])
+def test_a_repeated_cell_gives_one_estimate_each_equal_to_the_one_cell_call(model, threads):
+    # The same params at the same power twice is the same (signal, noise
+    # count) cell twice: the call returns two estimates, scored apart, and
+    # each has the one-cell call's bits.
+    params = helpers.scheme_with_alphabet(16)
+    one = estimate_pe(params, model, 100.0, 1.0, 250_000, seed=5, threads=threads)
+    both = estimate_pe([params, params], model, [100.0, 100.0], 1.0, 250_000, seed=5,
+                       threads=threads)
+    assert both == (one, one)
 
 
 def test_intervals_cover_the_exact_value_below_the_floor():

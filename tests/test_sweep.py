@@ -269,6 +269,38 @@ def test_point_whose_awgn_snr_overflows_becomes_skipped_row():
     assert rows[1].skipped_reason == "n_0: the AWGN SNR it gives lies outside the float range"
 
 
+@pytest.mark.parametrize("overrides", [
+    {"p_r": 1e-320, "n_0": 1e10},
+    # Path-loss gain ~6e297: p_r ~6e-23, but p_t / (n_0 B) = 1e-338 is 0.
+    {"p_r": None, "p_t": 1e-320, "n_0": 1e10,
+     "model": LargeScaleModel(wavelength_m=1e150, enabled=True)},
+], ids=["receive", "transmit"])
+def test_run_config_rejects_an_awgn_snr_that_rounds_to_0(overrides):
+    with pytest.raises(ConfigError, match="^n_0: the AWGN SNR it gives") as info:
+        make_base(**overrides)
+    assert info.value.field == "n_0"
+
+
+def test_point_whose_awgn_snr_rounds_to_0_becomes_skipped_row():
+    # p_r / (n_0 B) is 1e-323 at 100 MHz and rounds to 0 at 1 GHz, where
+    # the sweep died as a whole with a math domain error after sampling.
+    base = make_base(p_r=1e-300, n_0=1e15, iterations=1000)
+    rows = run_sweep(SweepSpec(base=base, axis="bandwidth", grid=(100e6, 1e9))).rows
+    assert rows[0].skipped_reason is None and math.isfinite(rows[0].snr_db_bw)
+    assert rows[1].skipped_reason == "n_0: the AWGN SNR it gives lies outside the float range"
+
+
+def test_snr_db_n0_past_the_float_range_is_finite():
+    # 3010 dB at n_0 = 1e-10 is p_r = 1e299: p_r / n_0 = 1e309 is inf, and
+    # the row read snr_db_n0 = inf; it reads 10 log10(p_r) - 10 log10(n_0).
+    base = make_base(p_r=None, n_0=1e-10, iterations=1000)
+    rows = run_sweep(SweepSpec(base=base, axis="snr_db", grid=(10.0, 3010.0))).rows
+    assert [row.skipped_reason for row in rows] == [None, None]
+    assert rows[0].snr_db_n0 == pytest.approx(90.0)
+    assert rows[1].snr_db_n0 == pytest.approx(3090.0)
+    assert rows[1].snr_db_bw == pytest.approx(3010.0)
+
+
 def test_invalid_duty_cycle_point_is_skipped_with_reason():
     base = make_base()
     spec = SweepSpec(base=base, axis="duty_cycle", grid=(0.4, 0.1, 0.01))

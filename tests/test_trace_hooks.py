@@ -3,7 +3,7 @@
 ``bench/run.py --trace 1`` replaces functions in ``wtfc.cli``,
 ``wtfc.sweep`` and ``wtfc.detector`` by name; renaming or dropping one
 would only show up as a crash of the traced benchmark. This runs a small
-``sweep`` and ``compare-shadowing`` through those wrappers.
+``sweep``, ``compare-shadowing`` and ``pe`` through those wrappers.
 """
 
 import os
@@ -22,10 +22,9 @@ POINT_SETS = [
     "--set", "doppler_spread_hz=25e3",
     "--set", "duty_cycle=1/100",
     "--set", "p_r=10e3",
-    "--axis", "duty_cycle",
-    "--grid", "1e-2,1e-3",
     "--iters", "150000",
 ]
+GRID = ["--axis", "duty_cycle", "--grid", "1e-2,1e-3"]
 
 
 @pytest.fixture
@@ -40,8 +39,10 @@ def bench_modules(monkeypatch):
 
 
 @pytest.mark.parametrize("command, extra", [
-    ("sweep", ["--variants", "wtfc,ifsk"]),
-    ("compare-shadowing", ["--sigma-db", "8", "--threads", "2"]),
+    ("sweep", [*GRID, "--variants", "wtfc,ifsk"]),
+    ("compare-shadowing", [*GRID, "--sigma-db", "8", "--threads", "2"]),
+    # One cell through wtfc.sweep.estimate_cells.
+    ("pe", ["--threads", "2"]),
 ])
 def test_layer_wrappers_record_estimates_and_chunks(bench_modules, command, extra,
                                                     tmp_path, capsys):
@@ -56,7 +57,7 @@ def test_layer_wrappers_record_estimates_and_chunks(bench_modules, command, extr
     assert code == 0
     estimates = [span for span in tracer.spans if span.name == "detector.estimate"]
     chunks = [span for span in tracer.spans if span.name == "detector.chunk"]
-    # One estimate for the whole sweep, over two 100 000-iteration chunks.
+    # One estimate for the whole call, over one chunk per 100 000 iterations.
     assert len(estimates) == 1
     assert all(span.attrs["iterations"] > 0 for span in estimates)
     assert len(chunks) == 2

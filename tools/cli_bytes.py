@@ -112,6 +112,9 @@ CALLS = [
      {}),
     ("sweep-skips-variants", [*BANDWIDTH_SWEEP, "--grid", "1e4,1e5", "--variants", "wtfc,ifsk",
                               "--allow-skips", *OUT], {}),
+    # Duty 1: WTFC and I-FSK have one alphabet, so both rows are one cell.
+    ("sweep-duty-1-variants", ["sweep", *POINT, *PR, *ITERS, "--axis", "duty_cycle", "--grid",
+                               "1", "--variants", "wtfc,ifsk", *OUT], {}),
     ("sweep-no-awgn", [*BANDWIDTH_SWEEP, "--grid", "1e6,1e7", "--variants", "wtfc,ifsk",
                        "--set", "include_awgn=false", *OUT], {}),
     ("compare-threads-2", [*COMPARE, "--sigma-db", "8", "--threads", "2"], {}),
