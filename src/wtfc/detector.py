@@ -72,8 +72,8 @@ computed on one float with ``math`` and padded by a relative 1e-6
 (``_SLACK``) against the few-ulp error of either computation, bounds
 every maximum of the span at that noise count, and an iteration whose
 signal statistic lies above the bound is correct in that cell. Each
-noise count has one cut on E at its smallest constant mean, from which
-the span's test on u is derived. Each span gathers the candidates of all
+constant cell has a cut on E from that bound and its mean, and the
+span's test on u is derived from the largest. Each span gathers the candidates of all
 its constant cells, its union, once; each noise count then inverts its
 maximum, and counts its constant cells, over that whole union, where
 F's L is -inf, so no count sees F. L, w and every comparison go through
@@ -341,12 +341,12 @@ def _chunk_error_count(
       maximum increases with v, and the pad exceeds the few-ulp error of
       any computed one.
     - A constant mean mu gives x = mu * E, within an ulp of the product,
-      so each noise count has one cut on E, bound * pad / mu * pad at its
-      smallest mean with pad = 1 + ``_SLACK``: above it, x lies above the
-      bound and the iteration is correct in every cell of the count.
-      E = -L rises with u, within a few ulp, so the span tests u at or
-      below -expm1(-cut) * pad for the largest cut and c_f, which keeps
-      every u of every count's E cut and the floor set.
+      so each constant cell has a cut on E, bound[N] * pad / mu * pad with
+      pad = 1 + ``_SLACK``: above it, x lies above the bound and the
+      iteration is correct in that cell. E = -L rises with u, within a
+      few ulp, so the span tests u at or below -expm1(-cut) * pad for the
+      largest cut and c_f, which keeps every u of every cell's E cut and
+      the floor set.
 
     The span's candidates, its union, are gathered once: u and ln v are
     compacted to it in place, through the row that then takes w. Each span
@@ -368,7 +368,7 @@ def _chunk_error_count(
     u_row, v_row, w_row, x_row, *amplitude_rows = scratch[:rows]
 
     # Each noise count's constant cells as (cell, mean) and drawn cells as
-    # (cell, model index, energy, square scale), and its smallest constant mean.
+    # (cell, model index, energy, square scale).
     models = _shadowing_models(signals)
     constant: dict = {}
     drawn: dict = {}
@@ -378,9 +378,10 @@ def _chunk_error_count(
         else:
             drawn.setdefault(n_noise, []).append(
                 (c, models[signal[0]], signal[1], _square_scale(signal)))
-    means = {k: min(mean for _, mean in members) for k, members in constant.items()}
 
-    shadow_seed, signal_seed, noise_seed = np.random.SeedSequence([seed, chunk_index]).spawn(3)
+    shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
+        [seed, chunk_index]
+    ).spawn(3)
     signal_rng, noise_rng = np.random.default_rng(signal_seed), np.random.default_rng(noise_seed)
     # Every model draws its amplitudes from the start of the shadowing stream.
     shadow_rngs = [np.random.default_rng(shadow_seed) for _ in models]
@@ -423,9 +424,10 @@ def _chunk_error_count(
             continue
 
         u = signal_rng.random(length, out=u_row[:length])
-        # Each count's one cut on E is at its smallest mean; the union
-        # keeps every E at or below the largest of them and c_f.
-        cut = max(_FLOOR_CUT, *(_noise_bound(top, k) * pad / means[k] * pad for k in constant))
+        # Each constant cell's cut on E; the union keeps every E at or below
+        # the largest of them and c_f.
+        cut = max(_FLOOR_CUT, *(_noise_bound(top, n_noise) * pad / mean * pad
+                                for n_noise, members in constant.items() for _, mean in members))
         candidates = u <= -math.expm1(-cut) * pad
         # w_row is free until the counts below write w.
         ell, log_v = _compact([u, v], candidates, w_row)
@@ -449,9 +451,8 @@ def _chunk_error_count(
             # 0.0 - total is -total, but +0 where every score is 0.
             sums[c] = 0.0 - math.fsum(pieces[c, 0])
             square_sums[c] = math.fsum(pieces[c, 1])
-    if not constant:
-        return counts, sums, square_sums, 0
-    log_v = np.concatenate(below)
+    # No constant cell draws no u and keeps no floor set.
+    log_v = np.concatenate(below) if constant else np.empty(0)
     _floor_scores(log_v, constant, sums, square_sums, scratch)
     return counts, sums, square_sums, log_v.size
 
