@@ -27,8 +27,8 @@ amplitudes are drawn, and the count is its alphabet's S - 1. Each chunk
 draws its uniforms, and each shadowing model its amplitudes, once for
 every cell, and inverts each noise count's maximum once for the cells
 that share it, so the rows of a sweep share their draws (common random
-numbers) and each cell's scores equal its one-cell call's. Two equal
-cells are scored twice, to the same bits.
+numbers) and each cell's scores equal its one-cell call's. A cell that
+appears twice is scored twice, to the same bits.
 
 The scores rest on one fact. The noise maximum y comes from the noise
 uniform v; given y and the amplitude m, the signal output is exponential
@@ -73,12 +73,12 @@ computed on one float with ``math`` and padded by a relative 1e-6
 every maximum of the span at that noise count, and an iteration whose
 signal statistic lies above the bound is correct in that cell. Each
 constant cell has a cut on E from that bound and its mean, and the
-span's test on u is derived from the largest. Each span gathers the candidates of all
-its constant cells, its union, once; each noise count then inverts its
-maximum, and counts its constant cells, over that whole union, where
-F's L is -inf, so no count sees F. L, w and every comparison go through
-the same element-wise ufuncs as a pass over every iteration, so each
-count equals that pass's bit for bit.
+span's test on u is derived from the largest. Each span gathers the
+candidates of all its constant cells, its union, once; each noise count
+then inverts its maximum, and counts its constant cells, over that whole
+union, where F's L is -inf, so no count sees F. L, w and every
+comparison go through the same element-wise ufuncs as a pass over every
+iteration, so each count equals that pass's bit for bit.
 
 The chunk kernel is allocation-free: each worker allocates its scratch
 once per ``estimate_pe`` call, and so once per sweep: ``_scratch_rows``
@@ -451,7 +451,7 @@ def _chunk_error_count(
             # 0.0 - total is -total, but +0 where every score is 0.
             sums[c] = 0.0 - math.fsum(pieces[c, 0])
             square_sums[c] = math.fsum(pieces[c, 1])
-    # No constant cell draws no u and keeps no floor set.
+    # Without a constant cell no u is drawn and the floor set is empty.
     log_v = np.concatenate(below) if constant else np.empty(0)
     _floor_scores(log_v, constant, sums, square_sums, scratch)
     return counts, sums, square_sums, log_v.size
@@ -476,8 +476,8 @@ def _floor_scores(
     Each is one sum over the chunk, so its bits do not depend on the span.
 
     Each noise count inverts its w once for all its cells, which are
-    scored one at a time, in two rows of ``scratch`` for w and -q, or in two new rows when
-    the floor set is wider than a row.
+    scored one at a time, in two rows of ``scratch`` for w and -q, or in
+    two new rows when the floor set is wider than a row.
     """
     size = log_v.size
     w, t = scratch[:2, :size] if size <= scratch.shape[1] else np.empty((2, size))

@@ -938,7 +938,7 @@ def test_every_cell_of_a_shared_pass_equals_its_one_cell_call(iterations, thread
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("model", [NO_FADING, _PIN_SHADOWED], ids=["constant", "shadowed"])
-def test_a_repeated_cell_gives_one_estimate_each_equal_to_the_one_cell_call(model, threads):
+def test_a_repeated_cell_gives_two_estimates_equal_to_the_one_cell_call(model, threads):
     # The same params at the same power twice is the same (signal, noise
     # count) cell twice: the call returns two estimates, scored apart, and
     # each has the one-cell call's bits.
