@@ -41,7 +41,7 @@ def dmc_capacity(
         import logging
 
         logging.getLogger(__name__).warning(
-            "p_e=%.6g exceeds 1 - 1/S = %.6g; clamping to the zero-capacity point",
+            "p_e=%.17g exceeds 1 - 1/S = %.17g; clamping to the zero-capacity point",
             p_e,
             worst,
         )

@@ -178,7 +178,7 @@ def cmd_estimate(args) -> int:
     if args.command == "capacity" and "p_e" in values:
         estimate = PeEstimate(values["p_e"], None, None, None)
     else:
-        estimate, = estimate_cells(config, [(config, params)], (config.model,), args.threads)
+        (estimate,), = estimate_cells(config, [(config, params)], (config.model,), args.threads)
     if args.command == "pe":
         header = header_line(values, ("variant",))
         report = {"variant": params.variant, "p_e": estimate.p_e,

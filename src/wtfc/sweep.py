@@ -7,13 +7,14 @@ every row exactly, regardless of thread count.
 
 ``estimate_cells`` makes the package's only ``estimate_pe`` call, so each
 sweep row equals ``wtfc pe`` at its point with the same seed by
-construction. ``run_sweep`` and ``compare_shadowing`` share one loop that
-calls it once, on the run seed, for every cell of every grid point that is
-not skipped (every variant, and for a comparison the shadowing-off and -on
-models). So the rows share one set of draws, and the worker scratch is
-allocated once per sweep: rows at different points are positively
-correlated (common random numbers) and each row's interval stays valid on
-its own.
+construction, and hands each (point, variant) cell its estimates as one
+tuple in model order. ``run_sweep`` and ``compare_shadowing`` share one
+loop that calls it once, on the run seed, for every cell of every grid
+point that is not skipped (every variant, and for a comparison the
+shadowing-off and -on models), and yields each cell's rows as one tuple.
+So the rows share one set of draws, and the worker scratch is allocated
+once per sweep: rows at different points are positively correlated
+(common random numbers) and each row's interval stays valid on its own.
 
 ``COLUMNS`` names the result columns, which a ``SweepRow`` carries: a new
 column is one entry there, one field and its value in ``cell_row``.
@@ -147,19 +148,21 @@ def estimate_pe(*args, **kwargs):
 
 def estimate_cells(base: RunConfig, cells: list[tuple[RunConfig, SchemeParams]],
                    models: tuple[LargeScaleModel, ...], threads: int = 1
-                   ) -> tuple[PeEstimate, ...]:
-    """One estimate per (model, cell), model-major, from one ``estimate_pe`` call.
+                   ) -> list[tuple[PeEstimate, ...]]:
+    """Each cell's estimates, one per model in model order, from one ``estimate_pe`` call.
 
     A cell is a (point configuration, params) pair at its point's transmit
     power; ``base`` gives the noise density, iterations, seed and power
-    hold. No cells sample nothing.
+    hold. No cells sample nothing. Only here is ``estimate_pe``'s
+    model-major order read: a cell's estimates are len(cells) apart.
     """
     if not cells:
-        return ()
-    return estimate_pe([params for _, params in cells], models,
-                       [point.resolved_p_t() for point, _ in cells], base.n_0,
-                       base.iterations, base.seed, threads=threads,
-                       hold_mean_rx_power=base.hold_mean_rx_power)
+        return []
+    estimates = estimate_pe([params for _, params in cells], models,
+                            [point.resolved_p_t() for point, _ in cells], base.n_0,
+                            base.iterations, base.seed, threads=threads,
+                            hold_mean_rx_power=base.hold_mean_rx_power)
+    return [estimates[cell::len(cells)] for cell in range(len(cells))]
 
 
 def _point_config(base: RunConfig, axis: str, value: float) -> RunConfig:
@@ -212,15 +215,14 @@ def _decibels(power: float, density: float) -> float:
 
 
 def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: int):
-    """Every cell's row, in grid, variant, then model order.
+    """Each (grid point, variant) cell's rows, one per model, as one tuple in grid order.
 
-    All (model, variant) cells of every grid point come from one
-    ``estimate_cells`` call on the run seed, so they share one set of
-    draws. Each row takes its path loss, powers and ``shadowing_enabled``
-    from its point, the base configuration with the grid value applied.
-    Grid points that fail scheme validation become explicit skipped rows
-    rather than silently vanishing from the output; a sweep whose every
-    point is skipped samples nothing.
+    All cells of every grid point come from one ``estimate_cells`` call on
+    the run seed, so they share one set of draws. Each row takes its path
+    loss, powers and ``shadowing_enabled`` from its point, the base
+    configuration with the grid value applied. Grid points that fail scheme
+    validation become explicit skipped rows rather than silently vanishing
+    from the output; a sweep whose every point is skipped samples nothing.
     """
     base = spec.base
     # (grid value, point configuration, its variants' params, skip reason)
@@ -234,25 +236,22 @@ def _point_rows(spec: SweepSpec, models: tuple[LargeScaleModel, ...], threads: i
             continue
         points.append((value, point, variants, None))
     cells = [(point, params) for _, point, variants, _ in points for params in variants]
-    estimates = estimate_cells(base, cells, models, threads)
+    estimates = iter(estimate_cells(base, cells, models, threads))
     awgn_power = spec.awgn_power if spec.include_awgn else None
-    # Estimates come model-major, so a cell's are len(cells) apart.
-    cell = 0
     for value, point, variants, reason in points:
         if reason is not None:
             for variant in spec.variants:
-                for _ in models:
-                    yield SweepRow(spec.axis, value, variant, base.model.enabled, base.seed,
-                                   base.iterations, skipped_reason=reason)
+                yield tuple(SweepRow(spec.axis, value, variant, base.model.enabled, base.seed,
+                                     base.iterations, skipped_reason=reason) for _ in models)
         for params in variants:
-            for estimate in estimates[cell::len(cells)]:
-                yield cell_row(point, params, estimate, awgn_power, spec.axis, value)
-            cell += 1
+            yield tuple(cell_row(point, params, estimate, awgn_power, spec.axis, value)
+                        for estimate in next(estimates))
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Run every (grid point, variant) cell and return rows in grid order."""
-    return SweepResult(rows=tuple(_point_rows(spec, (spec.base.model,), threads)))
+    cells = _point_rows(spec, (spec.base.model,), threads)
+    return SweepResult(rows=tuple(row for (row,) in cells))
 
 
 def compare_shadowing(
@@ -276,8 +275,7 @@ def compare_shadowing(
     model_off = model_on.replace(shadowing_std_db=0.0)
     spec_on = spec.replace(base=spec.base.replace(model=model_on))
     rows: list[SweepRow] = []
-    cells = _point_rows(spec_on, (model_off, model_on), threads)
-    for off, on in zip(cells, cells):
+    for off, on in _point_rows(spec_on, (model_off, model_on), threads):
         loss = None
         if off.capacity_bps is not None and on.capacity_bps is not None:
             if off.capacity_bps > 0:

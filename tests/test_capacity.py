@@ -39,6 +39,16 @@ class TestDmcCapacity:
         assert capacity == pytest.approx(0.0, abs=1e-12)
         assert any("clamp" in record.message for record in caplog.records)
 
+    def test_clamp_warning_tells_pe_from_the_zero_capacity_point(self, caplog):
+        # S = 2 700 000, the README point at 1 GHz: 1 - 1/S differs from 1
+        # in the seventh digit, so the warning needs more than six.
+        with caplog.at_level(logging.WARNING, logger="wtfc.capacity"):
+            dmc_capacity(1.0, 2_700_000, 1 / 100, 101e-6)
+        assert [record.getMessage() for record in caplog.records] == [
+            "p_e=1 exceeds 1 - 1/S = 0.99999962962962963; "
+            "clamping to the zero-capacity point"
+        ]
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             dmc_capacity(0.1, 1, 1.0, 1.0)

@@ -17,7 +17,7 @@ from wtfc import (
     run_sweep,
     signal_energy,
 )
-from wtfc.sweep import COLUMNS, SweepRow, _point_config, cell_row
+from wtfc.sweep import COLUMNS, SweepRow, _point_config, cell_row, estimate_cells
 
 BASE_INPUTS = PhysicalInputs(100e6, 101e-6, 20e-6, 360.0, 1 / 100)
 
@@ -152,6 +152,53 @@ def test_every_compare_shadowing_row_equals_pe_at_its_point(threads):
     rows = compare_shadowing(spec, 8.0, threads=threads).rows
     assert [row.shadowing_enabled for row in rows] == [False, True] * 4
     assert_rows_equal_one_cell_calls(spec, rows, sigma_db=8.0)
+
+
+def test_compare_shadowing_pairs_skipped_and_sampled_cells():
+    # Bandwidth 1e4 fails scheme validation and 1e6 samples: each skipped
+    # cell is an (off, on) pair with the point's one reason, and each
+    # sampled pair equals its one-cell calls.
+    spec = SweepSpec(base=make_base(), axis="bandwidth", grid=(1e4, 1e6),
+                     variants=("WTFC", "IFSK"))
+    rows = compare_shadowing(spec, 8.0).rows
+    assert [(row.axis_value, row.variant, row.shadowing_enabled) for row in rows] == [
+        (value, variant, enabled) for value in (1e4, 1e6) for variant in ("WTFC", "IFSK")
+        for enabled in (False, True)
+    ]
+    skipped, sampled = rows[:4], rows[4:]
+    assert len({row.skipped_reason for row in skipped}) == 1
+    assert "bandwidth" in skipped[0].skipped_reason
+    assert all((row.seed, row.iterations, row.p_e, row.capacity_loss_pct)
+               == (123, 50_000, None, None) for row in skipped)
+    assert all(row.skipped_reason is None for row in sampled)
+    assert_rows_equal_one_cell_calls(spec, rows, sigma_db=8.0)
+
+
+def test_estimate_cells_without_cells_never_samples(monkeypatch):
+    import wtfc.sweep
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("estimate_pe called")
+
+    monkeypatch.setattr(wtfc.sweep, "estimate_pe", no_sampling)
+    assert estimate_cells(make_base(), [], (LargeScaleModel(),)) == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_estimate_cells_gives_each_cell_one_estimate_per_model(threads):
+    on = LargeScaleModel(enabled=True, shadowing_std_db=8.0)
+    models = (on.replace(shadowing_std_db=0.0), on)
+    base = make_base(model=on, **_SHADOWED_BASE)
+    cells = [(point, derive_scheme(point.inputs, variant))
+             for point in (_point_config(base, "duty_cycle", v) for v in (1e-3, 1e-4))
+             for variant in ("WTFC", "IFSK")]
+    got = estimate_cells(base, cells, models, threads)
+    assert isinstance(got, list) and len(got) == len(cells)
+    for (point, params), estimates in zip(cells, got):
+        assert isinstance(estimates, tuple) and len(estimates) == len(models)
+        for model, estimate in zip(models, estimates):
+            assert estimate == estimate_pe(params, model, point.resolved_p_t(), base.n_0,
+                                           base.iterations, base.seed)
 
 
 @pytest.mark.parametrize("sigma_db", [None, 8.0])

@@ -120,6 +120,9 @@ CALLS = [
     ("compare-threads-2", [*COMPARE, "--sigma-db", "8", "--threads", "2"], {}),
     ("compare-sigma-0-json", [*COMPARE, "--sigma-db", "0", "--format", "json"], {}),
     ("compare-snr-columns", [*COMPARE, "--sigma-db", "8", "--set", "snr_columns=true"], {}),
+    ("compare-skips", ["compare-shadowing", *POINT, *PR, *ITERS, "--axis", "bandwidth",
+                       "--grid", "1e4,1e6", "--variants", "wtfc,ifsk", "--sigma-db", "8",
+                       "--allow-skips", *OUT], {}),
     ("sweep-sigma-db-set", [*BANDWIDTH_SWEEP, "--grid", "1e6,1e7", "--set", "sigma_db=8", *OUT],
      {}),
     ("compare-block-hold", [*COMPARE, "--sigma-db", "8", "--set", "shadow_block_len=1000",
