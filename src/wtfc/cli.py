@@ -3,8 +3,11 @@
 Subcommands: derive | pe | capacity | sweep | compare-shadowing. Settings
 come from defaults, then --config file, then WTFC_* environment variables,
 then repeated --set key=value, then dedicated flags; later sources win.
-Output files start with a ``# config:`` comment holding the fully resolved
-configuration, from which the run can be reproduced byte for byte. A
+Each subcommand is registered once, in ``_COMMANDS``, with the config keys
+it reads besides the RunConfig keys; these give its dedicated flags, the
+values it sees (a key it does not read is parsed, then dropped) and its
+header. Output files start with a ``# config:`` comment holding those
+resolved values, from which the run can be reproduced byte for byte. A
 sweep file's columns, and the keys that add the optional ones, come from
 ``wtfc.sweep.COLUMNS``; this module names none.
 
@@ -15,7 +18,6 @@ Exit codes: 0 success, 1 I/O or internal failure, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import sys
 
@@ -25,6 +27,7 @@ from . import __version__
 from .capacity import awgn_capacity, dmc_capacity  # noqa: F401
 from .sweep import estimate_pe  # noqa: F401
 from .config import (
+    RUN_KEYS,
     ConfigError,
     build_run_config,
     config_items,
@@ -40,22 +43,24 @@ from .sweep import (COLUMNS, SweepResult, SweepSpec, cell_row, compare_shadowing
 
 CSV_COLUMNS = [name for name, key in COLUMNS.items() if key is None]
 
-# Config keys a sweep writes to its header besides the RunConfig keys: its
-# own, then the key of each optional column but compare-shadowing's sigma_db.
+# Config keys a sweep reads besides the RunConfig keys: its own, then the
+# key of each optional column but compare-shadowing's sigma_db.
 _SWEEP_KEYS = ("axis", "grid", "variants", "include_awgn", "awgn_power", "allow_skips",
                *dict.fromkeys(key for key in COLUMNS.values() if key not in (None, "sigma_db")))
 
-# Dedicated flags (argparse dest) and the config keys they set.
-_FLAG_KEYS = {
-    "seed": "seed",
-    "iters": "iterations",
-    "variant": "variant",
-    "pe": "p_e",
-    "axis": "axis",
-    "grid": "grid",
-    "variants": "variants",
-    "allow_skips": "allow_skips",
-    "sigma_db": "sigma_db",
+# Each dedicated flag, by the config key it sets: the flag and its argparse
+# keywords. A command takes the flag of every key it reads.
+_FLAGS = {
+    "seed": ("--seed", {"help": "rng seed"}),
+    "iterations": ("--iters", {"help": "Monte Carlo iterations"}),
+    "variant": ("--variant", {"help": "wtfc or ifsk"}),
+    "p_e": ("--pe", {"help": "skip simulation and convert this error probability directly"}),
+    "axis": ("--axis", {"help": "swept variable"}),
+    "grid": ("--grid", {"help": "comma-separated axis values; a list that starts "
+                                "with a minus sign needs '=', as in --grid=-40,-30"}),
+    "variants": ("--variants", {"help": "comma-separated: wtfc,ifsk"}),
+    "allow_skips": ("--allow-skips", {"action": "store_const", "const": "true"}),
+    "sigma_db": ("--sigma-db", {"help": "shadowing std dev in dB"}),
 }
 
 _CAPACITY_REPORT = ("variant", "capacity_bps", "ceiling_bps", "alphabet_size",
@@ -73,21 +78,20 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def header_line(values: dict, extra: tuple[str, ...] = ()) -> str:
+def header_line(values: dict) -> str:
     """Single ``# config:`` line with every result-determining setting."""
-    items = config_items(values, extra)
-    return "# config: " + " ".join(f"{key}={value}" for key, value in items)
+    return "# config: " + " ".join(f"{key}={value}" for key, value in config_items(values))
 
 
-def _sweep_table(result: SweepResult, values: dict, keys: tuple[str, ...]):
+def _sweep_table(result: SweepResult, values: dict):
     """Column names and one {column: value} dict per row, CSV and JSON alike.
 
-    An optional column is written when its key is a header key and set.
-    ``merge_sources`` keeps no None, and False is tested by identity, as a
-    sigma_db of 0.0 equals False yet adds its column.
+    An optional column is written when its key is set, which only a command
+    that reads the key can do. ``merge_sources`` keeps no None, and False is
+    tested by identity, as a sigma_db of 0.0 equals False yet adds its column.
     """
     columns = [name for name, key in COLUMNS.items()
-               if key is None or key in keys and values.get(key, False) is not False]
+               if key is None or values.get(key, False) is not False]
     return columns, [{name: getattr(row, name) for name in columns} for row in result.rows]
 
 
@@ -99,13 +103,14 @@ def _write_csv(path: str, header: str, columns, rows) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def write_sweep_csv(path: str, result: SweepResult, values: dict, keys: tuple) -> None:
-    """The sweep's CSV file: its header holds ``values`` and the ``keys``."""
-    columns, rows = _sweep_table(result, values, keys)
-    _write_csv(path, header_line(values, keys), columns, (row.values() for row in rows))
+def write_sweep_csv(path: str, result: SweepResult, values: dict) -> None:
+    """The sweep's CSV file: its header holds ``values``."""
+    columns, rows = _sweep_table(result, values)
+    _write_csv(path, header_line(values), columns, (row.values() for row in rows))
 
 
 def _collect_values(args) -> dict:
+    """Every source parsed and merged, then only the keys the command reads."""
     sources = [{}]
     if args.config:
         sources.append(read_config_file(args.config))
@@ -119,12 +124,13 @@ def _collect_values(args) -> dict:
         overrides[key] = parse_value(key, text, "--set")
     sources.append(overrides)
     flags: dict = {}
-    for dest, key in _FLAG_KEYS.items():
-        text = getattr(args, dest, None)
+    for key, (flag, _) in _FLAGS.items():
+        text = getattr(args, flag[2:].replace("-", "_"), None)
         if text is not None:
-            flags[key] = parse_value(key, text, "--" + dest.replace("_", "-"))
+            flags[key] = parse_value(key, text, flag)
     sources.append(flags)
-    return merge_sources(*sources)
+    return {key: value for key, value in merge_sources(*sources).items()
+            if key in RUN_KEYS or key in args.keys}
 
 
 def _emit_report(args, report: dict, header: str | None) -> None:
@@ -175,12 +181,12 @@ def cmd_estimate(args) -> int:
     config = build_run_config(values)
     config.require_power()
     params = derive_scheme(config.inputs, values["variant"])
-    if args.command == "capacity" and "p_e" in values:
+    if "p_e" in values:
         estimate = PeEstimate(values["p_e"], None, None, None)
     else:
         (estimate,), = estimate_cells(config, [(config, params)], (config.model,), args.threads)
     if args.command == "pe":
-        header = header_line(values, ("variant",))
+        header = header_line(values)
         report = {"variant": params.variant, "p_e": estimate.p_e,
                   "ci_half_width_95": estimate.half_width_95,
                   "iterations": estimate.iterations, "seed": estimate.seed,
@@ -194,12 +200,14 @@ def cmd_estimate(args) -> int:
         return 0
     fields = {**vars(cell_row(config, params, estimate)), "alphabet_size": params.alphabet_size}
     _emit_report(args, {key: fields[key] for key in _CAPACITY_REPORT},
-                 header_line(values, ("p_e", "variant")))
+                 header_line(values))
     return 0
 
 
-def _run_sweep_command(args, paired: bool) -> int:
+def cmd_sweep(args) -> int:
+    """sweep and compare-shadowing, which also runs each point with shadowing on."""
     values = _collect_values(args)
+    paired = args.command == "compare-shadowing"
     for key in ("axis", "grid"):
         if key not in values:
             raise ConfigError(key, "required for sweeps")
@@ -222,17 +230,16 @@ def _run_sweep_command(args, paired: bool) -> int:
     else:
         result = run_sweep(spec, threads=args.threads)
 
-    extra = _SWEEP_KEYS + (("sigma_db",) if paired else ())
     if args.format == "json":
         import json
 
-        _, rows = _sweep_table(result, values, extra)
-        payload = {"config": dict(config_items(values, extra)), "rows": rows}
+        _, rows = _sweep_table(result, values)
+        payload = {"config": dict(config_items(values)), "rows": rows}
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
     else:
-        write_sweep_csv(args.out, result, values, extra)
+        write_sweep_csv(args.out, result, values)
 
     for variant in spec.variants:
         rows = [r for r in result.rows if r.variant == variant]
@@ -259,29 +266,15 @@ def _run_sweep_command(args, paired: bool) -> int:
     return 0
 
 
-def _add_command(commands, name: str, help_text: str, handler):
-    parser = commands.add_parser(name, help=help_text)
-    parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override any config key (repeatable)",
-    )
-    parser.add_argument("--seed", help="rng seed")
-    parser.add_argument("--iters", help="Monte Carlo iterations")
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads; changes speed, never results",
-    )
-    parser.set_defaults(handler=handler)
-    return parser
+# (name, help, handler, the config keys it reads besides the RunConfig keys).
+_COMMANDS = (
+    ("derive", "derive and print scheme parameters", cmd_derive, ()),
+    ("pe", "estimate the symbol error probability", cmd_estimate, ("variant",)),
+    ("capacity", "estimate capacity in bits/s", cmd_estimate, ("p_e", "variant")),
+    ("sweep", "run a parameter sweep to CSV/JSON", cmd_sweep, _SWEEP_KEYS),
+    ("compare-shadowing", "run a sweep with shadowing off and on, same seeds", cmd_sweep,
+     (*_SWEEP_KEYS, "sigma_db")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,33 +284,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-    _add_command(commands, "derive", "derive and print scheme parameters", cmd_derive)
-
-    for name, help_text in (
-        ("pe", "estimate the symbol error probability"),
-        ("capacity", "estimate capacity in bits/s"),
-    ):
-        sub = _add_command(commands, name, help_text, cmd_estimate)
-        sub.add_argument("--variant", help="wtfc or ifsk")
-        if name == "capacity":
-            sub.add_argument(
-                "--pe",
-                help="skip simulation and convert this error probability directly",
-            )
-
-    for name, help_text, paired in (
-        ("sweep", "run a parameter sweep to CSV/JSON", False),
-        ("compare-shadowing", "run a sweep with shadowing off and on, same seeds", True),
-    ):
-        handler = functools.partial(_run_sweep_command, paired=paired)
-        sub = _add_command(commands, name, help_text, handler)
-        sub.add_argument("--axis", help="swept variable")
-        sub.add_argument("--grid", help="comma-separated axis values; a list that starts "
-                         "with a minus sign needs '=', as in --grid=-40,-30")
-        sub.add_argument("--variants", help="comma-separated: wtfc,ifsk")
-        sub.add_argument("--allow-skips", action="store_const", const="true")
-        if paired:
-            sub.add_argument("--sigma-db", help="shadowing std dev in dB")
+    for name, help_text, handler, keys in _COMMANDS:
+        sub = commands.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="path to a key = value config file")
+        sub.add_argument(
+            "--set",
+            action="append",
+            metavar="KEY=VALUE",
+            help="override any config key (repeatable)",
+        )
+        for key, (flag, options) in _FLAGS.items():
+            if key in RUN_KEYS or key in keys:
+                sub.add_argument(flag, **options)
+        sub.add_argument("--out", help="output file path")
+        sub.add_argument(
+            "--format", choices=("csv", "json"), default="csv", help="output format"
+        )
+        sub.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="worker threads; changes speed, never results",
+        )
+        sub.set_defaults(handler=handler, keys=keys)
     return parser
 
 

@@ -16,7 +16,7 @@ from .errorlaw import CHUNK_SIZE
 from .record import Record
 from .scheme import VARIANTS, PhysicalInputs
 
-__all__ = ["ConfigError", "RunConfig", "KEYS", "ENV_PREFIX",
+__all__ = ["ConfigError", "RunConfig", "KEYS", "RUN_KEYS", "ENV_PREFIX",
            "read_config_file", "merge_sources", "build_run_config",
            "parse_value", "format_value", "config_items"]
 
@@ -133,6 +133,9 @@ KEYS = {
     "sigma_db": (_parse_float, None, None),
     "allow_skips": (_parse_bool, False, None),
 }
+
+# The keys RunConfig reads; each command reads its own keys besides these.
+RUN_KEYS = frozenset(key for key, (_, _, target) in KEYS.items() if target)
 
 # Record field -> config key, for naming the key a validator rejected.
 _KEY_OF_FIELD = {
@@ -302,13 +305,6 @@ def format_value(value) -> str:
     return str(value)
 
 
-def config_items(values: dict, extra: tuple[str, ...] = ()) -> list[tuple[str, str]]:
-    """Resolved (key, value) pairs that reproduce a run, in table order.
-
-    Every set RunConfig key, plus the command keys named in ``extra``.
-    """
-    return [
-        (key, format_value(values[key]))
-        for key, (_, _, target) in KEYS.items()
-        if (target or key in extra) and values.get(key) is not None
-    ]
+def config_items(values: dict) -> list[tuple[str, str]]:
+    """Resolved (key, value) pairs that reproduce a run: every set key, in table order."""
+    return [(key, format_value(values[key])) for key in KEYS if values.get(key) is not None]

@@ -95,8 +95,8 @@ class SweepSpec(Record):
         if self.axis == "snr_db":
             if self.base.p_r is not None or self.base.p_t is not None:
                 raise ConfigError(
-                    "p_r", "snr_db sweeps set the power per grid point; "
-                    "leave p_r and p_t unset"
+                    "p_r" if self.base.p_r is not None else "p_t",
+                    "snr_db sweeps set the power per grid point; leave p_r and p_t unset",
                 )
         else:
             self.base.require_power()

@@ -528,6 +528,71 @@ def test_result_file_replays_from_its_header(case, capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def _header_items(path) -> list[str]:
+    """The ``key=value`` entries of a result file's ``# config:`` line."""
+    return path.read_text().splitlines()[0].split()[2:]
+
+
+DUTY_SWEEP = ["sweep", *BASE_SETS, "--iters", "1000"]
+
+
+# Each dedicated flag of each subcommand, the value it is given (None for a
+# flag that takes none), and the header entry that value must reach.
+@pytest.mark.parametrize("argv, flag, value, entry", [
+    (["derive", *BASE_SETS], "--seed", "7", "seed=7"),
+    (["derive", *BASE_SETS], "--iters", "1234", "iterations=1234"),
+    (["pe", *BASE_SETS, "--iters", "1000"], "--variant", "ifsk", "variant=IFSK"),
+    (["capacity", *BASE_SETS], "--pe", "0.25", "p_e=0.25"),
+    ([*DUTY_SWEEP, "--grid", "1e-2"], "--axis", "duty_cycle", "axis=duty_cycle"),
+    ([*DUTY_SWEEP, "--axis", "duty_cycle"], "--grid", "1e-2,1e-3", "grid=0.01,0.001"),
+    ([*DUTY_SWEEP, "--axis", "duty_cycle", "--grid", "1e-2"], "--variants", "wtfc,ifsk",
+     "variants=wtfc,ifsk"),
+    ([*DUTY_SWEEP, "--axis", "duty_cycle", "--grid", "1e-2"], "--allow-skips", None,
+     "allow_skips=true"),
+    (["compare-shadowing", *DUTY_SWEEP[1:], "--axis", "duty_cycle", "--grid", "1e-2"],
+     "--sigma-db", "8", "sigma_db=8.0"),
+], ids=["derive-seed", "derive-iters", "pe-variant", "capacity-pe", "sweep-axis", "sweep-grid",
+        "sweep-variants", "sweep-allow-skips", "compare-shadowing-sigma-db"])
+def test_each_dedicated_flag_reaches_the_header_under_its_key(argv, flag, value, entry,
+                                                              capsys, tmp_path):
+    path = tmp_path / "result.out"
+    given = [flag] if value is None else [flag, value]
+    code, _, err = run_cli([*argv, *given, "--out", str(path)], capsys)
+    assert code == 0, err
+    assert entry in _header_items(path)
+
+
+# A key the command does not read is parsed, then dropped: it changes
+# neither what is printed nor the file, and stays out of the header.
+@pytest.mark.parametrize("argv, assignment", [
+    (["derive", *BASE_SETS], "variant=ifsk"),
+    (["derive", *BASE_SETS], "axis=bandwidth"),
+    (["pe", *BASE_SETS, "--iters", "1000"], "p_e=0.5"),
+    (["capacity", *BASE_SETS, "--iters", "1000"], "sigma_db=3"),
+], ids=["derive-variant", "derive-axis", "pe-p_e", "capacity-sigma_db"])
+def test_a_key_the_command_does_not_read_changes_none_of_its_bytes(argv, assignment,
+                                                                   capsys, tmp_path):
+    runs = []
+    for name, given in (("plain.out", []), ("set.out", ["--set", assignment])):
+        path = tmp_path / name
+        runs.append((run_cli([*argv, *given, "--out", str(path)], capsys), path.read_bytes()))
+    assert runs[0][0][0] == 0
+    assert runs[0] == runs[1]
+    key = assignment.partition("=")[0]
+    assert key not in [item.partition("=")[0] for item in _header_items(tmp_path / "set.out")]
+
+
+def test_snr_db_sweep_given_p_t_names_p_t(capsys, tmp_path):
+    assert BASE_SETS[-1] == "p_r=10e3"
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(["sweep", *BASE_SETS[:-1], "p_t=5", "--axis", "snr_db",
+                                 "--grid=-40", "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == ("error: p_t: snr_db sweeps set the power per grid point; "
+                   "leave p_r and p_t unset\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_capacity_out_writes_the_printed_report(fmt, capsys, tmp_path):
     out_file = tmp_path / "cap.out"

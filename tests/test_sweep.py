@@ -389,6 +389,12 @@ def test_snr_axis_requires_unset_power():
         SweepSpec(base=make_base(), axis="snr_db", grid=(-40.0, -30.0))
 
 
+def test_snr_axis_names_the_power_key_it_was_given():
+    with pytest.raises(ConfigError, match="snr_db sweeps") as info:
+        SweepSpec(base=make_base(p_r=None, p_t=5.0), axis="snr_db", grid=(-40.0,))
+    assert info.value.field == "p_t"
+
+
 def test_other_axes_require_power():
     base = make_base(p_r=None)
     with pytest.raises(ConfigError, match="p_r"):

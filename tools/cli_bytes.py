@@ -89,6 +89,8 @@ CALLS = [
     ("version", ["--version"], {}),
     ("derive-csv", ["derive", *POINT, *PR, *OUT], {}),
     ("derive-json", ["derive", *POINT, *PR, "--format", "json", *OUT], {}),
+    # Keys the command does not read: parsed, then left out of its values.
+    ("derive-variant-set", ["derive", *POINT, *PR, "--set", "variant=ifsk", *OUT], {}),
     ("capacity-pe-wtfc", ["capacity", *POINT, *PR, "--pe", "0.1"], {}),
     ("capacity-pe-ifsk-json",
      ["capacity", *POINT, *PR, "--pe", "0.1", "--variant", "ifsk", "--format", "json", *OUT],
@@ -101,6 +103,7 @@ CALLS = [
     ("pe-ifsk-json", ["pe", *POINT, *PR, *ITERS, "--variant", "ifsk", "--format", "json", *OUT],
      {}),
     ("pe-shadowed", ["pe", *POINT, *PR, *ITERS, *OUT], SHADOWED),
+    ("pe-p-e-set", ["pe", *POINT, *PR, *ITERS, "--set", "p_e=0.5", *OUT], {}),
     ("sweep-variants", [*BANDWIDTH_SWEEP, "--grid", "1e5,1e6,1e7", "--variants", "wtfc,ifsk",
                         *OUT], {}),
     ("sweep-json-snr-columns", [*BANDWIDTH_SWEEP, "--grid", "1e6,1e7", "--set",
