@@ -129,8 +129,7 @@ def _collect_values(args) -> dict:
         if text is not None:
             flags[key] = parse_value(key, text, flag)
     sources.append(flags)
-    return {key: value for key, value in merge_sources(*sources).items()
-            if key in RUN_KEYS or key in args.keys}
+    return {key: value for key, value in merge_sources(*sources).items() if key in args.keys}
 
 
 def _emit_report(args, report: dict, header: str | None) -> None:
@@ -285,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
     for name, help_text, handler, keys in _COMMANDS:
+        reads = RUN_KEYS.union(keys)
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("--config", help="path to a key = value config file")
         sub.add_argument(
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="override any config key (repeatable)",
         )
         for key, (flag, options) in _FLAGS.items():
-            if key in RUN_KEYS or key in keys:
+            if key in reads:
                 sub.add_argument(flag, **options)
         sub.add_argument("--out", help="output file path")
         sub.add_argument(
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=1,
             help="worker threads; changes speed, never results",
         )
-        sub.set_defaults(handler=handler, keys=keys)
+        sub.set_defaults(handler=handler, keys=reads)
     return parser
 
 
