@@ -59,7 +59,9 @@ _FLAGS = {
     "grid": ("--grid", {"help": "comma-separated axis values; a list that starts "
                                 "with a minus sign needs '=', as in --grid=-40,-30"}),
     "variants": ("--variants", {"help": "comma-separated: wtfc,ifsk"}),
-    "allow_skips": ("--allow-skips", {"action": "store_const", "const": "true"}),
+    "allow_skips": ("--allow-skips", {"action": "store_const", "const": "true",
+                                      "help": "accept a grid with skipped rows: "
+                                              "exit 0, not 3"}),
     "sigma_db": ("--sigma-db", {"help": "shadowing std dev in dB"}),
 }
 

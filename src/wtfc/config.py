@@ -156,18 +156,21 @@ def parse_value(key: str, text: str, source: str | None = None):
 def read_config_file(path: str) -> dict:
     """Parse a key = value file into typed values, with line-precise errors."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(
-                    line.split()[0], "expected key = value", f"{path}:{lineno}"
-                )
-            key, _, text = line.partition("=")
-            key = key.strip()
-            values[key] = parse_value(key, text, f"{path}:{lineno}")
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(
+                        line.split()[0], "expected key = value", f"{path}:{lineno}"
+                    )
+                key, _, text = line.partition("=")
+                key = key.strip()
+                values[key] = parse_value(key, text, f"{path}:{lineno}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"not UTF-8 text ({exc.reason})", path) from exc
     return values
 
 

@@ -8,6 +8,12 @@ slot, so its alphabet is ``M``. The delay spread is spent as guard time,
 which shortens the usable transmission window to ``T_s - T_d`` and sets
 the orthogonal tone spacing ``q / (T_s - T_d)``; ``q`` is bumped up until
 the spacing clears the Doppler spread.
+
+A scheme is ``SchemeParams(inputs, variant)`` and nothing more: its tone
+grid (``q``, spacing, tone count, slots per cycle) is computed from the
+inputs on each read, and its checks run at construction. Only the
+alphabet depends on the variant. ``derive_scheme`` is the same call by
+the name the CLI and the sweep use.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ class PhysicalInputs(Record):
             raise ValueError("delay_spread_s must be nonnegative")
         if not self.doppler_spread_hz >= 0:
             raise ValueError("doppler_spread_hz must be nonnegative")
-        # An infinite one would reach round() or ceil() in derive_scheme.
+        # An infinite one would reach round() or ceil() in SchemeParams.
         for field in ("bandwidth_hz", "symbol_time_s", "doppler_spread_hz"):
             if getattr(self, field) == math.inf:
                 raise ValueError(f"{field} must be finite")
@@ -77,7 +83,7 @@ class PhysicalInputs(Record):
             )
         if self.q_override is not None and self.q_override < 1:
             raise ValueError("q_override must be a positive integer")
-        # derive_scheme divides it by the window as a float.
+        # SchemeParams divides it by the window as a float.
         if self.q_override is not None and self.q_override > sys.float_info.max:
             raise ValueError("q_override must not exceed the float range")
         guard = self.guard_time_s
@@ -86,7 +92,7 @@ class PhysicalInputs(Record):
                 raise ValueError("guard_time_s must be at least the delay spread")
             if guard >= self.symbol_time_s:
                 raise ValueError("guard_time_s must be smaller than symbol_time_s")
-        # derive_scheme rounds the bandwidth and the Doppler spread times
+        # SchemeParams rounds the bandwidth and the Doppler spread times
         # the window to whole numbers; each product must be a float. The
         # larger factor is named, the symbol time for the window.
         window = self.window_s
@@ -109,24 +115,62 @@ class PhysicalInputs(Record):
 
 
 class SchemeParams(Record):
-    """Derived signal parameters for one scheme instantiation.
+    """One scheme: physical inputs and a receiver variant, with the tone grid they set.
 
     ``variant`` is "WTFC" (receiver searches tones and slots, alphabet
     ``M / theta``) or "IFSK" (receiver knows the slot, alphabet ``M``).
+    The tone grid (``q``, ``delta_f_hz``, ``tone_count``,
+    ``slots_per_cycle``) is computed from ``inputs`` on each read, so no
+    record holds a grid its inputs contradict. The spacing multiplier
+    ``q`` is the smallest positive integer giving
+    ``q / window >= doppler_spread``, unless overridden. Both variants
+    share every physical parameter; only the alphabet differs, and with
+    duty cycle 1 they coincide. Raises ValueError for a variant not in
+    ``VARIANTS``, when the bandwidth fits fewer than two tones or when an
+    override breaks the Doppler constraint.
     """
 
     inputs: PhysicalInputs
-    q: int
-    delta_f_hz: float
-    tone_count: int
-    slots_per_cycle: int
     variant: str = "WTFC"
 
     def __post_init__(self) -> None:
+        inputs, q = self.inputs, self.q
+        window = inputs.window_s
+        if (inputs.q_override is not None
+                and q / window < inputs.doppler_spread_hz * (1.0 - _REL_SNAP)):
+            raise ValueError(
+                f"q_override={q} gives tone spacing {q / window:.6g} Hz below "
+                f"the Doppler spread {inputs.doppler_spread_hz:.6g} Hz"
+            )
+        if self.tone_count < 2:
+            raise ValueError(
+                f"bandwidth_hz too small: only {self.tone_count} tone(s) fit the "
+                f"{window:.6g} s window at spacing multiplier q={q}"
+            )
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.tone_count < 2:
-            raise ValueError("tone_count must be at least 2")
+
+    @property
+    def q(self) -> int:
+        """Tone spacing multiplier: the override, else the least clearing the Doppler spread."""
+        inputs = self.inputs
+        if inputs.q_override is not None:
+            return inputs.q_override
+        return max(1, math.ceil(inputs.doppler_spread_hz * inputs.window_s - _REL_SNAP))
+
+    @property
+    def delta_f_hz(self) -> float:
+        """Orthogonal tone spacing q / window."""
+        return self.q / self.inputs.window_s
+
+    @property
+    def tone_count(self) -> int:
+        """M: the tones at spacing q / window that fit the bandwidth."""
+        return _snapped_floor(self.inputs.bandwidth_hz * self.inputs.window_s / self.q)
+
+    @property
+    def slots_per_cycle(self) -> int:
+        return self.inputs.slots_per_cycle
 
     @property
     def alphabet_size(self) -> int:
@@ -148,40 +192,8 @@ class SchemeParams(Record):
 
 
 def derive_scheme(inputs: PhysicalInputs, variant: str = "WTFC") -> SchemeParams:
-    """Derive tone spacing, tone count and alphabet size from physical inputs.
-
-    The spacing multiplier ``q`` is the smallest positive integer giving
-    ``q / window >= doppler_spread``, unless overridden. Both variants share
-    every physical parameter; only the alphabet differs, and with duty
-    cycle 1 they coincide. Raises ValueError for a variant not in
-    ``VARIANTS``, when the bandwidth fits fewer than two tones or when an
-    override breaks the Doppler constraint.
-    """
-    window = inputs.window_s
-    q_min = max(1, math.ceil(inputs.doppler_spread_hz * window - _REL_SNAP))
-    if inputs.q_override is not None:
-        q = inputs.q_override
-        if q / window < inputs.doppler_spread_hz * (1.0 - _REL_SNAP):
-            raise ValueError(
-                f"q_override={q} gives tone spacing {q / window:.6g} Hz below "
-                f"the Doppler spread {inputs.doppler_spread_hz:.6g} Hz"
-            )
-    else:
-        q = q_min
-    tone_count = _snapped_floor(inputs.bandwidth_hz * window / q)
-    if tone_count < 2:
-        raise ValueError(
-            f"bandwidth_hz too small: only {tone_count} tone(s) fit the "
-            f"{window:.6g} s window at spacing multiplier q={q}"
-        )
-    return SchemeParams(
-        inputs=inputs,
-        q=q,
-        delta_f_hz=q / window,
-        tone_count=tone_count,
-        slots_per_cycle=inputs.slots_per_cycle,
-        variant=variant,
-    )
+    """The scheme of ``inputs`` and ``variant``: ``SchemeParams(inputs, variant)``."""
+    return SchemeParams(inputs, variant)
 
 
 def amplitude(transmit_power: float, params: SchemeParams) -> float:

@@ -562,6 +562,15 @@ def test_each_dedicated_flag_reaches_the_header_under_its_key(argv, flag, value,
     assert entry in _header_items(path)
 
 
+@pytest.mark.parametrize("command", ["sweep", "compare-shadowing"])
+def test_allow_skips_help_names_the_exit_code(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--allow-skips accept a grid with skipped rows: exit 0, not 3" in text
+
+
 # A key the command does not read is parsed, then dropped: it changes
 # neither what is printed nor the file, and stays out of the header.
 @pytest.mark.parametrize("argv, assignment", [

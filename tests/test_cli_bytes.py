@@ -27,7 +27,7 @@ def test_same_call_is_identical_and_a_changed_file_is_seen(cli_bytes, tmp_path):
 
 def test_call_names_are_unique(cli_bytes):
     names = [name for name, _, _ in cli_bytes.CALLS]
-    assert len(names) == len(set(names)) == 47
+    assert len(names) == len(set(names)) == 49
 
 
 @pytest.mark.parametrize("before, after, names", [

@@ -109,6 +109,16 @@ def test_config_line_without_equals_names_its_line(capsys, tmp_path):
     assert err == f"error: {config}:2: duty_cycle: expected key = value\n"
 
 
+def test_config_file_not_utf8_names_the_file(capsys, tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+    code, out, err = run_cli(["derive", *POINT, "--set", "p_r=10e3", "--config", str(config)],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {config}: ")
+    assert err == f"error: {config}: config: not UTF-8 text (invalid start byte)\n"
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"duty_cycle": 0.0}, "duty_cycle must lie in (0, 1]"),
     ({"duty_cycle": 1.5}, "duty_cycle must lie in (0, 1]"),

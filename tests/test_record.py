@@ -34,8 +34,7 @@ CASES = [
     (PhysicalInputs, {"bandwidth_hz": 100e6, "symbol_time_s": 101e-6,
                       "delay_spread_s": 20e-6, "doppler_spread_hz": 25e3,
                       "duty_cycle": 1 / 100}, ("q_override", 4)),
-    (SchemeParams, {"inputs": INPUTS, "q": 3, "delta_f_hz": 1 / 81e-6 * 3,
-                    "tone_count": 2700, "slots_per_cycle": 100}, ("variant", "IFSK")),
+    (SchemeParams, {"inputs": INPUTS}, ("variant", "IFSK")),
     (PeEstimate, {"p_e": 1e-3, "iterations": 1000, "half_width_95": 2e-3, "seed": 7},
      ("seed", 8)),
     (RunConfig, {"inputs": INPUTS, "model": MODEL, "p_r": 10e3, "p_t": None, "n_0": 1.0,

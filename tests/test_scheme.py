@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from wtfc import PhysicalInputs, amplitude, derive_scheme
+from wtfc import PhysicalInputs, SchemeParams, amplitude, derive_scheme
 
 
 def test_airplane_doppler_picks_q3():
@@ -117,6 +117,45 @@ def test_longer_guard_shrinks_window():
     assert derive_scheme(base).tone_count == 8100
     with pytest.raises(ValueError, match="guard_time_s"):
         base.replace(guard_time_s=10e-6)
+
+
+# The README point, with and without an override, in both variants: q,
+# delta_f_hz, tone_count, slots_per_cycle and alphabet_size as derived.
+@pytest.mark.parametrize("q_override, variant, grid", [
+    (None, "WTFC", (3, 3 / 81e-6, 2700, 100, 270_000)),
+    (None, "IFSK", (3, 3 / 81e-6, 2700, 100, 2700)),
+    (5, "WTFC", (5, 5 / 81e-6, 1620, 100, 162_000)),
+    (5, "IFSK", (5, 5 / 81e-6, 1620, 100, 1620)),
+])
+def test_scheme_is_its_inputs_and_variant(q_override, variant, grid):
+    inputs = PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1 / 100, q_override=q_override)
+    params = SchemeParams(inputs, variant)
+    assert params == derive_scheme(inputs, variant)
+    assert vars(params) == {"inputs": inputs, "variant": variant}
+    q, delta_f_hz, tone_count, slots, alphabet = grid
+    assert (params.q, params.tone_count, params.slots_per_cycle,
+            params.alphabet_size) == (q, tone_count, slots, alphabet)
+    assert params.delta_f_hz == pytest.approx(delta_f_hz, rel=1e-12)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"bandwidth_hz": 1e4}, "bandwidth_hz too small"),
+    ({"q_override": 1}, "below the Doppler spread"),
+])
+def test_scheme_checks_run_at_construction(changes, message):
+    inputs = PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1 / 100).replace(**changes)
+    with pytest.raises(ValueError, match=message):
+        SchemeParams(inputs)
+    with pytest.raises(ValueError, match=message):
+        derive_scheme(inputs)
+
+
+def test_scheme_takes_no_tone_grid():
+    inputs = PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1 / 100)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'tone_count'"):
+        SchemeParams(inputs, tone_count=5)
+    with pytest.raises(AttributeError):
+        SchemeParams(inputs).q = 4
 
 
 def test_amplitude_full_window_is_unit():

@@ -137,6 +137,10 @@ CALLS = [
     ("shadow-block-len-3", ["pe", *POINT, *PR, *ITERS, "--set", "shadow_block_len=3", *OUT],
      {}),
     ("bad-delay-spread", ["derive", *POINT, *PR, "--set", "delay_spread_s=200e-6"], {}),
+    # The scheme's own checks: fewer than two tones, and an override below
+    # the Doppler spread.
+    ("derive-two-tones", ["derive", *POINT, *PR, "--set", "bandwidth_hz=1e4"], {}),
+    ("derive-q-override-doppler", ["derive", *POINT, *PR, "--set", "q_override=1"], {}),
     ("missing-sigma-db", COMPARE, {}),
     ("derive-path-loss", ["derive", *POINT, *PR, *CONSTANT_LOSS, *OUT], {}),
     ("pe-path-loss", ["pe", *POINT, "--set", "p_t=4e16", *ITERS, *CONSTANT_LOSS, *OUT], {}),
