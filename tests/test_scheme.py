@@ -146,8 +146,6 @@ def test_scheme_checks_run_at_construction(changes, message):
     inputs = PhysicalInputs(100e6, 101e-6, 20e-6, 25e3, 1 / 100).replace(**changes)
     with pytest.raises(ValueError, match=message):
         SchemeParams(inputs)
-    with pytest.raises(ValueError, match=message):
-        derive_scheme(inputs)
 
 
 def test_scheme_takes_no_tone_grid():
