@@ -9,6 +9,7 @@ alone. A symbol occupies one slot out of ``1/theta``, hence the extra
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = ["dmc_capacity", "awgn_capacity"]
 
@@ -47,12 +48,17 @@ def dmc_capacity(
         )
         p_e = worst
 
-    # p_e = 0 contributes nothing by the 0 log 0 = 0 convention; the clamp
-    # above keeps p_e strictly below 1.
+    # p_e = 0 contributes nothing by the 0 log 0 = 0 convention, and so
+    # does 1 - p_e = 0: past S = 2^53, 1 - 1/S rounds to 1 and the clamp
+    # above lets p_e = 1 through.
     bits = math.log2(s)
     if p_e > 0.0:
-        bits += (1.0 - p_e) * math.log2(1.0 - p_e)
-        bits += p_e * math.log2(p_e / (s - 1))
+        if p_e < 1.0:
+            bits += (1.0 - p_e) * math.log2(1.0 - p_e)
+        # At S past ~1e306 the quotient can underflow; its two logs cannot.
+        ratio = p_e / (s - 1)
+        bits += p_e * (math.log2(ratio) if ratio >= sys.float_info.min
+                       else math.log2(p_e) - math.log2(s - 1))
 
     return max(bits * (duty_cycle / symbol_time_s), 0.0)
 

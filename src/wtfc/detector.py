@@ -39,10 +39,22 @@ ch. V).
 
 A cell whose amplitudes are drawn (log-normal shadowing with sigma > 0)
 scores every iteration so, s = -expm1(-y / mu), and draws no signal
-uniform: p_e is the mean score and the half-width comes from the scores'
-sample variance (``_estimate``). Its scores are summed in pieces of
-``_PIECE`` iterations aligned to the chunk, and the chunk's total is the
-``math.fsum`` of its pieces, so the sums do not depend on the span, the
+uniform: p_e is the mean score. Its amplitudes are stratified
+(``draw_m_batch``): a chunk takes its whole shadowing blocks in pairs, in
+chunk order, and both blocks of pair h of H draw their normal z from the
+h-th H-quantile interval, z = Phi^-1((h + U) / H), with Phi^-1 Wichura's
+AS 241 (``_normal_quantile``). A block without a partner, an odd last
+whole block or a partial last one, draws z on the whole line. Nearly all
+of a shadowed score's variance is the spread of p_e(z) over z, and
+stratifying z removes most of it (Owen, *Monte Carlo theory, methods and
+examples*, 2013, ch. 8). The half-width takes the block as its unit: with
+A a block's score sum, the variance of the chunk's total is estimated by
+the sum over pairs of (A_2h - A_2h+1)^2, plus size^2 / 4 for each block
+without a partner (``_estimate``), so blocks that share one amplitude get
+an honest bar. The scores are summed in pieces of ``_PIECE`` iterations
+and the pairs' squared differences in windows of whole pieces and whole
+pairs (``_window``), both aligned to the chunk, and the chunk's totals are
+the ``math.fsum`` of those, so the sums do not depend on the span, the
 other cells of the call or the threads.
 
 A cell with a constant mean (shadowing disabled, or sigma = 0) counts
@@ -83,15 +95,18 @@ iteration, so each count equals that pass's bit for bit.
 The chunk kernel is allocation-free: each worker allocates its scratch
 once per ``estimate_pe`` call, and so once per sweep: ``_scratch_rows``
 rows of one span, ``_span`` floats (a third of a chunk, rounded up to
-whole pieces and whole shadowing blocks), for u (then L), v (then ln v),
-w (the gather buffer before it), the signal statistics (or a drawn
-cell's scores) and each shadowing model's amplitudes, however many grid
-points the call carries. Every span draws, scores, gathers and
-transforms in place there. Per span only the 1-byte candidate and
-comparison masks, the candidates' indices, F's indices and ln v and, for
-block shadowing, one amplitude per block are new memory; per chunk, the
-drawn cells' piece sums, and F's ln v joined once and scored one cell at
-a time in two of the scratch rows.
+whole pieces and whole pairs of shadowing blocks, at most a chunk), for u
+(then L), v (then ln v), w (the gather buffer before it), the signal
+statistics (or a drawn cell's scores) and each shadowing model's
+amplitudes, however many grid points the call carries. Every span draws,
+scores, gathers and transforms in place there: the normal quantile works
+in the u and w rows before they are drawn, and a drawn cell's block sums
+and pair differences in the u and statistic rows. Per span only the
+1-byte candidate and comparison masks, the candidates' indices, F's
+indices and ln v, the quantile's tail indices and values (about 15 % of
+the blocks) and, for block shadowing, one amplitude per block are new
+memory; per chunk, the drawn cells' piece and window sums, and F's ln v
+joined once and scored one cell at a time in two of the scratch rows.
 """
 
 from __future__ import annotations
@@ -135,9 +150,106 @@ _FLOOR_CUT = -math.log1p(-P_FLOOR)
 # the chunk and every span is whole pieces, so the sums do not depend on
 # the span; it divides CHUNK_SIZE.
 _PIECE = 1000
+# The index h of each pair of shadowing blocks in a chunk, as a float.
+_PAIR_INDEX = np.arange(CHUNK_SIZE // 2, dtype=float)
 # Binary exponent of the typical signal-slot mean above which a cell's
 # scores are scaled before they are squared (``_square_scale``).
 _SQUARE_EXPONENT = 400
+
+
+# Wichura's AS 241 rational approximations to the normal quantile (*Applied
+# Statistics* 37, 1988): for each power, highest first, a numerator's and
+# its denominator's coefficient. The central one is in r = 0.180625 - q^2
+# for |q| = |p - 1/2| <= 0.425, and the two tail ones in r - 1.6 and r - 5
+# for r = sqrt(-ln min(p, 1 - p)) up to 5 and beyond.
+_CENTRAL = np.array([
+    [2.5090809287301226727e+3, 5.2264952788528545610e+3],
+    [3.3430575583588128105e+4, 2.8729085735721942674e+4],
+    [6.7265770927008700853e+4, 3.9307895800092710610e+4],
+    [4.5921953931549871457e+4, 2.1213794301586595867e+4],
+    [1.3731693765509461125e+4, 5.3941960214247511077e+3],
+    [1.9715909503065514427e+3, 6.8718700749205790830e+2],
+    [1.3314166789178437745e+2, 4.2313330701600911252e+1],
+    [3.3871328727963666080e+0, 1.0],
+])
+_NEAR_TAIL = np.array([
+    [7.74545014278341407640e-4, 1.05075007164441684324e-9],
+    [2.27238449892691845833e-2, 5.47593808499534494600e-4],
+    [2.41780725177450611770e-1, 1.51986665636164571966e-2],
+    [1.27045825245236838258e+0, 1.48103976427480074590e-1],
+    [3.64784832476320460504e+0, 6.89767334985100004550e-1],
+    [5.76949722146069140550e+0, 1.67638483018380384940e+0],
+    [4.63033784615654529590e+0, 2.05319162663775882187e+0],
+    [1.42343711074968357734e+0, 1.0],
+])
+_FAR_TAIL = np.array([
+    [2.01033439929228813265e-7, 2.04426310338993978564e-15],
+    [2.71155556874348757815e-5, 1.42151175831644588870e-7],
+    [1.24266094738807843860e-3, 1.84631831751005468180e-5],
+    [2.65321895265761230930e-2, 7.86869131145613259100e-4],
+    [2.96560571828504891230e-1, 1.48753612908506148525e-2],
+    [1.78482653991729133580e+0, 1.36929880922735805310e-1],
+    [5.46378491116411436990e+0, 5.99832206555887937690e-1],
+    [6.65790464350110377720e+0, 1.0],
+])
+
+
+def _polynomial(coefficients, r, out):
+    """The polynomial in ``r`` with ``coefficients``, highest power first,
+    by Horner's rule into ``out``. A column of coefficients gives one
+    polynomial; a (powers, rows, 1) array gives one per row of ``out``."""
+    np.multiply(r, coefficients[0], out=out)
+    for c in coefficients[1:-1]:
+        out += c
+        out *= r
+    out += coefficients[-1]
+    return out
+
+
+def _normal_quantile(p, work):
+    """The standard normal quantile of each ``p`` in [0, 1], in place.
+
+    Wichura's AS 241 with the operations in the order of
+    ``statistics.NormalDist().inv_cdf``, so each value has its bits where
+    numpy's log has the C library's (the tails take a log); p = 0 and
+    p = 1, which that refuses, give -inf and inf. Every p takes the
+    central form in ``p`` and the two rows of ``work``, a 2-D array; the
+    tails, about 15 % of them, are then gathered and finished with the
+    numerator and denominator side by side in those rows, which halves
+    their calls.
+    """
+    size = p.size
+    q, r = work[0, :size], work[1, :size]
+    np.subtract(p, 0.5, out=q)
+    tails = np.flatnonzero(np.abs(q, out=r) > 0.425)
+    tail_p = np.take(p, tails)
+    np.multiply(q, q, out=r)
+    np.subtract(0.180625, r, out=r)
+    _polynomial(_CENTRAL[:, 0], r, out=p)
+    p *= q
+    # The tails' central values are overwritten below; their denominator
+    # may be 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(p, _polynomial(_CENTRAL[:, 1], r, out=q), out=p)
+    if not tails.size:
+        return p
+    lower = tail_p < 0.5
+    r, both = tail_p, work[:, : tails.size]
+    np.minimum(tail_p, np.subtract(1.0, tail_p, out=both[0]), out=r)
+    with np.errstate(divide="ignore"):
+        np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)
+    far = np.flatnonzero(r > 5.0)
+    far_r = np.take(r, far) - 5.0
+    r -= 1.6
+    with np.errstate(invalid="ignore"):
+        x = np.divide(*_polynomial(_NEAR_TAIL[:, :, None], r, out=both), out=r)
+        if far.size:
+            # r = inf, at p = 0 or 1, is inf / inf in the rational form.
+            num, den = _polynomial(_FAR_TAIL[:, :, None], far_r, np.empty((2, far.size)))
+            x[far] = np.where(far_r == math.inf, math.inf, num / den)
+    np.negative(x, out=x, where=lower)
+    p[tails] = x
+    return p
 
 
 def draw_m_batch(
@@ -145,22 +257,52 @@ def draw_m_batch(
     rng: np.random.Generator,
     n: int,
     out: np.ndarray,
+    work: Sequence[np.ndarray] | None = None,
+    start: int = 0,
+    total: int | None = None,
 ) -> np.ndarray:
-    """Shadowed large-scale amplitudes for ``n`` consecutive symbols, into ``out``.
+    """Shadowed large-scale amplitudes of symbols ``start`` to ``start + n``
+    of a chunk of ``total`` symbols, into ``out``.
 
-    One fresh shadowing realization per symbol by default; ``model.block_len``
-    symbols share a realization when it is larger, and a short ``n`` keeps
-    its partial last block. A disabled or zero-sigma model draws nothing:
-    its one amplitude is ``constant_amplitude(model)``, and it is rejected
-    here before the rng is touched.
+    One shadowing realization per symbol by default; ``model.block_len``
+    symbols share one when it is larger, and a short chunk keeps its partial
+    last block. The chunk's whole blocks are taken in pairs, in chunk order.
+    With H pairs, each block of pair h draws z = Phi^-1((h + U) / H) from
+    its own uniform U, so the two blocks of a pair fall in the same H-th of
+    the normal's mass (stratified sampling). A block without a partner, an
+    odd last whole block or a partial last block, draws z = Phi^-1(U).
+
+    The uniforms come from ``rng``, one per block in chunk order, so
+    ``rng`` must have drawn the chunk's blocks before ``start``, which
+    starts a pair, and every draw equals the matching slice of a draw over
+    the whole chunk. ``total``, at most ``CHUNK_SIZE``, defaults to
+    ``start + n``: the draw ends the chunk. ``work`` is a 2-D array of two
+    rows of at least one float per block drawn, else a new one is
+    allocated. A disabled or zero-sigma model draws nothing: its one
+    amplitude is ``constant_amplitude(model)``, and it is rejected here
+    before the rng is touched.
     """
     if constant_amplitude(model) is not None:
         raise ValueError("the model's amplitude is constant; use constant_amplitude")
-    # m = exp(-(ln10/20)(L + sigma z)), one pass at a time over the draws.
     block_len = model.block_len
-    n_blocks = -(-n // block_len)
+    total = start + n if total is None else total
+    if total > CHUNK_SIZE:
+        raise ValueError(f"a chunk holds at most {CHUNK_SIZE} symbols, not {total}")
+    pairs = total // block_len // 2
+    first, n_blocks = start // block_len, -(-n // block_len)
+    if work is None:
+        work = np.empty((2, n_blocks))
     m = out if block_len == 1 else np.empty(n_blocks)
-    rng.standard_normal(n_blocks, out=m)
+    rng.random(n_blocks, out=m)
+    # (h + U) / H for the blocks of this draw that have a partner.
+    paired = min(n_blocks, max(2 * pairs - first, 0))
+    if paired:
+        h = _PAIR_INDEX[first // 2 : (first + paired) // 2]
+        m[0:paired:2] += h
+        m[1:paired:2] += h
+        m[:paired] /= pairs
+    _normal_quantile(m, work)
+    # m = exp(-(ln10/20)(L + sigma z)), one pass at a time over the draws.
     m *= model.shadowing_std_db
     m += model.deterministic_loss_db()
     m *= -_NEPERS_PER_DB
@@ -227,7 +369,8 @@ def _noise_bound(top: float, n_noise: int) -> float:
 
 
 def _square_scale(signal) -> float:
-    """2^k by which a cell's scores are scaled before they are squared.
+    """2^k by which a cell's scores, or a drawn cell's pair differences,
+    are scaled before they are squared.
 
     A score is about y / mu, so at a mean mu near the top of the float
     range its square underflows to 0. The typical mean is the float mean of
@@ -258,23 +401,29 @@ def _scratch_rows(signals: Sequence) -> int:
     return 4 + len(_shadowing_models(signals))
 
 
+def _window(block_len: int) -> int:
+    """Iterations per window of a drawn cell's pair sums at ``block_len``:
+    whole pieces and whole pairs of blocks."""
+    return math.lcm(_PIECE, 2 * block_len)
+
+
 def _span(signals: Sequence) -> int:
     """Iterations per span of the chunk kernel: a third of a chunk, rounded
-    up to whole pieces and whole shadowing blocks of every model, so that
-    no span cuts a piece or a block."""
-    block = math.lcm(_PIECE, *(model.block_len for model in _shadowing_models(signals)))
+    up to whole windows of every model, so that no span cuts a piece, a
+    block or a pair of blocks, and at most a chunk."""
+    block = math.lcm(_PIECE, *(_window(model.block_len) for model in _shadowing_models(signals)))
     third = -(-CHUNK_SIZE // 3)
-    return -(-third // block) * block
+    return min(-(-third // block) * block, CHUNK_SIZE)
 
 
-def _piece_sums(t, out) -> None:
-    """``np.sum`` of each ``_PIECE``-long piece of ``t`` into ``out``, the
+def _piece_sums(t, out, piece: int = _PIECE) -> None:
+    """``np.sum`` of each ``piece``-long piece of ``t`` into ``out``, the
     last one short when ``t`` is: the same bits, piece by piece, however
     ``t`` is cut at piece boundaries."""
-    whole = t.size // _PIECE
-    t[: whole * _PIECE].reshape(whole, _PIECE).sum(axis=1, out=out[:whole])
+    whole = t.size // piece
+    t[: whole * piece].reshape(whole, piece).sum(axis=1, out=out[:whole])
     if whole < out.size:
-        out[whole] = t[whole * _PIECE :].sum()
+        out[whole] = t[whole * piece :].sum()
 
 
 def _compact(rows, mask, buffer):
@@ -311,8 +460,10 @@ def _chunk_error_count(
     A cell whose amplitudes are drawn scores every iteration by its error
     probability given its noise maximum y and amplitude m,
     s = -expm1(-y / mu) with mu = m * m * energy + 1; it draws no u. Its
-    count is 0, and its sums are of s and of (2^k s) squared over the
-    chunk, 2^k = ``_square_scale`` of its signal.
+    count is 0, its first sum is of s over the chunk and its second is of
+    (2^k (A_2h - A_2h+1))^2 over the chunk's pairs of whole shadowing
+    blocks, for A a block's sum of s and 2^k = ``_square_scale`` of its
+    signal (the blocks without a partner are left to ``_estimate``).
 
     A cell with a constant mean mu counts an error when x = mu * E does not
     beat y. The floor set F, one set for every such cell, holds the
@@ -328,10 +479,11 @@ def _chunk_error_count(
     span draws its own u, v and amplitudes from the chunk's three
     generators, which carry on from span to span, so every value equals
     the one a whole-chunk draw gives it; a span is whole pieces and whole
-    shadowing blocks, but for a short chunk's last one. A drawn cell's
-    scores are summed in pieces of ``_PIECE`` iterations aligned to the
-    chunk and the chunk's total is the ``math.fsum`` of the pieces, so its
-    bits do not depend on the span.
+    pairs of shadowing blocks, but for a short chunk's last one. A drawn
+    cell's scores are summed in pieces of ``_PIECE`` iterations, and its
+    pairs' squared differences in windows of ``_window`` iterations, each
+    aligned to the chunk, and the chunk's totals are the ``math.fsum`` of
+    those, so their bits do not depend on the span.
 
     For the constant cells, only iterations that can be errors are
     inverted, and the counts stay exact:
@@ -365,7 +517,7 @@ def _chunk_error_count(
     if len(scratch) < rows or scratch.shape[1] < columns:
         raise ValueError(f"scratch has {len(scratch)} rows of {scratch.shape[1]} floats; "
                          f"the chunk needs {rows} of {columns}")
-    u_row, v_row, w_row, x_row, *amplitude_rows = scratch[:rows]
+    v_row, u_row, w_row, x_row, *amplitude_rows = scratch[:rows]
 
     # Each noise count's constant cells as (cell, mean) and drawn cells as
     # (cell, model index, energy, square scale).
@@ -385,10 +537,15 @@ def _chunk_error_count(
     signal_rng, noise_rng = np.random.default_rng(signal_seed), np.random.default_rng(noise_seed)
     # Every model draws its amplitudes from the start of the shadowing stream.
     shadow_rngs = [np.random.default_rng(shadow_seed) for _ in models]
+    # Each model's block length, pairs of blocks per window and whole pairs
+    # in the chunk.
+    layouts = [(model.block_len, _window(model.block_len) // (2 * model.block_len),
+                n // model.block_len // 2) for model in models]
     pad = 1.0 + _SLACK
     counts = np.zeros(len(cells), dtype=np.int64)
     sums, square_sums = np.zeros(len(cells)), np.zeros(len(cells))
-    # Each drawn cell's piece sums of -s and of s * s, in iteration order.
+    # Each drawn cell's piece sums of -s and window sums of its pairs'
+    # squared differences, in iteration order.
     pieces = np.empty((len(cells), 2, -(-n // _PIECE))) if drawn else None
     # The ln v of every span's iterations with L >= -c_f, in order.
     below = []
@@ -397,7 +554,9 @@ def _chunk_error_count(
         v = noise_rng.random(length, out=v_row[:length])
         squares = []
         for model, rng, row in zip(models, shadow_rngs, amplitude_rows):
-            m2 = draw_m_batch(model, rng, length, out=row[:length])
+            # The u and w rows, side by side, are free until the cells
+            # below write them.
+            m2 = draw_m_batch(model, rng, length, row[:length], scratch[1:3, :length], start, n)
             m2 *= m2
             squares.append(m2)
         if constant:
@@ -416,10 +575,25 @@ def _chunk_error_count(
                     np.divide(w, t, out=t)
                     np.expm1(t, out=t)
                     _piece_sums(t, pieces[c, 0, at])
+                    # The span's whole pairs, each block's score sum A and
+                    # each pair's (2^k (A_2h - A_2h+1))^2, summed by window.
+                    block_len, per_window, pairs = layouts[g]
+                    paired = min(length // block_len, 2 * pairs - start // block_len)
+                    if paired <= 0:
+                        continue
+                    if block_len == 1:
+                        blocks, d = t[:paired], u_row[: paired // 2]
+                    else:
+                        blocks = t[: paired * block_len].reshape(paired, block_len).sum(
+                            axis=1, out=u_row[:paired])
+                        d = x_row[: paired // 2]
+                    np.subtract(blocks[0::2], blocks[1::2], out=d)
                     if scale != 1.0:
-                        t *= scale
-                    t *= t
-                    _piece_sums(t, pieces[c, 1, at])
+                        d *= scale
+                    d *= d
+                    first = start // block_len // 2
+                    _piece_sums(d, pieces[c, 1, first // per_window :
+                                          -(-(first + d.size) // per_window)], per_window)
         if not constant:
             continue
 
@@ -447,10 +621,11 @@ def _chunk_error_count(
             for c, mean in members:
                 counts[c] += np.count_nonzero(np.multiply(mean, ell, out=x) >= w)
     for members in drawn.values():
-        for c, *_ in members:
+        for c, g, *_ in members:
+            _, per_window, pairs = layouts[g]
             # 0.0 - total is -total, but +0 where every score is 0.
             sums[c] = 0.0 - math.fsum(pieces[c, 0])
-            square_sums[c] = math.fsum(pieces[c, 1])
+            square_sums[c] = math.fsum(pieces[c, 1, : -(-pairs // per_window)])
     # Without a constant cell no u is drawn and the floor set is empty.
     log_v = np.concatenate(below) if constant else np.empty(0)
     _floor_scores(log_v, constant, sums, square_sums, scratch)
@@ -600,24 +775,40 @@ def estimate_pe(
     estimates = [
         _estimate(int(errors[c]), floor_size, math.fsum(sums[c] for _, sums, _, _ in chunks),
                   math.fsum(squares[c] for _, _, squares, _ in chunks), iterations, seed,
-                  drawn=not isinstance(signal, float), scale=_square_scale(signal))
+                  block_len=0 if isinstance(signal, float) else signal[0].block_len,
+                  scale=_square_scale(signal))
         for c, signal in enumerate(signals)
     ]
     return estimates[0] if one_cell else tuple(estimates)
 
 
+def _unpaired(n: int, block_len: int) -> int:
+    """The sum of squared sizes of the blocks without a partner in a chunk
+    of ``n`` iterations: an odd last whole block and a partial last block."""
+    whole, part = divmod(n, block_len)
+    return whole % 2 * block_len * block_len + part * part
+
+
 def _estimate(errors: int, floor_size: int, score_sum: float, square_sum: float,
-              iterations: int, seed: int, drawn: bool = False, scale: float = 1.0) -> PeEstimate:
+              iterations: int, seed: int, block_len: int = 0,
+              scale: float = 1.0) -> PeEstimate:
     """p_e and its 95 % half-width from a cell's scores.
 
-    A ``drawn`` cell scores every iteration: its n scores s lie in [0, 1]
-    and sum to ``score_sum``, their squares to ``square_sum``. Then
-    p_e = sum s / n and the half-width is 1.96 sqrt(var(s) / n), with the
-    sample variance var(s) = (sum s^2 - (sum s)^2 / n) / (n - 1), or 1/4,
-    the largest variance of a score in [0, 1], at n = 1.
+    A drawn cell, whose amplitudes come in blocks of ``block_len`` > 0
+    iterations, scores every iteration: its n scores s lie in [0, 1] and
+    sum to ``score_sum``, so p_e = sum s / n. Each chunk pairs its whole
+    blocks within strata of the shadowing normal (``draw_m_batch``), and
+    ``square_sum`` is the sum over all pairs of (A_2h - A_2h+1)^2, for A a
+    block's score sum: the two blocks of a pair are independent draws from
+    one stratum, so its squared difference estimates the variance of their
+    sum without bias (Cochran, *Sampling Techniques*, 1977; Owen,
+    *Monte Carlo theory, methods and examples*, 2013, ch. 8). A block
+    without a partner adds size^2 / 4, the largest variance of a sum of
+    that many scores in [0, 1]. The half-width is 1.96 sqrt(variance) / n;
+    at n = 1 it is 1.96 sqrt(1/4) = 0.98.
 
-    A constant cell has ``errors`` outside the floor set F and the
-    f = ``floor_size`` scores q over F, which lie in [0, P_f] and sum to
+    A constant cell, ``block_len`` 0, has ``errors`` outside the floor set
+    F and the f = ``floor_size`` scores q over F, which lie in [0, P_f] and sum to
     ``score_sum``, their squares to ``square_sum``. With p_B = errors / n
     and pi_n = 1 - (1 - P_f)^n = P(f >= 1), p_e = p_B + (sum q / f) / pi_n,
     the second term 0 when f = 0, and the half-width is
@@ -628,19 +819,17 @@ def _estimate(errors: int, floor_size: int, score_sum: float, square_sum: float,
     keeps p_e unbiased at any n; it is 1.0 in floats from about 2 300
     iterations.
 
-    ``square_sum`` is of the scores times ``scale``, a power of two
-    (``_square_scale``), so the variance is formed in those units and the
-    half-width divided by ``scale``; at 1.0 nothing changes.
+    ``square_sum`` is of the scores, or of a drawn cell's differences,
+    times ``scale``, a power of two (``_square_scale``), so the variance is
+    formed in those units and the half-width divided by ``scale``; at 1.0
+    nothing changes.
     """
-    if drawn:
-        p_e = score_sum / iterations
-        variance, units = 0.25, 1.0
-        if iterations > 1:
-            scaled = score_sum * scale
-            variance = max(square_sum - scaled * scaled / iterations, 0.0) / (iterations - 1)
-            units = scale
-        half_width = 1.96 * math.sqrt(variance / iterations) / units
-        return PeEstimate(p_e=p_e, iterations=iterations, half_width_95=half_width, seed=seed)
+    if block_len:
+        full, last = divmod(iterations, CHUNK_SIZE)
+        bound = (full * _unpaired(CHUNK_SIZE, block_len) + _unpaired(last, block_len)) / 4
+        half_width = 1.96 * math.hypot(math.sqrt(square_sum) / scale, math.sqrt(bound))
+        return PeEstimate(p_e=score_sum / iterations, iterations=iterations,
+                          half_width_95=half_width / iterations, seed=seed)
     p_b = errors / iterations
     p_e, variance = p_b, p_b * (1.0 - p_b) / iterations
     reach = -math.expm1(iterations * math.log1p(-P_FLOOR))

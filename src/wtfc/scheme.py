@@ -126,8 +126,9 @@ class SchemeParams(Record):
     ``q / window >= doppler_spread``, unless overridden. Both variants
     share every physical parameter; only the alphabet differs, and with
     duty cycle 1 they coincide. Raises ValueError for a variant not in
-    ``VARIANTS``, when the bandwidth fits fewer than two tones or when an
-    override breaks the Doppler constraint.
+    ``VARIANTS``, when the bandwidth fits fewer than two tones, when the
+    alphabet lies past the float range or when an override breaks the
+    Doppler constraint.
     """
 
     inputs: PhysicalInputs
@@ -147,6 +148,12 @@ class SchemeParams(Record):
                 f"bandwidth_hz too small: only {self.tone_count} tone(s) fit the "
                 f"{window:.6g} s window at spacing multiplier q={q}"
             )
+        # The sampler and the capacity take S as a float. The larger
+        # factor of S = M / theta is named.
+        if self.alphabet_size > sys.float_info.max:
+            field = "bandwidth_hz" if self.tone_count >= self.slots_per_cycle else "duty_cycle"
+            raise ValueError(f"{field} puts the alphabet size S = tone_count / duty_cycle "
+                             "outside the float range")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
 

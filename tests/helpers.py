@@ -7,14 +7,16 @@ the fast path.
 """
 
 import math
+import statistics
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from wtfc import LargeScaleModel, PhysicalInputs, analytic_pe_no_shadowing, derive_scheme
+from wtfc import detector
 from wtfc.channel import constant_amplitude
-from wtfc.detector import _FLOOR_CUT, draw_m_batch
+from wtfc.detector import _FLOOR_CUT
 
 
 def scheme_with_alphabet(alphabet_size: int):
@@ -109,6 +111,55 @@ def header_to_config_text(line: str) -> str:
     return "\n".join(line[len(prefix):].split(" ")) + "\n"
 
 
+def _horner(coefficients: Sequence[float], r: float) -> float:
+    total = coefficients[0]
+    for c in coefficients[1:]:
+        total = total * r + c
+    return total
+
+
+def normal_quantile(p: float) -> float:
+    """The standard normal quantile of one p; -inf at p = 0, inf at 1.
+
+    ``statistics.NormalDist().inv_cdf`` for |p - 1/2| <= 0.425, and in the
+    tails Wichura's AS 241 in its operations and order, with
+    ln min(p, 1 - p) from numpy's log, as the vectorised form takes it:
+    with AVX-512 numpy's log and the C library's differ by one ulp at about
+    2e-4 of arguments, and there a tail value may differ from the standard
+    library's by a few ulp.
+    """
+    if p in (0.0, 1.0):
+        return math.inf if p else -math.inf
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        return statistics.NormalDist().inv_cdf(p)
+    r = math.sqrt(-float(np.log(p if q <= 0.0 else 1.0 - p)))
+    num, den = (detector._NEAR_TAIL if r <= 5.0 else detector._FAR_TAIL).T.tolist()
+    r = r - 1.6 if r <= 5.0 else r - 5.0
+    x = _horner(num, r) / _horner(den, r)
+    return -x if q < 0.0 else x
+
+
+def reference_amplitudes(model: LargeScaleModel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Shadowed amplitudes of a chunk of ``n`` symbols, one block at a time.
+
+    Block b draws its uniform U from ``rng`` in block order; with H whole
+    pairs of blocks in the chunk, block b < 2H draws z = Phi^-1((b // 2 + U) / H)
+    and any later block z = Phi^-1(U), each by ``normal_quantile``. Its
+    amplitude is exp(-(ln10/20)(L + sigma z)), formed as z * sigma, plus L,
+    times -ln10/20.
+    """
+    block_len = model.block_len
+    pairs = n // block_len // 2
+    n_blocks = -(-n // block_len)
+    uniforms = rng.random(n_blocks, out=np.empty(n_blocks)).tolist()
+    z = np.array([normal_quantile((b // 2 + u) / pairs if b < 2 * pairs else u)
+                  for b, u in enumerate(uniforms)])
+    m = np.exp((z * model.shadowing_std_db + model.deterministic_loss_db())
+               * -(math.log(10.0) / 20.0))
+    return np.repeat(m, block_len)[:n]
+
+
 def _max_noise_from_log(n_noise: int, log_v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """y = -ln(-expm1(ln(v) / N)) from ln(v) into ``out``, one ufunc at a time."""
     np.divide(log_v, n_noise, out=out)
@@ -138,9 +189,13 @@ def reference_chunk_error_count(
     and noise uniforms are drawn once and turned once into E = -ln(1 - u)
     and ln(v); each noise maximum y is finished from ln(v).
 
-    A drawn signal scores every iteration s = -expm1(-y / mu) and counts
-    nothing; its sums are the ``math.fsum`` of the np.sum of each
-    1000-iteration slice of s, and of s squared. A constant signal's
+    A drawn signal's amplitudes come from ``reference_amplitudes``, and it
+    scores every iteration s = -expm1(-y / mu) and counts nothing. Its
+    first sum is the ``math.fsum`` of the np.sum of each 1000-iteration
+    slice of s. Its second is over the chunk's whole pairs of blocks: with
+    A each block's np.sum of s, the ``math.fsum`` of the np.sum of
+    (A_2h - A_2h+1)^2 over the pairs of each window of lcm(1000, 2 L)
+    iterations. A constant signal's
     statistic is mu * E. Every iteration of the floor set, those with
     E <= c_f, scores q = -expm1(-min(t, c_f)) for t = y / mu; every other
     one scores its error indicator, x <= y (ties count as errors), and the
@@ -170,6 +225,7 @@ def reference_chunk_error_count(
         for k, n_noise in enumerate(noise_counts)
     ]
     work = spare[last]
+    amplitudes = {}
     shape = (len(signals), len(noise_counts))
     counts = np.zeros(shape, dtype=np.int64)
     sums, square_sums = np.empty(shape), np.empty(shape)
@@ -183,15 +239,21 @@ def reference_chunk_error_count(
                 square_sums[j, k] = np.sum(scores * scores)
             continue
         model, energy_factor = signal
-        mu = draw_m_batch(model, np.random.default_rng(shadow_seed), n, out=np.empty(n))
+        if model not in amplitudes:
+            amplitudes[model] = reference_amplitudes(model, np.random.default_rng(shadow_seed), n)
         # mu = (m * m) * energy_factor + 1, evaluated in that order.
-        mu *= mu
+        mu = amplitudes[model] * amplitudes[model]
         mu *= energy_factor
         mu += 1.0
+        block_len = model.block_len
+        paired = n // block_len // 2 * 2
+        per_window = math.lcm(1000, 2 * block_len) // (2 * block_len)
         for k, y in enumerate(ys):
             scores = -np.expm1(-(y / mu))
             sums[j, k] = math.fsum(np.sum(scores[i : i + 1000]) for i in range(0, n, 1000))
-            square_sums[j, k] = math.fsum(
-                np.sum(scores[i : i + 1000] ** 2) for i in range(0, n, 1000))
+            blocks = scores[: paired * block_len].reshape(paired, block_len).sum(axis=1)
+            squares = (blocks[0::2] - blocks[1::2]) ** 2
+            square_sums[j, k] = math.fsum(np.sum(squares[i : i + per_window])
+                                          for i in range(0, paired // 2, per_window))
     constant = any(isinstance(signal, float) for signal in signals)
     return counts, sums, square_sums, int(np.count_nonzero(floor)) if constant else 0

@@ -49,6 +49,30 @@ class TestDmcCapacity:
             "clamping to the zero-capacity point"
         ]
 
+    @pytest.mark.parametrize("s", [int(2.7e306), 2**1023 + 1])
+    def test_pe_over_an_alphabet_near_the_float_range(self, s):
+        # p_e / (S - 1) underflows to 0 here, and log2 of it failed with a
+        # math domain error; log2(p_e) - log2(S - 1) does not underflow.
+        p_e = 1e-300
+        assert p_e / (s - 1) == 0.0
+        bits = math.log2(s) + (1.0 - p_e) * math.log2(1.0 - p_e)
+        bits += p_e * (math.log2(p_e) - math.log2(s - 1))
+        assert dmc_capacity(p_e, s, 1.0, 1.0) == bits
+
+    def test_pe_of_one_past_two_to_the_53_symbols(self):
+        # 1 - 1/S rounds to 1 there, so p_e = 1 is not clamped; its
+        # (1 - p_e) log2(1 - p_e) term is 0 log 0 = 0, where log2(0) failed.
+        s = 2**60
+        assert 1.0 - 1.0 / s == 1.0
+        assert dmc_capacity(1.0, s, 1.0, 1.0) == max(math.log2(s) - math.log2(s - 1), 0.0)
+
+    def test_pe_over_an_ordinary_alphabet_keeps_the_quotient(self):
+        # Where the quotient is a normal float its log is taken, as before.
+        s, p_e = 2_700_000, 0.1
+        bits = math.log2(s) + (1.0 - p_e) * math.log2(1.0 - p_e)
+        bits += p_e * math.log2(p_e / (s - 1))
+        assert dmc_capacity(p_e, s, 1.0, 1.0) == bits
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             dmc_capacity(0.1, 1, 1.0, 1.0)

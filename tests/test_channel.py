@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from wtfc import (
     LargeScaleModel,
     deterministic_power_gain,
@@ -123,11 +124,13 @@ def test_zero_sigma_consumes_no_rng():
 
 
 def test_shadowing_moment_matches_lognormal():
-    # E[m^2] relative to the deterministic value is exp((sigma ln10/10)^2/2).
+    # E[m^2] relative to the deterministic value is exp((sigma ln10/10)^2/2),
+    # over ten chunks drawn one after the other.
     sigma = 8.0
     model = TRIVIAL.replace(distance_m=10.0, shadowing_std_db=sigma)
     rng = np.random.default_rng(1234)
-    m = draw_m_batch(model, rng, 1_000_000, out=np.empty(1_000_000))
+    m = np.concatenate([draw_m_batch(model, rng, 100_000, out=np.empty(100_000))
+                        for _ in range(10)])
     det_power = deterministic_power_gain(model)
     ratio = float(np.mean(m**2)) / det_power
     expected = shadowing_mean_power_gain(model)
@@ -145,24 +148,39 @@ def test_block_length_holds_m_constant():
     assert np.all(m[8:10] == m[8])
 
 
-def _reference_m(model, rng, n):
-    """Amplitudes by the out-of-place formula the in-place draw replaced."""
-    n_blocks = -(-n // model.block_len)
-    x_sigma = rng.normal(0.0, model.shadowing_std_db, n_blocks)
-    m_blocks = np.exp(-(math.log(10.0) / 20.0) * (model.deterministic_loss_db() + x_sigma))
-    return np.repeat(m_blocks, model.block_len)[:n]
-
-
 @pytest.mark.parametrize("block_len", [1, 4, 1000])
 @pytest.mark.parametrize("distance_m", [1.0, 3.0, 350.0])
-def test_in_place_draw_equals_normal_formula_bit_for_bit(block_len, distance_m):
+def test_in_place_draw_equals_stratified_formula_bit_for_bit(block_len, distance_m):
+    # The reference takes each block's z one block at a time. 99 999
+    # symbols end in an odd whole block, and at block_len 4 and 1000 in a
+    # partial one after it.
     model = TRIVIAL.replace(distance_m=distance_m, shadowing_std_db=8.0, block_len=block_len)
-    n = 100_003
-    want = _reference_m(model, np.random.default_rng(11), n)
+    n = 99_999
+    want = helpers.reference_amplitudes(model, np.random.default_rng(11), n)
     out = np.full(n, np.nan)
     got = draw_m_batch(model, np.random.default_rng(11), n, out=out)
     assert got is out
     assert np.array_equal(got, want)
+
+
+def test_each_pair_of_blocks_draws_from_its_own_stratum():
+    # 2H blocks in H pairs: pair h's two normals lie in the h-th H-quantile
+    # interval, so the blocks' normals, sorted, take two per interval.
+    sigma = 8.0
+    model = TRIVIAL.replace(shadowing_std_db=sigma, block_len=10)
+    pairs = 500
+    m = draw_m_batch(model, np.random.default_rng(3), 2 * pairs * 10 + 7, out=np.empty(10_007))
+    z = -np.log(m[::10]) / (math.log(10.0) / 20.0) / sigma
+    edges = [helpers.normal_quantile(h / pairs) for h in range(pairs + 1)]
+    stratum = np.searchsorted(edges, z[: 2 * pairs]) - 1
+    assert np.array_equal(stratum[0::2], np.arange(pairs))
+    assert np.array_equal(stratum[1::2], np.arange(pairs))
+
+
+def test_a_draw_past_one_chunk_is_rejected():
+    model = TRIVIAL.replace(shadowing_std_db=8.0)
+    with pytest.raises(ValueError, match="at most 100000 symbols"):
+        draw_m_batch(model, np.random.default_rng(0), 10, np.empty(10), start=99_995)
 
 
 def test_constant_model_is_rejected():

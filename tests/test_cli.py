@@ -789,13 +789,12 @@ def test_compare_shadowing_csv(sigma_db, capsys, tmp_path):
 
 # sha256 of the result files at 250 000 iterations, captured when the
 # floor set's scores were first averaged over its actual size (the
-# compare-shadowing on rows' when every shadowed iteration was first scored
-# by its conditional error probability); each row equals the one-cell
-# estimate at its point (tests/test_sweep.py) and lies near its exact
-# value (below).
+# compare-shadowing on rows' when shadowed amplitudes were first drawn
+# stratified in pairs of blocks); each row equals the one-cell estimate at
+# its point (tests/test_sweep.py) and lies near its exact value (below).
 PINNED_CSV_SHA256 = {
     "sweep": "f662027d6947004dd89eee969285d1af6c2a6966bd8a633ab50251532b563299",
-    "compare-shadowing": "4f262a0b43fc6eb7686de2f695d12a8d85a2f4c430738e0307ebf6ff7a854361",
+    "compare-shadowing": "eb3ab67948847b708621f7812655abb871066af69f5d0a4cf782ee6cd419ccfc",
 }
 
 

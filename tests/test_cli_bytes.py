@@ -27,7 +27,35 @@ def test_same_call_is_identical_and_a_changed_file_is_seen(cli_bytes, tmp_path):
 
 def test_call_names_are_unique(cli_bytes):
     names = [name for name, _, _ in cli_bytes.CALLS]
-    assert len(names) == len(set(names)) == 49
+    assert len(names) == len(set(names)) == 53
+
+
+def test_expect_names_calls_and_rejects_unknown_ones(cli_bytes):
+    assert cli_bytes.expected_calls("") == set()
+    assert cli_bytes.expected_calls(" pe-shadowed, ,compare-threads-2,pe-shadowed") == {
+        "pe-shadowed", "compare-threads-2"}
+    with pytest.raises(ValueError, match="^no such call: nope$"):
+        cli_bytes.expected_calls("pe,nope")
+
+
+def test_unknown_expect_name_exits_2_before_any_call_runs(cli_bytes, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_bytes.main(["--parent", "HEAD", "--change", "HEAD", "--expect", "nope"])
+    assert exit_info.value.code == 2
+    assert "--expect: no such call: nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("differing, expected, code, lines", [
+    (set(), set(), 0, []),
+    ({"pe-shadowed"}, {"pe-shadowed"}, 0, []),
+    ({"pe-shadowed", "pe"}, {"pe-shadowed"}, 1, ["differ, not expected: pe"]),
+    (set(), {"pe-shadowed"}, 1, ["expected to differ, same: pe-shadowed"]),
+    ({"pe"}, {"pe-shadowed"}, 1,
+     ["differ, not expected: pe", "expected to differ, same: pe-shadowed"]),
+], ids=["none", "exactly", "one-more", "one-fewer", "other"])
+def test_only_exactly_the_expected_calls_may_differ(cli_bytes, differing, expected, code,
+                                                   lines):
+    assert cli_bytes.verdict(differing, expected) == (code, lines)
 
 
 @pytest.mark.parametrize("before, after, names", [

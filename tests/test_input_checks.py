@@ -195,3 +195,50 @@ def test_derivation_past_the_float_range_is_a_skipped_row(key, sets, axis, value
     assert len(rows) == 2
     assert rows[0].endswith(",")
     assert rows[1].split(",")[-1].startswith(f"{key} ")
+
+
+# An alphabet S = tone_count / duty_cycle past the float range: the
+# sampler's noise bound took it as a float and ended in an OverflowError
+# traceback. The larger factor of S is named. (field named, --set items.)
+ALPHABET_OVERFLOWS = [
+    ("duty_cycle", ["duty_cycle=1e-300", "bandwidth_hz=1e300", "doppler_spread_hz=3"]),
+    ("bandwidth_hz", ["duty_cycle=1e-10", "bandwidth_hz=1e305", "doppler_spread_hz=3"]),
+]
+
+
+@pytest.mark.parametrize("command", ["derive", "pe", "capacity"])
+@pytest.mark.parametrize("key, sets", ALPHABET_OVERFLOWS)
+def test_alphabet_past_the_float_range_exits_2_naming_its_key(command, key, sets, capsys):
+    argv = [command, *POINT, "--set", "p_r=10e3", "--iters", "1000"]
+    for item in sets:
+        argv += ["--set", item]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {key} puts the alphabet size S ")
+
+
+@pytest.mark.parametrize("key, sets", ALPHABET_OVERFLOWS)
+def test_alphabet_past_the_float_range_is_a_skipped_row(key, sets, capsys, tmp_path):
+    duty = next(item for item in sets if item.startswith("duty_cycle="))
+    argv = [*SWEEP, "--axis", "duty_cycle", "--grid", f"1e-2,{duty.split('=')[1]}",
+            "--allow-skips", "--out", str(tmp_path / "s.csv")]
+    for item in sets:
+        if item != duty:
+            argv += ["--set", item]
+    assert run_cli(argv, capsys)[0] == 0
+    rows = (tmp_path / "s.csv").read_text().splitlines()[2:]
+    assert len(rows) == 2
+    assert rows[0].endswith(",")
+    assert rows[1].split(",")[-1].startswith(f"{key} puts the alphabet size S ")
+
+
+@pytest.mark.parametrize("command", [["capacity"], ["sweep", "--axis", "duty_cycle",
+                                                    "--grid", "1e-2,1e-300"]])
+def test_capacity_at_an_alphabet_near_the_float_range_is_finite(command, capsys, tmp_path):
+    # S ~ 2.7e302 at duty 1e-300, where a sampled p_e ~ 7e-298 over S - 1
+    # underflowed to 0 and log2 failed with "math domain error".
+    argv = [*command, *POINT, "--set", "p_r=10e3", "--iters", "1000",
+            "--set", "duty_cycle=1e-300", "--out", str(tmp_path / "out")]
+    assert run_cli(argv, capsys)[0] == 0
+    text = (tmp_path / "out").read_text()
+    assert "capacity_bps" in text and "nan" not in text and "inf" not in text

@@ -2,18 +2,22 @@
 
 Usage, from the repository root:
 
-    python3 tools/cli_bytes.py --parent REV --change REV
+    python3 tools/cli_bytes.py --parent REV --change REV [--expect NAME[,NAME...]]
 
 Each commit is exported with ``git archive`` into its own directory under
 ``--workdir``. Every call in ``CALLS`` runs as ``python -m wtfc.cli`` on
 each export, in a fresh empty directory, with the ``WTFC_*`` environment
 cleared except for what the call sets. The exit code, stdout, stderr and
 every file the call writes (its ``--out`` file) are compared. Each call
-prints one line, ``same`` or the parts that differ; the exit code is 1 if
-any call differs, else 0. Under a call whose files differ, one more line
-per differing file names the columns that differ: by header for a CSV
-table, by key for JSON or ``key = value`` lines, and ``# config`` for the
-header comment.
+prints one line, ``same`` or the parts that differ. Under a call whose
+files differ, one more line per differing file names the columns that
+differ: by header for a CSV table, by key for JSON or ``key = value``
+lines, and ``# config`` for the header comment.
+
+The exit code is 0 when exactly the calls named by ``--expect`` differ,
+none by default, else 1: a change meant to move some results names them,
+and any other difference, or a named call that stayed the same, still
+fails. Names are comma-separated; blanks and repeats are ignored.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ POINT = [
     "--set", "duty_cycle=1/100",
 ]
 PR = ["--set", "p_r=10e3"]
+# An alphabet S = tone_count / duty_cycle near or past the float range.
+HUGE_ALPHABET = ["--set", "duty_cycle=1e-300"]
 ITERS = ["--iters", "20000", "--seed", "3"]
 OUT = ["--out", "result.out"]
 SHADOWED = {"WTFC_SHADOWING_ENABLED": "true", "WTFC_SHADOWING_STD_DB": "8"}
@@ -170,6 +176,18 @@ CALLS = [
     # One shadowed iteration: one score, whose half-width is the widest.
     ("pe-shadowed-iters-1", ["pe", *POINT, *PR, "--iters", "1", "--seed", "3", *OUT],
      SHADOWED),
+    # Shadowed blocks of 1000 symbols: 20 blocks in 10 pairs.
+    ("pe-shadowed-blocks-1000", ["pe", *POINT, *PR, *ITERS, "--set", "shadow_block_len=1000",
+                                 *OUT], SHADOWED),
+    # 37 shadowed symbols: 18 pairs and one block without a partner.
+    ("pe-shadowed-iters-37", ["pe", *POINT, *PR, "--iters", "37", "--seed", "3", *OUT],
+     SHADOWED),
+    # S ~ 2.7e302: p_e / (S - 1) underflows.
+    ("capacity-huge-alphabet", ["capacity", *POINT, *PR, *ITERS, *HUGE_ALPHABET, *OUT], {}),
+    # S ~ 8e595, past the float range.
+    ("pe-alphabet-past-float-range",
+     ["pe", *POINT, *PR, *ITERS, *HUGE_ALPHABET, "--set", "bandwidth_hz=1e300",
+      "--set", "doppler_spread_hz=3", *OUT], {}),
 ]
 
 
@@ -248,15 +266,39 @@ def changed_files(parent: dict, change: dict) -> list[str]:
     return lines
 
 
+def expected_calls(text: str) -> set[str]:
+    """The call names of an ``--expect`` value; ``ValueError`` on a name not in ``CALLS``."""
+    names = {name.strip() for name in text.split(",")} - {""}
+    unknown = names - {name for name, _, _ in CALLS}
+    if unknown:
+        raise ValueError(f"no such call: {', '.join(sorted(unknown))}")
+    return names
+
+
+def verdict(differing: set[str], expected: set[str]) -> tuple[int, list[str]]:
+    """Exit code and report lines: 0 when exactly the expected calls differ."""
+    lines = [f"{label}: {', '.join(sorted(names))}" for label, names in (
+        ("differ, not expected", differing - expected),
+        ("expected to differ, same", expected - differing),
+    ) if names]
+    return (0 if differing == expected else 1), lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent commit")
     parser.add_argument("--change", required=True, help="changed commit")
     parser.add_argument("--workdir", type=Path, default=None)
+    parser.add_argument("--expect", default="", metavar="NAME[,NAME...]",
+                        help="the calls that should differ, comma-separated")
     args = parser.parse_args(argv)
+    try:
+        expected = expected_calls(args.expect)
+    except ValueError as exc:
+        parser.error(f"--expect: {exc}")
 
     sides = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
-    differing = 0
+    differing = set()
     with tempfile.TemporaryDirectory() as tmp:
         workdir, runs = args.workdir or Path(tmp), Path(tmp) / "runs"
         checkouts = {side: export(rev, workdir) for side, rev in sides.items()}
@@ -264,13 +306,17 @@ def main(argv: list[str] | None = None) -> int:
             results = [run_call(checkouts[side] / "src", runs / side / name, call, env)
                        for side in sides]
             parts = differences(*results)
-            differing += bool(parts)
+            if parts:
+                differing.add(name)
             print(f"{name}: {'differs in ' + ', '.join(parts) if parts else 'same'}",
                   flush=True)
             for line in changed_files(*results):
                 print(line, flush=True)
-    print(f"{len(CALLS) - differing} of {len(CALLS)} calls identical")
-    return 1 if differing else 0
+    print(f"{len(CALLS) - len(differing)} of {len(CALLS)} calls identical")
+    code, lines = verdict(differing, expected)
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":
