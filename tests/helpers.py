@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from wtfc import LargeScaleModel, PhysicalInputs, analytic_pe_no_shadowing, derive_scheme
-from wtfc import detector
+from wtfc import (LargeScaleModel, PhysicalInputs, analytic_pe_no_shadowing, derive_scheme,
+                  detector)
 from wtfc.channel import constant_amplitude
 from wtfc.detector import _FLOOR_CUT
 
