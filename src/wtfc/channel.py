@@ -16,6 +16,7 @@ belongs to the Monte Carlo sampler in ``wtfc.detector``.
 from __future__ import annotations
 
 import math
+import sys
 
 from .record import Record
 
@@ -26,6 +27,9 @@ __all__ = [
     "constant_amplitude",
     "shadowing_mean_power_gain",
 ]
+
+# ln of the largest float: exp overflows past it.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class LargeScaleModel(Record):
@@ -55,6 +59,13 @@ class LargeScaleModel(Record):
             raise ValueError("path_loss_exponent must be positive")
         if not self.shadowing_std_db >= 0:
             raise ValueError("shadowing_std_db must be nonnegative")
+        # The mean power factor exp((sigma ln10 / 10)^2 / 2) must be a
+        # float, as hold_mean_rx_power divides by it: sigma at most about
+        # 163.6 dB, where the drawn amplitudes' squares stay floats too.
+        spread = self.shadowing_std_db * math.log(10.0) / 10.0
+        if not spread * spread / 2.0 <= _LOG_FLOAT_MAX:
+            raise ValueError("shadowing_std_db puts the mean shadowing power gain "
+                             "outside the float range")
         if self.block_len < 1:
             raise ValueError("block_len must be a positive integer")
         # The power gain 10^(-L/10) must be a positive float whether or not

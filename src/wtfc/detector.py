@@ -59,18 +59,26 @@ other cells of the call or the threads.
 
 A cell with a constant mean (shadowing disabled, or sigma = 0) counts
 errors instead: an iteration errs when the signal statistic x = mu * E,
-with E = -ln(1 - u), does not beat y. The floor set F, the iterations
-with E <= c_f = -ln(1 - ``P_FLOOR``), is about a 64th of them and one set
-for every constant cell, since they share u. Each scores
-q = -expm1(-min(t, c_f)) with t = y / mu: P_f times its error
-probability given v and E <= c_f. F is chosen by E alone, which is
-independent of v, so q's mean over F estimates P(error, E <= c_f)
-whatever F's size f is (a ratio estimator, conditional Monte Carlo
-within F); p_e is the error fraction outside F plus that mean over
-pi_n = P(f >= 1) (``_estimate``). Every span's union keeps F; the chunk
-collects its ln v as it goes and scores it in every constant cell once it
-is drawn, in iteration order, so that the sums do not depend on the span,
-the other cells of the call or the threads.
+with E = -ln(1 - u), does not beat y. Its signal uniforms are stratified
+as the amplitudes are, with the iteration as the unit (``_stratify``): a
+chunk of n iterations has H = n // 2 pairs, both iterations of pair h
+draw u = (h + U) / H from their own U, and an unpaired last iteration
+draws a plain U. Most of an error indicator's variance is the spread of
+P(error | u) over u, which the strata remove; the half-width takes the
+pairs' differences, D + 1/4 per unpaired iteration for D the pairs where
+exactly one iteration errs outside F (``_estimate``). The floor set F,
+the iterations with E <= c_f = -ln(1 - ``P_FLOOR``), is one set for
+every constant cell, since they share u, and under the strata about the
+chunk's first n / 64 iterations. Each scores q = -expm1(-min(t, c_f))
+with t = y / mu: P_f times its error probability given v and E <= c_f.
+F is chosen by u alone, which is independent of v, so q's mean over F
+estimates P(error, E <= c_f) whatever F's size f is (a ratio estimator,
+conditional Monte Carlo within F); p_e is the error fraction outside F
+plus that mean over pi_n = P(f >= 1), which the strata make 1 from 128
+iterations on (``_floor_reach``). Every span scans its part of F; the
+chunk collects its ln v as it goes and scores it in every constant cell
+once it is drawn, in iteration order, so that the sums do not depend on
+the span, the other cells of the call or the threads.
 
 The kernel holds every statistic in one sign, L = ln(1 - u) = -E and
 w = ln(-expm1(ln v / N)) = -y: a constant cell errs when mu * L >= w, F
@@ -78,35 +86,39 @@ is L >= -c_f, and -q = expm1(max(w / mu, -c_f)), as -s = expm1(w / mu).
 IEEE negation, products, quotients, min and max are exact under a change
 of sign, so every count, score and floor set is the E/y form's bit for bit.
 
-Constant cells invert only iterations that can be errors. The noise
-maximum rises with its uniform v, so the one at a span's largest v,
-computed on one float with ``math`` and padded by a relative 1e-6
-(``_SLACK``) against the few-ulp error of either computation, bounds
-every maximum of the span at that noise count, and an iteration whose
-signal statistic lies above the bound is correct in that cell. Each
-constant cell has a cut on E from that bound and its mean, and the
-span's test on u is derived from the largest. Each span gathers the
-candidates of all its constant cells, its union, once; each noise count
-then inverts its maximum, and counts its constant cells, over that whole
-union, where F's L is -inf, so no count sees F. L, w and every
+Constant cells invert only iterations that can be errors, and those lie
+in a prefix of the chunk. The noise maximum rises with its uniform v, so
+the one at a span's largest v, computed on one float with ``math`` and
+padded by a relative 1e-6 (``_SLACK``) against the few-ulp error of
+either computation, bounds every maximum of the span at that noise
+count, and an iteration whose signal statistic lies above the bound is
+correct in that cell. Each constant cell has a cut on E from that bound
+and its mean, and so a cut on u. Stratified u rises with the iteration's
+pair, so every u at or below a cut lies in the chunk's first
+2 (floor(H u_cut) + 2) iterations (``_prefix``). Each noise count scans
+the prefix of its cells' largest cut, where F's L is -inf, so no count
+sees F; the span draws u only over the longest prefix and F's, with the
+signal stream skipping the rest (``bit_generator.advance``, one output
+per double), and always scans an unpaired last iteration. L, w and every
 comparison go through the same element-wise ufuncs as a pass over every
-iteration, so each count equals that pass's bit for bit.
+iteration, so each count and its discordant pairs equal that pass's bit
+for bit.
 
 The chunk kernel is allocation-free: each worker allocates its scratch
 once per ``estimate_pe`` call, and so once per sweep: ``_scratch_rows``
 rows of one span, ``_span`` floats (a third of a chunk, rounded up to
 whole pieces and whole pairs of shadowing blocks, at most a chunk), for u
-(then L), v (then ln v), w (the gather buffer before it), the signal
-statistics (or a drawn cell's scores) and each shadowing model's
-amplitudes, however many grid points the call carries. Every span draws,
-scores, gathers and transforms in place there: the normal quantile works
-in the u and w rows before they are drawn, and a drawn cell's block sums
-and pair differences in the u and statistic rows. Per span only the
-1-byte candidate and comparison masks, the candidates' indices, F's
-indices and ln v, the quantile's tail indices and values (about 15 % of
-the blocks) and, for block shadowing, one amplitude per block are new
-memory; per chunk, the drawn cells' piece and window sums, and F's ln v
-joined once and scored one cell at a time in two of the scratch rows.
+(then L), v (then ln v), w, the signal statistics (or a drawn cell's
+scores) and each shadowing model's amplitudes, however many grid points
+the call carries. Every span draws, scores and transforms in place
+there: the normal quantile works in the u and w rows before they are
+drawn, and a drawn cell's block sums and pair differences in the u and
+statistic rows. Per span only the 1-byte comparison masks and their
+pairs' comparisons, F's indices and ln v, the quantile's tail indices
+and values (about 15 % of the blocks) and, for block shadowing, one
+amplitude per block are new memory; per chunk, the drawn cells' piece
+and window sums, and F's ln v joined once and scored one cell at a time
+in two of the scratch rows.
 """
 
 from __future__ import annotations
@@ -150,7 +162,8 @@ _FLOOR_CUT = -math.log1p(-P_FLOOR)
 # the chunk and every span is whole pieces, so the sums do not depend on
 # the span; it divides CHUNK_SIZE.
 _PIECE = 1000
-# The index h of each pair of shadowing blocks in a chunk, as a float.
+# The index h of each pair of units in a chunk, as a float: of shadowing
+# blocks for the amplitudes, of iterations for the signal uniforms.
 _PAIR_INDEX = np.arange(CHUNK_SIZE // 2, dtype=float)
 # Binary exponent of the typical signal-slot mean above which a cell's
 # scores are scaled before they are squared (``_square_scale``).
@@ -252,6 +265,18 @@ def _normal_quantile(p, work):
     return p
 
 
+def _stratify(uniforms, first: int, pairs: int):
+    """(h + U) / H in place for each uniform U, for H = ``pairs`` pairs in
+    a chunk and h the pair of its unit: ``uniforms`` are the draws of
+    units ``first`` on, whole pairs from the start of one, and units 2h
+    and 2h + 1 share the h-th H-th of [0, 1) (stratified sampling)."""
+    h = _PAIR_INDEX[first // 2 : (first + uniforms.size) // 2]
+    uniforms[0::2] += h
+    uniforms[1::2] += h
+    uniforms /= pairs
+    return uniforms
+
+
 def draw_m_batch(
     model: LargeScaleModel,
     rng: np.random.Generator,
@@ -294,13 +319,8 @@ def draw_m_batch(
         work = np.empty((2, n_blocks))
     m = out if block_len == 1 else np.empty(n_blocks)
     rng.random(n_blocks, out=m)
-    # (h + U) / H for the blocks of this draw that have a partner.
     paired = min(n_blocks, max(2 * pairs - first, 0))
-    if paired:
-        h = _PAIR_INDEX[first // 2 : (first + paired) // 2]
-        m[0:paired:2] += h
-        m[1:paired:2] += h
-        m[:paired] /= pairs
+    _stratify(m[:paired], first, pairs)
     _normal_quantile(m, work)
     # m = exp(-(ln10/20)(L + sigma z)), one pass at a time over the draws.
     m *= model.shadowing_std_db
@@ -395,8 +415,8 @@ def _shadowing_models(signals: Sequence) -> dict:
 
 def _scratch_rows(signals: Sequence) -> int:
     """Rows of scratch the chunk kernel needs: one each for u (then L), v
-    (then ln v), the negated noise maxima w (first the gather buffer) and
-    the signal statistics (or a drawn cell's scores), and one per distinct
+    (then ln v), the negated noise maxima w and the signal statistics (or
+    a drawn cell's scores), and one per distinct
     shadowing model for its amplitudes."""
     return 4 + len(_shadowing_models(signals))
 
@@ -426,15 +446,16 @@ def _piece_sums(t, out, piece: int = _PIECE) -> None:
         out[whole] = t[whole * piece :].sum()
 
 
-def _compact(rows, mask, buffer):
-    """Each row's entries where ``mask`` holds, moved to its front through
-    ``buffer``; returns those fronts. "clip" skips the range check that
-    makes take copy."""
-    index = np.flatnonzero(mask)
-    fronts = [row[: index.size] for row in rows]
-    for row, front in zip(rows, fronts):
-        front[:] = np.take(row, index, mode="clip", out=buffer[: index.size])
-    return fronts
+def _prefix(cut: float, pairs: int) -> int:
+    """Iterations from a chunk's start, whole pairs of its ``pairs``, that
+    hold every paired iteration with E = -ln(1 - u) at or below ``cut``.
+
+    Such a u lies at or below -expm1(-cut) * (1 + ``_SLACK``), the pad
+    covering the few-ulp error of E, and a stratified u = (h + U) / H at
+    or below that has h at most floor(H u_cut), up to rounding: one more
+    pair covers that.
+    """
+    return 2 * min(int(-math.expm1(-cut) * (1.0 + _SLACK) * pairs) + 2, pairs)
 
 
 def _chunk_error_count(
@@ -443,7 +464,7 @@ def _chunk_error_count(
     seed: int,
     cells: Sequence[tuple[float | tuple[LargeScaleModel, float], int]],
     scratch: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Scores of every cell in one chunk of ``n`` iterations.
 
     A cell is a (signal, noise-slot count) pair. A signal is its
@@ -455,22 +476,27 @@ def _chunk_error_count(
     maximum. ``scratch`` holds at least ``_scratch_rows(signals)`` rows of
     at least min(n, ``_span(signals)``) floats, over the cells' signals,
     else ``ValueError``; the chunk overwrites those rows. Returns each
-    cell's count and two sums, in cell order, and F's size.
+    cell's count, its discordant pairs and two sums, in cell order, and
+    F's size.
 
     A cell whose amplitudes are drawn scores every iteration by its error
     probability given its noise maximum y and amplitude m,
     s = -expm1(-y / mu) with mu = m * m * energy + 1; it draws no u. Its
-    count is 0, its first sum is of s over the chunk and its second is of
+    count and discordant pairs are 0, its first sum is of s over the chunk
+    and its second is of
     (2^k (A_2h - A_2h+1))^2 over the chunk's pairs of whole shadowing
     blocks, for A a block's sum of s and 2^k = ``_square_scale`` of its
     signal (the blocks without a partner are left to ``_estimate``).
 
     A cell with a constant mean mu counts an error when x = mu * E does not
-    beat y. The floor set F, one set for every such cell, holds the
+    beat y, with u stratified in the chunk's H = n // 2 pairs of
+    iterations: u = (h + U) / H in pair h, a plain U in an unpaired last
+    iteration. The floor set F, one set for every such cell, holds the
     iterations with E <= c_f = -ln(1 - ``P_FLOOR``); each scores
     q = -expm1(-min(y / mu, c_f)), ``P_FLOOR`` times its error probability
-    given its own v and E <= c_f. Its count is of the errors outside F, its
-    sums are of q over F (from ``_floor_scores``), and F's size is returned
+    given its own v and E <= c_f. Its count is of the errors outside F,
+    its discordant pairs are the pairs with exactly one of them, its sums
+    are of q over F (from ``_floor_scores``), and F's size is returned
     last; it is 0 when no cell has a constant mean, since then no u is
     drawn. The statistics are held negated, L = -E and w = -y (see the
     module docstring): an error is ``mu * L >= w`` and F is L >= -c_f.
@@ -496,20 +522,28 @@ def _chunk_error_count(
       so each constant cell has a cut on E, bound[N] * pad / mu * pad with
       pad = 1 + ``_SLACK``: above it, x lies above the bound and the
       iteration is correct in that cell. E = -L rises with u, within a
-      few ulp, so the span tests u at or below -expm1(-cut) * pad for the
-      largest cut and c_f, which keeps every u of every cell's E cut and
-      the floor set.
+      few ulp, so every u of the cut lies at or below
+      u_cut = -expm1(-cut) * pad.
+    - A stratified u at or below u_cut lies in a pair h of at most
+      floor(H u_cut), or one more where H u_cut rounds, so the chunk's
+      first 2 (floor(H u_cut) + 2) iterations, its prefix (``_prefix``),
+      hold every candidate of the cut, and F's prefix every iteration of
+      F.
 
-    The span's candidates, its union, are gathered once: u and ln v are
-    compacted to it in place, through the row that then takes w. Each span
-    keeps the ln v of its floor set, in order, for ``_floor_scores`` to
-    score one cell at a time once the chunk is drawn, and then sets the
-    floor set's L to -inf, where no count sees it. Each noise count
-    inverts its w over the whole union and compares each of its cells
-    there. Every ufunc acts element by element, so a gathered element gets
-    the value it has in a pass over every iteration, and counting over any
-    superset of a cell's candidates gives that pass's count bit for bit.
-    Ties count as errors (measure zero, pinned for reproducibility).
+    Each noise count scans the prefix of its cells' largest cut, within
+    the span, and the span draws u over the longest prefix and F's; the
+    signal stream skips to the span's start, and then to an unpaired last
+    iteration, which every count scans beside all the span's drawn pairs.
+    Each span keeps the ln v of its floor set, in order, for
+    ``_floor_scores`` to score one cell at a time once the chunk is drawn,
+    and then sets the floor set's L to -inf, where no count sees it. Each
+    noise count inverts its w over its prefix and compares each of its
+    cells there, and counts the pairs of the prefix whose two comparisons
+    differ; no pair past it holds an error. Every ufunc acts element by
+    element, so each element gets the value it has in a pass over every
+    iteration, and counting over any superset of a cell's candidates that
+    is whole pairs gives that pass's count and discordant pairs bit for
+    bit. Ties count as errors (measure zero, pinned for reproducibility).
     """
     signals = [signal for signal, _ in cells]
     span = _span(signals)
@@ -542,7 +576,11 @@ def _chunk_error_count(
     layouts = [(model.block_len, _window(model.block_len) // (2 * model.block_len),
                 n // model.block_len // 2) for model in models]
     pad = 1.0 + _SLACK
-    counts = np.zeros(len(cells), dtype=np.int64)
+    # The chunk's strata of u, one per pair of iterations, the prefix that
+    # holds F, and the signal uniforms drawn so far.
+    strata = n // 2
+    floor_prefix, drawn_to = _prefix(_FLOOR_CUT, strata), 0
+    counts, discordant = np.zeros((2, len(cells)), dtype=np.int64)
     sums, square_sums = np.zeros(len(cells)), np.zeros(len(cells))
     # Each drawn cell's piece sums of -s and window sums of its pairs'
     # squared differences, in iteration order.
@@ -597,16 +635,29 @@ def _chunk_error_count(
         if not constant:
             continue
 
-        u = signal_rng.random(length, out=u_row[:length])
-        # Each constant cell's cut on E; the union keeps every E at or below
-        # the largest of them and c_f.
-        cut = max(_FLOOR_CUT, *(_noise_bound(top, n_noise) * pad / mean * pad
-                                for n_noise, members in constant.items() for _, mean in members))
-        candidates = u <= -math.expm1(-cut) * pad
-        # w_row is free until the counts below write w.
-        ell, log_v = _compact([u, v], candidates, w_row)
-        del candidates
-        _log_survival(ell, out=ell)
+        # Each noise count's prefix holds its cells' candidates, from the
+        # largest of their cuts on E; the span scans its pairs within the
+        # longest prefix and F's, and its unpaired last iteration.
+        prefixes = {n_noise: _prefix(max(_noise_bound(top, n_noise) * pad / mean * pad
+                                         for _, mean in members), strata)
+                    for n_noise, members in constant.items()}
+        end = start + length
+        size = max(min(end, max(floor_prefix, *prefixes.values())) - start, 0)
+        last = int(end == n > 2 * strata)
+        if not size + last:
+            continue
+        # u of the span's scanned pairs and of its last iteration, each the
+        # value a whole-chunk draw gives: the stream skips the u not drawn.
+        u = u_row[: size + last]
+        if size:
+            signal_rng.bit_generator.advance(start - drawn_to)
+            _stratify(signal_rng.random(size, out=u[:size]), start, strata)
+            drawn_to = start + size
+        if last:
+            signal_rng.bit_generator.advance(n - 1 - drawn_to)
+            signal_rng.random(1, out=u[size:])
+            v[size] = v[length - 1]
+        ell, log_v = _log_survival(u, out=u), v[: size + last]
         if not drawn:
             with np.errstate(divide="ignore"):
                 np.log(log_v, out=log_v)
@@ -615,11 +666,17 @@ def _chunk_error_count(
         below.append(np.take(log_v, floor))
         ell[floor] = -math.inf
         del floor
-        w, x = w_row[: ell.size], x_row[: ell.size]
         for n_noise, members in constant.items():
-            _negative_max_noise_from_log(n_noise, log_v, out=w)
+            # A count scans its own prefix's pairs, or beside the unpaired
+            # last iteration every scanned pair.
+            k = size + 1 if last else max(min(end, prefixes[n_noise]) - start, 0)
+            w, x = w_row[:k], x_row[:k]
+            _negative_max_noise_from_log(n_noise, log_v[:k], out=w)
             for c, mean in members:
-                counts[c] += np.count_nonzero(np.multiply(mean, ell, out=x) >= w)
+                errors = np.multiply(mean, ell[:k], out=x) >= w
+                counts[c] += np.count_nonzero(errors)
+                discordant[c] += np.count_nonzero(errors[0 : k - last : 2]
+                                                  != errors[1 : k - last : 2])
     for members in drawn.values():
         for c, g, *_ in members:
             _, per_window, pairs = layouts[g]
@@ -629,7 +686,7 @@ def _chunk_error_count(
     # Without a constant cell no u is drawn and the floor set is empty.
     log_v = np.concatenate(below) if constant else np.empty(0)
     _floor_scores(log_v, constant, sums, square_sums, scratch)
-    return counts, sums, square_sums, log_v.size
+    return counts, discordant, sums, square_sums, log_v.size
 
 
 def _floor_scores(
@@ -651,11 +708,11 @@ def _floor_scores(
     Each is one sum over the chunk, so its bits do not depend on the span.
 
     Each noise count inverts its w once for all its cells, which are
-    scored one at a time, in two rows of ``scratch`` for w and -q, or in
-    two new rows when the floor set is wider than a row.
+    scored one at a time, in two rows of ``scratch`` for w and -q: F lies
+    in the chunk's first 2 (floor(H P_f) + 2) iterations and its unpaired
+    last one, 1 565 at most, fewer than a row holds.
     """
-    size = log_v.size
-    w, t = scratch[:2, :size] if size <= scratch.shape[1] else np.empty((2, size))
+    w, t = scratch[:2, : log_v.size]
     for n_noise, members in constant.items():
         _negative_max_noise_from_log(n_noise, log_v, out=w)
         for c, mean in members:
@@ -766,15 +823,17 @@ def estimate_pe(
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, range(workers)))
-    # One (counts, sums, square sums, floor size) per chunk. math.fsum
-    # rounds each exact total once, so the order in which the workers ran
-    # their chunks cannot show.
+    # One (counts, discordant pairs, sums, square sums, floor size) per
+    # chunk. math.fsum rounds each exact total once, so the order in which
+    # the workers ran their chunks cannot show.
     chunks = [chunk for worker in results for chunk in worker]
-    errors = sum(counts for counts, _, _, _ in chunks)
-    floor_size = sum(size for _, _, _, size in chunks)
+    errors = sum(counts for counts, *_ in chunks)
+    discordant = sum(pairs for _, pairs, *_ in chunks)
+    floor_size = sum(size for *_, size in chunks)
     estimates = [
-        _estimate(int(errors[c]), floor_size, math.fsum(sums[c] for _, sums, _, _ in chunks),
-                  math.fsum(squares[c] for _, _, squares, _ in chunks), iterations, seed,
+        _estimate(int(errors[c]), int(discordant[c]), floor_size,
+                  math.fsum(sums[c] for _, _, sums, _, _ in chunks),
+                  math.fsum(squares[c] for _, _, _, squares, _ in chunks), iterations, seed,
                   block_len=0 if isinstance(signal, float) else signal[0].block_len,
                   scale=_square_scale(signal))
         for c, signal in enumerate(signals)
@@ -789,50 +848,73 @@ def _unpaired(n: int, block_len: int) -> int:
     return whole % 2 * block_len * block_len + part * part
 
 
-def _estimate(errors: int, floor_size: int, score_sum: float, square_sum: float,
-              iterations: int, seed: int, block_len: int = 0,
+def _floor_reach(iterations: int) -> float:
+    """pi_n = P(f >= 1): the chance that the floor set of ``iterations``
+    is not empty.
+
+    A chunk of n iterations has H = n // 2 pairs. With H P_f >= 1 its first
+    pair lies in F whatever U is; else each u of that pair lies in F with
+    probability H P_f, and no later pair can. An unpaired last u lies in F
+    with probability P_f. So F misses a chunk with probability
+    (1 - min(1, H P_f))^2 (1 - P_f)^(n mod 2), and every chunk with the
+    product: pi_n is 1.0 from n = 128 on.
+    """
+    def missed(n: int) -> float:
+        return (1.0 - min(1.0, n // 2 * P_FLOOR)) ** 2 * (1.0 - P_FLOOR) ** (n % 2)
+
+    full, last = divmod(iterations, CHUNK_SIZE)
+    return 1.0 - missed(CHUNK_SIZE) ** full * missed(last)
+
+
+def _estimate(errors: int, discordant: int, floor_size: int, score_sum: float,
+              square_sum: float, iterations: int, seed: int, block_len: int = 0,
               scale: float = 1.0) -> PeEstimate:
     """p_e and its 95 % half-width from a cell's scores.
 
-    A drawn cell, whose amplitudes come in blocks of ``block_len`` > 0
-    iterations, scores every iteration: its n scores s lie in [0, 1] and
-    sum to ``score_sum``, so p_e = sum s / n. Each chunk pairs its whole
-    blocks within strata of the shadowing normal (``draw_m_batch``), and
-    ``square_sum`` is the sum over all pairs of (A_2h - A_2h+1)^2, for A a
-    block's score sum: the two blocks of a pair are independent draws from
-    one stratum, so its squared difference estimates the variance of their
-    sum without bias (Cochran, *Sampling Techniques*, 1977; Owen,
-    *Monte Carlo theory, methods and examples*, 2013, ch. 8). A block
-    without a partner adds size^2 / 4, the largest variance of a sum of
-    that many scores in [0, 1]. The half-width is 1.96 sqrt(variance) / n;
-    at n = 1 it is 1.96 sqrt(1/4) = 0.98.
+    Each chunk pairs its units within strata of their uniform: a drawn
+    cell's whole blocks of ``block_len`` > 0 iterations by the shadowing
+    normal (``draw_m_batch``), a constant cell's iterations by u (the
+    module docstring). The two units of a pair are independent draws from
+    one stratum, so the squared difference of their sums estimates the
+    variance of the pair's total without bias (Cochran, *Sampling
+    Techniques*, 1977; Owen, *Monte Carlo theory, methods and examples*,
+    2013, ch. 8). A unit without a partner adds size^2 / 4, the largest
+    variance of a sum of that many values in [0, 1].
+
+    A drawn cell scores every iteration: its n scores s lie in [0, 1] and
+    sum to ``score_sum``, so p_e = sum s / n, and ``square_sum`` is the sum
+    over all pairs of (A_2h - A_2h+1)^2, for A a block's score sum. The
+    half-width is 1.96 sqrt(variance) / n; at n = 1 it is
+    1.96 sqrt(1/4) = 0.98.
 
     A constant cell, ``block_len`` 0, has ``errors`` outside the floor set
-    F and the f = ``floor_size`` scores q over F, which lie in [0, P_f] and sum to
+    F, of which ``discordant`` pairs hold exactly one, and the
+    f = ``floor_size`` scores q over F, which lie in [0, P_f] and sum to
     ``score_sum``, their squares to ``square_sum``. With p_B = errors / n
-    and pi_n = 1 - (1 - P_f)^n = P(f >= 1), p_e = p_B + (sum q / f) / pi_n,
+    and pi_n = P(f >= 1) (``_floor_reach``), p_e = p_B + (sum q / f) / pi_n,
     the second term 0 when f = 0, and the half-width is
-    1.96 sqrt(p_B (1 - p_B) / n + var_F(q) / (max(f, 1) pi_n^2)), with
-    var_F(q) = sum q^2 / f - (sum q / f)^2 where that is positive and
-    (P_f / 2)^2, the largest variance of a score in [0, P_f], where it is
-    not: below two scores, or where the scores are equal. Dividing by pi_n
-    keeps p_e unbiased at any n; it is 1.0 in floats from about 2 300
-    iterations.
+    1.96 sqrt((D + n mod 2 / 4) / n^2 + var_F(q) / (max(f, 1) pi_n^2)),
+    for D the discordant pairs (an error indicator's squared pair
+    difference is 1 where exactly one errs), with var_F(q) =
+    sum q^2 / f - (sum q / f)^2 where that is positive and (P_f / 2)^2,
+    the largest variance of a score in [0, P_f], where it is not: below
+    two scores, or where the scores are equal. Dividing by pi_n keeps p_e
+    unbiased at any n.
 
     ``square_sum`` is of the scores, or of a drawn cell's differences,
-    times ``scale``, a power of two (``_square_scale``), so the variance is
-    formed in those units and the half-width divided by ``scale``; at 1.0
-    nothing changes.
+    times ``scale``, a power of two (``_square_scale``), so that part of
+    the variance is formed in those units and its root divided by
+    ``scale``; at 1.0 nothing changes.
     """
+    full, last = divmod(iterations, CHUNK_SIZE)
+    unit = block_len or 1
+    bound = (full * _unpaired(CHUNK_SIZE, unit) + _unpaired(last, unit)) / 4
     if block_len:
-        full, last = divmod(iterations, CHUNK_SIZE)
-        bound = (full * _unpaired(CHUNK_SIZE, block_len) + _unpaired(last, block_len)) / 4
         half_width = 1.96 * math.hypot(math.sqrt(square_sum) / scale, math.sqrt(bound))
         return PeEstimate(p_e=score_sum / iterations, iterations=iterations,
                           half_width_95=half_width / iterations, seed=seed)
-    p_b = errors / iterations
-    p_e, variance = p_b, p_b * (1.0 - p_b) / iterations
-    reach = -math.expm1(iterations * math.log1p(-P_FLOOR))
+    p_e = errors / iterations
+    reach = _floor_reach(iterations)
     spread, units = (P_FLOOR / 2.0) ** 2, 1.0
     if floor_size:
         mean = score_sum / floor_size
@@ -842,6 +924,6 @@ def _estimate(errors: int, floor_size: int, score_sum: float, square_sum: float,
         sample = square_sum / floor_size - scaled * scaled
         if floor_size > 1 and sample > 0.0:
             spread, units = sample, scale
-    variance = (variance * units) * units + spread / (max(floor_size, 1) * reach * reach)
-    half_width = 1.96 * math.sqrt(variance) / units
+    half_width = 1.96 * math.hypot(math.sqrt(discordant + bound) / iterations,
+                                   math.sqrt(spread / max(floor_size, 1)) / (reach * units))
     return PeEstimate(p_e=p_e, iterations=iterations, half_width_95=half_width, seed=seed)

@@ -271,7 +271,10 @@ def compare_shadowing(
     """
     if not sigma_db >= 0:
         raise ConfigError("sigma_db", "must be nonnegative")
-    model_on = spec.base.model.replace(enabled=True, shadowing_std_db=sigma_db)
+    try:
+        model_on = spec.base.model.replace(enabled=True, shadowing_std_db=sigma_db)
+    except ValueError as exc:
+        raise ConfigError("sigma_db", str(exc)) from exc
     model_off = model_on.replace(shadowing_std_db=0.0)
     spec_on = spec.replace(base=spec.base.replace(model=model_on))
     rows: list[SweepRow] = []

@@ -171,8 +171,8 @@ def _max_noise_from_log(n_noise: int, log_v: np.ndarray, out: np.ndarray) -> np.
 
 # The chunk kernel without any filter: every iteration is inverted and
 # scored, in the order the estimator defines, as the reference whose
-# counts, score sums and floor size the filtered kernel must equal bit for
-# bit.
+# counts, discordant pairs, score sums and floor size the filtered kernel
+# must equal bit for bit.
 def reference_chunk_error_count(
     chunk_index: int,
     n: int,
@@ -180,14 +180,17 @@ def reference_chunk_error_count(
     signals: Sequence[float | tuple[LargeScaleModel, float]],
     noise_counts: Sequence[int],
     scratch: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Scores of every (signal, noise count) pair in one chunk of ``n`` iterations.
 
     A signal is its signal-slot mean: a float when it is the same for every
     iteration, else the (model, signal energy) whose amplitudes the
     shadowing stream draws. The chunk is seeded by (seed, chunk). Its signal
-    and noise uniforms are drawn once and turned once into E = -ln(1 - u)
-    and ln(v); each noise maximum y is finished from ln(v).
+    and noise uniforms are drawn once, every one of them. With H = n // 2
+    pairs, iteration i < 2H takes u = (i // 2 + U) / H from its uniform U,
+    one element at a time, and an unpaired last iteration u = U; u is
+    turned once into E = -ln(1 - u) and v into ln(v); each noise maximum y
+    is finished from ln(v).
 
     A drawn signal's amplitudes come from ``reference_amplitudes``, and it
     scores every iteration s = -expm1(-y / mu) and counts nothing. Its
@@ -200,18 +203,22 @@ def reference_chunk_error_count(
     E <= c_f, scores q = -expm1(-min(t, c_f)) for t = y / mu; every other
     one scores its error indicator, x <= y (ties count as errors), and the
     sums are the np.sum of q over the floor set, in order, and of q squared.
+    Its discordant pairs are the pairs (2h, 2h + 1) where exactly one
+    indicator is 1.
 
     ``scratch`` holds at least ``len(noise_counts) + 2`` rows of at least
     ``n`` floats; the chunk overwrites the first ``n`` entries of those it
-    uses. Returns the counts of the indicators and the two sums, each
-    shaped (signals, noise counts), and the floor set's size, 0 when no
-    signal is constant.
+    uses. Returns the counts of the indicators, the discordant pairs and
+    the two sums, each shaped (signals, noise counts), and the floor set's
+    size, 0 when no signal is constant.
     """
     shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
         [seed, chunk_index]
     ).spawn(3)
     e, log_v, *spare = (row[:n] for row in scratch)
-    np.random.default_rng(signal_seed).random(n, out=e)
+    uniforms = np.random.default_rng(signal_seed).random(n, out=e).tolist()
+    pairs = n // 2
+    e[:] = [(i // 2 + u) / pairs if i < 2 * pairs else u for i, u in enumerate(uniforms)]
     np.negative(np.log1p(np.negative(e, out=e), out=e), out=e)
     with np.errstate(divide="ignore"):
         np.log(np.random.default_rng(noise_seed).random(n, out=log_v), out=log_v)
@@ -227,13 +234,16 @@ def reference_chunk_error_count(
     work = spare[last]
     amplitudes = {}
     shape = (len(signals), len(noise_counts))
-    counts = np.zeros(shape, dtype=np.int64)
+    counts, discordant = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
     sums, square_sums = np.empty(shape), np.empty(shape)
     for j, signal in enumerate(signals):
         if isinstance(signal, float):
             x = np.multiply(signal, e, out=work)
             for k, y in enumerate(ys):
-                counts[j, k] = np.count_nonzero((x <= y) & ~floor)
+                errors = (x <= y) & ~floor
+                counts[j, k] = np.count_nonzero(errors)
+                discordant[j, k] = np.count_nonzero(
+                    errors[0 : 2 * pairs : 2] != errors[1 : 2 * pairs : 2])
                 scores = -np.expm1(-np.minimum(y / signal, _FLOOR_CUT))[floor]
                 sums[j, k] = np.sum(scores)
                 square_sums[j, k] = np.sum(scores * scores)
@@ -256,4 +266,5 @@ def reference_chunk_error_count(
             square_sums[j, k] = math.fsum(np.sum(squares[i : i + per_window])
                                           for i in range(0, paired // 2, per_window))
     constant = any(isinstance(signal, float) for signal in signals)
-    return counts, sums, square_sums, int(np.count_nonzero(floor)) if constant else 0
+    return (counts, discordant, sums, square_sums,
+            int(np.count_nonzero(floor)) if constant else 0)

@@ -27,7 +27,7 @@ def test_same_call_is_identical_and_a_changed_file_is_seen(cli_bytes, tmp_path):
 
 def test_call_names_are_unique(cli_bytes):
     names = [name for name, _, _ in cli_bytes.CALLS]
-    assert len(names) == len(set(names)) == 53
+    assert len(names) == len(set(names)) == 55
 
 
 def test_expect_names_calls_and_rejects_unknown_ones(cli_bytes):

@@ -293,6 +293,14 @@ class TestAnalyticOracle:
             analytic_pe_no_shadowing(2.0, 0)
 
 
+def _stratified_reach(n):
+    """P(f >= 1) for one chunk of n iterations whose u are stratified in
+    H = n // 2 pairs: each u of the first pair lies in the floor set with
+    probability min(1, H P_f), and an unpaired last u with P_f."""
+    p_f = detector.P_FLOOR
+    return 1.0 - (1.0 - min(1.0, n // 2 * p_f)) ** 2 * (1.0 - p_f) ** (n % 2)
+
+
 class TestEstimatePe:
     def test_zero_power_limit(self):
         params = helpers.scheme_with_alphabet(8)
@@ -309,14 +317,16 @@ class TestEstimatePe:
     def _floor_estimate(mu, n_noise, n, seed):
         """p_e, half-width and f from the reference scores of one chunk:
         p_e = B / n + (G / f) / pi_n and half-width
-        1.96 sqrt(p_B (1 - p_B) / n + (Q / f - (G / f)^2) / (f pi_n^2)), for
-        B errors outside the floor set, f its size, G and Q the sums of its
-        scores and of their squares, and pi_n = 1 - (1 - P_f)^n."""
-        counts, sums, squares, f = helpers.reference_chunk_error_count(
+        1.96 sqrt((D + n mod 2 / 4) / n^2 + (Q / f - (G / f)^2) / (f pi_n^2)),
+        for B errors outside the floor set, D its pairs that hold exactly
+        one, f its size, G and Q the sums of its scores and of their
+        squares, and pi_n = P(f >= 1) with u stratified in n // 2 pairs."""
+        counts, discordant, sums, squares, f = helpers.reference_chunk_error_count(
             0, n, seed, [mu], [n_noise], np.empty((3, n)))
         p_b, mean = int(counts[0, 0]) / n, sums[0, 0] / f
-        reach = 1.0 - (1.0 - detector.P_FLOOR) ** n
-        variance = p_b * (1 - p_b) / n + (squares[0, 0] / f - mean * mean) / (f * reach**2)
+        reach = _stratified_reach(n)
+        variance = ((int(discordant[0, 0]) + n % 2 / 4) / n**2
+                    + (squares[0, 0] / f - mean * mean) / (f * reach**2))
         return p_b + mean / reach, 1.96 * math.sqrt(variance), f
 
     def test_half_width_formula(self):
@@ -416,14 +426,15 @@ _PIN_SHADOWED = _PIN_GEOMETRY.replace(shadowing_std_db=8.0)
 # N_0 = 1, seed 2024) at 250 000 iterations (two full chunks and a half
 # one) and at 37: (model, hold_mean_rx_power, total), each a float whose
 # quotient by the iterations is p_e's bits. The constant-mean totals hold
-# floor-set scores; at 37 iterations the floor set's scores are P_f, over
-# pi_37 = 0.441. The shadowed totals are sums of every iteration's
+# floor-set scores, their signal uniforms drawn by stratified sampling; at
+# 37 iterations the floor set's scores are P_f, over pi_37 = 0.491. The
+# shadowed totals are sums of every iteration's
 # conditional error probability, its amplitude drawn by stratified
 # sampling. test_pins_lie_near_the_exact_value checks the 250 000-iteration
 # ones.
 PINNED_ERRORS = {
-    "disabled": (NO_FADING, False, {250_000: 8060.255766149873, 37: 1.3091441795638512}),
-    "zero_sigma": (_PIN_GEOMETRY, False, {250_000: 59105.25, 37: 9.309144179563852}),
+    "disabled": (NO_FADING, False, {250_000: 8051.3592543213135, 37: 1.1763171784283892}),
+    "zero_sigma": (_PIN_GEOMETRY, False, {250_000: 58901.25, 37: 11.176317178428391}),
     "sigma_8db": (_PIN_SHADOWED, False, {250_000: 80039.0833311208, 37: 11.152255322691984}),
     "sigma_8db_blocks": (
         _PIN_SHADOWED.replace(block_len=1000), False,
@@ -613,9 +624,18 @@ def _assert_kernel_matches_reference(signals, noise_counts, n, chunks, seed=11):
         got = _chunk_error_count(chunk, n, seed, cells, scratch)
         want = helpers.reference_chunk_error_count(chunk, n, seed, signals, noise_counts,
                                                    reference)
-        assert np.array_equal(got[0], want[0].ravel()), chunk
-        assert _same_bits(got[1], want[1].ravel()) and _same_bits(got[2], want[2].ravel()), chunk
-        assert got[3] == want[3], chunk
+        _assert_chunk_equal(got, want, signals, noise_counts, cells, chunk)
+
+
+def _assert_chunk_equal(got, want, signals, noise_counts, cells, chunk):
+    """The kernel's counts, discordant pairs, sums and floor size for
+    ``cells`` equal the reference's, shaped (signals, noise counts), bit
+    for bit."""
+    want = [[part[signals.index(signal), noise_counts.index(n_noise)]
+             for signal, n_noise in cells] for part in want[:4]] + [want[4]]
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), chunk
+    assert _same_bits(got[2], want[2]) and _same_bits(got[3], want[3]), chunk
+    assert got[4] == want[4], chunk
 
 
 @pytest.mark.parametrize("n", [CHUNK_SIZE, 37])
@@ -670,6 +690,21 @@ def test_span_draws_equal_slices_of_one_whole_chunk_draw(block_len, n):
                 name, start)
 
 
+def test_random_chunks_equal_the_all_iterations_kernel():
+    # 24 chunks of 1 to 100 000 iterations, odd and even, each with one to
+    # three constant means from 1 to 1e6, sometimes beside a shadowed
+    # signal, against one to three noise counts from 1 to 1e9.
+    rng = np.random.default_rng(37)
+    lengths = [1, 2, 3, 127, 128, 129, 70_001, 99_999]
+    lengths += rng.integers(1, CHUNK_SIZE + 1, size=24 - len(lengths)).tolist()
+    for chunk, n in enumerate(lengths):
+        signals = (10.0 ** rng.uniform(0.0, 6.0, size=rng.integers(1, 4))).tolist()
+        if chunk % 3 == 0:
+            signals.append((_PIN_SHADOWED, signals[0]))
+        noise_counts = rng.choice(_KERNEL_NOISE, size=rng.integers(1, 4), replace=False)
+        _assert_kernel_matches_reference(signals, [int(k) for k in noise_counts], n, [chunk])
+
+
 @pytest.mark.parametrize("iterations", [1, 2, 3])
 @pytest.mark.parametrize("cells", ["constant", "shadowed", "mixed"])
 def test_tiny_iteration_counts_equal_the_all_iterations_kernel(cells, iterations):
@@ -692,11 +727,12 @@ def test_tiny_iteration_counts_equal_the_all_iterations_kernel(cells, iterations
     scored = 0.0
     for seed in range(20):
         got = estimate_pe(variants, models, powers, 1.0, iterations, seed=seed)
-        counts, sums, squares, f = helpers.reference_chunk_error_count(
+        counts, discordant, sums, squares, f = helpers.reference_chunk_error_count(
             0, iterations, seed, signals, noise_counts, reference)
         cells = [(j, j % len(variants)) for j in range(len(signals))]
         assert list(got) == [
-            detector._estimate(int(counts[cell]), f, sums[cell], squares[cell], iterations, seed,
+            detector._estimate(int(counts[cell]), int(discordant[cell]), f, sums[cell],
+                               squares[cell], iterations, seed,
                                block_len=0 if isinstance(signals[cell[0]], float)
                                else signals[cell[0]][0].block_len)
             for cell in cells
@@ -705,10 +741,11 @@ def test_tiny_iteration_counts_equal_the_all_iterations_kernel(cells, iterations
     assert scored > 0
 
 
-# Means at which a span's union holds 8-30 % of it, at the noise counts of
-# shadow-pair ([2699]) and mc-sweep ([269_999, 2699]): (cells, noise counts,
-# mu). Only constant means enter the union; the mixed cells score their
-# drawn signals over every iteration beside it.
+# Means at which a count's prefix of candidate pairs holds 10-25 % of a
+# chunk, at the
+# noise counts of shadow-pair ([2699]) and mc-sweep ([269_999, 2699]):
+# (cells, noise counts, mu). Only constant means set a prefix; the mixed
+# cells score their drawn signals over every iteration beside it.
 _UNION_CASES = [
     ("constant", [2699], 150.0),
     ("constant", [269_999, 2699], 90.0),
@@ -720,16 +757,16 @@ _UNION_CASES = [
 @pytest.mark.parametrize("cells, noise_counts, mu", _UNION_CASES,
                          ids=[f"{cells}-{len(counts)}" for cells, counts, _ in _UNION_CASES])
 def test_chunk_counts_equal_the_reference_where_the_union_is_wide(cells, noise_counts, mu):
-    # Every noise count inverts and counts over the whole union, a superset
-    # of each of its cells' candidates, over 20 chunks.
+    # Every noise count inverts and counts over its prefix, whole pairs
+    # that hold each of its cells' candidates, over 20 chunks.
     _assert_kernel_matches_reference(_kernel_signals(cells, mu), noise_counts, CHUNK_SIZE,
                                      range(20), seed=7)
 
 
 @pytest.mark.parametrize("case", ["mc_sweep_grid", "shadow_pair_grid", "shadow_blocks_grid"])
 def test_sweep_grid_counts_equal_the_reference(case):
-    # A sweep's grid: the 1e-2 point sets the union, and the counts of the
-    # lower duty cycles invert it all although their own candidates are few.
+    # A sweep's grid: the 1e-2 point sets the span's prefix, and each
+    # count of a lower duty cycle scans its own, shorter one.
     signals, noise_counts, cells = _CHUNK_CELLS[case]
     scratch = np.empty((_scratch_rows(signals), _span(signals)))
     reference = np.empty((len(noise_counts) + 2, CHUNK_SIZE))
@@ -737,39 +774,125 @@ def test_sweep_grid_counts_equal_the_reference(case):
         got = _chunk_error_count(chunk, CHUNK_SIZE, 7, cells, scratch)
         want = helpers.reference_chunk_error_count(chunk, CHUNK_SIZE, 7, signals,
                                                    noise_counts, reference)
-        for got_part, want_part in zip(got[:3], want[:3]):
-            assert _same_bits(got_part, [want_part[signals.index(signal),
-                                                   noise_counts.index(n_noise)]
-                                         for signal, n_noise in cells]), chunk
-        assert got[3] == want[3], chunk
+        _assert_chunk_equal(got, want, signals, noise_counts, cells, chunk)
+
+
+def _inversion_spy(monkeypatch):
+    """(noise count, size) of every noise inversion the kernel makes."""
+    calls = []
+    invert = detector._negative_max_noise_from_log
+
+    def spy(n_noise, log_u, out):
+        calls.append((n_noise, log_u.size))
+        return invert(n_noise, log_u, out)
+
+    monkeypatch.setattr(detector, "_negative_max_noise_from_log", spy)
+    return calls
 
 
 @pytest.mark.parametrize("p_r", [1e4, 100.0], ids=["pe", "pe_low_snr"])
-def test_every_span_gathers_its_union_once(monkeypatch, p_r):
-    # One-count chunks of the README point: at p_r = 1e4 about a fifth of a
-    # span is its union, at p_r = 100 nearly all of it. Each span gathers once,
-    # over a mask as long as the span, however many candidates it holds.
-    gathers = []
-    compact = detector._compact
-
-    def spy(rows, mask, buffer):
-        gathers.append((mask.size, int(np.count_nonzero(mask))))
-        return compact(rows, mask, buffer)
-
-    monkeypatch.setattr(detector, "_compact", spy)
+def test_each_span_inverts_a_prefix_of_its_pairs(monkeypatch, p_r):
+    # One-count chunks of the README point. Stratified u rises with the
+    # iteration, so the candidates lie in a prefix of the chunk: at
+    # p_r = 1e4 about a fifth of it, in the first span alone, and at
+    # p_r = 100 all of it, every span whole. The floor pass inverts F's f
+    # last.
+    calls = _inversion_spy(monkeypatch)
     wtfc = derive_scheme(_readme_inputs(1e-2))
     signals = [signal_energy(p_r, wtfc, 1.0) + 1.0]
     span = _span(signals)
     lengths = [min(span, CHUNK_SIZE - start) for start in range(0, CHUNK_SIZE, span)]
     for chunk in range(5):
-        gathers.clear()
-        _assert_kernel_matches_reference(signals, [wtfc.noise_slot_count], CHUNK_SIZE,
-                                         [chunk], seed=7)
-        assert [size for size, _ in gathers] == lengths, chunk
+        calls.clear()
+        got = _chunk_error_count(chunk, CHUNK_SIZE, 7, _every_cell(signals, [wtfc.noise_slot_count]),
+                                 np.empty((_scratch_rows(signals), span)))
+        want = helpers.reference_chunk_error_count(
+            chunk, CHUNK_SIZE, 7, signals, [wtfc.noise_slot_count], np.empty((3, CHUNK_SIZE)))
+        _assert_chunk_equal(got, want, signals, [wtfc.noise_slot_count],
+                            [(signals[0], wtfc.noise_slot_count)], chunk)
+        *scans, floor = [size for _, size in calls]
+        assert floor == got[4], chunk
         if p_r == 100.0:
-            assert all(found > 0.99 * size for size, found in gathers), chunk
+            assert scans == lengths, chunk
         else:
-            assert all(0 < found < size // 2 for size, found in gathers), chunk
+            assert 0.1 * CHUNK_SIZE < scans[0] < span and scans[1:] == [], chunk
+
+
+def test_each_count_inverts_its_own_prefix(monkeypatch):
+    # mc-sweep's grid in one chunk: each noise count inverts its maximum
+    # over the prefix its own cells' cuts give: the duty 1e-5 WTFC count
+    # over a few dozen iterations, fewer than F holds, where the 1e-2 one
+    # takes about a fifth of the chunk. Every count equals the
+    # all-iterations pass.
+    calls = _inversion_spy(monkeypatch)
+    signals, noise_counts, cells = _CHUNK_CELLS["mc_sweep_grid"]
+    scratch = np.empty((_scratch_rows(signals), _span(signals)))
+    reference = np.empty((len(noise_counts) + 2, CHUNK_SIZE))
+    for chunk in range(5):
+        calls.clear()
+        got = _chunk_error_count(chunk, CHUNK_SIZE, 7, cells, scratch)
+        want = helpers.reference_chunk_error_count(chunk, CHUNK_SIZE, 7, signals,
+                                                   noise_counts, reference)
+        _assert_chunk_equal(got, want, signals, noise_counts, cells, chunk)
+        # The first span's inversions, one per count, in the cells' order.
+        first = dict(calls[: len(noise_counts)])
+        widest, narrowest = first[noise_counts[0]], first[noise_counts[-1]]
+        assert narrowest < 100 < got[4] < 0.1 * CHUNK_SIZE < widest < _span(signals), chunk
+
+
+def test_a_later_span_draws_u_past_an_earlier_short_prefix(monkeypatch):
+    # The first span's bound is the true one, so it scans F's prefix and
+    # its few candidates; every later bound is as large as a float, so
+    # those spans scan every pair. Their u must skip what the first span
+    # did not draw, and equal the whole-chunk draw.
+    bound = detector._noise_bound
+    calls = []
+
+    def later_spans_take_every_pair(top, n_noise):
+        calls.append(top)
+        return bound(top, n_noise) if len(calls) == 1 else 1e300
+
+    monkeypatch.setattr(detector, "_noise_bound", later_spans_take_every_pair)
+    advances = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seq):
+        rng = default_rng(seq)
+        if seq.spawn_key[-1] != 1:
+            return rng
+        fixed = _FixedUniforms(rng, default_rng(seq).random(CHUNK_SIZE))
+        fixed.advance = lambda delta: (advances.append(delta), _FixedUniforms.advance(fixed, delta))
+        return fixed
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    signals = [1e6]
+    _assert_kernel_matches_reference(signals, [15], CHUNK_SIZE, [0])
+    span, floor = _span(signals), detector._prefix(detector._FLOOR_CUT, CHUNK_SIZE // 2)
+    # The first span stops at F's prefix; the second skips to its start.
+    assert [delta for delta in advances if delta] == [span - floor]
+
+
+def test_an_odd_chunk_scans_its_unpaired_last_iteration(monkeypatch):
+    # 70 001 iterations: 35 000 pairs and a last iteration whose u is a
+    # plain uniform, here 0.05, beyond every pair's prefix. At mean 101
+    # against 2699 noise slots it errs outside F, and the count holds it.
+    n, mean, n_noise = 70_001, 101.0, 2699
+    default_rng = np.random.default_rng
+    uniforms = {}
+
+    def last_uniform(seq):
+        rng = default_rng(seq)
+        uniforms[seq.spawn_key[-1]] = default_rng(seq).random(n)
+        if seq.spawn_key[-1] != 1:
+            return rng
+        uniforms[1][-1] = 0.05
+        return _FixedUniforms(rng, uniforms[1])
+
+    monkeypatch.setattr(np.random, "default_rng", last_uniform)
+    _assert_kernel_matches_reference([mean], [n_noise], n, [0])
+    e = -math.log1p(-0.05)
+    assert detector._FLOOR_CUT < e
+    assert mean * e <= max_noise_from_uniform(n_noise, uniforms[2][-1])
 
 
 @pytest.mark.parametrize("cells", ["constant", "shadowed", "mixed"])
@@ -790,10 +913,12 @@ def test_scratch_one_row_short_is_rejected(cells):
 
 class _FixedUniforms:
     """A generator whose ``random`` returns given uniforms, carrying on from
-    call to call as a generator does; normals stay drawn."""
+    call to call as a generator does, and whose ``bit_generator.advance``
+    skips as many; normals stay drawn."""
 
     def __init__(self, rng, uniforms):
         self._rng, self._uniforms, self._at = rng, uniforms, 0
+        self.bit_generator = self if uniforms is not None else rng.bit_generator
 
     def random(self, n, out):
         if self._uniforms is None:
@@ -802,13 +927,17 @@ class _FixedUniforms:
         self._at += n
         return out
 
+    def advance(self, delta):
+        self._at += delta
+
     def standard_normal(self, n, out):
         return self._rng.standard_normal(n, out=out)
 
 
 @pytest.mark.parametrize("noise", ["edges", "zero"])
 def test_edge_uniforms_count_as_in_the_all_iterations_kernel(monkeypatch, noise):
-    # u = 0 gives x = 0, a tie with every noise maximum, in the floor set,
+    # U = 0 puts u at the foot of its stratum, h / H: in the first pair
+    # u = 0 and x = 0, a tie with every noise maximum, in the floor set,
     # whose errors do not count. v = 0 gives the maximum 0;
     # v = nextafter(1, 0) the largest one.
     n = 1000
@@ -826,49 +955,35 @@ def test_edge_uniforms_count_as_in_the_all_iterations_kernel(monkeypatch, noise)
     signals, noise_counts = [1e6, (_PIN_SHADOWED, 1e6)], [1, 10**9]
     _assert_kernel_matches_reference(signals, noise_counts, n, [0])
     scratch = np.empty((_scratch_rows(signals), n))
-    counts, sums, _, _ = _chunk_error_count(0, n, 11, _every_cell(signals, noise_counts),
-                                            scratch)
+    counts, _, sums, _, _ = _chunk_error_count(0, n, 11, _every_cell(signals, noise_counts),
+                                               scratch)
     if noise == "zero":
         # Every maximum is 0, so t = 0: every iteration with E <= c_f, each
         # u = 0 tie among them, scores -expm1(-0) = 0, and x > 0 elsewhere.
         assert (counts == 0).all() and (sums == 0).all()
     else:
         # At mean 1e6 even the largest maximum gives t < c_f, and an error
-        # needs E below it: each error, u = 0 ties too, scores its
+        # needs E below it: each error, the u = 0 tie too, scores its
         # conditional probability, not 1.
         assert (counts[:2] == 0).all() and (sums[:2] > 0).all()
 
 
-def test_all_floor_chunk_in_chunk_wide_rows_equals_the_reference(monkeypatch):
-    # Every u of the chunk in the floor set, so all 100 000 iterations are
-    # kept. The reference comparison hands the kernel rows a chunk long,
-    # which the floor set fits, so the floor pass scores it in scratch;
-    # the next test gives rows a span long, which it overflows.
-    u = np.random.default_rng(5).random(CHUNK_SIZE) / 100.0
+def test_largest_floor_set_is_scored_in_span_rows(monkeypatch):
+    # Every U = 0 puts each u at the foot of its stratum, h / H, so the
+    # floor set takes every pair with h / H <= P_f: 2 (floor(H P_f) + 1)
+    # = 1564 iterations of a full chunk, the most it can hold, well within
+    # the span-long rows estimate_pe hands the kernel.
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seq: _FixedUniforms(
-        default_rng(seq), {1: u}.get(seq.spawn_key[-1])))
-    signals = [101.0, 1e6, (_PIN_SHADOWED, 1e6)]
-    assert _span(signals) < CHUNK_SIZE
-    _assert_kernel_matches_reference(signals, [15, 2699], CHUNK_SIZE, [0])
-
-
-def test_floor_wider_than_span_rows_is_scored_in_new_rows(monkeypatch):
-    # The reference comparison above hands the kernel rows a chunk long;
-    # estimate_pe's are one span long, which 100 000 kept iterations
-    # overflow, so here the floor pass must take its new rows.
-    u = np.random.default_rng(5).random(CHUNK_SIZE) / 100.0
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seq: _FixedUniforms(
-        default_rng(seq), {1: u}.get(seq.spawn_key[-1])))
+        default_rng(seq), {1: np.zeros(CHUNK_SIZE)}.get(seq.spawn_key[-1])))
     signals, noise_counts = [101.0, 1e6, (_PIN_SHADOWED, 1e6)], [15, 2699]
     scratch = np.empty((_scratch_rows(signals), _span(signals)))
-    got = _chunk_error_count(0, CHUNK_SIZE, 11, _every_cell(signals, noise_counts), scratch)
+    cells = _every_cell(signals, noise_counts)
+    got = _chunk_error_count(0, CHUNK_SIZE, 11, cells, scratch)
     want = helpers.reference_chunk_error_count(0, CHUNK_SIZE, 11, signals, noise_counts,
                                                np.empty((4, CHUNK_SIZE)))
-    assert np.array_equal(got[0], want[0].ravel())
-    assert _same_bits(got[1], want[1].ravel()) and _same_bits(got[2], want[2].ravel())
-    assert got[3] == want[3] == CHUNK_SIZE
+    _assert_chunk_equal(got, want, signals, noise_counts, cells, 0)
+    assert got[4] == 2 * (int(CHUNK_SIZE // 2 * detector.P_FLOOR) + 1) == 1564
 
 
 def _noise_uniforms(case):
@@ -1057,6 +1172,39 @@ def test_floor_estimate_is_unbiased_at_small_n():
     assert abs(p_e.mean() - exact) <= 4 * p_e.std(ddof=1) / math.sqrt(p_e.size)
 
 
+@pytest.mark.parametrize("n", [37, 128, 1000])
+def test_floor_estimate_is_unbiased_where_strata_decide_the_floor_set(n):
+    # Alphabet 16 at P_t = 1e4, every error in the floor set. Stratified u
+    # put the first pair in F with probability min(1, H P_f) each, so
+    # P(f >= 1) is 0.49 at n = 37 and 1 from n = 128 on, where the iid
+    # 1 - (1 - P_f)^n read 0.44 and 0.87. Over 400 seeds the mean p_e lies
+    # within 3 standard errors of the closed form; divided by the iid
+    # P(f >= 1) it read 2.7 and 9.5 standard errors high at 37 and 128.
+    params = helpers.scheme_with_alphabet(16)
+    exact = analytic_pe_no_shadowing(1e4 + 1.0, 15)
+    p_e = np.array([estimate_pe(params, NO_FADING, 1e4, 1.0, n, seed=seed).p_e
+                    for seed in range(400)])
+    assert abs(p_e.mean() - exact) <= 3 * p_e.std(ddof=1) / math.sqrt(p_e.size)
+
+
+@pytest.mark.parametrize("variant", ["WTFC", "IFSK"])
+def test_constant_half_width_matches_the_spread_over_seeds(variant):
+    # The README point at 200 000 iterations, seeds 0-39: at least 36 of
+    # the 40 intervals hold the closed form, and the mean reported
+    # half-width lies within 15 % of 1.96 times the seeds' standard
+    # deviation (1.08 and 1.03 of it when measured). The pair half-width
+    # is a quarter of the binomial one the iid draws had here.
+    params = derive_scheme(_readme_inputs(1e-2), variant)
+    exact = analytic_pe_no_shadowing(signal_energy(10e3, params, 1.0) + 1.0,
+                                     params.noise_slot_count)
+    estimates = [estimate_pe(params, NO_FADING, 10e3, 1.0, 200_000, seed=seed)
+                 for seed in range(40)]
+    p_e = np.array([est.p_e for est in estimates])
+    half_widths = np.array([est.half_width_95 for est in estimates])
+    assert np.count_nonzero(np.abs(p_e - exact) <= half_widths) >= 36
+    assert abs(half_widths.mean() / (1.96 * p_e.std(ddof=1)) - 1.0) <= 0.15
+
+
 def _deep_fade_cell():
     """The README point at duty 1e-4 under 8 dB shadowing, one symbol per
     realization, and its exact p_e: 0.0087, of which the 0.0017 without
@@ -1125,21 +1273,22 @@ def test_drawn_half_width_at_one_iteration_is_the_widest():
         assert 0 < est.p_e < 1 and est.half_width_95 == 0.98
 
 
-@pytest.mark.parametrize("seed, floor_size", [(1, 1), (3, 0)])
+@pytest.mark.parametrize("seed, floor_size", [(0, 1), (1, 0)])
 def test_floor_spread_below_two_scores_is_the_widest(seed, floor_size):
     # README point at duty 1e-4, 50 iterations, no error outside the floor
     # set. Below two scores q in [0, P_f] the spread is (P_f / 2)^2, over
-    # max(f, 1): seed 1 draws f = 1 (it read 0.00305 +- 0 with the one
-    # score's spread of 0), seed 3 draws f = 0 (0 +- 0).
+    # max(f, 1): seed 0 draws f = 1 (one score's spread would be 0), seed 1
+    # draws f = 0 (0 +- 0 without the bound). 50 iterations are 25 pairs,
+    # so the count adds nothing.
     params = derive_scheme(_readme_inputs(1e-4))
     mu = signal_energy(10e3, params, 1.0) + 1.0
-    counts, sums, _, f = helpers.reference_chunk_error_count(
+    counts, discordant, sums, _, f = helpers.reference_chunk_error_count(
         0, 50, seed, [mu], [params.noise_slot_count], np.empty((3, 50)))
-    assert (f, counts[0, 0]) == (floor_size, 0)
+    assert (f, counts[0, 0], discordant[0, 0]) == (floor_size, 0, 0)
     est = estimate_pe(params, NO_FADING, 10e3, 1.0, 50, seed=seed)
-    reach = -math.expm1(50 * math.log1p(-detector.P_FLOOR))
+    reach = _stratified_reach(50)
     assert est.p_e == (sums[0, 0] / f / reach if f else 0.0)
-    assert est.half_width_95 == 1.96 * math.sqrt((detector.P_FLOOR / 2) ** 2 / (reach * reach))
+    assert est.half_width_95 == 1.96 * (detector.P_FLOOR / 2 / reach)
 
 
 @pytest.mark.parametrize("powers", [100.0, (100.0,), (100.0, 100.0, 100.0)])
@@ -1223,20 +1372,21 @@ def test_oracle_agreement_smoke():
 
 
 def test_equal_floor_scores_get_the_spread_bound():
-    # Mean 101 against 15 noise slots at 37 iterations: every score of the
-    # floor set is the same and no error lies outside it, so the sample
-    # spread is 0 and the row read 0.0354 +- 0.0. The spread is bounded by
-    # (P_f / 2)^2, as below two scores.
+    # Mean 101 against 15 noise slots at 37 iterations, seed 2030: both
+    # scores of the floor set are the same and no error lies outside it, so
+    # the sample spread is 0, and a row that kept it would read
+    # 0.0318 +- 0.0265, the unpaired last iteration's bound alone. The
+    # spread is bounded by (P_f / 2)^2, as below two scores.
     params = helpers.scheme_with_alphabet(16)
-    est = estimate_pe(params, NO_FADING, 100.0, 1.0, 37, seed=2024)
-    counts, sums, squares, f = helpers.reference_chunk_error_count(
-        0, 37, 2024, [101.0], [15], np.empty((3, 37)))
+    est = estimate_pe(params, NO_FADING, 100.0, 1.0, 37, seed=2030)
+    counts, _, sums, squares, f = helpers.reference_chunk_error_count(
+        0, 37, 2030, [101.0], [15], np.empty((3, 37)))
     assert counts[0, 0] == 0 and f >= 2
     assert squares[0, 0] / f - (sums[0, 0] / f) ** 2 <= 0.0
-    reach = -math.expm1(37 * math.log1p(-detector.P_FLOOR))
-    assert est.p_e == pytest.approx(0.0354, abs=1e-4)
+    reach = _stratified_reach(37)
+    assert est.p_e == pytest.approx(0.0318, abs=1e-4)
     assert est.half_width_95 == pytest.approx(
-        1.96 * (detector.P_FLOOR / 2) / (math.sqrt(f) * reach), rel=1e-12)
+        1.96 * math.hypot(0.5 / 37, (detector.P_FLOOR / 2) / (math.sqrt(f) * reach)), rel=1e-12)
 
 
 @pytest.mark.parametrize("sigma_db", [0.0, 8.0])

@@ -242,3 +242,31 @@ def test_capacity_at_an_alphabet_near_the_float_range_is_finite(command, capsys,
     assert run_cli(argv, capsys)[0] == 0
     text = (tmp_path / "out").read_text()
     assert "capacity_bps" in text and "nan" not in text and "inf" not in text
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["pe", "--set", "shadowing_enabled=true", "--set", "shadowing_std_db=200",
+      "--set", "hold_mean_rx_power=true"], "shadowing_std_db"),
+    (["pe", "--set", "shadowing_enabled=true", "--set", "shadowing_std_db=2000"],
+     "shadowing_std_db"),
+    (["compare-shadowing", "--sigma-db", "1e300", "--axis", "duty_cycle", "--grid", "1e-2",
+      "--out", "cmp.csv"], "sigma_db"),
+], ids=["hold", "pe", "compare"])
+def test_shadowing_spread_past_the_float_range_fails_at_its_field(argv, key, capsys):
+    # Past about 163.6 dB the mean power factor exp((sigma ln10 / 10)^2 / 2)
+    # overflows: hold_mean_rx_power failed with an OverflowError traceback,
+    # and a drawn amplitude's exp and square overflowed with numpy warnings.
+    code, out, err = run_cli([*argv, *POINT, "--set", "p_r=10e3", "--iters", "1000"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {key}: shadowing_std_db puts the mean shadowing power gain "
+                   "outside the float range\n")
+
+
+def test_shadowing_spread_below_the_float_range_samples(capsys):
+    # At 163 dB, just inside the range, half the amplitudes are far below
+    # the noise and the rest far above it: p_e ~ 1/2, without hold.
+    code, out, _ = run_cli(["pe", *POINT, "--set", "p_r=10e3", "--iters", "1000",
+                            "--set", "shadowing_enabled=true", "--set", "shadowing_std_db=163"],
+                           capsys)
+    assert code == 0
+    assert abs(float(out.split("p_e = ")[1].split()[0]) - 0.5) < 0.05

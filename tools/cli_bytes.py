@@ -173,6 +173,14 @@ CALLS = [
     # seed 6 draws f >= 2, so its scores' spread gives the half-width.
     ("pe-iters-50", ["pe", *POINT, "--set", "duty_cycle=1e-4", *PR, "--iters", "50",
                      "--seed", "6", *OUT], {}),
+    # 128 iterations are 64 strata of u, each 1/64 wide: H P_f = 1, so the
+    # first stratum is the floor set whatever its uniforms, and P(f >= 1) = 1.
+    ("pe-iters-128", ["pe", *POINT, *PR, "--iters", "128", "--seed", "3", *OUT], {}),
+    # 20 001 iterations: 10 000 pairs and an unpaired last iteration, which
+    # every noise count scans and whose u is a plain uniform.
+    ("sweep-iters-odd", ["sweep", *POINT, *PR, "--iters", "20001", "--seed", "3", "--axis",
+                         "duty_cycle", "--grid", "1e-2,1e-4", "--variants", "wtfc,ifsk", *OUT],
+     {}),
     # One shadowed iteration: one score, whose half-width is the widest.
     ("pe-shadowed-iters-1", ["pe", *POINT, *PR, "--iters", "1", "--seed", "3", *OUT],
      SHADOWED),
