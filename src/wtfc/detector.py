@@ -64,27 +64,29 @@ as the amplitudes are, with the iteration as the unit (``_stratify``): a
 chunk of n iterations has H = n // 2 pairs, both iterations of pair h
 draw u = (h + U) / H from their own U, and an unpaired last iteration
 draws a plain U. Most of an error indicator's variance is the spread of
-P(error | u) over u, which the strata remove; the half-width takes the
-pairs' differences, D + 1/4 per unpaired iteration for D the pairs where
-exactly one iteration errs outside F (``_estimate``). The floor set F,
-the iterations with E <= c_f = -ln(1 - ``P_FLOOR``), is one set for
-every constant cell, since they share u, and under the strata about the
-chunk's first n / 64 iterations. Each scores q = -expm1(-min(t, c_f))
-with t = y / mu: P_f times its error probability given v and E <= c_f.
-F is chosen by u alone, which is independent of v, so q's mean over F
-estimates P(error, E <= c_f) whatever F's size f is (a ratio estimator,
-conditional Monte Carlo within F); p_e is the error fraction outside F
-plus that mean over pi_n = P(f >= 1), which the strata make 1 from 128
-iterations on (``_floor_reach``). Every span scans its part of F; the
-chunk collects its ln v as it goes and scores it in every constant cell
-once it is drawn, in iteration order, so that the sums do not depend on
-the span, the other cells of the call or the threads.
+P(error | u) over u, which the strata remove.
+
+The floor set F is the chunk's first K = ceil(H ``P_FLOOR``) pairs, the
+same iterations in every constant cell whatever u is. Given v, an
+iteration errs when u <= s = -expm1(-y / mu), and F's u spread evenly
+over its strata, [0, K / H), so each iteration of F scores
+r = min(s H / K, 1), its error probability given v averaged over those
+strata (conditional Monte Carlo, with H / K rounded once): the expected
+sum of F's scores is that of the indicators they replace, at any n. F
+never needs its u, which the signal stream skips, and the first span,
+which holds F, scores it from the noise maxima its counts invert.
+
+Every cell, constant or drawn, then has one estimator (``_estimate``):
+p_e is its errors plus its scores, over n, and the half-width takes its
+pairs' differences. A constant cell's are D, its pairs after F where
+exactly one iteration errs, and the squared differences of F's pairs'
+scores; an unpaired last iteration adds 1/4.
 
 The kernel holds every statistic in one sign, L = ln(1 - u) = -E and
-w = ln(-expm1(ln v / N)) = -y: a constant cell errs when mu * L >= w, F
-is L >= -c_f, and -q = expm1(max(w / mu, -c_f)), as -s = expm1(w / mu).
-IEEE negation, products, quotients, min and max are exact under a change
-of sign, so every count, score and floor set is the E/y form's bit for bit.
+w = ln(-expm1(ln v / N)) = -y: a constant cell errs when mu * L >= w, and
+-s = expm1(w / mu), so r = min(expm1(w / mu) * -(H / K), 1). IEEE
+negation, products, quotients and min are exact under a change of sign,
+so every count and score is the E/y form's bit for bit.
 
 Constant cells invert only iterations that can be errors, and those lie
 in a prefix of the chunk. The noise maximum rises with its uniform v, so
@@ -95,14 +97,14 @@ count, and an iteration whose signal statistic lies above the bound is
 correct in that cell. Each constant cell has a cut on E from that bound
 and its mean, and so a cut on u. Stratified u rises with the iteration's
 pair, so every u at or below a cut lies in the chunk's first
-2 (floor(H u_cut) + 2) iterations (``_prefix``). Each noise count scans
-the prefix of its cells' largest cut, where F's L is -inf, so no count
-sees F; the span draws u only over the longest prefix and F's, with the
-signal stream skipping the rest (``bit_generator.advance``, one output
-per double), and always scans an unpaired last iteration. L, w and every
-comparison go through the same element-wise ufuncs as a pass over every
-iteration, so each count and its discordant pairs equal that pass's bit
-for bit.
+2 (floor(H u_cut) + 2) iterations (``_prefix``). Each noise count
+inverts its maximum over the prefix of its cells' largest cut, or over F
+where that is longer, and counts from F's end; the span draws u only
+over the longest prefix past F, with the signal stream skipping the
+rest (``bit_generator.advance``, one output per double), and always
+scans an unpaired last iteration. L, w and every comparison go through
+the same element-wise ufuncs as a pass over every iteration, so each
+count and its discordant pairs equal that pass's bit for bit.
 
 The chunk kernel is allocation-free: each worker allocates its scratch
 once per ``estimate_pe`` call, and so once per sweep: ``_scratch_rows``
@@ -113,12 +115,12 @@ scores) and each shadowing model's amplitudes, however many grid points
 the call carries. Every span draws, scores and transforms in place
 there: the normal quantile works in the u and w rows before they are
 drawn, and a drawn cell's block sums and pair differences in the u and
-statistic rows. Per span only the 1-byte comparison masks and their
-pairs' comparisons, F's indices and ln v, the quantile's tail indices
-and values (about 15 % of the blocks) and, for block shadowing, one
-amplitude per block are new memory; per chunk, the drawn cells' piece
-and window sums, and F's ln v joined once and scored one cell at a time
-in two of the scratch rows.
+statistic rows, and F's scores and pair differences in the statistic
+row and the first K floats of u's, which F leaves free. Per span only
+the 1-byte comparison masks and their pairs' comparisons, the
+quantile's tail indices and values (about 15 % of the blocks) and, for
+block shadowing, one amplitude per block are new memory; per chunk, the
+drawn cells' piece and window sums.
 """
 
 from __future__ import annotations
@@ -150,14 +152,11 @@ _NEPERS_PER_DB = math.log(10.0) / 20.0
 # Relative pad on the chunk's noise bound and on the signal cut derived from
 # it, far above the few-ulp error of the ufuncs that compute either side.
 _SLACK = 1e-6
-# The floor P_f: the iterations with E <= c_f, a share P_f of them, are
-# scored by their error probability given their own noise maximum and
-# amplitude. Part of the determinism contract, as CHUNK_SIZE is: it
+# The floor P_f: a chunk's first ceil(H P_f) of its H pairs of iterations,
+# the floor set, are scored by their error probability given their own
+# noise maximum. Part of the determinism contract, as CHUNK_SIZE is: it
 # decides which iterations score a fraction, and so every estimate's bits.
 P_FLOOR = 1.0 / 64.0
-# c_f = -ln(1 - P_f): a unit exponential E lies at or below it with
-# probability P_f.
-_FLOOR_CUT = -math.log1p(-P_FLOOR)
 # Iterations per piece of a drawn cell's score sums. Pieces are aligned to
 # the chunk and every span is whole pieces, so the sums do not depend on
 # the span; it divides CHUNK_SIZE.
@@ -464,7 +463,7 @@ def _chunk_error_count(
     seed: int,
     cells: Sequence[tuple[float | tuple[LargeScaleModel, float], int]],
     scratch: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scores of every cell in one chunk of ``n`` iterations.
 
     A cell is a (signal, noise-slot count) pair. A signal is its
@@ -476,8 +475,7 @@ def _chunk_error_count(
     maximum. ``scratch`` holds at least ``_scratch_rows(signals)`` rows of
     at least min(n, ``_span(signals)``) floats, over the cells' signals,
     else ``ValueError``; the chunk overwrites those rows. Returns each
-    cell's count, its discordant pairs and two sums, in cell order, and
-    F's size.
+    cell's count, its discordant pairs and two sums, in cell order.
 
     A cell whose amplitudes are drawn scores every iteration by its error
     probability given its noise maximum y and amplitude m,
@@ -491,15 +489,15 @@ def _chunk_error_count(
     A cell with a constant mean mu counts an error when x = mu * E does not
     beat y, with u stratified in the chunk's H = n // 2 pairs of
     iterations: u = (h + U) / H in pair h, a plain U in an unpaired last
-    iteration. The floor set F, one set for every such cell, holds the
-    iterations with E <= c_f = -ln(1 - ``P_FLOOR``); each scores
-    q = -expm1(-min(y / mu, c_f)), ``P_FLOOR`` times its error probability
-    given its own v and E <= c_f. Its count is of the errors outside F,
-    its discordant pairs are the pairs with exactly one of them, its sums
-    are of q over F (from ``_floor_scores``), and F's size is returned
-    last; it is 0 when no cell has a constant mean, since then no u is
-    drawn. The statistics are held negated, L = -E and w = -y (see the
-    module docstring): an error is ``mu * L >= w`` and F is L >= -c_f.
+    iteration. The floor set F, one set for every such cell, is the
+    chunk's first K = ceil(H ``P_FLOOR``) pairs; each of its iterations
+    scores r = min(s H / K, 1), s = -expm1(-y / mu), its error
+    probability given its own v averaged over F's strata of u, and draws
+    no u. Its count is of the errors after F, its discordant pairs are the
+    pairs with exactly one of them, its first sum is of r over F and its
+    second of (2^k (r_2h - r_2h+1))^2 over F's pairs. The statistics are
+    held negated, L = -E and w = -y (see the module docstring): an error
+    is ``mu * L >= w``.
 
     The chunk runs a span of ``_span(signals)`` iterations at a time. Each
     span draws its own u, v and amplitudes from the chunk's three
@@ -527,23 +525,22 @@ def _chunk_error_count(
     - A stratified u at or below u_cut lies in a pair h of at most
       floor(H u_cut), or one more where H u_cut rounds, so the chunk's
       first 2 (floor(H u_cut) + 2) iterations, its prefix (``_prefix``),
-      hold every candidate of the cut, and F's prefix every iteration of
-      F.
+      hold every candidate of the cut.
 
-    Each noise count scans the prefix of its cells' largest cut, within
-    the span, and the span draws u over the longest prefix and F's; the
-    signal stream skips to the span's start, and then to an unpaired last
-    iteration, which every count scans beside all the span's drawn pairs.
-    Each span keeps the ln v of its floor set, in order, for
-    ``_floor_scores`` to score one cell at a time once the chunk is drawn,
-    and then sets the floor set's L to -inf, where no count sees it. Each
-    noise count inverts its w over its prefix and compares each of its
-    cells there, and counts the pairs of the prefix whose two comparisons
-    differ; no pair past it holds an error. Every ufunc acts element by
-    element, so each element gets the value it has in a pass over every
-    iteration, and counting over any superset of a cell's candidates that
-    is whole pairs gives that pass's count and discordant pairs bit for
-    bit. Ties count as errors (measure zero, pinned for reproducibility).
+    Each noise count inverts its w over the prefix of its cells' largest
+    cut, or over F where that is longer, within the span. F lies in the
+    first span (2K <= 1564 < ``_span``), which scores it there, in each
+    of the count's cells, from that w. The span draws u from F's end over
+    the longest prefix: the signal stream skips F, then to the span's
+    start, and then to an unpaired last iteration, which every count
+    scans beside all the span's drawn pairs. Each count compares each of
+    its cells from F's end to its prefix's, and counts the pairs there
+    whose two comparisons differ; no pair past it holds an error. Every
+    ufunc acts element by element, so each element gets the value it has
+    in a pass over every iteration, and counting over any superset of a
+    cell's candidates that is whole pairs gives that pass's count and
+    discordant pairs bit for bit. Ties count as errors (measure zero,
+    pinned for reproducibility).
     """
     signals = [signal for signal, _ in cells]
     span = _span(signals)
@@ -560,7 +557,7 @@ def _chunk_error_count(
     drawn: dict = {}
     for c, (signal, n_noise) in enumerate(cells):
         if isinstance(signal, float):
-            constant.setdefault(n_noise, []).append((c, signal))
+            constant.setdefault(n_noise, []).append((c, signal, _square_scale(signal)))
         else:
             drawn.setdefault(n_noise, []).append(
                 (c, models[signal[0]], signal[1], _square_scale(signal)))
@@ -576,17 +573,18 @@ def _chunk_error_count(
     layouts = [(model.block_len, _window(model.block_len) // (2 * model.block_len),
                 n // model.block_len // 2) for model in models]
     pad = 1.0 + _SLACK
-    # The chunk's strata of u, one per pair of iterations, the prefix that
-    # holds F, and the signal uniforms drawn so far.
+    # The chunk's strata of u, one per pair of iterations; the floor set F,
+    # its first K pairs, and the weight H / K of F's scores; and the signal
+    # uniforms drawn so far.
     strata = n // 2
-    floor_prefix, drawn_to = _prefix(_FLOOR_CUT, strata), 0
+    floor_pairs = math.ceil(strata * P_FLOOR)
+    floor_end, drawn_to = 2 * floor_pairs, 0
+    weight = strata / floor_pairs if floor_pairs else 0.0
     counts, discordant = np.zeros((2, len(cells)), dtype=np.int64)
     sums, square_sums = np.zeros(len(cells)), np.zeros(len(cells))
     # Each drawn cell's piece sums of -s and window sums of its pairs'
     # squared differences, in iteration order.
     pieces = np.empty((len(cells), 2, -(-n // _PIECE))) if drawn else None
-    # The ln v of every span's iterations with L >= -c_f, in order.
-    below = []
     for start in range(0, n, span):
         length = min(span, n - start)
         v = noise_rng.random(length, out=v_row[:length])
@@ -635,98 +633,67 @@ def _chunk_error_count(
         if not constant:
             continue
 
-        # Each noise count's prefix holds its cells' candidates, from the
-        # largest of their cuts on E; the span scans its pairs within the
-        # longest prefix and F's, and its unpaired last iteration.
-        prefixes = {n_noise: _prefix(max(_noise_bound(top, n_noise) * pad / mean * pad
-                                         for _, mean in members), strata)
+        # Each noise count's prefix holds F and its cells' candidates, from
+        # the largest of their cuts on E; the span scans its pairs within
+        # the longest prefix, and its unpaired last iteration. F, which the
+        # first span holds, draws no u.
+        prefixes = {n_noise: max(_prefix(max(_noise_bound(top, n_noise) * pad / mean * pad
+                                             for _, mean, _ in members), strata), floor_end)
                     for n_noise, members in constant.items()}
         end = start + length
-        size = max(min(end, max(floor_prefix, *prefixes.values())) - start, 0)
+        size = max(min(end, max(prefixes.values())) - start, 0)
+        first = max(floor_end - start, 0)
         last = int(end == n > 2 * strata)
         if not size + last:
             continue
-        # u of the span's scanned pairs and of its last iteration, each the
-        # value a whole-chunk draw gives: the stream skips the u not drawn.
+        # u of the span's scanned pairs past F and of its last iteration,
+        # each the value a whole-chunk draw gives: the stream skips the u
+        # not drawn.
         u = u_row[: size + last]
-        if size:
-            signal_rng.bit_generator.advance(start - drawn_to)
-            _stratify(signal_rng.random(size, out=u[:size]), start, strata)
+        if size > first:
+            signal_rng.bit_generator.advance(start + first - drawn_to)
+            _stratify(signal_rng.random(size - first, out=u[first:size]), start + first, strata)
             drawn_to = start + size
         if last:
             signal_rng.bit_generator.advance(n - 1 - drawn_to)
             signal_rng.random(1, out=u[size:])
             v[size] = v[length - 1]
-        ell, log_v = _log_survival(u, out=u), v[: size + last]
+        ell, log_v = _log_survival(u[first:], out=u[first:]), v[: size + last]
         if not drawn:
             with np.errstate(divide="ignore"):
                 np.log(log_v, out=log_v)
-        # The floor set is scored by _floor_scores; at L = -inf no count sees it.
-        floor = np.flatnonzero(ell >= -_FLOOR_CUT)
-        below.append(np.take(log_v, floor))
-        ell[floor] = -math.inf
-        del floor
         for n_noise, members in constant.items():
             # A count scans its own prefix's pairs, or beside the unpaired
             # last iteration every scanned pair.
             k = size + 1 if last else max(min(end, prefixes[n_noise]) - start, 0)
             w, x = w_row[:k], x_row[:k]
             _negative_max_noise_from_log(n_noise, log_v[:k], out=w)
-            for c, mean in members:
-                errors = np.multiply(mean, ell[:k], out=x) >= w
+            for c, mean, scale in members:
+                if first:
+                    # F scores r = min(s H / K, 1), with -s = expm1(w / mu),
+                    # and its pairs' (2^k (r_2h - r_2h+1))^2 in u's free
+                    # row.
+                    r = np.divide(w[:first], mean, out=x[:first])
+                    np.expm1(r, out=r)
+                    r *= -weight
+                    np.minimum(r, 1.0, out=r)
+                    sums[c] = r.sum()
+                    d = np.subtract(r[0::2], r[1::2], out=u_row[:floor_pairs])
+                    if scale != 1.0:
+                        d *= scale
+                    d *= d
+                    square_sums[c] = d.sum()
+                errors = np.multiply(mean, ell[: k - first], out=x[first:]) >= w[first:]
                 counts[c] += np.count_nonzero(errors)
-                discordant[c] += np.count_nonzero(errors[0 : k - last : 2]
-                                                  != errors[1 : k - last : 2])
+                discordant[c] += np.count_nonzero(errors[0 : k - first - last : 2]
+                                                  != errors[1 : k - first - last : 2])
     for members in drawn.values():
         for c, g, *_ in members:
             _, per_window, pairs = layouts[g]
             # 0.0 - total is -total, but +0 where every score is 0.
             sums[c] = 0.0 - math.fsum(pieces[c, 0])
             square_sums[c] = math.fsum(pieces[c, 1, : -(-pairs // per_window)])
-    # Without a constant cell no u is drawn and the floor set is empty.
-    log_v = np.concatenate(below) if constant else np.empty(0)
-    _floor_scores(log_v, constant, sums, square_sums, scratch)
-    return counts, discordant, sums, square_sums, log_v.size
-
-
-def _floor_scores(
-    log_v: np.ndarray,
-    constant: dict,
-    sums: np.ndarray,
-    square_sums: np.ndarray,
-    scratch: np.ndarray,
-) -> None:
-    """Score a chunk's floor set in every constant cell, in iteration order.
-
-    ``log_v`` holds the ln v of the chunk's iterations with L >= -c_f, in
-    iteration order, and ``constant`` maps each noise-slot count to its
-    constant cells as (cell index, mean). In each cell every such
-    iteration scores q, with -q = expm1(max(w / mu, -c_f)) for w = -y.
-    Writes at each cell's index the ``np.sum`` of q over those iterations,
-    in iteration order, into ``sums``, and the same sum of (2^k q)
-    squared, 2^k = ``_square_scale`` of the mean, into ``square_sums``.
-    Each is one sum over the chunk, so its bits do not depend on the span.
-
-    Each noise count inverts its w once for all its cells, which are
-    scored one at a time, in two rows of ``scratch`` for w and -q: F lies
-    in the chunk's first 2 (floor(H P_f) + 2) iterations and its unpaired
-    last one, 1 565 at most, fewer than a row holds.
-    """
-    w, t = scratch[:2, : log_v.size]
-    for n_noise, members in constant.items():
-        _negative_max_noise_from_log(n_noise, log_v, out=w)
-        for c, mean in members:
-            np.divide(w, mean, out=t)
-            np.maximum(t, -_FLOOR_CUT, out=t)
-            np.expm1(t, out=t)
-            # Summed as q, not as -q negated after: np.sum has no sign
-            # symmetry at zero, and an all-zero set's sum must keep its bits.
-            sums[c] = np.negative(t, out=t).sum()
-            scale = _square_scale(mean)
-            if scale != 1.0:
-                t *= scale
-            t *= t
-            square_sums[c] = t.sum()
+    return counts, discordant, sums, square_sums
 
 
 def estimate_pe(
@@ -746,9 +713,9 @@ def estimate_pe(
     the error probability given both, -expm1(-y / mu); ``p_e`` is the mean
     score. With a constant signal-slot mean, draw the signal statistic
     and score the error indicator, 1 when the signal does not win, or in
-    the floor set the conditional error probability (see the module
-    docstring); ``p_e`` is the error fraction outside the floor set plus
-    the floor set's mean score. ``half_width_95`` is 1.96 times the
+    the floor set, each chunk's first pairs, a conditional error
+    probability (see the module docstring); ``p_e`` is the errors plus
+    the scores, over the iterations. ``half_width_95`` is 1.96 times the
     standard error (``_estimate``). Deterministic for fixed (seed,
     iterations); ``threads`` only changes wall time.
 
@@ -823,18 +790,17 @@ def estimate_pe(
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, range(workers)))
-    # One (counts, discordant pairs, sums, square sums, floor size) per
-    # chunk. math.fsum rounds each exact total once, so the order in which
-    # the workers ran their chunks cannot show.
+    # One (counts, discordant pairs, sums, square sums) per chunk.
+    # math.fsum rounds each exact total once, so the order in which the
+    # workers ran their chunks cannot show.
     chunks = [chunk for worker in results for chunk in worker]
     errors = sum(counts for counts, *_ in chunks)
     discordant = sum(pairs for _, pairs, *_ in chunks)
-    floor_size = sum(size for *_, size in chunks)
     estimates = [
-        _estimate(int(errors[c]), int(discordant[c]), floor_size,
-                  math.fsum(sums[c] for _, _, sums, _, _ in chunks),
-                  math.fsum(squares[c] for _, _, _, squares, _ in chunks), iterations, seed,
-                  block_len=0 if isinstance(signal, float) else signal[0].block_len,
+        _estimate(int(errors[c]), int(discordant[c]),
+                  math.fsum(sums[c] for _, _, sums, _ in chunks),
+                  math.fsum(squares[c] for *_, squares in chunks), iterations, seed,
+                  block_len=1 if isinstance(signal, float) else signal[0].block_len,
                   scale=_square_scale(signal))
         for c, signal in enumerate(signals)
     ]
@@ -848,31 +814,13 @@ def _unpaired(n: int, block_len: int) -> int:
     return whole % 2 * block_len * block_len + part * part
 
 
-def _floor_reach(iterations: int) -> float:
-    """pi_n = P(f >= 1): the chance that the floor set of ``iterations``
-    is not empty.
-
-    A chunk of n iterations has H = n // 2 pairs. With H P_f >= 1 its first
-    pair lies in F whatever U is; else each u of that pair lies in F with
-    probability H P_f, and no later pair can. An unpaired last u lies in F
-    with probability P_f. So F misses a chunk with probability
-    (1 - min(1, H P_f))^2 (1 - P_f)^(n mod 2), and every chunk with the
-    product: pi_n is 1.0 from n = 128 on.
-    """
-    def missed(n: int) -> float:
-        return (1.0 - min(1.0, n // 2 * P_FLOOR)) ** 2 * (1.0 - P_FLOOR) ** (n % 2)
-
-    full, last = divmod(iterations, CHUNK_SIZE)
-    return 1.0 - missed(CHUNK_SIZE) ** full * missed(last)
-
-
-def _estimate(errors: int, discordant: int, floor_size: int, score_sum: float,
-              square_sum: float, iterations: int, seed: int, block_len: int = 0,
+def _estimate(errors: int, discordant: int, score_sum: float, square_sum: float,
+              iterations: int, seed: int, block_len: int = 1,
               scale: float = 1.0) -> PeEstimate:
     """p_e and its 95 % half-width from a cell's scores.
 
     Each chunk pairs its units within strata of their uniform: a drawn
-    cell's whole blocks of ``block_len`` > 0 iterations by the shadowing
+    cell's whole blocks of ``block_len`` iterations by the shadowing
     normal (``draw_m_batch``), a constant cell's iterations by u (the
     module docstring). The two units of a pair are independent draws from
     one stratum, so the squared difference of their sums estimates the
@@ -881,49 +829,24 @@ def _estimate(errors: int, discordant: int, floor_size: int, score_sum: float,
     2013, ch. 8). A unit without a partner adds size^2 / 4, the largest
     variance of a sum of that many values in [0, 1].
 
-    A drawn cell scores every iteration: its n scores s lie in [0, 1] and
-    sum to ``score_sum``, so p_e = sum s / n, and ``square_sum`` is the sum
-    over all pairs of (A_2h - A_2h+1)^2, for A a block's score sum. The
-    half-width is 1.96 sqrt(variance) / n; at n = 1 it is
-    1.96 sqrt(1/4) = 0.98.
+    Every cell has the same form. Its ``errors`` are 1s, its scores lie in
+    [0, 1] and sum to ``score_sum``, and p_e = (errors + sum) / n.
+    ``discordant`` counts the pairs of indicators that differ, each a
+    squared difference of 1, and ``square_sum`` the squared differences of
+    the scored pairs: F's pairs in a constant cell, a drawn cell's pairs of
+    blocks, with A a block's score sum. The half-width is
+    1.96 sqrt(variance) / n. A variance of exactly 0, as where every
+    iteration errs, takes 1/4, the bound for one unit, so that no estimate
+    reads +- 0; at n = 1 the half-width is 1.96 sqrt(1/4) = 0.98.
 
-    A constant cell, ``block_len`` 0, has ``errors`` outside the floor set
-    F, of which ``discordant`` pairs hold exactly one, and the
-    f = ``floor_size`` scores q over F, which lie in [0, P_f] and sum to
-    ``score_sum``, their squares to ``square_sum``. With p_B = errors / n
-    and pi_n = P(f >= 1) (``_floor_reach``), p_e = p_B + (sum q / f) / pi_n,
-    the second term 0 when f = 0, and the half-width is
-    1.96 sqrt((D + n mod 2 / 4) / n^2 + var_F(q) / (max(f, 1) pi_n^2)),
-    for D the discordant pairs (an error indicator's squared pair
-    difference is 1 where exactly one errs), with var_F(q) =
-    sum q^2 / f - (sum q / f)^2 where that is positive and (P_f / 2)^2,
-    the largest variance of a score in [0, P_f], where it is not: below
-    two scores, or where the scores are equal. Dividing by pi_n keeps p_e
-    unbiased at any n.
-
-    ``square_sum`` is of the scores, or of a drawn cell's differences,
-    times ``scale``, a power of two (``_square_scale``), so that part of
-    the variance is formed in those units and its root divided by
-    ``scale``; at 1.0 nothing changes.
+    ``square_sum`` is of differences times ``scale``, a power of two
+    (``_square_scale``), so that part of the variance is formed in those
+    units and its root divided by ``scale``; at 1.0 nothing changes.
     """
     full, last = divmod(iterations, CHUNK_SIZE)
-    unit = block_len or 1
-    bound = (full * _unpaired(CHUNK_SIZE, unit) + _unpaired(last, unit)) / 4
-    if block_len:
-        half_width = 1.96 * math.hypot(math.sqrt(square_sum) / scale, math.sqrt(bound))
-        return PeEstimate(p_e=score_sum / iterations, iterations=iterations,
-                          half_width_95=half_width / iterations, seed=seed)
-    p_e = errors / iterations
-    reach = _floor_reach(iterations)
-    spread, units = (P_FLOOR / 2.0) ** 2, 1.0
-    if floor_size:
-        mean = score_sum / floor_size
-        # An f below its mean can lift a p_e within its noise of 1 past 1.
-        p_e = min(p_e + mean / reach, 1.0)
-        scaled = mean * scale
-        sample = square_sum / floor_size - scaled * scaled
-        if floor_size > 1 and sample > 0.0:
-            spread, units = sample, scale
-    half_width = 1.96 * math.hypot(math.sqrt(discordant + bound) / iterations,
-                                   math.sqrt(spread / max(floor_size, 1)) / (reach * units))
-    return PeEstimate(p_e=p_e, iterations=iterations, half_width_95=half_width, seed=seed)
+    bound = (full * _unpaired(CHUNK_SIZE, block_len) + _unpaired(last, block_len)) / 4
+    if not (discordant + bound or square_sum):
+        bound = 0.25
+    half_width = 1.96 * math.hypot(math.sqrt(square_sum) / scale, math.sqrt(discordant + bound))
+    return PeEstimate(p_e=(errors + score_sum) / iterations, iterations=iterations,
+                      half_width_95=half_width / iterations, seed=seed)

@@ -34,12 +34,14 @@ CHUNK_SIZE = 100_000
 class PeEstimate(Record):
     """Monte Carlo symbol error probability with its 95% half-width.
 
-    ``p_e`` is sampled over ``iterations`` symbols (``wtfc.detector``). At
-    a constant signal-slot mean it is the error fraction outside the
-    sampler's floor set plus the mean of the floor set's conditional error
-    scores; under log-normal shadowing with sigma > 0 it is the mean of
-    every iteration's error probability given its noise maximum and
-    amplitude. ``half_width_95`` is 1.96 times its standard error.
+    ``p_e`` is sampled over ``iterations`` symbols (``wtfc.detector``): the
+    errors counted plus the conditional error scores, over the symbols. At
+    a constant signal-slot mean the sampler's floor set, each chunk's first
+    pairs of symbols, scores and the rest count; under log-normal shadowing
+    with sigma > 0 every symbol scores its error probability given its
+    noise maximum and amplitude. ``half_width_95`` is 1.96 times its
+    standard error, from the differences within pairs of symbols or of
+    shadowing blocks.
 
     For a p_e that was given rather than sampled (``capacity --pe``),
     ``iterations``, ``half_width_95`` and ``seed`` are None.

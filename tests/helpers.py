@@ -16,7 +16,6 @@ import numpy as np
 from wtfc import (LargeScaleModel, PhysicalInputs, analytic_pe_no_shadowing, derive_scheme,
                   detector)
 from wtfc.channel import constant_amplitude
-from wtfc.detector import _FLOOR_CUT
 
 
 def scheme_with_alphabet(alphabet_size: int):
@@ -171,8 +170,8 @@ def _max_noise_from_log(n_noise: int, log_v: np.ndarray, out: np.ndarray) -> np.
 
 # The chunk kernel without any filter: every iteration is inverted and
 # scored, in the order the estimator defines, as the reference whose
-# counts, discordant pairs, score sums and floor size the filtered kernel
-# must equal bit for bit.
+# counts, discordant pairs and score sums the filtered kernel must equal
+# bit for bit.
 def reference_chunk_error_count(
     chunk_index: int,
     n: int,
@@ -180,7 +179,7 @@ def reference_chunk_error_count(
     signals: Sequence[float | tuple[LargeScaleModel, float]],
     noise_counts: Sequence[int],
     scratch: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scores of every (signal, noise count) pair in one chunk of ``n`` iterations.
 
     A signal is its signal-slot mean: a float when it is the same for every
@@ -198,19 +197,18 @@ def reference_chunk_error_count(
     slice of s. Its second is over the chunk's whole pairs of blocks: with
     A each block's np.sum of s, the ``math.fsum`` of the np.sum of
     (A_2h - A_2h+1)^2 over the pairs of each window of lcm(1000, 2 L)
-    iterations. A constant signal's
-    statistic is mu * E. Every iteration of the floor set, those with
-    E <= c_f, scores q = -expm1(-min(t, c_f)) for t = y / mu; every other
-    one scores its error indicator, x <= y (ties count as errors), and the
-    sums are the np.sum of q over the floor set, in order, and of q squared.
-    Its discordant pairs are the pairs (2h, 2h + 1) where exactly one
-    indicator is 1.
+    iterations. A constant signal's statistic is mu * E. The floor set
+    is the chunk's first 2K iterations, K = ceil(H P_f) pairs; each scores
+    r = min(s * (H / K), 1) for s = -expm1(-y / mu), with H / K rounded
+    once. Every other iteration scores its error indicator, x <= y (ties
+    count as errors). The sums are the np.sum of r over the floor set, in
+    order, and of (r_2h - r_2h+1)^2 over its pairs. Its discordant pairs
+    are the pairs (2h, 2h + 1) where exactly one indicator is 1.
 
     ``scratch`` holds at least ``len(noise_counts) + 2`` rows of at least
     ``n`` floats; the chunk overwrites the first ``n`` entries of those it
     uses. Returns the counts of the indicators, the discordant pairs and
-    the two sums, each shaped (signals, noise counts), and the floor set's
-    size, 0 when no signal is constant.
+    the two sums, each shaped (signals, noise counts).
     """
     shadow_seed, signal_seed, noise_seed = np.random.SeedSequence(
         [seed, chunk_index]
@@ -222,7 +220,9 @@ def reference_chunk_error_count(
     np.negative(np.log1p(np.negative(e, out=e), out=e), out=e)
     with np.errstate(divide="ignore"):
         np.log(np.random.default_rng(noise_seed).random(n, out=log_v), out=log_v)
-    floor = e <= _FLOOR_CUT
+    floor_pairs = math.ceil(pairs * detector.P_FLOOR)
+    floor = np.arange(n) < 2 * floor_pairs
+    weight = pairs / floor_pairs if floor_pairs else 0.0
 
     # Hold every noise maximum, the last in ln(v)'s row; the signal
     # statistics pass through one work row, the last one through E's.
@@ -244,9 +244,9 @@ def reference_chunk_error_count(
                 counts[j, k] = np.count_nonzero(errors)
                 discordant[j, k] = np.count_nonzero(
                     errors[0 : 2 * pairs : 2] != errors[1 : 2 * pairs : 2])
-                scores = -np.expm1(-np.minimum(y / signal, _FLOOR_CUT))[floor]
+                scores = np.minimum(-np.expm1(-(y[floor] / signal)) * weight, 1.0)
                 sums[j, k] = np.sum(scores)
-                square_sums[j, k] = np.sum(scores * scores)
+                square_sums[j, k] = np.sum((scores[0::2] - scores[1::2]) ** 2)
             continue
         model, energy_factor = signal
         if model not in amplitudes:
@@ -265,6 +265,4 @@ def reference_chunk_error_count(
             squares = (blocks[0::2] - blocks[1::2]) ** 2
             square_sums[j, k] = math.fsum(np.sum(squares[i : i + per_window])
                                           for i in range(0, paired // 2, per_window))
-    constant = any(isinstance(signal, float) for signal in signals)
-    return (counts, discordant, sums, square_sums,
-            int(np.count_nonzero(floor)) if constant else 0)
+    return counts, discordant, sums, square_sums

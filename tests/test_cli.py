@@ -317,9 +317,11 @@ def test_amplitude_past_the_float_range_exits_2_naming_the_power_key(key, output
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_capacity_where_nearly_every_symbol_errs_reads_a_probability(seed, capsys):
-    # At p_r = 1e-3 the error fraction outside the floor set plus the floor
-    # set's mean score lies within noise of 1: a floor set smaller than its
-    # mean lifted p_e past 1 in two of these seeds, and capacity failed.
+    # At p_r = 1e-3 nearly every symbol errs. p_e is the errors plus the
+    # floor set's scores, each at most 1, over n, so it lies within noise
+    # of 1 and never past it; when the floor set's size was random, one
+    # smaller than its mean lifted p_e past 1 in two of these seeds, and
+    # capacity failed.
     code, out, _ = run_cli(["capacity", *BASE_SETS[:-2], "--set", "p_r=1e-3", "--iters",
                             "20000", "--seed", str(seed), "--format", "json"], capsys)
     assert code == 0
@@ -365,10 +367,10 @@ SATURATED_SETS = [*BASE_SETS, "--set", "duty_cycle=1e-5", "--set", "p_r=1e5"]
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_saturated_pe_scores_below_the_floor(seed, capsys):
     # 20 000 iterations hold no error to count here: a 0/1 count read
-    # p_e = 0 +- 0. The ~310 iterations with E <= c_f score their
-    # conditional error probabilities instead, averaged over their actual
-    # number, so the estimate is positive, about 0.7 % wide, and covers the
-    # exact value.
+    # p_e = 0 +- 0. The floor set, the chunk's first 314 iterations, scores
+    # their conditional error probabilities, times H / K = 10 000 / 157,
+    # instead, so the estimate is positive, about 0.7 % wide, and covers
+    # the exact value.
     code, out, _ = run_cli(["pe", *SATURATED_SETS, "--iters", "20000", "--seed", str(seed),
                             "--format", "json"], capsys)
     assert code == 0
@@ -788,14 +790,14 @@ def test_compare_shadowing_csv(sigma_db, capsys, tmp_path):
 
 
 # sha256 of the result files at 250 000 iterations, captured when the
-# signal uniforms of constant rows were first drawn stratified in pairs of
-# iterations (the compare-shadowing on rows' p_e and half-width when
-# shadowed amplitudes were first drawn stratified in pairs of blocks, and
-# kept since); each row equals the one-cell estimate at
-# its point (tests/test_sweep.py) and lies near its exact value (below).
+# floor set of constant rows became each chunk's first pairs (the
+# compare-shadowing on rows' p_e and half-width when shadowed amplitudes
+# were first drawn stratified in pairs of blocks, and kept since); each
+# row equals the one-cell estimate at its point (tests/test_sweep.py) and
+# lies near its exact value (below).
 PINNED_CSV_SHA256 = {
-    "sweep": "3f8047565a5644793d36219ff9a3ce69f802bdce3ceaa5feb819323f8e8e1c02",
-    "compare-shadowing": "53e1e2be99d7a33c92808014161dbec6f422e25057e628c583dea2b0bc884839",
+    "sweep": "9d3a1fbe61707177efc398bf131dce1fd2098f90667ecad447d116dc95158bb0",
+    "compare-shadowing": "e31054b179d09519f9957625386f6d64fe57b4ae7462a8058a63d53ce9e00e9f",
 }
 
 
@@ -836,23 +838,22 @@ def test_pinned_result_rows_lie_near_the_exact_value(command, capsys, tmp_path):
 
 
 # The one-point commands and the sha256 of their --out files at 20 000
-# iterations, captured when the signal uniforms were first drawn
-# stratified in pairs of iterations (derive's when the capacity ceiling
-# still had two formulas); the sampled ones lie near the exact value
-# (below).
+# iterations, captured when the floor set became each chunk's first pairs
+# (derive's when the capacity ceiling still had two formulas); the sampled
+# ones lie near the exact value (below).
 _ONE_POINT = [*BASE_SETS, "--iters", "20000", "--seed", "3"]
 _IFSK_JSON = ["--variant", "ifsk", "--format", "json"]
 PINNED_REPORTS = {
     "derive": (["derive", *BASE_SETS],
                "8cf3d8f504819bb5a064e1bdb54ccac60f3c29aacdb9a37780868b3636249957"),
     "pe": (["pe", *_ONE_POINT],
-           "697cbc41a97918d5fb35b1be8a07b8746c79fc64387205b1c6c4a2649e043be4"),
+           "46fa757fd88712fbac85d03d4b9df7261986e7d563814bdca00c03309092cbec"),
     "pe-ifsk-json": (["pe", *_ONE_POINT, *_IFSK_JSON],
-                     "242761dd2bae772309de939654cd78208089e6680bce9ec8b5550ea0f25522a4"),
+                     "5a1fc1f85ebc9c7f97e8893604ed7c3154d43ed17031b7b51ba1ef39e5fd5cb9"),
     "capacity": (["capacity", *_ONE_POINT],
-                 "ac7674d021a76a4f346bd40f19ed2d0af1587efbf574c3ee7008b466f4c53d8f"),
+                 "517cd7c4f846911755c0ee9b6e39de3cb3783b52a52f3fa1fd39b45b97c2daa7"),
     "capacity-ifsk-json": (["capacity", *_ONE_POINT, *_IFSK_JSON],
-                           "172bbab62e6d2acc72670aa88ba7827f003f4ee79ed3dda77aebc3a4328e4ae3"),
+                           "a1ffd89bc9e0675b30de6575ab53f4812a84128347e691a2287f4c6b98b7774b"),
 }
 
 
@@ -1043,8 +1044,7 @@ def test_duty_1_variant_rows_are_equal_and_each_equals_pe(capsys, tmp_path):
 
 
 def test_pe_where_every_symbol_errs_prints_nothing_on_stderr(tmp_path):
-    # At p_r = 1e-9 every symbol errs. At seed 3 the floor set holds 15 of
-    # the 1000 iterations (seed 0 draws 16 and p_e = 0.999625), and the
+    # At p_r = 1e-9 every symbol errs and every floor score is 1, so the
     # estimate is p_e = 1, past 1 - 1/S: pe reports it as it is, and only a
     # capacity clamps it, with a warning.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
@@ -1057,3 +1057,16 @@ def test_pe_where_every_symbol_errs_prints_nothing_on_stderr(tmp_path):
     )
     assert (result.returncode, result.stderr) == (0, "")
     assert "p_e = 1\n" in result.stdout
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_pe_where_every_symbol_errs_reads_one_unit_of_spread(seed, capsys):
+    # Every symbol errs at p_r = 1e-9: no pair differs, and the variance
+    # estimate is exactly 0. It takes 1/4, the bound for one unit, so the
+    # row reads 1 +- 1.96 sqrt(1/4) / n rather than 1 +- 0.
+    sets = [item.replace("p_r=10e3", "p_r=1e-9") for item in BASE_SETS]
+    code, out, _ = run_cli(["pe", *sets, "--iters", "2000", "--seed", str(seed),
+                            "--format", "json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["p_e"], report["ci_half_width_95"]) == (1.0, 1.96 * 0.5 / 2000)

@@ -6,8 +6,9 @@ negatives, subnormals, the ends of the float range, infinities, NaN and,
 for the integer keys, numbers past the float range. Runs take at most
 2 000 iterations. Every call must exit 0, 2 or 3 (exit 1 is for I/O
 errors, and a traceback is a failure); an exit-2 message must name a
-configuration key, a flag or a file; and every figure a call prints, or
-writes to its result file, must be finite.
+configuration key, a flag or a file; every figure a call prints, or
+writes to its result file, must be finite; and at exit 0 every sampled
+p_e must lie in [0, 1], with a positive half-width where one is given.
 """
 
 import contextlib
@@ -79,6 +80,19 @@ settings_of_keys = st.lists(st.sampled_from(NUMERIC_KEYS), min_size=1, max_size=
     lambda keys: st.tuples(*(st.tuples(st.just(key), _values(key)) for key in keys)))
 
 
+def _reports(printed: str, written: str):
+    """Each report of a call: its printed key = value lines, and its result
+    file's key = value lines or each row of its CSV table."""
+    for text, table in ((printed, False), (written, True)):
+        lines = [line for line in text.splitlines() if not line.startswith("# config:")]
+        pairs = [line.split(" = ", 1) for line in lines if " = " in line]
+        if pairs:
+            yield dict(pairs)
+        elif table and lines:
+            header, *rows = (line.split(",") for line in lines)
+            yield from (dict(zip(header, row)) for row in rows)
+
+
 def test_the_search_covers_every_numeric_key():
     assert {"bandwidth_hz", "duty_cycle", "q_override", "shadow_block_len", "p_r", "p_t",
             "n_0", "iterations", "seed", "p_e", "sigma_db"} <= set(NUMERIC_KEYS)
@@ -113,3 +127,10 @@ def test_every_numeric_input_exits_cleanly_with_finite_figures(command, sets):
         printed = out_text + "".join(line for line in written.splitlines(keepends=True)
                                      if not line.startswith("# config:"))
         assert not NOT_FINITE.search(printed), (argv, printed)
+    if code == 0:
+        # A sampled p_e is one with an iteration count; a given one has none.
+        for report in _reports(out_text, written):
+            if report.get("p_e") and report.get("iterations"):
+                assert 0.0 <= float(report["p_e"]) <= 1.0, (argv, report)
+                if "ci_half_width_95" in report:
+                    assert float(report["ci_half_width_95"]) > 0.0, (argv, report)

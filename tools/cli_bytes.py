@@ -161,21 +161,30 @@ CALLS = [
     ("compare-span-blocks-50000", [*SPAN_EDGES, "--set", "shadow_block_len=50000"], {}),
     ("compare-span-threads-2", [*SPAN_EDGES, "--threads", "2"], {}),
     # Duty 1e-5 at p_r = 1e5, p_e ~2e-5: 20 000 iterations hold no error, and
-    # the floor set's scores give the estimate.
+    # the scores of the floor set, the chunk's first 157 pairs, give the
+    # estimate.
     ("pe-saturated", ["pe", *POINT, "--set", "duty_cycle=1e-5", "--set", "p_r=1e5", *ITERS,
                       *OUT], {}),
     # p_r = 100, mu ~2.01: every iteration is a candidate, every span and
-    # every count run whole, and every iteration with E <= c_f has
-    # t >= c_f and scores P_f.
+    # every count run whole, and every floor score s H / K, with s near 1,
+    # is capped at 1.
     ("pe-low-snr", ["pe", *POINT, "--set", "p_r=100", *ITERS, *OUT], {}),
-    # 50 iterations at duty 1e-4, where every error lies in the floor set:
-    # pi_50 = P(f >= 1) = 0.545 divides the floor set's mean score, and
-    # seed 6 draws f >= 2, so its scores' spread gives the half-width.
+    # 50 iterations at duty 1e-4: 25 pairs, of which the first is the floor
+    # set, scoring s H / K = 25 s. No error follows it here, so its two
+    # scores are p_e and their difference gives the half-width.
     ("pe-iters-50", ["pe", *POINT, "--set", "duty_cycle=1e-4", *PR, "--iters", "50",
                      "--seed", "6", *OUT], {}),
-    # 128 iterations are 64 strata of u, each 1/64 wide: H P_f = 1, so the
-    # first stratum is the floor set whatever its uniforms, and P(f >= 1) = 1.
+    # 128 iterations are 64 pairs: H P_f = 1 exactly, so the floor set is
+    # the first pair and H / K = 64.
     ("pe-iters-128", ["pe", *POINT, *PR, "--iters", "128", "--seed", "3", *OUT], {}),
+    # 2 iterations: the one pair is the floor set, and H / K = 1, so p_e is
+    # the mean of its two scores s.
+    ("pe-iters-2", ["pe", *POINT, *PR, "--iters", "2", "--seed", "3", *OUT], {}),
+    # p_r = 1e-9: every iteration errs and every floor score is 1, so no
+    # pair differs and the variance estimate is 0; it takes 1/4, the bound
+    # for one unit, and the row reads 1 +- 1.96 sqrt(1/4) / 2000.
+    ("pe-all-errors", ["pe", *POINT, "--set", "p_r=1e-9", "--iters", "2000", "--seed", "3",
+                       *OUT], {}),
     # 20 001 iterations: 10 000 pairs and an unpaired last iteration, which
     # every noise count scans and whose u is a plain uniform.
     ("sweep-iters-odd", ["sweep", *POINT, *PR, "--iters", "20001", "--seed", "3", "--axis",
